@@ -236,9 +236,7 @@ void PerSlotProblem::reset(const SlotObservation& obs) {
   for (std::size_t i = 0; i < num_dcs_; ++i) total_resource_ += dc_capacity_[i];
 
   // Dead-column mask for the fairness gradient (see the header): a column
-  // with ub == 0 in every DC gets a zero fairness term, which keeps dense
-  // dead-coordinate gradients non-negative and hence compact == dense
-  // bitwise under PGD.
+  // with ub == 0 in every DC gets a zero fairness term.
   if (params_.beta > 0.0) {
     active_col_.assign(J_eff, 0);
     const double* bounds = polytope_.upper_bounds().data();

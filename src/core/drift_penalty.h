@@ -266,11 +266,10 @@ class PerSlotProblem final : public ConvexObjective {
   std::size_t num_account_slots_ = 0;    // rows of the account accumulators
   /// Dead-column mask for the fairness gradient (built when beta > 0):
   /// active_col_[j] == 0 iff ub_{i,j} == 0 for every DC i. Such a column's
-  /// fairness term is zeroed in the gradient — the column cannot move, its
-  /// account received no work through it, and (crucially) zeroing keeps the
-  /// dense gradient's dead entries >= 0 so they never perturb the projection
-  /// bisection bracket. That is what makes compact PGD (where dead columns
-  /// simply don't exist) bit-identical to dense PGD.
+  /// fairness term is zeroed in the gradient — the column cannot move and
+  /// its account received no work through it. Compact PGD (where dead
+  /// columns simply don't exist) is bit-identical to dense PGD because the
+  /// projection skips ub == 0 entries outright (DESIGN.md §11).
   mutable std::vector<std::uint8_t> active_col_;  // [num_types_eff_]
 
   // Reused scratch: value()/gradient() run every solver iteration and must

@@ -2,11 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <numeric>
 
 #include "util/check.h"
 
 namespace grefar {
+
+namespace {
+
+/// Sorts bare values descending. Insertion sort wins on the short lists
+/// most binding groups produce.
+void sort_descending(std::vector<double>& v) {
+  constexpr std::size_t kInsertionSortMax = 24;
+  if (v.size() > kInsertionSortMax) {
+    std::sort(v.begin(), v.end(), std::greater<>());
+    return;
+  }
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    const double key = v[i];
+    std::size_t h = i;
+    for (; h > 0 && key > v[h - 1]; --h) v[h] = v[h - 1];
+    v[h] = key;
+  }
+}
+
+}  // namespace
 
 CappedBoxPolytope::CappedBoxPolytope(std::vector<double> ub)
     : ub_(std::move(ub)), grouped_(ub_.size(), false) {
@@ -80,71 +102,91 @@ bool CappedBoxPolytope::contains(const std::vector<double>& x, double tol) const
 }
 
 void CappedBoxPolytope::project_group(const Group& g, std::vector<double>& x) const {
-  // KKT: the projection is clamp(y - lambda, 0, ub) for the smallest
-  // lambda >= 0 satisfying the cap. The group's x entries still hold the
-  // *original* y values (project_into clamps only ungrouped variables), and
-  // every pass below reads before it writes, so the bisection can run
-  // straight off x — no staging copy.
-  //
-  // Contiguous fast path: stride-1 loops over raw pointers, branch-free
-  // clamps — these are the inner loops of every PGD iteration at N*J
-  // variables, and the compiler vectorizes them only without the indices
-  // indirection.
+  // The group's x entries still hold the *original* y values (project_into
+  // clamps only ungrouped variables), so the kernel projects straight off x.
   if (g.contiguous) {
-    double* xs = x.data() + g.begin;
-    const double* ub = ub_.data() + g.begin;
-    const std::size_t count = g.end - g.begin;
-    double sum0 = 0.0;
-    double hi = 0.0;
-    for (std::size_t k = 0; k < count; ++k) {
-      sum0 += std::clamp(xs[k], 0.0, ub[k]);
-      hi = std::max(hi, xs[k]);
-    }
-    if (sum0 <= g.cap) {
-      for (std::size_t k = 0; k < count; ++k) xs[k] = std::clamp(xs[k], 0.0, ub[k]);
-      return;
-    }
-    // sum(lambda) is non-increasing and reaches 0 at max(y); bisect, exiting
-    // early once the bracket is resolved to ~1e-12 relative (the historical
-    // fixed 100 rounds kept bisecting long past double resolution).
-    double lo = 0.0;
-    for (int iter = 0; iter < 100; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      double s = 0.0;
-      for (std::size_t k = 0; k < count; ++k) s += std::clamp(xs[k] - mid, 0.0, ub[k]);
-      if (s > g.cap) lo = mid;
-      else hi = mid;
-      if (hi - lo <= 1e-12 * (1.0 + hi)) break;
-    }
-    const double lambda = 0.5 * (lo + hi);
-    for (std::size_t k = 0; k < count; ++k) {
-      xs[k] = std::clamp(xs[k] - lambda, 0.0, ub[k]);
-    }
+    project_span(x.data() + g.begin, ub_.data() + g.begin, g.end - g.begin, g.cap);
+    return;
+  }
+  // Index-list group: gather in list order, project, scatter back. A group
+  // whose indices ascend thus projects bitwise like the same values laid out
+  // contiguously. Amortized: the gather buffers keep their high-water size.
+  std::vector<double>& xs = gather_x_;
+  std::vector<double>& ub = gather_ub_;
+  xs.clear();
+  ub.clear();
+  for (std::size_t j : g.indices) {
+    xs.push_back(x[j]);    // NOLINT(grefar-hot-path-alloc)
+    ub.push_back(ub_[j]);  // NOLINT(grefar-hot-path-alloc)
+  }
+  project_span(xs.data(), ub.data(), xs.size(), g.cap);
+  for (std::size_t k = 0; k < g.indices.size(); ++k) x[g.indices[k]] = xs[k];
+}
+
+void CappedBoxPolytope::project_span(double* x, const double* ub, std::size_t n,
+                                     double cap) const {
+  // KKT: the projection is clamp(y - lambda, 0, ub) for the smallest
+  // lambda >= 0 with S(lambda) = sum(clamp(y - lambda, 0, ub)) <= cap. This
+  // first pass is stride-1 and branch-free (the compiler vectorizes it), and
+  // it is all a group whose cap does not bind pays.
+  double sum0 = 0.0;
+  for (std::size_t k = 0; k < n; ++k) sum0 += std::clamp(x[k], 0.0, ub[k]);
+  if (sum0 <= cap) {
+    for (std::size_t k = 0; k < n; ++k) x[k] = std::clamp(x[k], 0.0, ub[k]);
     return;
   }
 
-  auto sum_at = [&](double lambda) {
-    double s = 0.0;
-    for (std::size_t j : g.indices) {
-      s += std::clamp(x[j] - lambda, 0.0, ub_[j]);
-    }
-    return s;
-  };
-  if (sum_at(0.0) <= g.cap) {
-    for (std::size_t j : g.indices) x[j] = std::clamp(x[j], 0.0, ub_[j]);
-    return;
+  // S is piecewise linear and non-increasing in lambda. Its breakpoints are
+  // where entry k leaves 0 (lambda = y_k) and leaves its bound
+  // (lambda = y_k - ub_k). An entry with y_k <= 0 or ub_k == 0 is 0 at every
+  // lambda >= 0 and contributes nothing: skipping it explicitly is what keeps
+  // a compact problem bitwise equal to its dense twin, whose dead columns
+  // have ub == 0. Breakpoints <= 0 lie outside the search range.
+  std::vector<double>& leaves_zero = leaves_zero_;
+  std::vector<double>& leaves_ub = leaves_ub_;
+  leaves_zero.clear();  // amortized, like lmo_order_
+  leaves_ub.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    if (!(x[k] > 0.0) || !(ub[k] > 0.0)) continue;
+    leaves_zero.push_back(x[k]);  // NOLINT(grefar-hot-path-alloc)
+    const double below_ub = x[k] - ub[k];
+    if (below_ub > 0.0) leaves_ub.push_back(below_ub);  // NOLINT(grefar-hot-path-alloc)
   }
+  // The lists hold bare values, so equal keys are indistinguishable: the
+  // sorted lists, and the sweep over them, cannot depend on how std::sort
+  // arranges ties.
+  sort_descending(leaves_zero);
+  sort_descending(leaves_ub);
+
+  // Sweep down from lambda = +inf, where S = 0, merging the two lists
+  // (leaves-0 first on a tie). Below the breakpoints passed so far,
+  // S(lambda) = offset - slope * lambda, slope counting the free entries:
+  // passing y_k frees entry k (offset += y_k), and passing y_k - ub_k pins
+  // it at ub_k (offset -= y_k - ub_k).
+  // Stop at the first breakpoint where S reaches cap: the multiplier then
+  // lies in [lo, hi], between it and the breakpoint before.
   double lo = 0.0;
-  double hi = 0.0;
-  for (std::size_t j : g.indices) hi = std::max(hi, x[j]);
-  for (int iter = 0; iter < 100; ++iter) {
-    double mid = 0.5 * (lo + hi);
-    if (sum_at(mid) > g.cap) lo = mid;
-    else hi = mid;
-    if (hi - lo <= 1e-12 * (1.0 + hi)) break;
+  double hi = std::numeric_limits<double>::infinity();
+  double offset = 0.0;
+  double slope = 0.0;
+  for (std::size_t iz = 0, iu = 0; iz < leaves_zero.size() || iu < leaves_ub.size();) {
+    const bool frees = iu == leaves_ub.size() ||
+                       (iz < leaves_zero.size() && leaves_zero[iz] >= leaves_ub[iu]);
+    const double b = frees ? leaves_zero[iz++] : leaves_ub[iu++];
+    if (offset - slope * b >= cap) {
+      lo = b;
+      break;
+    }
+    hi = b;
+    offset += frees ? b : -b;
+    slope += frees ? 1.0 : -1.0;
   }
-  double lambda = 0.5 * (lo + hi);
-  for (std::size_t j : g.indices) x[j] = std::clamp(x[j] - lambda, 0.0, ub_[j]);
+
+  // No entry changes state inside [lo, hi], so S(lambda) = cap solves in
+  // closed form there. Clamping to the segment absorbs rounding; with no
+  // free entry S is flat and any lambda in the segment gives the same x.
+  const double lambda = slope > 0.0 ? std::clamp((offset - cap) / slope, lo, hi) : lo;
+  for (std::size_t k = 0; k < n; ++k) x[k] = std::clamp(x[k] - lambda, 0.0, ub[k]);
 }
 
 std::vector<double> CappedBoxPolytope::project(const std::vector<double>& y) const {

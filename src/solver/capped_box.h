@@ -53,8 +53,9 @@ class CappedBoxPolytope {
   bool contains(const std::vector<double>& x, double tol = 1e-9) const;
 
   /// Euclidean projection of y onto the polytope. Decomposes per group:
-  /// clamp to the box, and when a cap binds, bisect the Lagrange multiplier
-  /// of sum(clamp(y - lambda)) = cap.
+  /// clamp to the box, and when a cap binds, solve sum(clamp(y - lambda,
+  /// 0, ub)) = cap for the Lagrange multiplier exactly, by a sweep over the
+  /// sorted breakpoints of that piecewise-linear sum (DESIGN.md §11).
   std::vector<double> project(const std::vector<double>& y) const;
 
   /// Allocation-free projection into a caller-owned buffer (resized once;
@@ -88,6 +89,12 @@ class CappedBoxPolytope {
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void project_group(const Group& g, std::vector<double>& x) const;
 
+  /// The one projection kernel: projects the `n` values at `x` (bounds
+  /// `ub`) onto {0 <= x <= ub, sum(x) <= cap} in place. Index-list groups
+  /// gather into scratch and call it too.
+  GREFAR_HOT_PATH GREFAR_DETERMINISTIC
+  void project_span(double* x, const double* ub, std::size_t n, double cap) const;
+
   std::vector<double> ub_;
   std::vector<Group> groups_;
   std::vector<bool> grouped_;  // membership marker for disjointness checks
@@ -96,6 +103,10 @@ class CappedBoxPolytope {
   // a polytope instance single-threaded, like the rest of the repo's
   // lazily-caching objects; concurrent runs each own their instances.
   mutable std::vector<std::size_t> lmo_order_; // minimize_linear sort order
+  mutable std::vector<double> leaves_zero_;  // project_span breakpoints y_k
+  mutable std::vector<double> leaves_ub_;    // ... and y_k - ub_k
+  mutable std::vector<double> gather_x_;     // index-list group values
+  mutable std::vector<double> gather_ub_;    // index-list group bounds
 };
 
 }  // namespace grefar

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 #include "obs/counters.h"
 #include "util/check.h"
@@ -20,24 +19,14 @@ PgdResult minimize_projected_gradient(const ConvexObjective& objective,
   PgdResult result;
   std::vector<double> x = polytope.project(x0);
   double fx = objective.value(x);
-  std::vector<double> best_x = x;
-  double best_f = fx;
 
   std::vector<double> grad(n);
   std::vector<double> candidate(n);
   std::vector<double> projected(n);  // project_into target, reused
   double step = options.initial_step;
-  int stall_count = 0;  // consecutive iterations without monotone descent
 
   // Accumulated locally and flushed once per solve (obs hot-loop discipline).
   std::uint64_t projections = 1;  // the x0 projection above
-  std::uint64_t subgradient_steps = 0;
-  auto flush_counters = [&](const PgdResult& r) {
-    obs::count("pgd.solves");
-    obs::count("pgd.iterations", static_cast<std::uint64_t>(r.iterations));
-    obs::count("pgd.projections", projections);
-    obs::count("pgd.subgradient_fallback_steps", subgradient_steps);
-  };
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++result.iterations;
@@ -55,82 +44,37 @@ PgdResult minimize_projected_gradient(const ConvexObjective& objective,
       // negligible move at the current step means every smaller backtracking
       // step moves even less — and at the full (never-shrinking) first step
       // it means the projected gradient itself vanishes, i.e. stationarity.
-      // Without this, a solve warm-started at the optimum burned the whole
-      // backtracking schedule on objective evaluations that could not
-      // improve, then repeated it across the stall loop.
       double move = 0.0;
       for (std::size_t j = 0; j < n; ++j) {
         move += (candidate[j] - x[j]) * (candidate[j] - x[j]);
       }
-      if (std::sqrt(move) < options.tolerance) {
-        if (bt == 0) {
-          result.converged = true;
-          result.x = std::move(best_x);
-          result.objective = best_f;
-          flush_counters(result);
-          return result;
-        }
-        break;  // smaller steps cannot move either; go probe stationarity
-      }
+      if (std::sqrt(move) < options.tolerance) break;
       double fc = objective.value(candidate);
       if (fc < fx - 1e-15) {
-        // Accept; allow the step to grow again slowly.
+        // Accept; allow the step to grow again slowly. Descent is monotone,
+        // so the current iterate is always the best one seen.
         x.swap(candidate);
         fx = fc;
-        if (fx < best_f) {
-          best_f = fx;
-          best_x = x;
-        }
         step = trial_step * 1.5;
         improved = true;
-        stall_count = 0;
         break;
       }
       trial_step *= options.backtrack_factor;
     }
+    // The objective is C^1 (the per-slot problem smooths its energy kinks)
+    // and the projection is exact, so a sweep that finds no descent — every
+    // step too small to move, or none decreasing — means x is stationary to
+    // floating-point resolution. Stop there.
     if (!improved) {
-      // Stationarity check: if a small projected step barely moves the
-      // iterate, the projected gradient vanishes (smooth optimum at a
-      // boundary or interior) — stop instead of entering the fallback.
-      double probe_move = 0.0;
-      for (std::size_t j = 0; j < n; ++j) projected[j] = x[j] - 1e-6 * grad[j];
-      polytope.project_into(projected, candidate);
-      ++projections;
-      for (std::size_t j = 0; j < n; ++j) {
-        probe_move = std::max(probe_move, std::abs(candidate[j] - x[j]));
-      }
-      if (probe_move < 1e-9) {
-        result.converged = true;
-        break;
-      }
-      // Monotone descent failed — typically at a kink of a nonsmooth
-      // objective, where the current subgradient is not a descent direction.
-      // Fall back to the classic (non-monotone) projected subgradient step
-      // with a diminishing size; the best iterate is kept separately, which
-      // is exactly the convergence guarantee subgradient methods give.
-      ++stall_count;
-      if (stall_count > 25) {
-        result.converged = true;
-        break;
-      }
-      double sub_step =
-          options.initial_step / (1.0 + static_cast<double>(stall_count * stall_count));
-      for (std::size_t j = 0; j < n; ++j) projected[j] = x[j] - sub_step * grad[j];
-      polytope.project_into(projected, candidate);
-      ++projections;
-      ++subgradient_steps;
-      x.swap(candidate);
-      fx = objective.value(x);
-      if (fx < best_f) {
-        best_f = fx;
-        best_x = x;
-        stall_count = 0;
-      }
+      result.converged = true;
+      break;
     }
   }
-  result.x = std::move(best_x);
-  result.objective = best_f;
-  flush_counters(result);
+  result.x = std::move(x);
+  result.objective = fx;
+  obs::count("pgd.solves");
+  obs::count("pgd.iterations", static_cast<std::uint64_t>(result.iterations));
+  obs::count("pgd.projections", projections);
   return result;
 }
 

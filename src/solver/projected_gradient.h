@@ -1,9 +1,11 @@
-// Projected (sub)gradient descent over a CappedBoxPolytope.
+// Projected gradient descent over a CappedBoxPolytope.
 //
-// Uses a backtracking line search with projection-arc steps and a
-// best-iterate memory (required because the energy term is only piecewise
-// smooth). Adequate for the small per-slot problems GreFar solves every
-// scheduling quantum.
+// Monotone descent with a backtracking line search over the projection arc.
+// It expects a C^1 objective — the per-slot GreFar problem blends its energy
+// kinks (DESIGN.md "Kink smoothing") — and with the exact projection a
+// backtracking sweep that finds no descent means the iterate is stationary
+// to floating-point resolution, so the solve stops there. Adequate for the
+// small per-slot problems GreFar solves every scheduling quantum.
 #pragma once
 
 #include <vector>

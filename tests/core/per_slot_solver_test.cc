@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/grefar.h"
+#include "obs/counters.h"
+#include "scenario/serve_scenario.h"
+#include "sim/engine.h"
 #include "solver/brute_force.h"
 #include "util/rng.h"
 
@@ -172,6 +178,30 @@ TEST(FrankWolfeVsPgd, AgreeWithFairness) {
     EXPECT_LE(problem.value(pgd), problem.value(fw) + 2e-3 * scale)
         << "trial " << trial;
   }
+}
+
+TEST(PgdSolveCost, ServeScenarioStaysCheap) {
+  // The served-slot fairness workload: 8 DCs x 96 types, V = 4, beta = 0.5,
+  // PGD decide. With a bisection projection too coarse for the line search,
+  // solves here fell into a subgradient fallback (1174 steps) and averaged
+  // ~155 projections. With the exact projection a failed backtracking sweep
+  // ends the solve, and they average ~21.
+  PaperScenario s = make_serve_scenario(8, 96, /*seed=*/1);
+  auto scheduler = std::make_shared<GreFarScheduler>(
+      s.config, paper_grefar_params(4.0, 0.5), PerSlotSolver::kProjectedGradient);
+  SimulationEngine engine(s.config, s.prices, s.availability, s.arrivals, scheduler);
+  obs::CounterRegistry counters;
+  {
+    obs::CountersScope scope(&counters);
+    engine.run(300);
+  }
+  const std::uint64_t solves = counters.counter("pgd.solves");
+  ASSERT_GT(solves, 0u);
+  const double projections_per_solve =
+      static_cast<double>(counters.counter("pgd.projections")) /
+      static_cast<double>(solves);
+  EXPECT_LE(projections_per_solve, 30.0);
+  EXPECT_EQ(counters.counter("pgd.subgradient_fallback_steps"), 0u);
 }
 
 TEST(FairnessSolvers, MatchBruteForceOnTinyInstance) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -153,6 +155,130 @@ TEST(CappedBox, ZeroCapGroupPinsToZero) {
   EXPECT_NEAR(x[1], 0.0, 1e-9);
   auto lmo = p.minimize_linear({-1.0, -1.0});
   EXPECT_DOUBLE_EQ(lmo[0] + lmo[1], 0.0);
+}
+
+/// Reference projection of one group: clamp(y - lambda, 0, ub) with lambda
+/// from 200 rounds of long-double bisection on the cap equation.
+std::vector<double> reference_projection(const std::vector<double>& y,
+                                         const std::vector<double>& ub, double cap) {
+  using Real = long double;
+  auto sum_at = [&](Real lambda) {
+    Real s = 0.0L;
+    for (std::size_t k = 0; k < y.size(); ++k) {
+      s += std::clamp(static_cast<Real>(y[k]) - lambda, 0.0L, static_cast<Real>(ub[k]));
+    }
+    return s;
+  };
+  Real lambda = 0.0L;
+  if (sum_at(0.0L) > static_cast<Real>(cap)) {
+    Real lo = 0.0L;
+    Real hi = 0.0L;
+    for (double v : y) hi = std::max(hi, static_cast<Real>(v));
+    for (int round = 0; round < 200; ++round) {
+      const Real mid = 0.5L * (lo + hi);
+      if (sum_at(mid) > static_cast<Real>(cap)) lo = mid;
+      else hi = mid;
+    }
+    lambda = 0.5L * (lo + hi);
+  }
+  std::vector<double> x(y.size());
+  for (std::size_t k = 0; k < y.size(); ++k) {
+    x[k] = static_cast<double>(
+        std::clamp(static_cast<Real>(y[k]) - lambda, 0.0L, static_cast<Real>(ub[k])));
+  }
+  return x;
+}
+
+TEST(CappedBox, ProjectionMatchesExactReferenceOnDegenerateGroups) {
+  // Random groups mixing the degenerate cases the exact breakpoint sweep
+  // must get right: dead entries (ub == 0), unbounded entries, tied y, groups
+  // with every y <= 0, cap == 0, and a cap the clamped sum meets exactly.
+  const double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(2024);
+  int binding = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    std::vector<double> y(n);
+    std::vector<double> ub(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      y[k] = k > 0 && rng.bernoulli(0.2) ? y[static_cast<std::size_t>(rng.uniform_int(
+                                               0, static_cast<std::int64_t>(k) - 1))]
+                                         : rng.uniform(-2.0, 4.0);
+      if (trial % 10 == 3) y[k] = -std::abs(y[k]);
+      const double u = rng.uniform();
+      ub[k] = u < 0.15 ? 0.0 : u < 0.3 ? kInf : rng.uniform(0.1, 3.0);
+    }
+    double clamped_sum = 0.0;
+    for (std::size_t k = 0; k < n; ++k) clamped_sum += std::clamp(y[k], 0.0, ub[k]);
+    double cap = rng.uniform(0.0, 1.2) * clamped_sum;
+    if (trial % 7 == 0) cap = 0.0;
+    if (trial % 7 == 1) cap = clamped_sum;  // binds exactly
+
+    CappedBoxPolytope contiguous(ub);
+    std::vector<std::size_t> all(n);
+    for (std::size_t k = 0; k < n; ++k) all[k] = k;
+    contiguous.add_group(all, cap);
+    const std::vector<double> x = contiguous.project(y);
+    const std::vector<double> ref = reference_projection(y, ub, cap);
+
+    double total = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_GE(x[k], 0.0) << "trial " << trial << " k " << k;
+      ASSERT_LE(x[k], ub[k]) << "trial " << trial << " k " << k;
+      EXPECT_NEAR(x[k], ref[k], 1e-9) << "trial " << trial << " k " << k;
+      total += x[k];
+    }
+    if (clamped_sum >= cap) {
+      ++binding;
+      EXPECT_LE(std::abs(total - cap), 1e-12 * (1.0 + cap)) << "trial " << trial;
+    } else {
+      EXPECT_LE(total, cap) << "trial " << trial;
+    }
+
+    // Dropping the entries that are 0 at every lambda (y <= 0 or ub == 0),
+    // as a compact problem drops dead columns, changes no bit of the rest.
+    std::vector<double> y_live;
+    std::vector<double> ub_live;
+    std::vector<std::size_t> live_at;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (y[k] > 0.0 && ub[k] > 0.0) {
+        y_live.push_back(y[k]);
+        ub_live.push_back(ub[k]);
+        live_at.push_back(k);
+      }
+    }
+    if (!live_at.empty()) {
+      CappedBoxPolytope compact(ub_live);
+      std::vector<std::size_t> live(live_at.size());
+      for (std::size_t k = 0; k < live.size(); ++k) live[k] = k;
+      compact.add_group(live, cap);
+      const std::vector<double> x_live = compact.project(y_live);
+      for (std::size_t k = 0; k < live_at.size(); ++k) {
+        ASSERT_EQ(x_live[k], x[live_at[k]]) << "trial " << trial << " k " << live_at[k];
+      }
+    }
+
+    // The same values as an index-list group — interleaved with a second
+    // group, so neither is contiguous — project bitwise identically.
+    std::vector<double> ub2(2 * n, 1.0);
+    std::vector<double> y2(2 * n, 0.5);
+    std::vector<std::size_t> even(n);
+    std::vector<std::size_t> odd(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      even[k] = 2 * k;
+      odd[k] = 2 * k + 1;
+      ub2[2 * k] = ub[k];
+      y2[2 * k] = y[k];
+    }
+    CappedBoxPolytope interleaved(ub2);
+    interleaved.add_group(even, cap);
+    interleaved.add_group(odd, 0.25 * static_cast<double>(n));
+    const std::vector<double> x2 = interleaved.project(y2);
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_EQ(x2[2 * k], x[k]) << "trial " << trial << " k " << k;
+    }
+  }
+  EXPECT_GT(binding, 200);  // the sweep itself is what the trials exercise
 }
 
 TEST(CappedBox, DimensionMismatchIsContractViolation) {
