@@ -8,13 +8,18 @@
 // scheduler filled any. Records go to a shared TraceSink (JSONL file and/or
 // in-memory ring).
 //
-// The serialization is deterministic: JsonObject keys are ordered and every
-// number comes from the deterministic simulation state, so two runs of the
-// same seed produce byte-identical traces (pinned by tests/obs).
+// Records are written straight into a reused line buffer, with no document
+// tree in between: keys go out in a fixed sorted order (the order a
+// JsonObject would give them) and numbers through append_json_number, so the
+// line is byte-identical to dumping the equivalent JsonValue (pinned against
+// a DOM oracle by tests/obs). Every number comes from the deterministic
+// simulation state, so two runs of the same seed produce byte-identical
+// traces.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/trace_sink.h"
@@ -49,6 +54,7 @@ class TracingInspector final : public SlotInspector {
  private:
   std::shared_ptr<TraceSink> sink_;
   TracingInspectorOptions options_;
+  std::string line_;  // the record being written; keeps capacity across slots
   std::int64_t slots_traced_ = 0;
 };
 

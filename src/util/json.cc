@@ -1,8 +1,9 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 #include "util/check.h"
 #include "util/csv.h"  // read_file
@@ -89,22 +90,6 @@ void escape_json_string(const std::string& s, std::string& out) {
   out += '"';
 }
 
-void format_json_number(double d, std::string& out) {
-  GREFAR_CHECK_MSG(std::isfinite(d), "JSON cannot represent non-finite numbers");
-  char buf[32];
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", d);
-    out += buf;
-    return;
-  }
-  // Shortest representation that round-trips exactly.
-  for (int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) break;
-  }
-  out += buf;
-}
-
 void append_newline_indent(std::string& out, int indent, int depth) {
   if (indent < 0) return;
   out += '\n';
@@ -113,13 +98,39 @@ void append_newline_indent(std::string& out, int indent, int depth) {
 
 }  // namespace
 
+void append_json_number(double d, std::string& out) {
+  GREFAR_CHECK_MSG(std::isfinite(d), "JSON cannot represent non-finite numbers");
+  // Integral values get the text printf's %.0f gives, which keeps the sign
+  // of -0.0. Zero, by far the most common value in a slot record, first.
+  if (d == 0.0) {
+    out += std::signbit(d) ? "-0" : "0";
+    return;
+  }
+  char buf[32];
+  char* const end = buf + sizeof(buf);
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    out.append(buf, std::to_chars(buf, end, static_cast<std::int64_t>(d)).ptr);
+    return;
+  }
+  // Shortest of %.15g / %.16g / %.17g that round-trips exactly; to_chars
+  // with a precision formats as printf's %.*g would, minus the locale.
+  char* last = end;
+  for (int precision : {15, 16, 17}) {
+    last = std::to_chars(buf, end, d, std::chars_format::general, precision).ptr;
+    double back = 0.0;
+    std::from_chars(buf, last, back);
+    if (back == d) break;
+  }
+  out.append(buf, last);
+}
+
 void JsonValue::dump_to(std::string& out, int indent, int depth) const {
   if (is_null()) {
     out += "null";
   } else if (is_bool()) {
     out += as_bool() ? "true" : "false";
   } else if (is_number()) {
-    format_json_number(as_number(), out);
+    append_json_number(as_number(), out);
   } else if (is_string()) {
     escape_json_string(as_string(), out);
   } else if (is_array()) {
@@ -180,9 +191,11 @@ class JsonParser {
   }
 
  private:
-  Error fail(const std::string& msg) const {
-    return Error::make(msg + " at line " + std::to_string(line_) + ", col " +
-                       std::to_string(col_));
+  Error fail(const std::string& msg) const { return fail_at(msg, line_, col_); }
+
+  static Error fail_at(const std::string& msg, int line, int col) {
+    return Error::make(msg + " at line " + std::to_string(line) + ", col " +
+                       std::to_string(col));
   }
 
   bool eof() const { return pos_ >= text_.size(); }
@@ -346,7 +359,9 @@ class JsonParser {
   }
 
   Result<JsonValue> parse_number() {
-    std::size_t start = pos_;
+    const std::size_t start = pos_;
+    const int start_line = line_;
+    const int start_col = col_;
     if (!eof() && peek() == '-') advance();
     bool has_digits = false;
     while (!eof() && peek() >= '0' && peek() <= '9') {
@@ -371,8 +386,18 @@ class JsonParser {
       if (!exp_digits) return fail("malformed exponent");
     }
     if (!has_digits) return fail("invalid number");
-    std::string token(text_.substr(start, pos_ - start));
-    return JsonValue(std::stod(token));
+    // from_chars, unlike stod, neither throws nor reads the locale.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::result_out_of_range) {
+      return fail_at("number out of range", start_line, start_col);
+    }
+    if (ec != std::errc{} || ptr != last) {
+      return fail_at("invalid number", start_line, start_col);
+    }
+    return JsonValue(value);
   }
 
   std::string_view text_;

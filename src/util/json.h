@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -70,6 +71,13 @@ class JsonValue {
 
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> data_;
 };
+
+/// Appends the JSON text of `d` to `out`: integral values below 1e15 in
+/// magnitude as integers ("-0" for -0.0), anything else as the shortest of
+/// %.15g / %.16g / %.17g that round-trips exactly. Locale-independent; the
+/// one number formatter behind dump() and the streaming slot-log writer.
+/// Contract: `d` is finite (JSON has no NaN/Inf).
+void append_json_number(double d, std::string& out);
 
 /// Parses a JSON document. Errors carry 1-based line/column positions.
 Result<JsonValue> parse_json(std::string_view text);

@@ -12,11 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 
 #include "core/grefar.h"
+#include "obs/trace_sink.h"
+#include "obs/tracing_inspector.h"
 #include "scenario/paper_scenario.h"
 #include "sweep/sweep_engine.h"
 #include "util/json.h"
@@ -119,6 +123,58 @@ TEST(AllocRegression, LpSteadyStateStaysWithinBaseline) {
       << "LP hot path now allocates " << measured
       << " times per slot (baseline allows " << limit
       << "); find the new allocation or re-baseline BENCH_baseline.json";
+}
+
+/// Counts the allocations made inside the wrapped tracer's inspect() while
+/// `counting` is set, so the engine's own per-slot allocations stay out of
+/// the measurement.
+class CountingTracer final : public SlotInspector {
+ public:
+  explicit CountingTracer(std::shared_ptr<obs::TracingInspector> tracer)
+      : tracer_(std::move(tracer)) {}
+
+  void inspect(const SlotRecord& record) override {
+    g_counting.store(counting, std::memory_order_relaxed);
+    tracer_->inspect(record);
+    g_counting.store(false, std::memory_order_relaxed);
+  }
+
+  bool counting = false;
+
+ private:
+  std::shared_ptr<obs::TracingInspector> tracer_;
+};
+
+// The traced slot writes its JSONL record into reused buffers: once the
+// line buffer has grown and the ring has lapped, a slot log with a file and
+// the default ring allocates nothing.
+TEST(AllocRegression, TracedSlotLogAllocatesNothingInSteadyState) {
+  const std::string path = testing::TempDir() + "alloc_regression_trace.jsonl";
+  obs::TraceSink::Options sink_options;
+  sink_options.path = path;
+  auto sink = std::make_shared<obs::TraceSink>(sink_options);
+  ASSERT_LT(sink_options.ring_capacity, static_cast<std::size_t>(kWarmupSlots));
+  auto tracer = std::make_shared<CountingTracer>(
+      std::make_shared<obs::TracingInspector>(sink));
+
+  PaperScenario scenario = make_paper_scenario(/*seed=*/42);
+  auto engine = make_scenario_engine(
+      scenario,
+      std::make_shared<GreFarScheduler>(scenario.config,
+                                        paper_grefar_params(/*V=*/7.5, 0.0)),
+      {}, AuditMode::kOff);
+  engine->set_inspector(tracer);
+  engine->run(kWarmupSlots);
+  g_allocations.store(0, std::memory_order_relaxed);
+  tracer->counting = true;
+  engine->run(kMeasuredSlots);
+  tracer->counting = false;
+  const auto allocations = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(allocations, 0u) << "the traced slot log allocated " << allocations
+                             << " times over " << kMeasuredSlots << " slots";
+  EXPECT_EQ(sink->records_written(),
+            static_cast<std::uint64_t>(kWarmupSlots + kMeasuredSlots));
+  std::remove(path.c_str());
 }
 
 /// Steady-state allocations per sweep leg on a reused SweepEngine: run the

@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <string>
+
 #include "util/check.h"
 
 namespace grefar {
@@ -19,6 +29,25 @@ TEST(JsonParse, Numbers) {
   EXPECT_DOUBLE_EQ(parse_json("1e3").value().as_number(), 1000.0);
   EXPECT_DOUBLE_EQ(parse_json("2.5E-2").value().as_number(), 0.025);
   EXPECT_DOUBLE_EQ(parse_json("0").value().as_number(), 0.0);
+}
+
+TEST(JsonParse, OutOfRangeNumbersAreErrorsWithPosition) {
+  for (const char* doc : {"1e999", "-1e999", "1e-400", "[0, -1e-400]"}) {
+    auto r = parse_json(doc);
+    ASSERT_FALSE(r.ok()) << doc;
+    EXPECT_NE(r.error().message.find("number out of range"), std::string::npos)
+        << r.error().message;
+  }
+  auto r = parse_json("{\n  \"a\": 1e999\n}");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("line 2, col 8"), std::string::npos)
+      << r.error().message;
+}
+
+TEST(JsonParse, SubnormalNumbersParse) {
+  EXPECT_EQ(parse_json("1e-310").value().as_number(), 1e-310);
+  EXPECT_EQ(parse_json("4.9406564584124654e-324").value().as_number(),
+            std::numeric_limits<double>::denorm_min());
 }
 
 TEST(JsonParse, Strings) {
@@ -120,6 +149,102 @@ TEST(JsonDump, RoundTripPreservesValues) {
 TEST(JsonDump, RejectsNonFinite) {
   JsonValue v(std::numeric_limits<double>::infinity());
   EXPECT_THROW(v.dump(), ContractViolation);
+}
+
+// The snprintf formatter append_json_number replaced, kept as the reference
+// its output must match byte for byte.
+std::string printf_json_number(double d) {
+  char buf[32];
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", d);
+    return buf;
+  }
+  for (int precision : {15, 16, 17}) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    if (std::strtod(buf, nullptr) == d) break;
+  }
+  return buf;
+}
+
+std::string json_number(double d) {
+  std::string out;
+  append_json_number(d, out);
+  return out;
+}
+
+TEST(JsonNumber, MatchesPrintfReferenceOnEdgeValues) {
+  const double edges[] = {
+      0.0,
+      1.0,
+      1e15,
+      std::nextafter(1e15, 0.0),
+      std::nextafter(1e15, 2e15),
+      999999999999999.0,
+      1e15 - 0.5,
+      1e16,
+      9007199254740993.0,
+      123456789012345678.0,
+      0.0001,
+      1e-05,
+      0.1,
+      0.1 + 0.2,  // 0.30000000000000004
+      0.5,
+      2.5,
+      1.0 / 3.0,
+      2.0 / 3.0,
+      0.1234567890123456,   // 16 significant digits
+      0.12345678901234568,  // 17 significant digits
+      123456789012345.6,
+      1e21,
+      1e22,
+      1e100,
+      DBL_MIN,
+      DBL_MIN / 2.0,
+      DBL_MIN - std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::denorm_min(),
+      DBL_MAX,
+      DBL_EPSILON,
+  };
+  for (double d : edges) {
+    EXPECT_EQ(json_number(d), printf_json_number(d)) << std::hexfloat << d;
+    EXPECT_EQ(json_number(-d), printf_json_number(-d)) << std::hexfloat << -d;
+  }
+  EXPECT_EQ(json_number(-0.0), "-0");
+  EXPECT_EQ(json_number(0.0), "0");
+  EXPECT_EQ(json_number(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(json_number(1e-05), "1e-05");
+}
+
+TEST(JsonNumber, MatchesPrintfReferenceOnRandomValues) {
+  std::mt19937_64 rng(0x9e3779b97f4a7c15ULL);
+  // Raw bit patterns: every exponent, subnormals included.
+  int checked = 0;
+  while (checked < 100000) {
+    const double d = std::bit_cast<double>(rng());
+    if (!std::isfinite(d)) continue;
+    ASSERT_EQ(json_number(d), printf_json_number(d)) << std::hexfloat << d;
+    ++checked;
+  }
+  // Values a slot record actually holds: integers around the 1e15 cut and
+  // short decimals.
+  std::uniform_int_distribution<std::int64_t> ints(-2'000'000'000'000'000,
+                                                   2'000'000'000'000'000);
+  std::uniform_int_distribution<std::int64_t> small(-1'000'000, 1'000'000);
+  for (int k = 0; k < 20000; ++k) {
+    const double i = static_cast<double>(ints(rng));
+    ASSERT_EQ(json_number(i), printf_json_number(i)) << std::hexfloat << i;
+    const double dec = static_cast<double>(small(rng)) / 1000.0;
+    ASSERT_EQ(json_number(dec), printf_json_number(dec)) << std::hexfloat << dec;
+  }
+}
+
+TEST(JsonNumber, RejectsNonFinite) {
+  std::string out;
+  EXPECT_THROW(append_json_number(std::nan(""), out), ContractViolation);
+  EXPECT_THROW(append_json_number(std::numeric_limits<double>::infinity(), out),
+               ContractViolation);
+  EXPECT_THROW(append_json_number(-std::numeric_limits<double>::infinity(), out),
+               ContractViolation);
 }
 
 TEST(JsonValue, TypedAccessorsAreContractChecked) {
