@@ -138,6 +138,7 @@ void BM_GreFarDecideFairnessPgd(benchmark::State& state) {
 }
 BENCHMARK(BM_GreFarDecideFairnessPgd)
     ->Args({3, 8})
+    ->Args({8, 96})  // the serve-fair workload's shape
     ->Args({10, 16})
     ->Args({30, 32})
     ->Args({100, 64});

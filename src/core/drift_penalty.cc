@@ -296,50 +296,87 @@ PerSlotView PerSlotProblem::view() const {
 
 void PerSlotProblem::accumulate_rows(const std::vector<double>& x, bool need_value,
                                      bool need_marginal, bool need_accounts) const {
-  const std::size_t J = num_types_eff_;
-  const std::size_t S = num_account_slots_;
-  const std::uint32_t* acct_slot =
-      compact_ ? account_slot_eff_.data() : account_slot_static_.data();
-  const double V = params_.V;
+  // Rows go four at a time, then one block of the 1-3 left over (so the
+  // 3-DC paper scenario overlaps all its rows too). Shard ranges cut
+  // between rows, and a row's sums do not depend on its block, so the
+  // result is the same at any intra_slot_jobs.
   auto per_dc = [&](std::size_t, ShardRange range) {
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      const double* xr = x.data() + i * J;
-      const double* qv = queue_value_.data() + i * J;
-      double dc_work = 0.0;
-      double queue_dot = 0.0;
-      if (need_accounts) {
-        double* ap = account_partial_.data() + i * S;
-        std::fill(ap, ap + S, 0.0);
-        for (std::size_t j = 0; j < J; ++j) {
-          const double u = xr[j];
-          dc_work += u;
-          queue_dot += qv[j] * u;
-          ap[acct_slot[j]] += u;
-        }
-      } else {
-        for (std::size_t j = 0; j < J; ++j) {
-          const double u = xr[j];
-          dc_work += u;
-          queue_dot += qv[j] * u;
-        }
-      }
-      const double energy = curves_[i].smoothed_energy(dc_work, smoothing_band_[i]);
-      const double v_phi = V * obs_->prices[i];
-      const TieredTariff& tariff = config_->tariff(i);
-      if (need_value) {
-        dc_value_[i] = v_phi * tariff.smoothed_cost(energy, energy_band_[i]) - queue_dot;
-      }
-      if (need_marginal) {
-        // Chain rule through the tariff: d cost/dW = tariff'(E(W)) * E'(W).
-        marginal_scratch_[i] = v_phi * tariff.smoothed_marginal(energy, energy_band_[i]) *
-                               curves_[i].smoothed_marginal(dc_work, smoothing_band_[i]);
-      }
+    std::size_t i = range.begin;
+    for (; i + 4 <= range.end; i += 4) {
+      accumulate_block<4>(x.data(), i, need_value, need_marginal, need_accounts);
+    }
+    switch (range.end - i) {
+      case 3: accumulate_block<3>(x.data(), i, need_value, need_marginal, need_accounts); break;
+      case 2: accumulate_block<2>(x.data(), i, need_value, need_marginal, need_accounts); break;
+      case 1: accumulate_block<1>(x.data(), i, need_value, need_marginal, need_accounts); break;
+      default: break;
     }
   };
   if (IntraSlotExecutor* exec = intra_slot_executor()) {
     exec->run(num_dcs_, per_dc);
   } else {
     per_dc(0, ShardRange{0, num_dcs_});
+  }
+}
+
+template <std::size_t R>
+void PerSlotProblem::accumulate_block(const double* x, std::size_t i0, bool need_value,
+                                      bool need_marginal, bool need_accounts) const {
+  const std::size_t J = num_types_eff_;
+  const double* xr[R];
+  const double* qv[R];
+  double dc_work[R];
+  double queue_dot[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    xr[r] = x + (i0 + r) * J;
+    qv[r] = queue_value_.data() + (i0 + r) * J;
+    dc_work[r] = 0.0;
+    queue_dot[r] = 0.0;
+  }
+  if (need_accounts) {
+    const std::size_t S = num_account_slots_;
+    const std::uint32_t* acct_slot =
+        compact_ ? account_slot_eff_.data() : account_slot_static_.data();
+    double* ap[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      ap[r] = account_partial_.data() + (i0 + r) * S;
+      std::fill(ap[r], ap[r] + S, 0.0);
+    }
+    for (std::size_t j = 0; j < J; ++j) {
+      const std::uint32_t s = acct_slot[j];
+      for (std::size_t r = 0; r < R; ++r) {
+        const double u = xr[r][j];
+        dc_work[r] += u;
+        queue_dot[r] += qv[r][j] * u;
+        ap[r][s] += u;
+      }
+    }
+  } else {
+    for (std::size_t j = 0; j < J; ++j) {
+      for (std::size_t r = 0; r < R; ++r) {
+        const double u = xr[r][j];
+        dc_work[r] += u;
+        queue_dot[r] += qv[r][j] * u;
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    finish_row(i0 + r, dc_work[r], queue_dot[r], need_value, need_marginal);
+  }
+}
+
+void PerSlotProblem::finish_row(std::size_t i, double dc_work, double queue_dot,
+                                bool need_value, bool need_marginal) const {
+  const double energy = curves_[i].smoothed_energy(dc_work, smoothing_band_[i]);
+  const double v_phi = params_.V * obs_->prices[i];
+  const TieredTariff& tariff = config_->tariff(i);
+  if (need_value) {
+    dc_value_[i] = v_phi * tariff.smoothed_cost(energy, energy_band_[i]) - queue_dot;
+  }
+  if (need_marginal) {
+    // Chain rule through the tariff: d cost/dW = tariff'(E(W)) * E'(W).
+    marginal_scratch_[i] = v_phi * tariff.smoothed_marginal(energy, energy_band_[i]) *
+                           curves_[i].smoothed_marginal(dc_work, smoothing_band_[i]);
   }
 }
 
@@ -357,10 +394,35 @@ double PerSlotProblem::value(const std::vector<double>& x) const {
   const bool fair = params_.beta > 0.0 && total_resource_ > 0.0;
   accumulate_rows(x, /*need_value=*/true, /*need_marginal=*/false,
                   /*need_accounts=*/fair);
+  if (fair) merge_account_work();
+  return finish_value(fair);
+}
+
+void PerSlotProblem::gradient(const std::vector<double>& x,
+                              std::vector<double>& out) const {
+  GREFAR_CHECK(x.size() == num_vars());
+  const bool fair = params_.beta > 0.0 && total_resource_ > 0.0;
+  accumulate_rows(x, /*need_value=*/false, /*need_marginal=*/true,
+                  /*need_accounts=*/fair);
+  if (fair) merge_account_work();
+  finish_gradient(fair, out);
+}
+
+double PerSlotProblem::value_and_gradient(const std::vector<double>& x,
+                                          std::vector<double>& out) const {
+  GREFAR_CHECK(x.size() == num_vars());
+  const bool fair = params_.beta > 0.0 && total_resource_ > 0.0;
+  accumulate_rows(x, /*need_value=*/true, /*need_marginal=*/true,
+                  /*need_accounts=*/fair);
+  if (fair) merge_account_work();
+  finish_gradient(fair, out);
+  return finish_value(fair);
+}
+
+double PerSlotProblem::finish_value(bool fair) const {
   double total = 0.0;
   for (std::size_t i = 0; i < num_dcs_; ++i) total += dc_value_[i];
   if (fair) {
-    merge_account_work();
     // -V*beta*f(u): f is the (negative) fairness score, evaluated sparsely
     // over the account slots — bitwise equal to the full-M evaluation (see
     // sim/fairness.h).
@@ -373,17 +435,11 @@ double PerSlotProblem::value(const std::vector<double>& x) const {
   return total;
 }
 
-void PerSlotProblem::gradient(const std::vector<double>& x,
-                              std::vector<double>& out) const {
-  GREFAR_CHECK(x.size() == num_vars());
-  const bool fair = params_.beta > 0.0 && total_resource_ > 0.0;
-  accumulate_rows(x, /*need_value=*/false, /*need_marginal=*/true,
-                  /*need_accounts=*/fair);
+void PerSlotProblem::finish_gradient(bool fair, std::vector<double>& out) const {
   // Amortized: the caller's gradient buffer is sized once per shape change.
   out.resize(num_vars());  // NOLINT(grefar-hot-path-alloc)
   const std::size_t J = num_types_eff_;
   if (fair) {
-    merge_account_work();
     const double inv = fairness_.inv_total(total_resource_);
     const double vb = params_.V * params_.beta;
     const std::uint32_t* ids =

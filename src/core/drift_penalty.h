@@ -191,6 +191,11 @@ class PerSlotProblem final : public ConvexObjective {
   double value(const std::vector<double>& x) const override;
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void gradient(const std::vector<double>& x, std::vector<double>& out) const override;
+  /// One row pass over x for both results; bitwise equal to value(x) and
+  /// gradient(x, out) called separately.
+  GREFAR_HOT_PATH GREFAR_DETERMINISTIC
+  double value_and_gradient(const std::vector<double>& x,
+                            std::vector<double>& out) const override;
 
   const GreFarParams& params() const { return params_; }
   const ClusterConfig& config() const { return *config_; }
@@ -205,6 +210,26 @@ class PerSlotProblem final : public ConvexObjective {
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void accumulate_rows(const std::vector<double>& x, bool need_value,
                        bool need_marginal, bool need_accounts) const;
+
+  /// accumulate_rows for the R rows i0 .. i0+R-1: the rows' serial sums
+  /// advance side by side, each adding its own operands in index order, so
+  /// every row's result is the one a single-row pass gives.
+  template <std::size_t R>
+  GREFAR_HOT_PATH GREFAR_DETERMINISTIC void accumulate_block(
+      const double* x, std::size_t i0, bool need_value, bool need_marginal,
+      bool need_accounts) const;
+
+  /// Per-DC energy term of row i from its reductions.
+  GREFAR_HOT_PATH GREFAR_DETERMINISTIC
+  void finish_row(std::size_t i, double dc_work, double queue_dot, bool need_value,
+                  bool need_marginal) const;
+
+  /// Second halves of value() and gradient(), after accumulate_rows (and,
+  /// when `fair`, merge_account_work) have run over the same x.
+  GREFAR_HOT_PATH GREFAR_DETERMINISTIC
+  double finish_value(bool fair) const;
+  GREFAR_HOT_PATH GREFAR_DETERMINISTIC
+  void finish_gradient(bool fair, std::vector<double>& out) const;
 
   /// Merges account_partial_ into account_scratch_ in DC order.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC

@@ -427,8 +427,9 @@ void solve_per_slot_into(const PerSlotProblem& problem, PerSlotSolver solver,
     case PerSlotSolver::kProjectedGradient: {
       std::vector<double>& warm = scratch ? scratch->warm : u;
       prepare_iterative_warm_start(problem, warm, scratch);
-      auto result = minimize_projected_gradient(problem, problem.polytope(), warm);
-      u = std::move(result.x);
+      PgdWorkspace local;  // empty vectors: free when scratch is given
+      minimize_projected_gradient(problem, problem.polytope(), warm, u,
+                                  scratch ? scratch->pgd : local);
       if (scratch != nullptr) save_iterative_solution(problem, u, *scratch);
       return;
     }

@@ -74,6 +74,7 @@ struct PerSlotSolverScratch {
   /// solve — counter values stay identical at any intra_slot_jobs.
   std::vector<std::uint64_t> count_stage;
   std::vector<double> warm;                             // FW/PGD warm start
+  PgdWorkspace pgd;                                     // PGD iterate buffers
   /// Previous slot's FW/PGD solution; with params.warm_start_across_slots
   /// the next solve starts here (clamped onto the current bound box and, in
   /// compact mode, remapped across active-type lists) instead of re-running

@@ -41,6 +41,7 @@ void CappedBoxPolytope::add_group(std::vector<std::size_t> indices, double cap) 
     GREFAR_CHECK(j < ub_.size());
     GREFAR_CHECK_MSG(!grouped_[j], "variable " << j << " already in a group");
     grouped_[j] = true;
+    ++num_grouped_;
   }
   Group g;
   g.cap = cap;
@@ -61,6 +62,7 @@ void CappedBoxPolytope::rebuild_contiguous(std::size_t n_groups,
   const std::size_t n = n_groups * group_size;
   ub_.assign(n, 0.0);
   grouped_.assign(n, true);
+  num_grouped_ = n;
   groups_.resize(n_groups);
   for (std::size_t g = 0; g < n_groups; ++g) {
     Group& grp = groups_[g];
@@ -131,6 +133,31 @@ void CappedBoxPolytope::project_span(double* x, const double* ub, std::size_t n,
   // it is all a group whose cap does not bind pays.
   double sum0 = 0.0;
   for (std::size_t k = 0; k < n; ++k) sum0 += std::clamp(x[k], 0.0, ub[k]);
+  project_span_from(x, ub, n, cap, sum0);
+}
+
+template <std::size_t R>
+void CappedBoxPolytope::project_run(std::size_t g0, std::size_t n, double* x) const {
+  double* xs[R];
+  const double* us[R];
+  double sum0[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    xs[r] = x + groups_[g0 + r].begin;
+    us[r] = ub_.data() + groups_[g0 + r].begin;
+    sum0[r] = 0.0;
+  }
+  // project_span's first pass for R groups at once: each sum0[r] adds the
+  // same operands in the same order, only the R chains overlap.
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t r = 0; r < R; ++r) sum0[r] += std::clamp(xs[r][k], 0.0, us[r][k]);
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    project_span_from(xs[r], us[r], n, groups_[g0 + r].cap, sum0[r]);
+  }
+}
+
+void CappedBoxPolytope::project_span_from(double* x, const double* ub, std::size_t n,
+                                          double cap, double sum0) const {
   if (sum0 <= cap) {
     for (std::size_t k = 0; k < n; ++k) x[k] = std::clamp(x[k], 0.0, ub[k]);
     return;
@@ -200,11 +227,33 @@ void CappedBoxPolytope::project_into(const std::vector<double>& y,
   GREFAR_CHECK(y.size() == ub_.size());
   GREFAR_CHECK_MSG(&y != &out, "project_into aliasing y and out");
   out.assign(y.begin(), y.end());
-  // Box-only variables.
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    if (!grouped_[j]) out[j] = std::clamp(out[j], 0.0, ub_[j]);
+  // Box-only variables. Every per-slot variable is grouped, so the per-slot
+  // problem skips this scan.
+  if (num_grouped_ < out.size()) {
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      if (!grouped_[j]) out[j] = std::clamp(out[j], 0.0, ub_[j]);
+    }
   }
-  for (const auto& g : groups_) project_group(g, out);
+  // Runs of up to four contiguous groups of equal length (in the per-slot
+  // problem every data center's group holds J variables) share one
+  // interleaved clamp-sum pass; any other group takes the per-group path.
+  constexpr std::size_t kRun = 4;
+  for (std::size_t g = 0; g < groups_.size();) {
+    const Group& grp = groups_[g];
+    const std::size_t len = grp.end - grp.begin;
+    std::size_t r = 1;
+    while (grp.contiguous && r < kRun && g + r < groups_.size() &&
+           groups_[g + r].contiguous && groups_[g + r].end - groups_[g + r].begin == len) {
+      ++r;
+    }
+    switch (r) {
+      case 4: project_run<4>(g, len, out.data()); break;
+      case 3: project_run<3>(g, len, out.data()); break;
+      case 2: project_run<2>(g, len, out.data()); break;
+      default: project_group(grp, out); break;
+    }
+    g += r;
+  }
 }
 
 std::vector<double> CappedBoxPolytope::minimize_linear(const std::vector<double>& c) const {

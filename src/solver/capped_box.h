@@ -89,15 +89,31 @@ class CappedBoxPolytope {
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void project_group(const Group& g, std::vector<double>& x) const;
 
+  /// Projects the R contiguous groups groups_[g0 .. g0+R), all of length n:
+  /// one interleaved pass sums the R box clamps (R independent chains, each
+  /// in index order), then each group finishes from its own sum. Bitwise
+  /// equal to project_group on each group in turn.
+  template <std::size_t R>
+  GREFAR_HOT_PATH GREFAR_DETERMINISTIC void project_run(std::size_t g0, std::size_t n,
+                                                        double* x) const;
+
   /// The one projection kernel: projects the `n` values at `x` (bounds
   /// `ub`) onto {0 <= x <= ub, sum(x) <= cap} in place. Index-list groups
-  /// gather into scratch and call it too.
+  /// gather into scratch and call it too. Computes sum0, the sum of the box
+  /// clamps, and hands over to project_span_from.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void project_span(double* x, const double* ub, std::size_t n, double cap) const;
+
+  /// The rest of project_span, given sum0 = sum_k clamp(x_k, 0, ub_k) summed
+  /// in index order.
+  GREFAR_HOT_PATH GREFAR_DETERMINISTIC
+  void project_span_from(double* x, const double* ub, std::size_t n, double cap,
+                         double sum0) const;
 
   std::vector<double> ub_;
   std::vector<Group> groups_;
   std::vector<bool> grouped_;  // membership marker for disjointness checks
+  std::size_t num_grouped_ = 0;  // variables in some group (set in grouped_)
 
   // Scratch reused by the oracles (hot path: every solver iteration). Makes
   // a polytope instance single-threaded, like the rest of the repo's

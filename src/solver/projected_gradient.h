@@ -6,6 +6,14 @@
 // backtracking sweep that finds no descent means the iterate is stationary
 // to floating-point resolution, so the solve stops there. Adequate for the
 // small per-slot problems GreFar solves every scheduling quantum.
+//
+// Each line-search candidate costs one projection and one fused
+// value_and_gradient() evaluation: an accepted candidate already carries the
+// gradient the next iteration steps along, so no point is evaluated twice.
+// Before that evaluation a candidate that barely moved ends the sweep; the
+// check first takes max |c_j - x_j| and computes the exact squared move norm
+// only when that max is below 2 * tolerance — otherwise the norm provably
+// exceeds the tolerance (DESIGN.md §11, "One row pass per PGD step").
 #pragma once
 
 #include <vector>
@@ -24,11 +32,27 @@ struct PgdOptions {
   double tolerance = 1e-8;  // stop when the iterate moves less than this
 };
 
+/// How a solve ended; the solution itself goes to the caller's buffer.
+struct PgdStats {
+  double objective = 0.0;
+  int iterations = 0;
+  bool converged = false;
+};
+
 struct PgdResult {
   std::vector<double> x;
   double objective = 0.0;
   int iterations = 0;
   bool converged = false;
+};
+
+/// Buffers one solve needs besides the solution. A caller that solves every
+/// slot keeps one workspace, so steady-state solves do not allocate.
+struct PgdWorkspace {
+  std::vector<double> grad;            // gradient at the current iterate
+  std::vector<double> candidate;       // line-search point
+  std::vector<double> grad_candidate;  // gradient at the candidate
+  std::vector<double> shifted;         // x - step * grad, before projection
 };
 
 /// Minimizes `objective` over `polytope`, starting from the projection of
@@ -38,5 +62,14 @@ PgdResult minimize_projected_gradient(const ConvexObjective& objective,
                                       const CappedBoxPolytope& polytope,
                                       std::vector<double> x0 = {},
                                       const PgdOptions& options = {});
+
+/// Allocation-free variant: writes the solution into `x` and reuses `ws`.
+/// `x0` may alias `x`. Bitwise equal to the returning overload.
+GREFAR_HOT_PATH GREFAR_DETERMINISTIC
+PgdStats minimize_projected_gradient(const ConvexObjective& objective,
+                                     const CappedBoxPolytope& polytope,
+                                     const std::vector<double>& x0,
+                                     std::vector<double>& x, PgdWorkspace& ws,
+                                     const PgdOptions& options = {});
 
 }  // namespace grefar

@@ -115,6 +115,17 @@ TEST(AllocRegression, PgdSteadyStateStaysWithinBaseline) {
       << "); find the new allocation or re-baseline BENCH_baseline.json";
 }
 
+TEST(AllocRegression, PgdAllocatesNoMoreThanGreedy) {
+  // Both solvers measured in this process, so the engine's own per-slot
+  // allocations cancel: PGD at beta = 100 keeps its iterate, gradients and
+  // line-search buffers in the scheduler's scratch and must add nothing
+  // per slot on top of the greedy path.
+  const double greedy = measure_allocs_per_slot(PerSlotSolver::kGreedy, 0.0);
+  const double pgd = measure_allocs_per_slot(PerSlotSolver::kProjectedGradient, 100.0);
+  EXPECT_LE(pgd, greedy) << "PGD makes " << pgd << " allocations per slot, greedy "
+                         << greedy;
+}
+
 TEST(AllocRegression, LpSteadyStateStaysWithinBaseline) {
   const double limit = baseline("grefar_lp") * 1.1;
   ASSERT_GT(limit, 0.0);

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "core/grefar.h"
 #include "obs/counters.h"
+#include "parallel/shard.h"
+#include "scenario/paper_scenario.h"
 #include "scenario/serve_scenario.h"
 #include "sim/engine.h"
+#include "sim/fairness.h"
 #include "solver/brute_force.h"
 #include "util/rng.h"
 
@@ -378,6 +386,409 @@ TEST(PerSlotSolverNames, AreStable) {
   EXPECT_EQ(to_string(PerSlotSolver::kFrankWolfe), "frank-wolfe");
   EXPECT_EQ(to_string(PerSlotSolver::kProjectedGradient), "pgd");
   EXPECT_EQ(to_string(PerSlotSolver::kLp), "lp");
+}
+
+// -- Bitwise oracles for the fused objective and the PGD loop --------------
+//
+// PGD evaluates every line-search candidate with one value_and_gradient()
+// row pass (R rows reduced side by side), pretests the move norm with a max,
+// and projects runs of groups with one interleaved sum. None of that may
+// move a bit. The oracles below are the single-row code it replaced: the
+// objective reduced one row at a time, value and gradient as separate
+// passes, the serial move norm, and a projection one group at a time. They
+// read the problem only through its public accessors, so a change to the
+// production kernels cannot leak into them.
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Index of the first entry whose bits differ, or a.size() when none do.
+std::size_t first_bit_mismatch(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (!same_bits(a[k], b[k])) return k;
+  }
+  return a.size();
+}
+
+/// The per-slot objective, each data center's row reduced serially on its
+/// own and the fairness accumulators kept over all M accounts.
+class SerialReferenceObjective final : public ConvexObjective {
+ public:
+  explicit SerialReferenceObjective(const PerSlotProblem& problem)
+      : p_(problem), fairness_(problem.config().gammas()) {}
+
+  double value(const std::vector<double>& x) const override {
+    reduce(x);
+    double total = 0.0;
+    for (double v : dc_value_) total += v;
+    if (fair()) {
+      const GreFarParams& par = p_.params();
+      total -= par.V * par.beta * fairness_.score(account_work_, p_.total_resource());
+    }
+    return total;
+  }
+
+  void gradient(const std::vector<double>& x, std::vector<double>& out) const override {
+    reduce(x);
+    const PerSlotView v = p_.view();
+    const std::size_t N = v.num_dcs;
+    const std::size_t J = v.num_types;
+    std::vector<double> type_term(J, 0.0);
+    if (fair()) {
+      const double inv = fairness_.inv_total(p_.total_resource());
+      const double vb = p_.params().V * p_.params().beta;
+      for (std::size_t j = 0; j < J; ++j) {
+        bool live = false;
+        for (std::size_t i = 0; i < N; ++i) live = live || v.upper_bounds[i * J + j] > 0.0;
+        const std::uint32_t m = v.account_of[j];
+        type_term[j] = live ? vb * fairness_kernel::gradient(account_work_[m],
+                                                             fairness_.gamma()[m], inv)
+                            : 0.0;
+      }
+    }
+    out.assign(N * J, 0.0);
+    for (std::size_t i = 0; i < N; ++i) {
+      for (std::size_t j = 0; j < J; ++j) {
+        const double qv = v.queue_value[i * J + j];
+        out[i * J + j] = fair() ? marginal_[i] - qv - type_term[j] : marginal_[i] - qv;
+      }
+    }
+  }
+
+ private:
+  bool fair() const { return p_.params().beta > 0.0 && p_.total_resource() > 0.0; }
+
+  void reduce(const std::vector<double>& x) const {
+    const PerSlotView v = p_.view();
+    const std::size_t N = v.num_dcs;
+    const std::size_t J = v.num_types;
+    ASSERT_EQ(x.size(), N * J);
+    dc_value_.assign(N, 0.0);
+    marginal_.assign(N, 0.0);
+    account_work_.assign(v.num_accounts, 0.0);
+    std::vector<double> partial(v.num_accounts);
+    for (std::size_t i = 0; i < N; ++i) {
+      std::fill(partial.begin(), partial.end(), 0.0);
+      double dc_work = 0.0;
+      double queue_dot = 0.0;
+      for (std::size_t j = 0; j < J; ++j) {
+        const double u = x[i * J + j];
+        dc_work += u;
+        queue_dot += v.queue_value[i * J + j] * u;
+        partial[v.account_of[j]] += u;
+      }
+      for (std::size_t m = 0; m < partial.size(); ++m) account_work_[m] += partial[m];
+      const EnergyCostCurve& curve = p_.curve(i);
+      const double cap = curve.capacity();
+      const double band = 1e-3 * cap;
+      const double energy_band = 1e-3 * curve.energy_for_work(cap);
+      const double energy = curve.smoothed_energy(dc_work, band);
+      const double v_phi = p_.params().V * v.prices[i];
+      const TieredTariff& tariff = p_.config().tariff(i);
+      dc_value_[i] = v_phi * tariff.smoothed_cost(energy, energy_band) - queue_dot;
+      marginal_[i] = v_phi * tariff.smoothed_marginal(energy, energy_band) *
+                     curve.smoothed_marginal(dc_work, band);
+    }
+  }
+
+  const PerSlotProblem& p_;
+  FairnessFunction fairness_;
+  mutable std::vector<double> dc_value_;
+  mutable std::vector<double> marginal_;
+  mutable std::vector<double> account_work_;
+};
+
+/// Projection onto the problem's polytope one data-center group at a time,
+/// each through a polytope holding only that group.
+class PerGroupProjector {
+ public:
+  explicit PerGroupProjector(const PerSlotProblem& problem) {
+    const PerSlotView v = problem.view();
+    J_ = v.num_types;
+    for (std::size_t i = 0; i < v.num_dcs; ++i) {
+      std::vector<double> ub(v.upper_bounds + i * J_, v.upper_bounds + (i + 1) * J_);
+      groups_.emplace_back(std::move(ub));
+      std::vector<std::size_t> all(J_);
+      for (std::size_t j = 0; j < J_; ++j) all[j] = j;
+      groups_.back().add_group(std::move(all), v.dc_capacity[i]);
+    }
+  }
+
+  void project(const std::vector<double>& y, std::vector<double>& out) const {
+    out.assign(y.size(), 0.0);
+    std::vector<double> row(J_);
+    std::vector<double> projected;
+    for (std::size_t i = 0; i < groups_.size(); ++i) {
+      std::copy_n(y.begin() + static_cast<std::ptrdiff_t>(i * J_), J_, row.begin());
+      groups_[i].project_into(row, projected);
+      std::copy(projected.begin(), projected.end(),
+                out.begin() + static_cast<std::ptrdiff_t>(i * J_));
+    }
+  }
+
+ private:
+  std::size_t J_ = 0;
+  std::vector<CappedBoxPolytope> groups_;
+};
+
+/// The PGD loop as it was before candidates were evaluated fused: separate
+/// value() and gradient() calls, the serial move norm on every candidate.
+std::vector<double> reference_pgd(const ConvexObjective& objective,
+                                  const PerGroupProjector& projector, std::size_t n,
+                                  std::vector<double> x0, const PgdOptions& options = {}) {
+  if (x0.empty()) x0.assign(n, 0.0);
+  std::vector<double> x;
+  projector.project(x0, x);
+  double fx = objective.value(x);
+  std::vector<double> grad(n);
+  std::vector<double> candidate(n);
+  std::vector<double> projected(n);
+  double step = options.initial_step;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    objective.gradient(x, grad);
+    bool improved = false;
+    double trial_step = step;
+    for (int bt = 0; bt < options.max_backtracks; ++bt) {
+      for (std::size_t j = 0; j < n; ++j) projected[j] = x[j] - trial_step * grad[j];
+      projector.project(projected, candidate);
+      double move = 0.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        move += (candidate[j] - x[j]) * (candidate[j] - x[j]);
+      }
+      if (std::sqrt(move) < options.tolerance) break;
+      const double fc = objective.value(candidate);
+      if (fc < fx - 1e-15) {
+        x.swap(candidate);
+        fx = fc;
+        step = trial_step * 1.5;
+        improved = true;
+        break;
+      }
+      trial_step *= options.backtrack_factor;
+    }
+    if (!improved) break;
+  }
+  return x;
+}
+
+ClusterConfig random_cluster(Rng& rng, std::size_t num_dcs, std::size_t num_types,
+                             std::size_t num_accounts) {
+  ClusterConfig c;
+  c.server_types = {{"std", 1.0, 1.0}, {"eco", 0.75, 0.6}};
+  for (std::size_t i = 0; i < num_dcs; ++i) {
+    c.data_centers.push_back({"dc" + std::to_string(i), {12, 8}});
+  }
+  for (std::size_t m = 0; m < num_accounts; ++m) {
+    c.accounts.push_back({"a" + std::to_string(m), 1.0 / static_cast<double>(num_accounts)});
+  }
+  for (std::size_t j = 0; j < num_types; ++j) {
+    JobType jt;
+    jt.name = "t" + std::to_string(j);
+    jt.work = rng.uniform(0.5, 2.0);
+    for (std::size_t i = 0; i < num_dcs; ++i) {
+      if (rng.bernoulli(0.7)) jt.eligible_dcs.push_back(i);
+    }
+    if (jt.eligible_dcs.empty()) jt.eligible_dcs.push_back(j % num_dcs);
+    jt.account = static_cast<AccountId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(num_accounts) - 1));
+    c.job_types.push_back(std::move(jt));
+  }
+  c.validate();
+  return c;
+}
+
+/// Random queues carrying the active-type hint (a type off the list is
+/// empty everywhere); `idle` zeroes every server.
+SlotObservation random_hinted_obs(Rng& rng, const ClusterConfig& c, bool idle) {
+  const std::size_t N = c.num_data_centers();
+  const std::size_t J = c.num_job_types();
+  SlotObservation obs;
+  obs.slot = 0;
+  obs.prices.resize(N);
+  for (auto& p : obs.prices) p = rng.uniform(0.2, 0.8);
+  obs.availability = Matrix<std::int64_t>(N, c.num_server_types());
+  for (std::size_t i = 0; i < N; ++i) {
+    obs.availability(i, 0) = idle ? 0 : rng.uniform_int(2, 12);
+    obs.availability(i, 1) = idle ? 0 : rng.uniform_int(0, 8);
+  }
+  obs.central_queue.assign(J, 0.0);
+  obs.dc_queue = MatrixD(N, J);
+  obs.dc_queue.fill(0.0);
+  for (std::size_t j = 0; j < J; ++j) {
+    if (rng.bernoulli(0.3)) continue;
+    obs.active_types.push_back(static_cast<std::uint32_t>(j));
+    for (std::size_t i = 0; i < N; ++i) {
+      if (c.job_types[j].eligible(i) && rng.bernoulli(0.8)) {
+        obs.dc_queue(i, j) = rng.uniform(0.0, 6.0);
+      }
+    }
+  }
+  obs.active_types_valid = true;
+  return obs;
+}
+
+TEST(FusedObjective, MatchesSeparateCallsAndSerialReferenceBitwise) {
+  // value_and_gradient(x, g) == value(x) and gradient(x, g), bit for bit,
+  // and both equal the single-row reference: dense and compact problems,
+  // beta 0 and > 0, zero total resource, N = 1..9 DCs (every row-block
+  // tail), and 1 / 4 / 8 intra-slot shards engaged at any size.
+  Rng rng(0xF05ED);
+  IntraSlotExecutor exec4(4);
+  IntraSlotExecutor exec8(8);
+  int evaluations = 0;
+  for (std::size_t N = 1; N <= 9; ++N) {
+    const ClusterConfig config = random_cluster(rng, N, 13, 5);
+    for (int variant = 0; variant < 24; ++variant) {
+      const bool compact = (variant & 1) != 0;
+      const double beta = (variant & 2) != 0 ? 0.7 : 0.0;
+      const bool idle = (variant & 4) != 0;
+      const std::size_t jobs = variant / 8 == 0 ? 1 : variant / 8 == 1 ? 4 : 8;
+      SCOPED_TRACE("N=" + std::to_string(N) + " compact=" + std::to_string(compact) +
+                   " beta=" + std::to_string(beta) + " idle=" + std::to_string(idle) +
+                   " jobs=" + std::to_string(jobs));
+      GreFarParams par;
+      par.V = 2.0;
+      par.beta = beta;
+      par.intra_slot_jobs = jobs;
+      par.intra_slot_min_vars = 1;
+      const SlotObservation obs = random_hinted_obs(rng, config, idle);
+      PerSlotProblem problem(config, par);
+      if (jobs == 4) problem.set_intra_slot_executor(&exec4);
+      if (jobs == 8) problem.set_intra_slot_executor(&exec8);
+      problem.set_sparse_enabled(compact);
+      problem.reset(obs);
+      ASSERT_EQ(problem.compact(), compact);
+      ASSERT_EQ(problem.total_resource() == 0.0, idle);
+      ASSERT_EQ(problem.intra_slot_executor() != nullptr,
+                jobs > 1 && problem.num_vars() > 0);
+      const SerialReferenceObjective reference(problem);
+      const std::vector<double>& ub = problem.polytope().upper_bounds();
+      for (int point = 0; point < 6; ++point) {
+        std::vector<double> x(problem.num_vars());
+        for (std::size_t k = 0; k < x.size(); ++k) {
+          x[k] = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 1.3) * ub[k];
+        }
+        // Even points are feasible; odd ones leave the box (the objective is
+        // defined there too, and the sums see more varied operands).
+        if (point % 2 == 0) x = problem.polytope().project(x);
+        std::vector<double> g_fused(3, -1.0);  // wrong size: must be resized
+        std::vector<double> g_alone;
+        std::vector<double> g_ref;
+        const double v_fused = problem.value_and_gradient(x, g_fused);
+        const double v_alone = problem.value(x);
+        problem.gradient(x, g_alone);
+        const double v_ref = reference.value(x);
+        reference.gradient(x, g_ref);
+        EXPECT_TRUE(same_bits(v_fused, v_alone)) << v_fused << " vs " << v_alone;
+        EXPECT_TRUE(same_bits(v_fused, v_ref)) << v_fused << " vs " << v_ref;
+        EXPECT_EQ(first_bit_mismatch(g_fused, g_alone), g_fused.size());
+        EXPECT_EQ(first_bit_mismatch(g_fused, g_ref), g_fused.size());
+        ++evaluations;
+      }
+    }
+  }
+  EXPECT_EQ(evaluations, 9 * 24 * 6);
+}
+
+/// A wrapped GreFar PGD scheduler drives the trajectory. On every slot's
+/// observation a separate per-slot problem is solved twice from the same
+/// warm start: by production solve_per_slot_into and by the reference loop.
+class PgdOracleScheduler final : public Scheduler {
+ public:
+  /// `compact` = solve the checked problem over the active types (the
+  /// engine always sends the hint), else over all types.
+  PgdOracleScheduler(const ClusterConfig& config, const GreFarParams& params, bool compact)
+      : inner_(config, params, PerSlotSolver::kProjectedGradient),
+        config_(config),
+        params_(params),
+        compact_(compact) {}
+
+  SlotAction decide(const SlotObservation& obs) override {
+    SlotAction action;
+    decide_into(obs, action);
+    return action;
+  }
+
+  void decide_into(const SlotObservation& obs, SlotAction& out) override {
+    inner_.decide_into(obs, out);
+    if (!problem_) problem_ = std::make_unique<PerSlotProblem>(config_, params_);
+    problem_->set_sparse_enabled(compact_);
+    problem_->reset(obs);
+    solve_per_slot_into(*problem_, PerSlotSolver::kProjectedGradient, u_, &scratch_);
+    // scratch_.warm is the start production just used (PGD reads it only).
+    const SerialReferenceObjective reference(*problem_);
+    const PerGroupProjector projector(*problem_);
+    const std::vector<double> oracle =
+        reference_pgd(reference, projector, problem_->num_vars(), scratch_.warm);
+    const std::size_t at = first_bit_mismatch(u_, oracle);
+    if (at != u_.size() && mismatched_slots_++ == 0) {
+      ADD_FAILURE() << "slot " << obs.slot << ": production PGD differs from the "
+                    << "reference at variable " << at << " ("
+                    << (at < u_.size() ? u_[at] : 0.0) << " vs "
+                    << (at < oracle.size() ? oracle[at] : 0.0) << ")";
+    }
+    if (problem_->compact()) ++compact_slots_;
+    ++slots_;
+  }
+
+  std::string name() const override { return "PgdOracle"; }
+
+  int slots() const { return slots_; }
+  int compact_slots() const { return compact_slots_; }
+  int mismatched_slots() const { return mismatched_slots_; }
+
+ private:
+  GreFarScheduler inner_;
+  ClusterConfig config_;
+  GreFarParams params_;
+  bool compact_;
+  std::unique_ptr<PerSlotProblem> problem_;
+  PerSlotSolverScratch scratch_;
+  std::vector<double> u_;
+  int slots_ = 0;
+  int compact_slots_ = 0;
+  int mismatched_slots_ = 0;
+};
+
+void expect_pgd_matches_reference(const PaperScenario& s, const GreFarParams& params,
+                                  bool compact) {
+  auto oracle = std::make_shared<PgdOracleScheduler>(s.config, params, compact);
+  SimulationEngine engine(s.config, s.prices, s.availability, s.arrivals, oracle);
+  obs::CounterRegistry counters;
+  {
+    obs::CountersScope scope(&counters);
+    engine.run(300);
+  }
+  EXPECT_EQ(oracle->slots(), 300);
+  EXPECT_EQ(oracle->mismatched_slots(), 0);
+  // The trajectories must have done real work: several accepted steps per
+  // solve on average (the driving scheduler and the checked solve each
+  // count theirs).
+  const double iterations_per_solve =
+      static_cast<double>(counters.counter("pgd.iterations")) /
+      static_cast<double>(counters.counter("pgd.solves"));
+  EXPECT_GT(iterations_per_solve, 3.0);
+  EXPECT_EQ(oracle->compact_slots(), compact ? 300 : 0);
+}
+
+TEST(PgdReferenceOracle, ServeScenarioDecisionsAreBitwiseEqual) {
+  // The served-slot fairness workload: 8 DCs x 96 types, V = 4, beta = 0.5.
+  expect_pgd_matches_reference(make_serve_scenario(8, 96, /*seed=*/1),
+                               paper_grefar_params(4.0, 0.5), /*compact=*/true);
+}
+
+TEST(PgdReferenceOracle, PaperScenarioDecisionsAreBitwiseEqual) {
+  // The paper's 3-DC scenario at beta = 100 (a 3-row tail block), at a
+  // small and a large V, over the active types and over all of them.
+  for (double V : {0.5, 20.0}) {
+    for (bool compact : {true, false}) {
+      SCOPED_TRACE("V=" + std::to_string(V) + " compact=" + std::to_string(compact));
+      expect_pgd_matches_reference(make_paper_scenario(/*seed=*/42),
+                                   paper_grefar_params(V, 100.0), compact);
+    }
+  }
 }
 
 // Parameterized: greedy optimality against brute force over a grid of V.

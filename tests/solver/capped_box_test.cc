@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/check.h"
@@ -279,6 +281,179 @@ TEST(CappedBox, ProjectionMatchesExactReferenceOnDegenerateGroups) {
     }
   }
   EXPECT_GT(binding, 200);  // the sweep itself is what the trials exercise
+}
+
+/// Projects y the per-group way: box-only entries clamped, then each group
+/// on its own, through a polytope holding just that group's values in the
+/// group's index order (the gather an index-list group does anyway).
+std::vector<double> project_group_by_group(
+    const std::vector<double>& y, const std::vector<double>& ub,
+    const std::vector<std::vector<std::size_t>>& groups, const std::vector<double>& caps) {
+  std::vector<double> x = y;
+  std::vector<bool> grouped(y.size(), false);
+  for (const auto& g : groups) {
+    for (std::size_t j : g) grouped[j] = true;
+  }
+  for (std::size_t j = 0; j < y.size(); ++j) {
+    if (!grouped[j]) x[j] = std::clamp(y[j], 0.0, ub[j]);
+  }
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const auto& g = groups[gi];
+    std::vector<double> ys;
+    std::vector<double> us;
+    std::vector<std::size_t> local;
+    for (std::size_t j : g) {
+      local.push_back(ys.size());
+      ys.push_back(y[j]);
+      us.push_back(ub[j]);
+    }
+    CappedBoxPolytope single(us);
+    single.add_group(local, caps[gi]);
+    const std::vector<double> xs = single.project(ys);
+    for (std::size_t k = 0; k < g.size(); ++k) x[g[k]] = xs[k];
+  }
+  return x;
+}
+
+void expect_bitwise(const std::vector<double>& got, const std::vector<double>& want,
+                    int trial) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]), std::bit_cast<std::uint64_t>(want[j]))
+        << "trial " << trial << " j " << j << ": " << got[j] << " vs " << want[j];
+  }
+}
+
+TEST(CappedBox, InterleavedProjectionMatchesPerGroupBitwise) {
+  // project_into sums runs of up to four contiguous equal-length groups in
+  // one interleaved pass. Against groups projected one at a time: runs of
+  // equal groups, unequal groups that break runs, ungrouped variables,
+  // index-list groups, ub of 0 and +inf, and caps that bind exactly.
+  const double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(0x5EED);
+  int runs_of_four = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto num_groups = static_cast<std::size_t>(rng.uniform_int(4, 9));
+    const auto equal_len = static_cast<std::size_t>(rng.uniform_int(0, 12));
+    const int layout = trial % 4;  // 0 equal, 1 unequal, 2 + ungrouped, 3 + index lists
+    std::vector<std::size_t> lens(num_groups);
+    for (auto& len : lens) {
+      len = layout == 0 || rng.bernoulli(0.5)
+                ? equal_len
+                : static_cast<std::size_t>(rng.uniform_int(0, 12));
+    }
+    // Lay the groups out in order; layouts 2-3 put ungrouped variables
+    // between (and around) some of them.
+    std::vector<std::vector<std::size_t>> groups(num_groups);
+    std::size_t n = 0;
+    for (std::size_t g = 0; g < num_groups; ++g) {
+      if (layout >= 2 && rng.bernoulli(0.3)) n += static_cast<std::size_t>(rng.uniform_int(1, 3));
+      for (std::size_t k = 0; k < lens[g]; ++k) groups[g].push_back(n++);
+    }
+    if (layout >= 2) n += static_cast<std::size_t>(rng.uniform_int(0, 3));
+    if (layout == 3) {
+      // Turn some groups into index lists: shuffled order, or two groups'
+      // indices interleaved.
+      for (std::size_t g = 0; g + 1 < num_groups; ++g) {
+        if (!rng.bernoulli(0.4) || groups[g].size() < 2) continue;
+        if (rng.bernoulli(0.5) || groups[g + 1].empty()) {
+          std::swap(groups[g].front(), groups[g].back());
+        } else {
+          std::swap(groups[g].back(), groups[g + 1].front());
+        }
+      }
+    }
+
+    std::vector<double> ub(n);
+    std::vector<double> y(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double u = rng.uniform();
+      ub[j] = u < 0.15 ? 0.0 : u < 0.3 ? kInf : rng.uniform(0.1, 3.0);
+      const double v = rng.uniform();
+      y[j] = v < 0.1 ? 0.0 : v < 0.2 ? ub[j] : rng.uniform(-2.0, 4.0);
+      if (std::isinf(y[j])) y[j] = 5.0;
+    }
+    std::vector<double> caps(num_groups);
+    for (std::size_t g = 0; g < num_groups; ++g) {
+      double clamped_sum = 0.0;
+      for (std::size_t j : groups[g]) clamped_sum += std::clamp(y[j], 0.0, ub[j]);
+      const double c = rng.uniform();
+      caps[g] = c < 0.15   ? 0.0
+                : c < 0.3  ? clamped_sum  // binds exactly
+                : c < 0.4  ? std::nextafter(clamped_sum, 0.0)
+                : c < 0.45 ? kInf
+                           : rng.uniform(0.0, 1.2) * clamped_sum;
+    }
+
+    CappedBoxPolytope p(ub);
+    for (std::size_t g = 0; g < num_groups; ++g) p.add_group(groups[g], caps[g]);
+    std::vector<double> x;
+    p.project_into(y, x);
+    expect_bitwise(x, project_group_by_group(y, ub, groups, caps), trial);
+    if (layout == 0 && num_groups >= 4) ++runs_of_four;
+  }
+  EXPECT_GT(runs_of_four, 100);
+}
+
+TEST(CappedBox, InterleavedProjectionMatchesPerGroupAfterRebuild) {
+  // The per-slot problem's shape: rebuild_contiguous into N groups of J,
+  // every bound and cap rewritten in place, N = 1..9 so every run tail
+  // (1-3 groups after the runs of four) occurs.
+  Rng rng(77);
+  CappedBoxPolytope p({});
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto N = static_cast<std::size_t>(1 + trial % 9);
+    const auto J = static_cast<std::size_t>(rng.uniform_int(1, 20));
+    p.rebuild_contiguous(N, J);
+    std::vector<double> ub(N * J);
+    std::vector<double> y(N * J);
+    double* bounds = p.mutable_upper_bounds();
+    for (std::size_t j = 0; j < N * J; ++j) {
+      ub[j] = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 3.0);
+      bounds[j] = ub[j];
+      y[j] = rng.uniform(-1.0, 3.0);
+    }
+    std::vector<std::vector<std::size_t>> groups(N);
+    std::vector<double> caps(N);
+    for (std::size_t g = 0; g < N; ++g) {
+      for (std::size_t k = 0; k < J; ++k) groups[g].push_back(g * J + k);
+      caps[g] = rng.uniform(0.0, static_cast<double>(J));
+      p.set_group_cap(g, caps[g]);
+    }
+    std::vector<double> x;
+    p.project_into(y, x);
+    expect_bitwise(x, project_group_by_group(y, ub, groups, caps), trial);
+  }
+}
+
+TEST(CappedBox, GroupedCountKeepsBoxOnlyVariablesClamped) {
+  // project_into skips the box-only scan only when every variable is
+  // grouped; the count behind that decision must follow add_group and
+  // rebuild_contiguous.
+  const std::vector<double> y = {5.0, -1.0, 5.0, -1.0, 5.0, -1.0};
+  CappedBoxPolytope p(std::vector<double>(6, 2.0));
+  p.add_group({0, 1}, 10.0);
+  EXPECT_EQ(p.project(y), (std::vector<double>{2.0, 0.0, 2.0, 0.0, 2.0, 0.0}));
+  p.add_group({2, 3, 4}, 1.0);
+  EXPECT_EQ(p.project(y), (std::vector<double>{2.0, 0.0, 0.5, 0.0, 0.5, 0.0}));
+  // A rejected add_group does not count variable 5: it stays box-only.
+  EXPECT_THROW(p.add_group({0, 5}, 1.0), ContractViolation);
+  EXPECT_EQ(p.project(y), (std::vector<double>{2.0, 0.0, 0.5, 0.0, 0.5, 0.0}));
+  EXPECT_EQ(p.minimize_linear({1.0, 1.0, 1.0, 1.0, 1.0, -1.0}),
+            (std::vector<double>{0.0, 0.0, 0.0, 0.0, 0.0, 2.0}));
+  // rebuild_contiguous groups every variable; growing back from a smaller
+  // shape keeps that true.
+  p.rebuild_contiguous(2, 3);
+  for (std::size_t j = 0; j < 6; ++j) p.mutable_upper_bounds()[j] = 2.0;
+  p.set_group_cap(0, 1.0);
+  p.set_group_cap(1, 10.0);
+  EXPECT_EQ(p.project(y), (std::vector<double>{0.5, 0.0, 0.5, 0.0, 2.0, 0.0}));
+  EXPECT_THROW(p.add_group({5}, 1.0), ContractViolation);
+  p.rebuild_contiguous(1, 2);
+  p.rebuild_contiguous(3, 2);
+  for (std::size_t j = 0; j < 6; ++j) p.mutable_upper_bounds()[j] = 2.0;
+  for (std::size_t g = 0; g < 3; ++g) p.set_group_cap(g, 10.0);
+  EXPECT_EQ(p.project(y), (std::vector<double>{2.0, 0.0, 2.0, 0.0, 2.0, 0.0}));
 }
 
 TEST(CappedBox, DimensionMismatchIsContractViolation) {
