@@ -92,18 +92,42 @@ GreFarParams bench_params(double beta) {
   return p;
 }
 
-/// Reports PGD work per decide as the `pgd_iters` and `pgd_projs` counters.
-/// They are counted on a few decides after the timed loop, so the registry
-/// lookups stay out of the timing. The benchmarks repeat one observation, so
-/// each of these decides warm-starts from the previous one's solution, as the
-/// timed ones did.
+/// Returns `scheduler` to its cold state: no warm-start iterate, no cached
+/// pieces or demand sorts. The benchmarks repeat one observation, so without
+/// this each decide would warm-start from the previous one's answer and the
+/// work per iteration would depend on how many iterations ran before it.
+void cold_start(GreFarScheduler& scheduler) {
+  scheduler.begin_run(scheduler.params(), scheduler.solver());
+}
+
+/// Times `decide` from a cold scheduler on every iteration; the reset runs
+/// with the timer paused.
 template <typename Decide>
-void report_pgd_work(benchmark::State& state, Decide&& decide) {
+void time_cold_decides(benchmark::State& state, GreFarScheduler& scheduler,
+                       Decide&& decide) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    cold_start(scheduler);
+    state.ResumeTiming();
+    decide();
+  }
+}
+
+/// Reports PGD work per decide as the `pgd_iters` and `pgd_projs` counters.
+/// They are counted on a few cold decides after the timed loop, so the
+/// registry lookups stay out of the timing and each counted decide does the
+/// work of a timed one.
+template <typename Decide>
+void report_pgd_work(benchmark::State& state, GreFarScheduler& scheduler,
+                     Decide&& decide) {
   constexpr int kDecides = 4;
   obs::CounterRegistry counters;
   {
     obs::CountersScope scope(&counters);
-    for (int d = 0; d < kDecides; ++d) decide();
+    for (int d = 0; d < kDecides; ++d) {
+      cold_start(scheduler);
+      decide();
+    }
   }
   state.counters["pgd_iters"] =
       static_cast<double>(counters.counter("pgd.iterations")) / kDecides;
@@ -131,10 +155,9 @@ void BM_GreFarDecideFairnessPgd(benchmark::State& state) {
                             static_cast<std::size_t>(state.range(1)), 3, 2);
   GreFarScheduler scheduler(inst.config, bench_params(100.0),
                             PerSlotSolver::kProjectedGradient);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.decide(inst.obs));
-  }
-  report_pgd_work(state, [&] { benchmark::DoNotOptimize(scheduler.decide(inst.obs)); });
+  auto decide = [&] { benchmark::DoNotOptimize(scheduler.decide(inst.obs)); };
+  time_cold_decides(state, scheduler, decide);
+  report_pgd_work(state, scheduler, decide);
 }
 BENCHMARK(BM_GreFarDecideFairnessPgd)
     ->Args({3, 8})
@@ -148,9 +171,8 @@ void BM_GreFarDecideFairnessFrankWolfe(benchmark::State& state) {
                             static_cast<std::size_t>(state.range(1)), 3, 3);
   GreFarScheduler scheduler(inst.config, bench_params(100.0),
                             PerSlotSolver::kFrankWolfe);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.decide(inst.obs));
-  }
+  time_cold_decides(state, scheduler,
+                    [&] { benchmark::DoNotOptimize(scheduler.decide(inst.obs)); });
 }
 BENCHMARK(BM_GreFarDecideFairnessFrankWolfe)
     ->Args({3, 8})
@@ -222,11 +244,12 @@ void BM_GreFarDecidePgdAccounts(benchmark::State& state) {
   p.clamp_to_queue = true;  // required for the sparse per-slot regime
   GreFarScheduler scheduler(inst.config, p, PerSlotSolver::kProjectedGradient);
   SlotAction action;
-  for (auto _ : state) {
+  auto decide = [&] {
     scheduler.decide_into(inst.obs, action);
     benchmark::DoNotOptimize(action.process(0, 0));
-  }
-  report_pgd_work(state, [&] { scheduler.decide_into(inst.obs, action); });
+  };
+  time_cold_decides(state, scheduler, decide);
+  report_pgd_work(state, scheduler, decide);
 }
 // {1000, 1000} is the dense reference slot (every account active at M =
 // 10^3); the acceptance bar is the 10^6-account slot with ~10^3 active

@@ -70,6 +70,18 @@ SimulationEngine::SimulationEngine(std::shared_ptr<const ClusterConfig> config,
   for (const auto& jt : config_->job_types) {
     if (jt.deadline != kNoDeadline) deadlines_possible_ = true;
   }
+  build_eligible_mask();
+}
+
+void SimulationEngine::build_eligible_mask() {
+  const std::size_t N = config_->num_data_centers();
+  const std::size_t J = config_->num_job_types();
+  eligible_mask_.assign(N * J, 0);
+  for (std::size_t j = 0; j < J; ++j) {
+    for (DataCenterId i : config_->job_types[j].eligible_dcs) {
+      eligible_mask_[i * J + j] = 1;
+    }
+  }
 }
 
 void SimulationEngine::set_admission_policy(std::shared_ptr<AdmissionPolicy> policy) {
@@ -107,7 +119,10 @@ void SimulationEngine::reset(std::shared_ptr<const ClusterConfig> config,
   admission_.reset();
   inspector_.reset();
 
-  if (!same_config) fairness_fn_ = FairnessFunction(config_->gammas());
+  if (!same_config) {
+    fairness_fn_ = FairnessFunction(config_->gammas());
+    build_eligible_mask();
+  }
 
   // Queues: same cluster shape ⇒ clear in place keeping capacity; otherwise
   // rebuild per the constructor.
@@ -269,8 +284,9 @@ void SimulationEngine::step() {
 
   // Ineligible pairs must stay zero: this is a scheduler contract.
   for (std::size_t i = 0; i < N; ++i) {
+    const unsigned char* eligible = eligible_mask_.data() + i * J;
     for (std::size_t j = 0; j < J; ++j) {
-      if (!config_->job_types[j].eligible(i)) {
+      if (eligible[j] == 0) {
         GREFAR_CHECK_MSG(action.route(i, j) <= 1e-9 && action.process(i, j) <= 1e-9,
                          "scheduler assigned work to ineligible DC " << i
                                                                      << " job type " << j);
@@ -361,25 +377,26 @@ void SimulationEngine::route(const SlotObservation& obs, const SlotAction& actio
       // Amortized: route_order_ is clear()+refilled within high-water capacity.
       if (action.route(i, j) > 1e-9) order.push_back(i);  // NOLINT(grefar-hot-path-alloc)
     }
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return obs.dc_queue(a, j) < obs.dc_queue(b, j);
-    });
+    if (order.size() > 1) {
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return obs.dc_queue(a, j) < obs.dc_queue(b, j);
+      });
+    }
     for (std::size_t i : order) {
       // Integer-routing contract (sim/scheduler.h): a fractional ask is a
       // scheduler bug (unrounded relaxation), never something to floor away.
       const double ask = action.route(i, j);
-      GREFAR_CHECK_MSG(std::abs(ask - std::round(ask)) <= 1e-6,
+      const double nearest = std::round(ask);
+      GREFAR_CHECK_MSG(std::abs(ask - nearest) <= 1e-6,
                        "fractional routing decision r(" << i << ", " << j << ") = "
                                                         << ask);
-      auto want = static_cast<std::int64_t>(std::llround(ask));
+      const auto want = static_cast<std::int64_t>(nearest);
       GREFAR_CHECK_MSG(want >= 0, "negative routing decision");
-      for (std::int64_t n = 0; n < want && !central_[j].empty(); ++n) {
-        Job job = central_[j].pop_front();
-        job.dc_entry_slot = slot_;
-        dc_[i][j].push(std::move(job));
-        routed_per_dc_[i] += 1.0;
-        if (inspector_ != nullptr) routed_mat_(i, j) += 1.0;
-      }
+      // Whole-job counts: adding `moved` once is exact, like adding 1.0 per job.
+      const auto moved =
+          static_cast<double>(central_[j].transfer_front(dc_[i][j], want, slot_));
+      routed_per_dc_[i] += moved;
+      if (inspector_ != nullptr) routed_mat_(i, j) += moved;
     }
   }
   for (std::size_t i = 0; i < N; ++i) metrics_.dc_routed_jobs[i].add(routed_per_dc_[i]);
@@ -456,7 +473,7 @@ void SimulationEngine::serve(const SlotObservation& obs, const SlotAction& actio
         const auto delay = c.total_delay();
         dc_delay_sum += static_cast<double>(delay);
         dc_completions += 1.0;
-        metrics_.record_completion_delay(static_cast<double>(delay));
+        metrics_.record_completion_delay(delay);
         // Value realization: the job's base value decayed by its total delay
         // (workload/job.h). For the default annotation-free workload this is
         // value 1.0 x factor 1.0 — two adds per completion.
@@ -589,18 +606,17 @@ void SimulationEngine::admit_arrivals() {
     }
     const std::int64_t deadline_slot =
         deadline == kNoDeadline ? kNoDeadlineSlot : slot_ + deadline;
-    for (std::int64_t n = 0; n < take; ++n) {
-      Job job;
-      job.id = next_job_id_++;
-      job.type = b.type;
-      job.arrival_slot = slot_;
-      job.dc_entry_slot = slot_;  // updated when routed
-      job.remaining = jt.work;
-      job.value = value;
-      job.decay_rate = decay_rate;
-      job.deadline_slot = deadline_slot;
-      central_[b.type].push(std::move(job));
-    }
+    Job proto;
+    proto.id = next_job_id_;
+    proto.type = b.type;
+    proto.arrival_slot = slot_;
+    proto.dc_entry_slot = slot_;  // updated when routed
+    proto.remaining = jt.work;
+    proto.value = value;
+    proto.decay_rate = decay_rate;
+    proto.deadline_slot = deadline_slot;
+    central_[b.type].push_copies(proto, take);
+    next_job_id_ += static_cast<std::uint64_t>(take);
     arrival_counts_[b.type] += take;
     slot_admitted_jobs_ += take;
     slot_rejected_jobs_ += b.count - take;

@@ -147,6 +147,8 @@ class SimulationEngine {
   /// min-deadline watermark.
   GREFAR_HOT_PATH
   void expire_deadlines();
+  /// Fills eligible_mask_ from config_'s job types.
+  void build_eligible_mask();
 
   std::shared_ptr<const ClusterConfig> config_;  // immutable, shareable
   std::shared_ptr<const PriceModel> prices_;
@@ -167,6 +169,9 @@ class SimulationEngine {
   std::uint64_t next_job_id_ = 1;
   std::vector<FifoJobQueue> central_;            // per job type
   std::vector<std::vector<FifoJobQueue>> dc_;    // [i][j]
+  /// eligible_mask_[i * J + j] = 1 iff DC i is in job type j's D_j; built
+  /// with the config so the per-slot contract check is one load per pair.
+  std::vector<unsigned char> eligible_mask_;
   FairnessFunction fairness_fn_;
   SimMetrics metrics_;
 

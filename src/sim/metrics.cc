@@ -68,17 +68,7 @@ void SimMetrics::reset(std::size_t num_dcs, std::size_t num_accounts) {
     for (TimeSeries& s : *group) s.clear();
   }
   account_work_total.assign(num_accounts, 0.0);
-  delay_stats = RunningStats{};
-  delay_p50_.reset();
-  delay_p95_.reset();
-  delay_p99_.reset();
-}
-
-void SimMetrics::record_completion_delay(double delay) {
-  delay_stats.add(delay);
-  delay_p50_.add(delay);
-  delay_p95_.add(delay);
-  delay_p99_.add(delay);
+  delay_stats.reset();
 }
 
 TimeSeries SimMetrics::average_dc_delay(std::size_t dc) const {

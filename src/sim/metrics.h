@@ -8,8 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "stats/p2_quantile.h"
-#include "stats/running_stats.h"
+#include "stats/integer_histogram.h"
 #include "stats/time_series.h"
 #include "util/annotations.h"
 #include "util/json.h"
@@ -33,10 +32,10 @@ class SimMetrics {
   /// bitwise equal to SimMetrics(num_dcs, num_accounts).
   void reset(std::size_t num_dcs, std::size_t num_accounts);
 
-  /// Records one job completion (total delay in slots) for the percentile
-  /// trackers; the engine calls this for every finishing job.
+  /// Records one job completion (total delay in whole slots, >= 0) in the
+  /// delay histogram; the engine calls this for every finishing job.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
-  void record_completion_delay(double delay);
+  void record_completion_delay(std::int64_t delay) { delay_stats.add(delay); }
 
   // -- raw per-slot series ---------------------------------------------------
   TimeSeries energy_cost;        // e(t), eq. (2) summed over DCs
@@ -104,12 +103,15 @@ class SimMetrics {
   double final_average_fairness() const { return fairness.mean(); }
   double final_average_dc_delay(std::size_t dc) const;
 
-  /// Streaming delay percentiles across all completed jobs (P2 estimator):
-  /// tail latency, which the paper's averages hide.
-  double delay_p50() const { return delay_p50_.value(); }
-  double delay_p95() const { return delay_p95_.value(); }
-  double delay_p99() const { return delay_p99_.value(); }
-  RunningStats delay_stats;  // mean/max over all completions
+  /// Exact delay percentiles across all completed jobs (type-7 order
+  /// statistics of the delay histogram): tail latency, which the paper's
+  /// averages hide. NaN when no job completed.
+  double delay_p50() const { return delay_stats.quantile(0.50); }
+  double delay_p95() const { return delay_stats.quantile(0.95); }
+  double delay_p99() const { return delay_stats.quantile(0.99); }
+  /// Count of completions per whole-slot total delay: count/min/max/mean
+  /// and the percentiles above, all exact.
+  IntegerHistogram delay_stats;
 
   /// End-of-run summary for bench/tool JSON output. The delay percentiles
   /// are NaN when no job ever completed; they serialize as null here (the
@@ -118,9 +120,6 @@ class SimMetrics {
 
  private:
   std::size_t num_accounts_ = 0;
-  P2Quantile delay_p50_{0.50};
-  P2Quantile delay_p95_{0.95};
-  P2Quantile delay_p99_{0.99};
 };
 
 }  // namespace grefar

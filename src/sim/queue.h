@@ -35,8 +35,24 @@ class FifoJobQueue {
   /// convert between work units and job counts.
   explicit FifoJobQueue(double job_work);
 
-  /// Enqueues an arriving/routed job (its remaining work must be positive).
+  /// Enqueues an arriving/routed job (its remaining work must exceed
+  /// kFinishedWork, or the job would already count as finished).
+  /// The one-job reference for push_copies/transfer_front.
   void push(Job job);
+
+  /// Appends `count` >= 0 copies of `proto` with ids proto.id, proto.id + 1,
+  /// ..., proto.id + count - 1 (one admitted arrival batch). Bitwise equal to
+  /// `count` push() calls: the work and value sums take one add per job, in
+  /// order. proto.remaining must exceed kFinishedWork when count > 0.
+  GREFAR_HOT_PATH GREFAR_DETERMINISTIC
+  void push_copies(const Job& proto, std::int64_t count);
+
+  /// Moves up to `n` >= 0 head jobs, FIFO order, to the back of `dst`
+  /// (another queue), stamping dc_entry_slot = `slot` on each; returns how
+  /// many moved. Bitwise equal to that many pop_front() + dst.push() pairs,
+  /// dust clamps included, without copying each job twice.
+  GREFAR_HOT_PATH GREFAR_DETERMINISTIC
+  std::int64_t transfer_front(FifoJobQueue& dst, std::int64_t n, std::int64_t slot);
 
   /// Empties the queue but keeps the job-type binding and the vector's heap
   /// capacity (engine reuse across sweep legs); observable state is bitwise
@@ -49,8 +65,8 @@ class FifoJobQueue {
     min_deadline_slot_ = kNoDeadlineSlot;
   }
 
-  /// Pops the frontmost whole job (for routing from the central queue).
-  /// Contract-checked non-empty.
+  /// Pops the frontmost whole job; the one-job reference for
+  /// transfer_front. Contract-checked non-empty.
   GREFAR_DETERMINISTIC
   Job pop_front();
 
@@ -95,6 +111,9 @@ class FifoJobQueue {
  private:
   /// Reclaims the popped prefix [0, head_) when it dominates the storage.
   void compact_if_stale();
+  /// Ensures `extra` more jobs fit without reallocating during the append:
+  /// first by dropping the popped prefix, then by growing geometrically.
+  void make_room(std::size_t extra);
 
   double job_work_;
   double remaining_work_ = 0.0;

@@ -82,8 +82,12 @@ struct JobType {
   }
 };
 
+/// A job holding at most this much remaining work is finished: FIFO service
+/// completes it, and no queue accepts it (sim/queue.h).
+inline constexpr double kFinishedWork = 1e-12;
+
 /// A concrete job instance inside a queue. `remaining` shrinks as the fluid
-/// FIFO service applies work; the job departs when it reaches 0.
+/// FIFO service applies work; the job departs once it is kFinishedWork or less.
 struct Job {
   std::uint64_t id = 0;
   JobTypeId type = 0;
@@ -102,7 +106,9 @@ inline void validate_job_types(const std::vector<JobType>& types,
                                std::size_t num_accounts) {
   GREFAR_CHECK_MSG(!types.empty(), "need at least one job type");
   for (const auto& jt : types) {
-    GREFAR_CHECK_MSG(jt.work > 0.0, "job type '" << jt.name << "' has work <= 0");
+    GREFAR_CHECK_MSG(jt.work > kFinishedWork, "job type '" << jt.name << "' has work <= "
+                                                             << kFinishedWork
+                                                             << " (a finished job)");
     GREFAR_CHECK_MSG(!jt.eligible_dcs.empty(),
                      "job type '" << jt.name << "' has empty eligible set");
     for (DataCenterId dc : jt.eligible_dcs) {

@@ -22,6 +22,7 @@
 #include "obs/trace_sink.h"
 #include "obs/tracing_inspector.h"
 #include "scenario/paper_scenario.h"
+#include "sweep/artifact_cache.h"
 #include "sweep/sweep_engine.h"
 #include "util/json.h"
 
@@ -134,6 +135,74 @@ TEST(AllocRegression, LpSteadyStateStaysWithinBaseline) {
       << "LP hot path now allocates " << measured
       << " times per slot (baseline allows " << limit
       << "); find the new allocation or re-baseline BENCH_baseline.json";
+}
+
+/// Counts allocations only *between* decides: counting switches off when a
+/// decide starts and back on (while armed) when it returns. With table-backed
+/// models, whose lookups never allocate, that window is the engine's own
+/// per-job work — routing, service and completions, admission — plus the
+/// next slot's observe.
+class BetweenDecidesCounter final : public Scheduler {
+ public:
+  explicit BetweenDecidesCounter(std::shared_ptr<Scheduler> inner)
+      : inner_(std::move(inner)) {}
+
+  SlotAction decide(const SlotObservation& obs) override { return inner_->decide(obs); }
+  void decide_into(const SlotObservation& obs, SlotAction& out) override {
+    decide_into(obs, out, nullptr);
+  }
+  void decide_into(const SlotObservation& obs, SlotAction& out,
+                   TraceScope* scope) override {
+    g_counting.store(false, std::memory_order_relaxed);
+    inner_->decide_into(obs, out, scope);
+    g_counting.store(armed, std::memory_order_relaxed);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  bool armed = false;
+
+ private:
+  std::shared_ptr<Scheduler> inner_;
+};
+
+// Completions, admission and routing move jobs through reused queue storage
+// and count delays in a histogram. Storage grows only at a new high-water
+// mark, so the warm-up is one full run: the engine and scheduler are then
+// reset in place (the sweep-arena path, capacities kept) and the same
+// trajectory replays bitwise, and past that warm-up the engine's per-job
+// work on the paper scenario allocates nothing at all.
+TEST(AllocRegression, PerJobEngineWorkAllocatesNothingInSteadyState) {
+  constexpr std::int64_t kHorizon = kWarmupSlots + kMeasuredSlots;
+  const sweep::ScenarioArtifacts artifacts =
+      sweep::materialize_scenario(make_paper_scenario(/*seed=*/42), kHorizon);
+  const GreFarParams params = paper_grefar_params(/*V=*/7.5, 0.0);
+  auto grefar = std::make_shared<GreFarScheduler>(artifacts.config, params);
+  auto counter = std::make_shared<BetweenDecidesCounter>(grefar);
+  SimulationEngine engine(artifacts.config, artifacts.prices, artifacts.availability,
+                          artifacts.arrivals, counter);
+  engine.run(kHorizon);
+  const SimMetrics warmup = engine.metrics();
+
+  engine.reset(artifacts.config, artifacts.prices, artifacts.availability,
+               artifacts.arrivals, counter);
+  grefar->begin_run(params, grefar->solver());
+  g_allocations.store(0, std::memory_order_relaxed);
+  counter->armed = true;
+  engine.run(kHorizon);
+  counter->armed = false;
+  g_counting.store(false, std::memory_order_relaxed);
+  const auto allocations = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(allocations, 0u) << "the engine's per-job work allocated " << allocations
+                             << " times over a replayed " << kHorizon << "-slot run";
+  // The replay is the warm-up's trajectory, and it moved real jobs.
+  const SimMetrics& m = engine.metrics();
+  EXPECT_EQ(m.total_queue_jobs.values(), warmup.total_queue_jobs.values());
+  EXPECT_EQ(m.delay_stats.count(), warmup.delay_stats.count());
+  EXPECT_GT(m.delay_stats.count(), 0);
+  EXPECT_GT(m.arrived_jobs.sum(), 0.0);
+  double routed = 0.0;
+  for (const TimeSeries& dc : m.dc_routed_jobs) routed += dc.sum();
+  EXPECT_GT(routed, 0.0);
 }
 
 /// Counts the allocations made inside the wrapped tracer's inspect() while

@@ -55,7 +55,7 @@ TEST(SimMetrics, SummaryJsonReportsPercentiles) {
 }
 
 TEST(SimMetrics, SummaryJsonNullPercentilesWhenNoCompletions) {
-  // A run where no job ever finishes: the P2 estimators return NaN, which
+  // A run where no job ever finishes: the delay percentiles are NaN, which
   // must surface as JSON null — not as a fake zero-delay percentile.
   SimMetrics m = populated_metrics();
   EXPECT_TRUE(std::isnan(m.delay_p50()));
