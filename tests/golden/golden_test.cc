@@ -2,7 +2,9 @@
 //
 // Each case runs a fixed scenario for kSlots slots and hashes, with 64-bit
 // FNV-1a over the IEEE-754 bit patterns, the per-slot energy, fairness and
-// total-queue series plus the final central and DC queue lengths. The
+// total-queue series, the per-slot per-DC delay sums and completion counts
+// (which move when routing picks different jobs even if the totals do not),
+// plus the final central and DC queue lengths. The
 // fingerprints are compared against decision_fingerprints.txt next to this
 // file, so any change that moves a single bit of a decision fails here.
 //
@@ -75,7 +77,7 @@ std::uint64_t hash_series(const std::vector<double>& values) {
 using Fingerprints = std::map<std::string, std::uint64_t>;
 
 /// Runs one case (GreFar picks greedy at beta = 0 and PGD above) and adds
-/// its four fingerprints to `out`, keyed "<case>.<series>".
+/// its five fingerprints to `out`, keyed "<case>.<series>".
 void fingerprint_case(const GoldenCase& c, Fingerprints& out) {
   PaperScenario scenario = c.scenario();
   auto scheduler = std::make_shared<GreFarScheduler>(scenario.config,
@@ -86,6 +88,14 @@ void fingerprint_case(const GoldenCase& c, Fingerprints& out) {
   out[prefix + "energy"] = hash_series(m.energy_cost.values());
   out[prefix + "fairness"] = hash_series(m.fairness.values());
   out[prefix + "total_queue"] = hash_series(m.total_queue_jobs.values());
+  Fnv1a delay;
+  for (std::size_t t = 0; t < m.energy_cost.size(); ++t) {
+    for (std::size_t i = 0; i < m.dc_delay_sum.size(); ++i) {
+      delay.add(m.dc_delay_sum[i].values()[t]);
+      delay.add(m.dc_completions[i].values()[t]);
+    }
+  }
+  out[prefix + "delay"] = delay.value();
   Fnv1a queues;
   const ClusterConfig& config = engine->config();
   for (std::size_t j = 0; j < config.num_job_types(); ++j) {
