@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "solver/brute_force.h"
 #include "util/rng.h"
 
@@ -142,6 +144,39 @@ TEST(Pgd, ZeroIterationBudgetReturnsProjectedStart) {
   options.max_iterations = 0;
   auto result = minimize_projected_gradient(obj, p, {5.0}, options);
   EXPECT_NEAR(result.x[0], 1.0, 1e-12);  // projected start
+}
+
+/// An objective whose value is NaN everywhere: no step passes the Armijo
+/// test.
+class NanObjective final : public ConvexObjective {
+ public:
+  double value(const std::vector<double>&) const override { return std::nan(""); }
+  void gradient(const std::vector<double>& x, std::vector<double>& out) const override {
+    out.assign(x.size(), -1.0);
+  }
+};
+
+TEST(Pgd, StatsNameTheTestThatEndedTheSolve) {
+  CappedBoxPolytope p({1.0});
+  PgdWorkspace ws;
+  std::vector<double> x;
+  QuadraticObjective obj({0.5});
+  // One unit step lands on the minimizer, where g = 0 predicts no decrease.
+  const PgdStats solved = minimize_projected_gradient(obj, p, {}, x, ws);
+  EXPECT_TRUE(solved.converged);
+  EXPECT_EQ(solved.stop, PgdStop::kNegligibleDecrease);
+  EXPECT_DOUBLE_EQ(x[0], 0.5);
+
+  PgdOptions options;
+  options.max_iterations = 0;
+  const PgdStats capped = minimize_projected_gradient(obj, p, {}, x, ws, options);
+  EXPECT_FALSE(capped.converged);
+  EXPECT_EQ(capped.stop, PgdStop::kIterationCap);
+
+  NanObjective nan;
+  const PgdStats failed = minimize_projected_gradient(nan, p, {}, x, ws);
+  EXPECT_FALSE(failed.converged);
+  EXPECT_EQ(failed.stop, PgdStop::kLineSearch);
 }
 
 }  // namespace
