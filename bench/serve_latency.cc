@@ -63,7 +63,12 @@ void print_leg(const char* label, const Leg& leg) {
             << " slots/s), latency p50 " << leg.stats.latency_p50_ms
             << " ms, p99 " << leg.stats.latency_p99_ms << " ms, max "
             << leg.stats.latency_max_ms << " ms\n"
-            << "  ingest stalls " << leg.stats.ingest_stalls
+            << "  ingest stalls " << leg.stats.ingest_stalls << " (waited "
+            << (leg.stats.slots > 0
+                    ? leg.stats.ingest_wait_ms * 1e3 /
+                          static_cast<double>(leg.stats.slots)
+                    : 0.0)
+            << " us/slot)"
             << ", backpressure blocks " << leg.stats.backpressure_blocks
             << ", queue high-water input " << leg.stats.input_queue_high_water
             << " / flush " << leg.stats.flush_queue_high_water << ", peak RSS "

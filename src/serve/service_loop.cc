@@ -318,6 +318,7 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
   std::atomic<bool> flush_failed{false};
 
   obs::TaskRegistries regs(2);
+  double ingest_wait_ms = 0.0;
   const auto wall_start = std::chrono::steady_clock::now();
   {
     ThreadPool pool(2);
@@ -359,8 +360,10 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
     while (options_.max_slots == 0 || slots_ < options_.max_slots) {
       if (flush_failed.load(std::memory_order_relaxed)) break;
       SlotInput* in = nullptr;
+      const auto wait_start = std::chrono::steady_clock::now();
       if (!input_ready.pop(in)) break;  // ingest done (or failed)
       const auto t0 = std::chrono::steady_clock::now();
+      ingest_wait_ms += elapsed_ms(wait_start, t0);
       solve_slot(*in);
       const auto t1 = std::chrono::steady_clock::now();
       const double ms = elapsed_ms(t0, t1);
@@ -397,6 +400,7 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
   stats.latency_p99_ms = latency_p99_.value();
   stats.latency_max_ms = latency_max_ms_;
   stats.ingest_stalls = input_ready.stats().consumer_waits;
+  stats.ingest_wait_ms = ingest_wait_ms;
   stats.backpressure_blocks =
       input_ready.stats().producer_blocks + flush_ready.stats().producer_blocks +
       flush_free.stats().consumer_waits + input_free.stats().consumer_waits;

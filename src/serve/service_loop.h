@@ -72,6 +72,9 @@ struct ServiceStats {
   double latency_max_ms = 0.0;
   /// Times the solve stage waited for ingest (input queue empty).
   std::uint64_t ingest_stalls = 0;
+  /// Total time the solve stage spent blocked on the input queue, ms (0 in
+  /// serial mode, which has no queue: there ingest runs inline).
+  double ingest_wait_ms = 0.0;
   /// Times any stage blocked on a full queue or an exhausted buffer pool.
   std::uint64_t backpressure_blocks = 0;
   std::size_t input_queue_high_water = 0;

@@ -10,6 +10,11 @@
 // of the trace length. A row for an already-emitted slot fails with its
 // byte offset instead of being silently dropped.
 //
+// Input is read `chunk_bytes` at a time but parsed one line at a time
+// (TraceChunkReader), and only as far as the pulled slot needs: at most
+// reorder_window + 2 slots are ever buffered, and a bad row surfaces from
+// the first pull that needs it, whatever the read size (DESIGN.md §14).
+//
 // Semantics match the materializing readers bit-for-bit (golden-equivalence
 // tested over every checked-in trace file):
 //   - job traces: either schema version (trace_schema.h), detected from the
@@ -43,12 +48,43 @@ struct StreamSourceOptions {
   CsvLimits limits;
 };
 
+/// The read side both sources share: reads the stream `chunk_bytes` per
+/// pull into a reused buffer and feeds the parser from it one line (up to
+/// and including a '\n') per pump(), so the parser never runs more than one
+/// row ahead of what its caller asked for. Since the parser is split-point
+/// invariant, rows, errors and byte offsets do not depend on the pieces.
+class TraceChunkReader {
+ public:
+  /// `what` names the trace in read-error messages ("job trace").
+  TraceChunkReader(std::unique_ptr<std::istream> in, const char* what,
+                   const StreamSourceOptions& options,
+                   StreamCsvParser::RowCallback on_row);
+
+  /// Feeds the next line of buffered input, reading a chunk first when the
+  /// buffer is drained; completes at most one row. Once the input is
+  /// exhausted, finishes the parser and sets eof().
+  Status pump();
+  bool eof() const { return eof_; }
+  std::istream& stream() { return *in_; }
+
+ private:
+  std::unique_ptr<std::istream> in_;
+  const char* what_;
+  StreamCsvParser parser_;
+  std::vector<char> chunk_;
+  std::size_t begin_ = 0;  // next byte of chunk_ to feed
+  std::size_t end_ = 0;    // bytes of chunk_ filled by the last read
+  bool input_done_ = false;
+  bool read_failed_ = false;
+  bool eof_ = false;
+};
+
 /// Streams a job trace (either schema version, detected from the header —
 /// trace_schema.h) one slot at a time, as dense counts or as annotated
 /// arrival batches. Not copyable/movable: the parser callback captures
-/// `this`. The constructor reads ahead just far enough to classify the
-/// header, so schema() is valid immediately (read errors stay sticky and
-/// surface from the first next_slot call).
+/// `this`. The constructor parses just the header line, so schema() is
+/// valid immediately (read errors stay sticky and surface from the first
+/// next_slot call).
 class StreamingJobTraceSource {
  public:
   /// Reads from an arbitrary stream (tests use std::istringstream).
@@ -85,7 +121,8 @@ class StreamingJobTraceSource {
   std::size_t num_types() const { return num_types_; }
   /// Slot the next successful next_slot_into() call will emit.
   std::int64_t next_slot() const { return next_; }
-  /// Peak number of slots simultaneously buffered (reorder diagnostics).
+  /// Peak number of slots simultaneously buffered (reorder diagnostics;
+  /// at most reorder_window + 2).
   std::size_t buffered_slots_high_water() const { return high_water_; }
 
  private:
@@ -93,16 +130,13 @@ class StreamingJobTraceSource {
 
   Status on_row(const std::vector<std::string>& fields,
                 std::uint64_t row_index, const CsvPosition& row_start);
-  Status pump_chunk();
   /// Shared pull loop: pumps until slot next_ is provably complete, then
   /// reports ready (true), clean end (false), or the sticky error.
   Result<bool> advance_to_next_slot();
 
-  std::unique_ptr<std::istream> in_;
   std::size_t num_types_;
   StreamSourceOptions options_;
-  std::unique_ptr<StreamCsvParser> parser_;
-  std::vector<char> chunk_;
+  TraceChunkReader reader_;
   /// Buffered rows per pending slot, in file order (both schemas store
   /// batches; densification happens at emit time for next_slot_into).
   std::map<std::int64_t, std::vector<ArrivalBatch>> pending_;
@@ -113,7 +147,6 @@ class StreamingJobTraceSource {
   std::uint64_t rows_total_ = 0;
   std::uint64_t data_rows_ = 0;
   std::size_t high_water_ = 0;
-  bool eof_ = false;
   std::unique_ptr<Error> error_;  // sticky
 };
 
@@ -146,20 +179,16 @@ class StreamingPriceTraceSource {
 
   Status on_row(const std::vector<std::string>& fields,
                 std::uint64_t row_index, const CsvPosition& row_start);
-  Status pump_chunk();
 
-  std::unique_ptr<std::istream> in_;
   std::size_t num_dcs_;
   StreamSourceOptions options_;
-  std::unique_ptr<StreamCsvParser> parser_;
-  std::vector<char> chunk_;
+  TraceChunkReader reader_;
   std::map<std::int64_t, PendingSlot> pending_;
   std::int64_t next_ = 0;
   std::int64_t max_seen_ = -1;
   std::uint64_t rows_total_ = 0;
   std::uint64_t data_rows_ = 0;
   std::size_t high_water_ = 0;
-  bool eof_ = false;
   std::unique_ptr<Error> error_;  // sticky
 };
 

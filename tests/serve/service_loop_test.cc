@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <istream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/invariant_auditor.h"
@@ -359,6 +364,71 @@ TEST(ServiceLoop, IngestErrorSurfacesWithByteOffset) {
   }
 }
 
+TEST(ServiceLoop, IngestErrorSurfacesAtTheSlotThatNeedsTheRow) {
+  // A malformed job row at slot k (after a good one, so slot k-1 is
+  // complete without it), and separately a price gap at slot k, both well
+  // inside the first default-size read. Serial and pipelined loops serve
+  // slots 0..k-1, flush them, then fail with the reader's own message —
+  // for the job row, the batch reader's byte offset — at any read size.
+  Fixture f;
+  constexpr std::int64_t kBad = 20;
+  auto table = materialize_arrivals(*f.scenario.arrivals, kHorizon);
+  table[kBad][0] = std::max<std::int64_t>(table[kBad][0], 1);
+  const std::string clean_jobs = job_trace_to_csv(table);
+  const std::string first_row = "\n" + std::to_string(kBad) + ",0,";
+  const std::size_t row_end =
+      clean_jobs.find('\n', clean_jobs.find(first_row) + 1) + 1;
+  std::string bad_jobs = clean_jobs;
+  bad_jobs.insert(row_end, std::to_string(kBad) + ",1,x\n");
+  const auto batch_error = job_trace_from_csv(bad_jobs, f.config->num_job_types());
+  ASSERT_FALSE(batch_error.ok());
+  std::string gap_prices = f.prices_csv;
+  const std::string gap_row = "\n" + std::to_string(kBad) + ",1,";
+  const std::size_t gap_start = gap_prices.find(gap_row) + 1;
+  gap_prices.erase(gap_start, gap_prices.find('\n', gap_start) + 1 - gap_start);
+
+  struct Case {
+    const char* name;
+    const std::string* jobs;
+    const std::string* prices;
+    std::string error;
+  };
+  const Case cases[] = {
+      {"malformed job row", &bad_jobs, &f.prices_csv, batch_error.error().message},
+      {"price gap", &clean_jobs, &gap_prices,
+       "price trace has a gap at slot 20 for dc 1"},
+  };
+  for (const Case& c : cases) {
+    for (std::size_t chunk : {std::size_t{7}, StreamSourceOptions{}.chunk_bytes}) {
+      for (bool pipelined : {false, true}) {
+        SCOPED_TRACE(std::string(c.name) + ", chunk_bytes " +
+                     std::to_string(chunk) + (pipelined ? ", pipelined" : ", serial"));
+        StreamSourceOptions source_options;
+        source_options.chunk_bytes = chunk;
+        auto jobs = std::make_unique<StreamingJobTraceSource>(
+            std::make_unique<std::istringstream>(*c.jobs),
+            f.config->num_job_types(), source_options);
+        auto prices = std::make_unique<StreamingPriceTraceSource>(
+            std::make_unique<std::istringstream>(*c.prices),
+            f.config->num_data_centers(), source_options);
+        ServiceLoopOptions options;
+        options.pipelined = pipelined;
+        ServiceLoop loop(f.config, f.scenario.availability, f.make_scheduler(),
+                         std::move(jobs), std::move(prices), options);
+        auto recorder = std::make_shared<RecordingInspector>();
+        loop.add_flush_inspector(recorder);
+        auto stats = loop.run();
+        ASSERT_FALSE(stats.ok());
+        EXPECT_EQ(stats.error().message, c.error);
+        EXPECT_EQ(loop.slots_processed(), kBad);
+        std::vector<std::int64_t> expected(kBad);
+        for (std::int64_t t = 0; t < kBad; ++t) expected[t] = t;
+        EXPECT_EQ(recorder->slots, expected);
+      }
+    }
+  }
+}
+
 TEST(ServiceLoop, MaxSlotsStopsEarly) {
   Fixture f;
   ServiceLoopOptions options;
@@ -376,6 +446,68 @@ TEST(ServiceLoop, RunIsSingleShot) {
   auto loop = f.make_loop({});
   ASSERT_TRUE(loop->run().ok());
   EXPECT_THROW((void)loop->run(), ContractViolation);
+}
+
+/// Hands out `text` a few bytes per underflow, sleeping before each: an
+/// ingest stage slow enough that the solve stage must wait for it.
+class SlowStreamBuf final : public std::streambuf {
+ public:
+  explicit SlowStreamBuf(std::string text) : text_(std::move(text)) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (pos_ >= text_.size()) return traits_type::eof();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    char* begin = text_.data() + pos_;
+    const std::size_t n = std::min<std::size_t>(16, text_.size() - pos_);
+    pos_ += n;
+    setg(begin, begin, begin + n);
+    return traits_type::to_int_type(*begin);
+  }
+
+ private:
+  std::string text_;
+  std::size_t pos_ = 0;
+};
+
+class SlowStream final : public std::istream {
+ public:
+  explicit SlowStream(std::string text) : std::istream(nullptr), buf_(std::move(text)) {
+    rdbuf(&buf_);
+  }
+
+ private:
+  SlowStreamBuf buf_;
+};
+
+TEST(ServiceLoop, IngestWaitIsTimedInPipelinedMode) {
+  Fixture f;
+  StreamSourceOptions slow_reads;
+  slow_reads.chunk_bytes = 16;  // one sleep per read, spread over the run
+  for (bool pipelined : {false, true}) {
+    auto jobs = std::make_unique<StreamingJobTraceSource>(
+        std::make_unique<SlowStream>(f.jobs_csv), f.config->num_job_types(),
+        slow_reads);
+    auto prices = std::make_unique<StreamingPriceTraceSource>(
+        std::make_unique<std::istringstream>(f.prices_csv),
+        f.config->num_data_centers());
+    ServiceLoopOptions options;
+    options.pipelined = pipelined;
+    ServiceLoop loop(f.config, f.scenario.availability, f.make_scheduler(),
+                     std::move(jobs), std::move(prices), options);
+    auto stats = loop.run();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats.value().slots, kHorizon);
+    if (!pipelined) {
+      // Serial mode has no input queue; its ingest runs inline.
+      EXPECT_EQ(stats.value().ingest_wait_ms, 0.0);
+      continue;
+    }
+    EXPECT_GT(stats.value().ingest_stalls, 0u);
+    EXPECT_GT(stats.value().ingest_wait_ms, 0.0);
+    EXPECT_LE(stats.value().ingest_wait_ms, stats.value().wall_seconds * 1e3);
+  }
 }
 
 TEST(ServiceLoop, StatsReportLatencyAndThroughput) {
