@@ -1,6 +1,6 @@
-// Golden decision fingerprints: "decisions unchanged" as a checked-in test.
+// Golden fingerprints: "behaviour unchanged" as a checked-in test.
 //
-// Each case runs a fixed scenario for kSlots slots and hashes, with 64-bit
+// GoldenDecisions: each case runs a fixed scenario for kSlots slots and hashes, with 64-bit
 // FNV-1a over the IEEE-754 bit patterns, the per-slot energy, fairness and
 // total-queue series, the per-slot per-DC delay sums and completion counts
 // (which move when routing picks different jobs even if the totals do not),
@@ -8,7 +8,12 @@
 // fingerprints are compared against decision_fingerprints.txt next to this
 // file, so any change that moves a single bit of a decision fails here.
 //
-// A change that means to move decisions re-records the file on purpose:
+// GoldenBenchStdout: each case runs one paper bench binary at a short
+// horizon and hashes its stdout bytes (timings go to stderr), compared
+// against bench_stdout_fingerprints.txt. This covers what the decision
+// series do not: delay percentiles, table formatting and the sweep specs.
+//
+// A change that means to move either re-records both files on purpose:
 //
 //   ./build/tests/golden_test --update-golden
 //
@@ -57,10 +62,11 @@ class Fnv1a {
   void add(double x) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &x, sizeof bits);
-    for (int b = 0; b < 8; ++b) {
-      hash_ ^= (bits >> (8 * b)) & 0xffu;
-      hash_ *= 0x100000001b3ULL;
-    }
+    for (int b = 0; b < 8; ++b) add_byte((bits >> (8 * b)) & 0xffu);
+  }
+  void add_byte(std::uint64_t byte) {
+    hash_ ^= byte;
+    hash_ *= 0x100000001b3ULL;
   }
   std::uint64_t value() const { return hash_; }
 
@@ -129,34 +135,81 @@ Fingerprints read_golden(const std::string& path) {
   return golden;
 }
 
-bool write_golden(const std::string& path, const Fingerprints& fingerprints) {
+bool write_golden(const std::string& path, const std::string& header,
+                  const Fingerprints& fingerprints) {
   std::ofstream out(path);
-  out << "# Golden decision fingerprints (tests/golden/golden_test.cc): 64-bit\n"
-         "# FNV-1a over the bit patterns of each case's per-slot series and final\n"
-         "# queue lengths after "
-      << kSlots
-      << " slots. Re-record only on purpose, with\n"
+  out << header
+      << " Re-record only on purpose, with\n"
          "#   golden_test --update-golden\n"
          "# and name every moved line, with the reason, in CHANGES.md.\n";
   for (const auto& [key, value] : fingerprints) out << key << ' ' << hex(value) << '\n';
   return static_cast<bool>(out);
 }
 
-class GoldenDecisions : public testing::TestWithParam<std::size_t> {};
+std::string decision_header() {
+  return "# Golden decision fingerprints (tests/golden/golden_test.cc): 64-bit\n"
+         "# FNV-1a over the bit patterns of each case's per-slot series and final\n"
+         "# queue lengths after " +
+         std::to_string(kSlots) + " slots.";
+}
 
-TEST_P(GoldenDecisions, MatchesCheckedInFingerprints) {
-  const GoldenCase& c = golden_cases()[GetParam()];
-  const Fingerprints golden = read_golden(GREFAR_GOLDEN_FILE);
-  ASSERT_FALSE(golden.empty()) << "no fingerprints in " << GREFAR_GOLDEN_FILE;
-  Fingerprints measured;
-  fingerprint_case(c, measured);
+const char* const kBenchHeader =
+    "# Golden bench stdout fingerprints (tests/golden/golden_test.cc): 64-bit\n"
+    "# FNV-1a over the stdout bytes of each paper bench run.";
+
+struct BenchCase {
+  const char* name;
+  const char* command;  // binary under the bench output dir, then its flags
+};
+
+const std::vector<BenchCase>& bench_cases() {
+  // --jobs 1 keeps ctest -j from oversubscribing; every one of these
+  // benches prints the same bytes at any --jobs (CI diffs them).
+  static const std::vector<BenchCase> cases = {
+      {"fig2_v_sweep", "fig2_v_sweep --horizon 120 --jobs 1"},
+      {"robustness_seeds", "robustness_seeds --horizon 100 --num-seeds 4 --jobs 1"},
+      {"admission_ablation", "admission_ablation --horizon 120 --audit=throw --jobs 1"},
+      {"theorem1_bounds", "theorem1_bounds --horizon 120 --jobs 1"},
+  };
+  return cases;
+}
+
+/// Runs one bench and adds the FNV-1a of its stdout to `out`, keyed
+/// "<bench>.stdout". Fails (returns false) when the binary does not exit 0.
+bool fingerprint_bench(const BenchCase& c, Fingerprints& out) {
+  const std::string command =
+      std::string(GREFAR_BENCH_DIR) + "/" + c.command + " 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return false;
+  Fnv1a h;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
+    for (std::size_t b = 0; b < n; ++b) h.add_byte(static_cast<unsigned char>(buf[b]));
+  }
+  if (pclose(pipe) != 0) return false;
+  out[std::string(c.name) + ".stdout"] = h.value();
+  return true;
+}
+
+void expect_matches(const Fingerprints& measured, const char* golden_file) {
+  const Fingerprints golden = read_golden(golden_file);
+  ASSERT_FALSE(golden.empty()) << "no fingerprints in " << golden_file;
   for (const auto& [key, value] : measured) {
     const auto it = golden.find(key);
     ASSERT_NE(it, golden.end()) << "no golden fingerprint for " << key;
     EXPECT_EQ(hex(value), hex(it->second))
-        << key << " moved; if the change is meant to alter decisions, re-record "
+        << key << " moved; if the change is meant to alter it, re-record "
         << "with golden_test --update-golden and say why in CHANGES.md";
   }
+}
+
+class GoldenDecisions : public testing::TestWithParam<std::size_t> {};
+
+TEST_P(GoldenDecisions, MatchesCheckedInFingerprints) {
+  Fingerprints measured;
+  fingerprint_case(golden_cases()[GetParam()], measured);
+  expect_matches(measured, GREFAR_GOLDEN_FILE);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, GoldenDecisions,
@@ -165,19 +218,45 @@ INSTANTIATE_TEST_SUITE_P(Cases, GoldenDecisions,
                            return std::string(golden_cases()[param.param].name);
                          });
 
+class GoldenBenchStdout : public testing::TestWithParam<std::size_t> {};
+
+TEST_P(GoldenBenchStdout, MatchesCheckedInFingerprints) {
+  const BenchCase& c = bench_cases()[GetParam()];
+  Fingerprints measured;
+  ASSERT_TRUE(fingerprint_bench(c, measured)) << c.command << " failed";
+  expect_matches(measured, GREFAR_GOLDEN_BENCH_FILE);
+}
+
+INSTANTIATE_TEST_SUITE_P(Benches, GoldenBenchStdout,
+                         testing::Range<std::size_t>(0, bench_cases().size()),
+                         [](const testing::TestParamInfo<std::size_t>& param) {
+                           return std::string(bench_cases()[param.param].name);
+                         });
+
 }  // namespace
 }  // namespace grefar
 
 int main(int argc, char** argv) {
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--update-golden") == 0) {
-      grefar::Fingerprints all;
-      for (const auto& c : grefar::golden_cases()) grefar::fingerprint_case(c, all);
-      if (!grefar::write_golden(GREFAR_GOLDEN_FILE, all)) {
-        std::fprintf(stderr, "cannot write %s\n", GREFAR_GOLDEN_FILE);
+      grefar::Fingerprints decisions;
+      for (const auto& c : grefar::golden_cases()) grefar::fingerprint_case(c, decisions);
+      grefar::Fingerprints benches;
+      for (const auto& c : grefar::bench_cases()) {
+        if (!grefar::fingerprint_bench(c, benches)) {
+          std::fprintf(stderr, "%s failed\n", c.command);
+          return 1;
+        }
+      }
+      if (!grefar::write_golden(GREFAR_GOLDEN_FILE, grefar::decision_header(),
+                                decisions) ||
+          !grefar::write_golden(GREFAR_GOLDEN_BENCH_FILE, grefar::kBenchHeader,
+                                benches)) {
+        std::fprintf(stderr, "cannot write the golden files\n");
         return 1;
       }
-      std::printf("wrote %zu fingerprints to %s\n", all.size(), GREFAR_GOLDEN_FILE);
+      std::printf("wrote %zu fingerprints to %s and %zu to %s\n", decisions.size(),
+                  GREFAR_GOLDEN_FILE, benches.size(), GREFAR_GOLDEN_BENCH_FILE);
       return 0;
     }
   }
