@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     plan.scenario_key = "paper/seed=" + std::to_string(seed) +
                         "/prices=" + std::to_string(p.index(0));
     if (p.index(1) == 0) {
-      plan.grefar = sweep::GreFarLegSpec{paper_grefar_params(V, 0.0), {}};
+      plan.grefar = paper_grefar_params(V, 0.0);
     } else {
       plan.make_scheduler = [](const sweep::ScenarioArtifacts& art) {
         return std::make_shared<AlwaysScheduler>(*art.config);

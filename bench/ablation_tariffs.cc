@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     plan.scenario_key = "paper/seed=" + std::to_string(seed) + "/tariffed";
     if (p.leg == 2) {
       // Tariff-aware: built on the artifacts' (tariffed) config.
-      plan.grefar = sweep::GreFarLegSpec{paper_grefar_params(V, 0.0), {}};
+      plan.grefar = paper_grefar_params(V, 0.0);
       return plan;
     }
     plan.make_scheduler =

@@ -65,8 +65,7 @@ int main(int argc, char** argv) {
   auto sweep = run_sweep(legs.size(), horizon, jobs, [&](std::size_t leg) {
     PaperScenario scenario = make_admission_scenario(seed, legs[leg].kind);
     auto scheduler = std::make_shared<GreFarScheduler>(
-        scenario.config, paper_grefar_params(V, beta),
-        PerSlotSolver::kProjectedGradient);
+        scenario.config, paper_grefar_params(V, beta));
     return make_scenario_engine(scenario, std::move(scheduler), {}, audit);
   }, &obs);
 

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
                 "run every scheduler under the per-slot invariant auditor");
   add_common_options(cli);
   cli.add_option("V", "7.5", "GreFar cost-delay parameter");
-  cli.add_option("beta", "100", "GreFar energy-fairness parameter (FW/PGD legs)");
+  cli.add_option("beta", "100", "GreFar energy-fairness parameter (PGD leg)");
   cli.add_option("mpc-window", "4", "MPC lookahead window (slots)");
   parse_or_exit(cli, argc, argv);
   const auto horizon = cli.get_int("horizon");
@@ -49,16 +49,15 @@ int main(int argc, char** argv) {
     std::function<std::shared_ptr<Scheduler>(const PaperScenario&)> make;
   };
   std::vector<Leg> legs;
-  auto add_grefar = [&](const std::string& label, double b, PerSlotSolver solver) {
+  // GreFar runs the greedy at beta = 0 and SPG above.
+  auto add_grefar = [&](const std::string& label, double b) {
     legs.push_back({label, [=](const PaperScenario& s) -> std::shared_ptr<Scheduler> {
-                      return std::make_shared<GreFarScheduler>(
-                          s.config, paper_grefar_params(V, b), solver);
+                      return std::make_shared<GreFarScheduler>(s.config,
+                                                               paper_grefar_params(V, b));
                     }});
   };
-  add_grefar("GreFar greedy", 0.0, PerSlotSolver::kGreedy);
-  add_grefar("GreFar LP", 0.0, PerSlotSolver::kLp);
-  add_grefar("GreFar FW", beta, PerSlotSolver::kFrankWolfe);
-  add_grefar("GreFar PGD", beta, PerSlotSolver::kProjectedGradient);
+  add_grefar("GreFar greedy", 0.0);
+  add_grefar("GreFar PGD", beta);
   legs.push_back({"Always", [](const PaperScenario& s) -> std::shared_ptr<Scheduler> {
                     return std::make_shared<AlwaysScheduler>(s.config);
                   }});

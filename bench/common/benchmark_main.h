@@ -4,8 +4,8 @@
 // google-benchmark already reports "library_build_type", but that describes
 // how the benchmark *library* was compiled (the distro package is a Debug
 // build, permanently reporting "debug") and says nothing about this repo's
-// code. Perf numbers from a Debug build of the schedulers are meaningless as
-// baselines, so run_perf.sh keys its refusal off this field instead.
+// code. Perf numbers from a Debug build of the schedulers are meaningless,
+// so a reader of the JSON output checks this field instead.
 //
 // Include exactly once per benchmark binary, in place of BENCHMARK_MAIN().
 #pragma once

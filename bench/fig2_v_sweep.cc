@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   spec.plan = [&](const sweep::SweepPoint& p) {
     sweep::LegPlan plan;
     plan.scenario_key = "paper/seed=" + std::to_string(seed);
-    plan.grefar = sweep::GreFarLegSpec{paper_grefar_params(p.value(0), 0.0), {}};
+    plan.grefar = paper_grefar_params(p.value(0), 0.0);
     return plan;
   };
   auto sweep_results = run_sweep_spec(spec, jobs, audit, &obs);

@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
   // buffers) is destroyed before the next leg builds, so peak RSS reflects
   // one live stack, which is what the CI bound measures.
   auto run_leg = [&](bool audited) -> std::optional<SimMetrics> {
-    auto scheduler = std::make_shared<GreFarScheduler>(
-        scenario.config, params, PerSlotSolver::kProjectedGradient);
+    auto scheduler = std::make_shared<GreFarScheduler>(scenario.config, params);
     auto engine = std::make_unique<SimulationEngine>(
         scenario.config, scenario.prices, scenario.availability,
         scenario.arrivals, std::move(scheduler));

@@ -9,7 +9,6 @@
 
 #include "baselines/baselines.h"
 #include "core/grefar.h"
-#include "core/per_slot_solvers.h"
 #include "lookahead/lookahead.h"
 #include "lookahead/mpc.h"
 #include "obs/counters.h"
@@ -97,7 +96,7 @@ GreFarParams bench_params(double beta) {
 /// this each decide would warm-start from the previous one's answer and the
 /// work per iteration would depend on how many iterations ran before it.
 void cold_start(GreFarScheduler& scheduler) {
-  scheduler.begin_run(scheduler.params(), scheduler.solver());
+  scheduler.begin_run(scheduler.params());
 }
 
 /// Times `decide` from a cold scheduler on every iteration; the reset runs
@@ -153,8 +152,7 @@ BENCHMARK(BM_GreFarDecideGreedy)
 void BM_GreFarDecideFairnessPgd(benchmark::State& state) {
   auto inst = make_instance(static_cast<std::size_t>(state.range(0)),
                             static_cast<std::size_t>(state.range(1)), 3, 2);
-  GreFarScheduler scheduler(inst.config, bench_params(100.0),
-                            PerSlotSolver::kProjectedGradient);
+  GreFarScheduler scheduler(inst.config, bench_params(100.0));
   auto decide = [&] { benchmark::DoNotOptimize(scheduler.decide(inst.obs)); };
   time_cold_decides(state, scheduler, decide);
   report_pgd_work(state, scheduler, decide);
@@ -165,19 +163,6 @@ BENCHMARK(BM_GreFarDecideFairnessPgd)
     ->Args({10, 16})
     ->Args({30, 32})
     ->Args({100, 64});
-
-void BM_GreFarDecideFairnessFrankWolfe(benchmark::State& state) {
-  auto inst = make_instance(static_cast<std::size_t>(state.range(0)),
-                            static_cast<std::size_t>(state.range(1)), 3, 3);
-  GreFarScheduler scheduler(inst.config, bench_params(100.0),
-                            PerSlotSolver::kFrankWolfe);
-  time_cold_decides(state, scheduler,
-                    [&] { benchmark::DoNotOptimize(scheduler.decide(inst.obs)); });
-}
-BENCHMARK(BM_GreFarDecideFairnessFrankWolfe)
-    ->Args({3, 8})
-    ->Args({10, 16})
-    ->Args({30, 32});
 
 /// Million-account instance for the sparse per-slot path (DESIGN.md §12):
 /// `n_types` job types, one account per type, queues empty except the first
@@ -242,7 +227,7 @@ void BM_GreFarDecidePgdAccounts(benchmark::State& state) {
                                    static_cast<std::size_t>(state.range(1)), 21);
   GreFarParams p = bench_params(100.0);
   p.clamp_to_queue = true;  // required for the sparse per-slot regime
-  GreFarScheduler scheduler(inst.config, p, PerSlotSolver::kProjectedGradient);
+  GreFarScheduler scheduler(inst.config, p);
   SlotAction action;
   auto decide = [&] {
     scheduler.decide_into(inst.obs, action);
@@ -258,16 +243,6 @@ BENCHMARK(BM_GreFarDecidePgdAccounts)
     ->Args({1000, 1000})
     ->Args({100000, 1000})
     ->Args({1000000, 1000});
-
-void BM_GreFarDecideLp(benchmark::State& state) {
-  auto inst = make_instance(static_cast<std::size_t>(state.range(0)),
-                            static_cast<std::size_t>(state.range(1)), 3, 4);
-  GreFarScheduler scheduler(inst.config, bench_params(0.0), PerSlotSolver::kLp);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.decide(inst.obs));
-  }
-}
-BENCHMARK(BM_GreFarDecideLp)->Args({3, 8})->Args({10, 16});
 
 void BM_LookaheadFrame(benchmark::State& state) {
   // One T-slot frame LP, built and solved from scratch (the unit of work

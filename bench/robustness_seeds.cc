@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     sweep::LegPlan plan;
     plan.scenario_key = "paper/seed=" + std::to_string(leg_seed(p));
     if (p.index(1) == 0) {
-      plan.grefar = sweep::GreFarLegSpec{paper_grefar_params(V, beta), {}};
+      plan.grefar = paper_grefar_params(V, beta);
     } else {
       plan.make_scheduler = [](const sweep::ScenarioArtifacts& art) {
         return std::make_shared<AlwaysScheduler>(*art.config);

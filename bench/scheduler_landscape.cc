@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
       gp.V = grefar_vs[leg - 5];
       gp.r_max = 50.0;
       gp.h_max = 50.0;
-      plan.grefar = sweep::GreFarLegSpec{gp, {}};
+      plan.grefar = gp;
       return plan;
     }
     plan.make_scheduler =

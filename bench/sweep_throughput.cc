@@ -12,11 +12,9 @@
 // (energy-cost and fairness series hashed bit-for-bit, plus the headline
 // scalars) is compared exactly and any mismatch fails the run. Throughput is
 // reported as legs/sec for both passes; --min-speedup turns the ratio into a
-// gate. Two more passes characterize the arena:
+// gate. A third pass characterizes the arena:
 //
-//   C  warm starts on (LP solver, innermost V axis) — hit counters only,
-//      warm results are deliberately NOT compared bitwise (see §16);
-//   D  pass B's spec re-run on the *same* SweepEngine with a counting
+//   C  pass B's spec re-run on the *same* SweepEngine with a counting
 //      operator new — steady-state allocations per leg, the number
 //      BENCH_baseline.json's "allocs_per_leg" section locks in.
 #include <algorithm>
@@ -35,7 +33,6 @@
 
 #include "common/experiment.h"
 #include "core/grefar.h"
-#include "obs/counters.h"
 #include "stats/summary_table.h"
 #include "util/strings.h"
 
@@ -188,7 +185,7 @@ int main(int argc, char** argv) {
   spec.plan = [&](const sweep::SweepPoint& p) {
     sweep::LegPlan plan;
     plan.scenario_key = "paper/seed=" + std::to_string(leg_seed(p.leg));
-    plan.grefar = sweep::GreFarLegSpec{paper_grefar_params(leg_v(p.leg), 0.0), {}};
+    plan.grefar = paper_grefar_params(leg_v(p.leg), 0.0);
     return plan;
   };
 
@@ -284,37 +281,7 @@ int main(int argc, char** argv) {
             << stats.unique_scenarios << " unique scenarios materialized, "
             << stats.workers << " workers, chunk " << stats.chunk << ")\n";
 
-  // -- pass C: warm starts along the V axis (LP solver), counters only -------
-  {
-    sweep::SweepSpec warm_spec = spec;
-    warm_spec.plan = [&](const sweep::SweepPoint& p) {
-      sweep::LegPlan plan;
-      plan.scenario_key = "paper/seed=" + std::to_string(leg_seed(p.leg));
-      plan.grefar = sweep::GreFarLegSpec{paper_grefar_params(leg_v(p.leg), 0.0),
-                                         PerSlotSolver::kLp};
-      return plan;
-    };
-    sweep::SweepOptions warm_options = sweep_options;
-    warm_options.warm_start = true;
-    sweep::SweepEngine warm_engine(warm_options);
-    obs::CounterRegistry warm_counters;
-    const double t0 = now_ms();
-    {
-      obs::CountersScope scope(&warm_counters);
-      warm_engine.run(warm_spec, [](std::size_t, SimulationEngine&) {});
-    }
-    const double warm_ms = now_ms() - t0;
-    std::cout << "\n-- pass C: warm starts (LP solver, V innermost; not "
-                 "bitwise vs cold) --\n"
-              << "wall ms: " << format_fixed(warm_ms, 1)
-              << ", warm legs: " << warm_counters.counter("sweep.warm_start_legs")
-              << "/" << num_legs << ", solver-state carries: "
-              << warm_counters.counter("sweep.warm_start_carry")
-              << ", simplex warm starts: "
-              << warm_counters.counter("per_slot.lp_warm_starts") << "\n";
-  }
-
-  // -- pass D: steady-state allocations per leg on the reused engine ---------
+  // -- pass C: steady-state allocations per leg on the reused engine ---------
   // Pass B left `engine` with fully-grown arenas and a hot artifact cache;
   // re-running the same spec is the steady state the allocs-per-leg guard
   // (tests/check/alloc_regression_test.cc) locks in. The count includes the

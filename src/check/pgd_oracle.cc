@@ -1,11 +1,34 @@
 #include "check/pgd_oracle.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
+#include "check/per_slot_oracles.h"
 #include "util/check.h"
 
 namespace grefar {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double micros_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
+}
+
+/// Runs `solve` and records f at its result and its wall time.
+template <typename Solve>
+OracleSolve timed_oracle(const PerSlotProblem& problem, Solve solve) {
+  const Clock::time_point start = Clock::now();
+  const std::vector<double> x = solve(problem);
+  OracleSolve result;
+  result.micros = micros_since(start);
+  result.value = problem.value(x);
+  return result;
+}
+
+}  // namespace
 
 MonotonePgdResult minimize_monotone_pgd(const ConvexObjective& objective,
                                         const CappedBoxPolytope& polytope,
@@ -75,11 +98,13 @@ bool PgdAccuracySample::within_contract(double eps) const {
 }
 
 PgdAccuracyProbe::PgdAccuracyProbe(const ClusterConfig& config,
-                                   const GreFarParams& params, bool compact)
-    : inner_(config, params, PerSlotSolver::kProjectedGradient),
+                                   const GreFarParams& params, bool compact,
+                                   bool all_solvers)
+    : inner_(config, params),
       config_(config),
       params_(params),
-      compact_(compact) {}
+      compact_(compact),
+      all_solvers_(all_solvers) {}
 
 SlotAction PgdAccuracyProbe::decide(const SlotObservation& obs) {
   SlotAction action;
@@ -101,15 +126,24 @@ void PgdAccuracyProbe::decide_into(const SlotObservation& obs, SlotAction& out) 
   if (!problem_) problem_.emplace(config_, params_);
   problem_->set_sparse_enabled(compact_);
   problem_->reset(routed_);
-  // Solved through the production dispatch, so the warm start follows the
-  // driving scheduler's.
-  solve_per_slot_into(*problem_, PerSlotSolver::kProjectedGradient, u_, &scratch_);
+  PgdAccuracySample sample;
+  sample.slot = obs.slot;
+  // Solved through the production entry point, so the warm start follows
+  // the driving scheduler's.
+  const Clock::time_point solve_start = Clock::now();
+  solve_per_slot_into(*problem_, u_, scratch_);
+  sample.value_micros = micros_since(solve_start);
   const CappedBoxPolytope& polytope = problem_->polytope();
-  // scratch_.warm holds the start production just used (PGD only reads it);
-  // the same solve again reports how it stopped.
-  const PgdStats stats =
-      minimize_projected_gradient(*problem_, polytope, scratch_.warm, x_, workspace_);
-  GREFAR_CHECK_MSG(x_ == u_, "PGD re-solve differs from the dispatched solve");
+  const bool spg = params_.beta > 0.0;
+  if (spg) {
+    // scratch_.warm holds the start production just used (SPG only reads
+    // it); the same solve again reports how it stopped.
+    const PgdStats stats =
+        minimize_projected_gradient(*problem_, polytope, scratch_.warm, x_, workspace_);
+    GREFAR_CHECK_MSG(x_ == u_, "SPG re-solve differs from the production solve");
+    sample.stop = stats.stop;
+    sample.iterations = stats.iterations;
+  }
   problem_->gradient(u_, grad_);
   shifted_.resize(u_.size());
   for (std::size_t j = 0; j < u_.size(); ++j) shifted_[j] = u_[j] - grad_[j];
@@ -118,18 +152,32 @@ void PgdAccuracyProbe::decide_into(const SlotObservation& obs, SlotAction& out) 
   for (std::size_t j = 0; j < u_.size(); ++j) {
     residual = std::max(residual, std::abs(projected_[j] - u_[j]));
   }
-  MonotonePgdResult ref = minimize_monotone_pgd(*problem_, polytope, scratch_.warm);
-  PgdAccuracySample sample;
-  sample.slot = obs.slot;
+  // At beta == 0 production has no start point; the reference starts from
+  // the origin instead.
+  const Clock::time_point reference_start = Clock::now();
+  MonotonePgdResult ref = minimize_monotone_pgd(
+      *problem_, polytope, spg ? scratch_.warm : std::vector<double>{});
+  sample.reference_micros = micros_since(reference_start);
   sample.value = problem_->value(u_);
-  sample.stop = stats.stop;
-  sample.iterations = stats.iterations;
   sample.residual = residual;
   sample.reference = ref.objective;
   sample.reference_fw_gap = frank_wolfe_gap(*problem_, polytope, ref.x);
   sample.reference_iterations = ref.iterations;
   sample.reference_converged = ref.converged;
   sample.compact = problem_->compact();
+  if (all_solvers_) {
+    sample.greedy = timed_oracle(*problem_, [](const PerSlotProblem& p) {
+      return solve_per_slot_greedy(p);
+    });
+    if (!config_.has_nonlinear_billing()) {
+      sample.lp = timed_oracle(*problem_, [](const PerSlotProblem& p) {
+        return solve_per_slot_lp(p);
+      });
+    }
+    sample.frank_wolfe = timed_oracle(*problem_, [](const PerSlotProblem& p) {
+      return minimize_frank_wolfe(p, p.polytope()).x;
+    });
+  }
   samples_.push_back(sample);
 }
 

@@ -1,4 +1,5 @@
-// The accuracy oracle for the per-slot SPG solve.
+// The accuracy oracle for the per-slot SPG solve, and the probe that checks
+// GreFar's production solve against every per-slot oracle.
 //
 // Theorem 1 needs each slot's convex program (eq. (14)) solved only to
 // within an additive C of its minimum; that adds C/V to the cost gap. The
@@ -11,10 +12,13 @@
 //   * frank_wolfe_gap — g(x)'(x - s), s = argmin_{s in P} g(x)'s, an upper
 //     bound on f(x) - min f that certifies the reference.
 //   * PgdAccuracyProbe — a GreFar scheduler wrapper that, every slot,
-//     rebuilds the engine's per-slot problem, solves it with production
-//     PGD from the same warm start and with the oracle, and records both
-//     objective values, how the production solve stopped and its unit-step
-//     residual.
+//     rebuilds the engine's per-slot problem, solves it with the production
+//     solve (greedy at beta = 0, SPG from the same warm start above) and
+//     with the oracle, and records both objective values, how the
+//     production solve stopped, its unit-step residual and both solve
+//     times. On request it also runs the greedy, the per-slot LP
+//     (per_slot_oracles.h) and Frank-Wolfe from the origin on the same
+//     problem — the solver ablation.
 #pragma once
 
 #include <cstdint>
@@ -53,13 +57,21 @@ MonotonePgdResult minimize_monotone_pgd(const ConvexObjective& objective,
 double frank_wolfe_gap(const ConvexObjective& objective,
                        const CappedBoxPolytope& polytope, const std::vector<double>& x);
 
+/// Objective reached and wall time of one oracle solve of a slot's problem.
+struct OracleSolve {
+  double value = 0.0;
+  double micros = 0.0;
+};
+
 /// One checked slot: production objective f(x), how its solve stopped and
 /// its unit-step residual, and the reference f(x_ref) with its Frank-Wolfe
 /// gap.
 struct PgdAccuracySample {
   std::int64_t slot = 0;
   double value = 0.0;
-  PgdStop stop = PgdStop::kIterationCap;
+  /// How the SPG solve stopped and its iteration count; empty and 0 at
+  /// beta == 0, where production runs the greedy.
+  std::optional<PgdStop> stop;
   int iterations = 0;
   /// ||P(x - g(x)) - x||_inf at the returned x.
   double residual = 0.0;
@@ -69,6 +81,19 @@ struct PgdAccuracySample {
   bool reference_converged = false;
   bool compact = false;
 
+  /// Wall time of the production solve and of the reference.
+  double value_micros = 0.0;
+  double reference_micros = 0.0;
+
+  // Filled by a probe built with all_solvers (else left at zero): the
+  // greedy, the per-slot LP and Frank-Wolfe from the origin on the same
+  // problem. At beta > 0 the greedy and LP points ignore the fairness term;
+  // their value is f at the point they return. The LP stays zero under a
+  // tiered tariff, which it cannot model.
+  OracleSolve greedy;
+  OracleSolve lp;
+  OracleSolve frank_wolfe;
+
   /// f(x) - f(x_ref): the measured per-slot suboptimality C (negative when
   /// production beat the reference).
   double excess() const { return value - reference; }
@@ -77,16 +102,19 @@ struct PgdAccuracySample {
   bool within_contract(double eps) const;
 };
 
-/// A GreFar PGD scheduler drives the trajectory; each slot the engine's
+/// A GreFar scheduler drives the trajectory; each slot the engine's
 /// per-slot problem (post-routing queues when params.process_after_routing)
 /// is rebuilt, solved by production solve_per_slot_into from its own
 /// scratch — so from the same cross-slot warm start as the driving
-/// scheduler — and by minimize_monotone_pgd from that start. `compact`
-/// lets the checked problem go compact when the observation carries the
-/// active-type hint; false keeps it dense.
+/// scheduler — and by minimize_monotone_pgd from that start (from the
+/// origin at beta == 0, where production is the greedy). `compact` lets the checked problem go
+/// compact when the observation carries the active-type hint; false keeps
+/// it dense. `all_solvers` adds the other oracles, which cost up to
+/// ~600x the production solve per slot (ablation_solvers sets it).
 class PgdAccuracyProbe final : public Scheduler {
  public:
-  PgdAccuracyProbe(const ClusterConfig& config, const GreFarParams& params, bool compact);
+  PgdAccuracyProbe(const ClusterConfig& config, const GreFarParams& params, bool compact,
+                   bool all_solvers = false);
 
   SlotAction decide(const SlotObservation& obs) override;
   void decide_into(const SlotObservation& obs, SlotAction& out) override;
@@ -99,8 +127,9 @@ class PgdAccuracyProbe final : public Scheduler {
   ClusterConfig config_;
   GreFarParams params_;
   bool compact_;
+  bool all_solvers_;
   std::optional<PerSlotProblem> problem_;
-  PerSlotSolverScratch scratch_;
+  PerSlotScratch scratch_;
   PgdWorkspace workspace_;
   SlotObservation routed_;
   std::vector<double> u_;

@@ -30,7 +30,7 @@ std::vector<InvariantViolation> crosscheck_solution(
     const PerSlotProblem& problem, const std::vector<double>& u,
     const std::string& solver_name, const SolverCrosscheckOptions& options) {
   constexpr std::size_t kNone = InvariantViolation::kNoIndex;
-  const std::size_t J = problem.config().num_job_types();
+  const std::size_t J = problem.num_types_effective();
   std::vector<InvariantViolation> violations;
 
   if (u.size() != problem.num_vars()) {
@@ -102,13 +102,6 @@ std::vector<InvariantViolation> crosscheck_solution(
                                         achieved, brute.objective, os.str()));
   }
   return violations;
-}
-
-std::vector<InvariantViolation> crosscheck_per_slot_solver(
-    const PerSlotProblem& problem, PerSlotSolver solver,
-    const SolverCrosscheckOptions& options) {
-  const std::vector<double> u = solve_per_slot(problem, solver);
-  return crosscheck_solution(problem, u, to_string(solver), options);
 }
 
 }  // namespace grefar

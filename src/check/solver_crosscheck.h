@@ -1,4 +1,4 @@
-// Brute-force cross-checks for the per-slot solvers.
+// Brute-force cross-checks for per-slot solutions.
 //
 // On small instances (num_vars <= 6 or so) the CappedBoxPolytope can be
 // swept with a regular grid, giving an independent oracle for eq. (14)'s
@@ -14,7 +14,6 @@
 
 #include "check/invariant_auditor.h"
 #include "core/drift_penalty.h"
-#include "core/per_slot_solvers.h"
 
 namespace grefar {
 
@@ -22,8 +21,8 @@ struct SolverCrosscheckOptions {
   int points_per_dim = 5;     // grid resolution per variable
   double feasibility_tol = 1e-6;
   /// Allowed objective excess over the brute-force grid optimum (absolute,
-  /// plus the same amount relative to |optimum|). Exact solvers (greedy, LP
-  /// at beta = 0) pass with tight values; first-order solvers (FW, PGD) need
+  /// plus the same amount relative to |optimum|). Exact solves (greedy, LP
+  /// at beta = 0) pass with tight values; first-order solves (SPG, FW) need
   /// their convergence tolerance here.
   double objective_tol = 1e-6;
 };
@@ -34,10 +33,5 @@ struct SolverCrosscheckOptions {
 std::vector<InvariantViolation> crosscheck_solution(
     const PerSlotProblem& problem, const std::vector<double>& u,
     const std::string& solver_name, const SolverCrosscheckOptions& options = {});
-
-/// Runs `solver` on `problem` and cross-checks its output.
-std::vector<InvariantViolation> crosscheck_per_slot_solver(
-    const PerSlotProblem& problem, PerSlotSolver solver,
-    const SolverCrosscheckOptions& options = {});
 
 }  // namespace grefar

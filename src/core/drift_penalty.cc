@@ -176,64 +176,53 @@ void PerSlotProblem::reset(const SlotObservation& obs) {
   const double h_max = params_.h_max;
 
   // One fused pass per DC: curve rebuild, bands, group cap, queue values and
-  // work upper bounds, all off flat row pointers. Each DC writes only its
-  // own slots, so the pass shards cleanly; the only cross-DC reduction
-  // (total_resource_) is merged serially below, in DC order, making the
-  // result identical at any intra_slot_jobs. The compact variant touches
-  // O(A) columns per DC (reading the dense queue row through the gather
-  // indices); its qv/ub arithmetic is the exact expression of the dense
-  // branch, so corresponding entries carry identical bits.
-  auto per_dc = [&](std::size_t, ShardRange range) {
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      curves_[i].rebuild(config.server_types, avail + i * K, K);
-      const double cap = curves_[i].capacity();
-      dc_capacity_[i] = cap;
-      smoothing_band_[i] = 1e-3 * cap;
-      energy_band_[i] = 1e-3 * curves_[i].energy_for_work(cap);
-      polytope_.set_group_cap(i, cap);
+  // work upper bounds, all off flat row pointers. The compact variant
+  // touches O(A) columns per DC (reading the dense queue row through the
+  // gather indices); its qv/ub arithmetic is the exact expression of the
+  // dense branch, so corresponding entries carry identical bits.
+  total_resource_ = 0.0;
+  for (std::size_t i = 0; i < num_dcs_; ++i) {
+    curves_[i].rebuild(config.server_types, avail + i * K, K);
+    const double cap = curves_[i].capacity();
+    dc_capacity_[i] = cap;
+    total_resource_ += cap;
+    smoothing_band_[i] = 1e-3 * cap;
+    energy_band_[i] = 1e-3 * curves_[i].energy_for_work(cap);
+    polytope_.set_group_cap(i, cap);
 
-      const double* q = dc_queue + i * J;
-      double* qv = queue_value_.data() + i * J_eff;
-      double* ub_row = ub + i * J_eff;
-      if (compact_) {
-        const std::uint8_t* el = eligible_.data() + i * J;
-        std::uint8_t* el_eff = eligible_eff_.data() + i * J_eff;
-        for (std::size_t a = 0; a < J_eff; ++a) {
-          const std::uint32_t j = active_types_[a];
-          const std::uint8_t e = el[j];
-          el_eff[a] = e;
-          qv[a] = e != 0 ? q[j] / work_eff_[a] : 0.0;
-          double h_cap = clamp ? std::min(h_max, q[j]) : h_max;
-          double work_ub = std::max(h_cap, 0.0) * work_eff_[a];
-          if (any_rate_cap_ && rate_capped_eff_[a] != 0) {
-            work_ub = std::min(work_ub, max_rate_eff_[a] * std::ceil(q[j]));
-          }
-          ub_row[a] = e != 0 ? work_ub : 0.0;
+    const double* q = dc_queue + i * J;
+    double* qv = queue_value_.data() + i * J_eff;
+    double* ub_row = ub + i * J_eff;
+    if (compact_) {
+      const std::uint8_t* el = eligible_.data() + i * J;
+      std::uint8_t* el_eff = eligible_eff_.data() + i * J_eff;
+      for (std::size_t a = 0; a < J_eff; ++a) {
+        const std::uint32_t j = active_types_[a];
+        const std::uint8_t e = el[j];
+        el_eff[a] = e;
+        qv[a] = e != 0 ? q[j] / work_eff_[a] : 0.0;
+        double h_cap = clamp ? std::min(h_max, q[j]) : h_max;
+        double work_ub = std::max(h_cap, 0.0) * work_eff_[a];
+        if (any_rate_cap_ && rate_capped_eff_[a] != 0) {
+          work_ub = std::min(work_ub, max_rate_eff_[a] * std::ceil(q[j]));
         }
-      } else {
-        const std::uint8_t* el = eligible_.data() + i * J;
-        for (std::size_t j = 0; j < J; ++j) {
-          qv[j] = el[j] != 0 ? q[j] / work_[j] : 0.0;
-          double h_cap = clamp ? std::min(h_max, q[j]) : h_max;
-          double work_ub = std::max(h_cap, 0.0) * work_[j];
-          // Parallelism constraint (guarded: max_rate * ceil(q) with an
-          // infinite rate and an empty queue would be inf * 0 = NaN).
-          if (any_rate_cap_ && rate_capped_[j] != 0) {
-            work_ub = std::min(work_ub, max_rate_[j] * std::ceil(q[j]));
-          }
-          ub_row[j] = el[j] != 0 ? work_ub : 0.0;
+        ub_row[a] = e != 0 ? work_ub : 0.0;
+      }
+    } else {
+      const std::uint8_t* el = eligible_.data() + i * J;
+      for (std::size_t j = 0; j < J; ++j) {
+        qv[j] = el[j] != 0 ? q[j] / work_[j] : 0.0;
+        double h_cap = clamp ? std::min(h_max, q[j]) : h_max;
+        double work_ub = std::max(h_cap, 0.0) * work_[j];
+        // Parallelism constraint (guarded: max_rate * ceil(q) with an
+        // infinite rate and an empty queue would be inf * 0 = NaN).
+        if (any_rate_cap_ && rate_capped_[j] != 0) {
+          work_ub = std::min(work_ub, max_rate_[j] * std::ceil(q[j]));
         }
+        ub_row[j] = el[j] != 0 ? work_ub : 0.0;
       }
     }
-  };
-  if (IntraSlotExecutor* exec = intra_slot_executor()) {
-    exec->run(num_dcs_, per_dc);
-  } else {
-    per_dc(0, ShardRange{0, num_dcs_});
   }
-
-  total_resource_ = 0.0;
-  for (std::size_t i = 0; i < num_dcs_; ++i) total_resource_ += dc_capacity_[i];
 
   // Dead-column mask for the fairness gradient (see the header): a column
   // with ub == 0 in every DC gets a zero fairness term.
@@ -297,25 +286,17 @@ PerSlotView PerSlotProblem::view() const {
 void PerSlotProblem::accumulate_rows(const std::vector<double>& x, bool need_value,
                                      bool need_marginal, bool need_accounts) const {
   // Rows go four at a time, then one block of the 1-3 left over (so the
-  // 3-DC paper scenario overlaps all its rows too). Shard ranges cut
-  // between rows, and a row's sums do not depend on its block, so the
-  // result is the same at any intra_slot_jobs.
-  auto per_dc = [&](std::size_t, ShardRange range) {
-    std::size_t i = range.begin;
-    for (; i + 4 <= range.end; i += 4) {
-      accumulate_block<4>(x.data(), i, need_value, need_marginal, need_accounts);
-    }
-    switch (range.end - i) {
-      case 3: accumulate_block<3>(x.data(), i, need_value, need_marginal, need_accounts); break;
-      case 2: accumulate_block<2>(x.data(), i, need_value, need_marginal, need_accounts); break;
-      case 1: accumulate_block<1>(x.data(), i, need_value, need_marginal, need_accounts); break;
-      default: break;
-    }
-  };
-  if (IntraSlotExecutor* exec = intra_slot_executor()) {
-    exec->run(num_dcs_, per_dc);
-  } else {
-    per_dc(0, ShardRange{0, num_dcs_});
+  // 3-DC paper scenario overlaps all its rows too). A row's sums do not
+  // depend on its block.
+  std::size_t i = 0;
+  for (; i + 4 <= num_dcs_; i += 4) {
+    accumulate_block<4>(x.data(), i, need_value, need_marginal, need_accounts);
+  }
+  switch (num_dcs_ - i) {
+    case 3: accumulate_block<3>(x.data(), i, need_value, need_marginal, need_accounts); break;
+    case 2: accumulate_block<2>(x.data(), i, need_value, need_marginal, need_accounts); break;
+    case 1: accumulate_block<1>(x.data(), i, need_value, need_marginal, need_accounts); break;
+    default: break;
   }
 }
 
@@ -459,22 +440,15 @@ void PerSlotProblem::finish_gradient(bool fair, std::vector<double>& out) const 
       type_term_[j] = active_col_[j] != 0 ? account_term_[acct_slot[j]] : 0.0;
     }
   }
-  auto fill = [&](std::size_t, ShardRange range) {
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      const double m_i = marginal_scratch_[i];
-      const double* qv = queue_value_.data() + i * J;
-      double* out_row = out.data() + i * J;
-      if (fair) {
-        for (std::size_t j = 0; j < J; ++j) out_row[j] = m_i - qv[j] - type_term_[j];
-      } else {
-        for (std::size_t j = 0; j < J; ++j) out_row[j] = m_i - qv[j];
-      }
+  for (std::size_t i = 0; i < num_dcs_; ++i) {
+    const double m_i = marginal_scratch_[i];
+    const double* qv = queue_value_.data() + i * J;
+    double* out_row = out.data() + i * J;
+    if (fair) {
+      for (std::size_t j = 0; j < J; ++j) out_row[j] = m_i - qv[j] - type_term_[j];
+    } else {
+      for (std::size_t j = 0; j < J; ++j) out_row[j] = m_i - qv[j];
     }
-  };
-  if (IntraSlotExecutor* exec = intra_slot_executor()) {
-    exec->run(num_dcs_, fill);
-  } else {
-    fill(0, ShardRange{0, num_dcs_});
   }
 }
 

@@ -25,7 +25,7 @@
 // type with nothing queued anywhere has queue value 0 and (with
 // clamp_to_queue) upper bound 0, so no solver can put work on it. When the
 // observation carries the active-type hint and sparse mode is enabled (the
-// GreFar scheduler does this for the greedy and PGD solvers), reset()
+// GreFar scheduler does this on every untraced decide), reset()
 // re-shapes the problem onto the A = |active| types only: variables become
 // i * A + a with a indexing the ascending active-type list, every per-type
 // array is gathered to length A, and the fairness state collapses to the
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "core/problem_view.h"
-#include "parallel/shard.h"
 #include "sim/cluster.h"
 #include "sim/energy.h"
 #include "sim/fairness.h"
@@ -67,24 +66,6 @@ struct GreFarParams {
   /// executes first within a slot). Disable for the literal eq. (13)
   /// ordering, which adds one slot of service lag.
   bool process_after_routing = true;
-  /// Start the iterative per-slot solvers (Frank-Wolfe / PGD) from the
-  /// previous slot's solution (projected onto the current capacity box)
-  /// instead of the greedy point. Queues and prices move slowly slot to
-  /// slot, so the previous optimum is usually a few iterations from the new
-  /// one. Disable for A/B comparison against the historical cold start;
-  /// ignored by the greedy and LP solvers, which are not iterative.
-  bool warm_start_across_slots = true;
-  /// Intra-slot data parallelism: shard the per-slot rebuild, the greedy
-  /// fill and the PGD/FW gradient/value kernels across data centers on a
-  /// persistent worker pool. 1 (default) keeps the serial fast path; the
-  /// pooled path only engages when num_vars() >= intra_slot_min_vars, so
-  /// small instances never pay synchronization for kernels that take
-  /// microseconds. Decisions are bit-identical at any value (see
-  /// DESIGN.md §11: kernels write per-DC slots, merged in DC order).
-  std::size_t intra_slot_jobs = 1;
-  /// Size threshold (in N*J decision variables) below which the sharded
-  /// kernels stay inline even when intra_slot_jobs > 1.
-  std::size_t intra_slot_min_vars = 4096;
 };
 
 /// The per-slot convex program in work units u (flattened N*J vector, or
@@ -95,10 +76,7 @@ struct GreFarParams {
 /// and all internal vectors are then updated in place, so steady-state
 /// problem construction is allocation-free (compact-mode buffers reach
 /// their high-water size after a few slots and are reused thereafter). An
-/// instance is single-threaded from the caller's point of view (concurrent
-/// runs each own their problem); with an intra-slot executor attached, its
-/// kernels internally fan per-DC work over the executor's pool and join
-/// before returning.
+/// instance is single-threaded (concurrent runs each own their problem).
 class PerSlotProblem final : public ConvexObjective {
  public:
   PerSlotProblem(const ClusterConfig& config, const SlotObservation& obs,
@@ -106,9 +84,8 @@ class PerSlotProblem final : public ConvexObjective {
 
   /// Deferred variant: bakes the config-derived state but performs no
   /// initial reset — the caller must reset() before any other use. Lets a
-  /// caller that re-resets immediately (sparse mode / executor attached
-  /// after construction) pay for and count exactly one reset, the same as
-  /// every later slot.
+  /// caller that re-resets immediately (sparse mode set after construction)
+  /// pay for and count exactly one reset, the same as every later slot.
   PerSlotProblem(const ClusterConfig& config, const GreFarParams& params);
 
   /// Re-targets the problem at a new observation of the *same* cluster and
@@ -172,20 +149,6 @@ class PerSlotProblem final : public ConvexObjective {
   /// view().type_ids maps columns back to job types.
   PerSlotView view() const;
 
-  /// Attaches (or detaches, with nullptr) the executor used for intra-slot
-  /// DC sharding. Borrowed: the caller (GreFarScheduler) owns the executor
-  /// and keeps it alive for the problem's lifetime.
-  void set_intra_slot_executor(IntraSlotExecutor* executor) { executor_ = executor; }
-
-  /// The executor when the pooled path is engaged for this instance's size,
-  /// nullptr when kernels should stay serial (see GreFarParams).
-  IntraSlotExecutor* intra_slot_executor() const {
-    return (executor_ != nullptr && executor_->jobs() > 1 &&
-            num_vars() >= params_.intra_slot_min_vars)
-               ? executor_
-               : nullptr;
-  }
-
   // ConvexObjective: the h-part of eq. (14) as described above.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   double value(const std::vector<double>& x) const override;
@@ -204,9 +167,8 @@ class PerSlotProblem final : public ConvexObjective {
  private:
   /// Shared first half of value()/gradient(): per-DC row reductions of x
   /// (work, queue-value dot, account partials) plus the per-DC energy term,
-  /// written to the dc_*_ / account_partial_ slots. Sharded across DCs when
-  /// the executor is engaged; the callers merge the slots in DC order, so
-  /// the result is bit-identical at any job count.
+  /// written to the dc_*_ / account_partial_ slots, which the callers merge
+  /// in DC order.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void accumulate_rows(const std::vector<double>& x, bool need_value,
                        bool need_marginal, bool need_accounts) const;
@@ -241,7 +203,6 @@ class PerSlotProblem final : public ConvexObjective {
   std::size_t num_dcs_;
   std::size_t num_types_;      // J: full-space type count
   std::size_t num_accounts_;   // M: full-space account count
-  IntraSlotExecutor* executor_ = nullptr;
   std::vector<EnergyCostCurve> curves_;
   std::vector<double> smoothing_band_;  // per-DC kink-blend half-width (work)
   std::vector<double> energy_band_;     // per-DC tariff-blend half-width (energy)
@@ -298,12 +259,12 @@ class PerSlotProblem final : public ConvexObjective {
   mutable std::vector<std::uint8_t> active_col_;  // [num_types_eff_]
 
   // Reused scratch: value()/gradient() run every solver iteration and must
-  // not touch the heap. The per-DC slot arrays are what makes the sharded
-  // kernels deterministic: shard s writes only slots of its DC range, and
-  // the (serial) merge walks them in DC order regardless of shard count.
-  // Account rows are num_account_slots_ wide (referenced or active set),
-  // never M — the O(N*M) account_partial_ buffer this replaces was the
-  // million-account scaling wall.
+  // not touch the heap. Each row pass writes per-DC slots, and the merge
+  // walks them in DC order, so a row's sums never depend on how the rows
+  // are blocked (accumulate_block). Account rows are num_account_slots_
+  // wide (referenced or active set), never M — the O(N*M)
+  // account_partial_ buffer this replaces was the million-account scaling
+  // wall.
   mutable std::vector<double> account_scratch_;    // [slots] merged account work
   mutable std::vector<double> account_partial_;    // [N*slots] per-DC account work
   mutable std::vector<double> marginal_scratch_;   // [N] per-DC marginal cost

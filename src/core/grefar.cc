@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "obs/counters.h"
 #include "obs/trace_scope.h"
 #include "util/check.h"
 #include "util/strings.h"
@@ -15,48 +14,19 @@ GreFarScheduler::GreFarScheduler(ClusterConfig config, GreFarParams params)
     : GreFarScheduler(std::make_shared<const ClusterConfig>(std::move(config)),
                       params) {}
 
-GreFarScheduler::GreFarScheduler(ClusterConfig config, GreFarParams params,
-                                 PerSlotSolver solver)
-    : GreFarScheduler(std::make_shared<const ClusterConfig>(std::move(config)),
-                      params, solver) {}
-
 GreFarScheduler::GreFarScheduler(std::shared_ptr<const ClusterConfig> config,
                                  GreFarParams params)
-    : GreFarScheduler(std::move(config), params,
-                      params.beta == 0.0 ? PerSlotSolver::kGreedy
-                                         : PerSlotSolver::kProjectedGradient) {}
-
-GreFarScheduler::GreFarScheduler(std::shared_ptr<const ClusterConfig> config,
-                                 GreFarParams params, PerSlotSolver solver)
-    : config_(std::move(config)), params_(params), solver_(solver) {
+    : config_(std::move(config)), params_(params) {
   GREFAR_CHECK_MSG(config_ != nullptr, "GreFarScheduler needs a cluster config");
   config_->validate();
   GREFAR_CHECK(params_.V >= 0.0);
   GREFAR_CHECK(params_.beta >= 0.0);
-  GREFAR_CHECK_MSG(!(params_.beta > 0.0 &&
-                     (solver_ == PerSlotSolver::kGreedy || solver_ == PerSlotSolver::kLp)),
-                   "greedy/lp per-slot solvers ignore the fairness term; "
-                   "use Frank-Wolfe or PGD when beta > 0");
-  if (params_.intra_slot_jobs > 1) {
-    intra_exec_ = std::make_unique<IntraSlotExecutor>(params_.intra_slot_jobs);
-  }
 }
 
-void GreFarScheduler::begin_run(const GreFarParams& params, PerSlotSolver solver,
-                                bool keep_warm) {
+void GreFarScheduler::begin_run(const GreFarParams& params) {
   GREFAR_CHECK(params.V >= 0.0);
   GREFAR_CHECK(params.beta >= 0.0);
-  GREFAR_CHECK_MSG(!(params.beta > 0.0 &&
-                     (solver == PerSlotSolver::kGreedy || solver == PerSlotSolver::kLp)),
-                   "greedy/lp per-slot solvers ignore the fairness term; "
-                   "use Frank-Wolfe or PGD when beta > 0");
-  if (params.intra_slot_jobs != params_.intra_slot_jobs) {
-    intra_exec_ = params.intra_slot_jobs > 1
-                      ? std::make_unique<IntraSlotExecutor>(params.intra_slot_jobs)
-                      : nullptr;
-  }
   params_ = params;
-  solver_ = solver;
   if (problem_.has_value()) problem_->rebind_params(params_);
 
   // Cross-slot sparse-action bookkeeping covered a matrix from the previous
@@ -67,27 +37,18 @@ void GreFarScheduler::begin_run(const GreFarParams& params, PerSlotSolver solver
   routed_obs_sparse_valid_ = false;
   prev_active_.clear();
 
-  if (keep_warm) {
-    if (solver_scratch_.prev_valid || solver_scratch_.lp_basis_valid) {
-      obs::count("sweep.warm_start_carry");
-    }
-    solver_scratch_.lp_warm_enabled = solver_ == PerSlotSolver::kLp;
-  } else {
-    solver_scratch_.prev_valid = false;
-    solver_scratch_.lp_warm_enabled = false;
-    solver_scratch_.lp_basis_valid = false;
-    // Cold leg start: drop the content-keyed per-DC caches so a reused
-    // scheduler sorts demands and rebuilds pieces exactly where a fresh one
-    // would. The caches never change decisions (they are keyed on the raw
-    // rows), but carrying them across legs would make the per_slot.*
-    // efficiency counters depend on which arena a leg landed on — and the
-    // leg→arena mapping under the dynamic ticket scheduler is not
-    // deterministic.
-    for (auto& key : solver_scratch_.cached_qv) key.clear();
-    for (auto& key : solver_scratch_.cached_avail) key.clear();
-    solver_scratch_.cache_compact = false;
-    solver_scratch_.cache_types.clear();
-  }
+  // Cold leg start: no SPG warm start, and no content-keyed per-DC caches,
+  // so a reused scheduler sorts demands and rebuilds pieces exactly where a
+  // fresh one would. The caches never change decisions (they are keyed on
+  // the raw rows), but carrying them across legs would make the per_slot.*
+  // efficiency counters depend on which arena a leg landed on — and the
+  // leg→arena mapping under the dynamic ticket scheduler is not
+  // deterministic.
+  solver_scratch_.prev_valid = false;
+  for (auto& key : solver_scratch_.cached_qv) key.clear();
+  for (auto& key : solver_scratch_.cached_avail) key.clear();
+  solver_scratch_.cache_compact = false;
+  solver_scratch_.cache_types.clear();
 }
 
 std::string GreFarScheduler::name() const {
@@ -124,12 +85,6 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
   // non-zero process entries and the sparse clearing invariant would break.
   const bool hint =
       obs.active_types_valid && scope == nullptr && params_.clamp_to_queue;
-  // The compact problem additionally needs a solver that never reads
-  // full-space accessors (greedy and PGD work off view() + polytope; FW's
-  // LMO and the LP builder do not).
-  const bool compact_problem =
-      hint && (solver_ == PerSlotSolver::kGreedy ||
-               solver_ == PerSlotSolver::kProjectedGradient);
 
   const bool shapes_ok = action.route.rows() == N && action.route.cols() == J;
   if (!shapes_ok) {
@@ -287,20 +242,14 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
     if (obs.active_types_valid) routed_obs_.active_types = obs.active_types;
     problem_obs = &routed_obs_;
   }
-  if (problem_.has_value()) {
-    problem_->set_sparse_enabled(compact_problem);
-    problem_->reset(*problem_obs);
-  } else {
-    // Deferred construction: attach the executor and sparse mode first so
-    // slot 0 runs (and counts) exactly one reset on the same path as every
-    // later slot — a freshly built scheduler must be indistinguishable,
-    // counters included, from a reused one.
-    problem_.emplace(*config_, params_);
-    problem_->set_intra_slot_executor(intra_exec_.get());
-    problem_->set_sparse_enabled(compact_problem);
-    problem_->reset(*problem_obs);
-  }
-  solve_per_slot_into(*problem_, solver_, u_, &solver_scratch_);
+  // Deferred construction: set sparse mode first so slot 0 runs (and
+  // counts) exactly one reset on the same path as every later slot — a
+  // freshly built scheduler must be indistinguishable, counters included,
+  // from a reused one.
+  if (!problem_.has_value()) problem_.emplace(*config_, params_);
+  problem_->set_sparse_enabled(hint);
+  problem_->reset(*problem_obs);
+  solve_per_slot_into(*problem_, u_, solver_scratch_);
   const PerSlotView v = problem_->view();
   double* proc = action.process.data().data();
   const double h_max = params_.h_max;

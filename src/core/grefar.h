@@ -7,8 +7,9 @@
 //     routed (up to r_max per destination) to eligible data centers whose
 //     local queue is shorter than the central queue, shortest first.
 //   * Processing h_{i,j} / servers b_{i,k}: the convex program of
-//     drift_penalty.h, solved by the configured per-slot solver. With
-//     beta = 0 the greedy is exact: work is processed exactly when the
+//     drift_penalty.h, solved by the exact greedy when beta = 0 and by
+//     spectral projected gradient otherwise (per_slot_solvers.h). With
+//     beta = 0 work is processed exactly when the
 //     queue pressure q_{i,j}/d_j exceeds V * phi_i * p_k/s_k — i.e. when
 //     electricity is cheap relative to how long jobs have waited. Larger V
 //     therefore trades delay for energy cost, which is Theorem 1's knob.
@@ -31,32 +32,20 @@ namespace grefar {
 
 class GreFarScheduler final : public Scheduler {
  public:
-  /// `solver` defaults to the exact greedy when beta == 0 and Frank-Wolfe
-  /// otherwise; pass explicitly to ablate.
   GreFarScheduler(ClusterConfig config, GreFarParams params);
-  GreFarScheduler(ClusterConfig config, GreFarParams params, PerSlotSolver solver);
-  /// Shared-config overloads: a million-account ClusterConfig weighs ~10^2
+  /// Shared-config overload: a million-account ClusterConfig weighs ~10^2
   /// MB, so the scheduler sharing the engine's immutable instance instead of
   /// copying it is part of the DESIGN.md §12 memory budget.
   GreFarScheduler(std::shared_ptr<const ClusterConfig> config, GreFarParams params);
-  GreFarScheduler(std::shared_ptr<const ClusterConfig> config, GreFarParams params,
-                  PerSlotSolver solver);
 
   /// Rebinds a long-lived scheduler to a new sweep leg without
-  /// reconstructing it (DESIGN.md §16). Validates (params, solver) like the
+  /// reconstructing it (DESIGN.md §16). Validates params like the
   /// constructor, rebinds the cached per-slot problem's parameters, and
-  /// invalidates all cross-slot sparse-action bookkeeping, so the next
-  /// decide produces bitwise the same actions as a fresh scheduler's.
-  /// Piece/demand caches in the solver scratch are *kept*: they are keyed on
-  /// byte-equal inputs, so a hit reproduces the rebuild exactly.
-  ///
-  /// `keep_warm` = cross-leg warm starts (perf mode, not bitwise vs cold):
-  /// the previous leg's FW/PGD iterate stays seeded (prev_valid survives)
-  /// and the LP path re-enters the previous leg's simplex basis. Only sound
-  /// when the adjacent leg shares the scenario and cluster config — the
-  /// SweepEngine gates it on exactly that.
-  void begin_run(const GreFarParams& params, PerSlotSolver solver,
-                 bool keep_warm = false);
+  /// drops all cross-slot state — the SPG warm start, the sparse-action
+  /// bookkeeping and the content-keyed piece/demand caches — so the next
+  /// decide produces bitwise the same actions, and counts the same cache
+  /// events, as a fresh scheduler's.
+  void begin_run(const GreFarParams& params);
 
   SlotAction decide(const SlotObservation& obs) override;
   /// The hot path: after the first slot every per-slot structure (the
@@ -72,7 +61,6 @@ class GreFarScheduler final : public Scheduler {
   std::string name() const override;
 
   const GreFarParams& params() const { return params_; }
-  PerSlotSolver solver() const { return solver_; }
 
  private:
   /// Splits `jobs` whole jobs across tie_members_ (capacity-weighted
@@ -83,18 +71,11 @@ class GreFarScheduler final : public Scheduler {
 
   std::shared_ptr<const ClusterConfig> config_;  // immutable, shareable
   GreFarParams params_;
-  PerSlotSolver solver_;
-
-  // Worker pool for intra-slot DC sharding (params_.intra_slot_jobs > 1);
-  // null when the scheduler runs fully serial. Owned here so the pool
-  // persists across slots — the sharded kernels run thousands of times per
-  // second and cannot afford per-slot thread spawns.
-  std::unique_ptr<IntraSlotExecutor> intra_exec_;
 
   // Per-slot scratch, constructed lazily on the first decide and reused
   // thereafter. A scheduler instance is single-threaded (one simulation).
   std::optional<PerSlotProblem> problem_;
-  PerSlotSolverScratch solver_scratch_;
+  PerSlotScratch solver_scratch_;
   SlotObservation routed_obs_;           // obs with routing applied to dc_queue
   std::vector<double> u_;                // per-slot solver result (work units)
 

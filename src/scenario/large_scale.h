@@ -11,7 +11,8 @@
 // This is the scale proof for the sparse per-slot fairness machinery: the
 // same GreFar scheduler that runs the paper's 4-account scenario runs here
 // with M = 10^6 accounts, and the per-slot solve cost tracks the active
-// set, not M (see bench/large_scale_smoke.cc and BENCH_baseline.json).
+// set, not M (see bench/large_scale_smoke.cc and perf_scheduler's
+// BM_GreFarDecidePgdAccounts).
 #pragma once
 
 #include <cstdint>
@@ -85,8 +86,8 @@ struct LargeScaleScenario {
 /// Builds the scenario. Deterministic per options.seed.
 LargeScaleScenario make_large_scale_scenario(const LargeScaleOptions& options = {});
 
-/// GreFar parameters sized for the scenario (clamped queues — required for
-/// the sparse per-slot regime — and intra-slot sharding left to the caller).
+/// GreFar parameters sized for the scenario (clamped queues, required for
+/// the sparse per-slot regime).
 GreFarParams large_scale_grefar_params(double V, double beta);
 
 }  // namespace grefar

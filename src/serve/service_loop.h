@@ -13,14 +13,13 @@
 // the queues, so steady-state memory is O(queue_depth) regardless of trace
 // length and the hot loop allocates nothing once capacities are warm.
 //
-// Determinism (DESIGN.md §11 contract, same argument as intra-slot
-// sharding): the engine only ever steps on the caller thread, in slot
-// order, on inputs that are pure functions of the trace bytes — the worker
-// threads move bytes and copies around but never touch engine state. So
-// decisions, energy and fairness series are bit-identical to a batch replay
-// of the materialized trace at any queue depth, pipelined or serial; the
-// flush queue is FIFO, so inspectors also observe slots in order. Counters
-// follow the TaskRegistries ordered-merge discipline.
+// Determinism (DESIGN.md §14): the engine only ever steps on the caller
+// thread, in slot order, on inputs that are pure functions of the trace
+// bytes — the worker threads move bytes and copies around but never touch
+// engine state. So decisions, energy and fairness series are bit-identical
+// to a batch replay of the materialized trace at any queue depth, pipelined
+// or serial; the flush queue is FIFO, so inspectors also observe slots in
+// order. Counters follow the TaskRegistries ordered-merge discipline.
 //
 // Slot latency (solve-stage residence: staging + engine step + flush
 // handoff, excluding time blocked waiting for input) is tracked with

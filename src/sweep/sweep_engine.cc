@@ -25,12 +25,6 @@ AuditMode resolve_audit(AuditMode audit) {
 #endif
 }
 
-PerSlotSolver default_solver(const GreFarParams& params) {
-  // The same rule GreFarScheduler's solver-less constructor applies.
-  return params.beta == 0.0 ? PerSlotSolver::kGreedy
-                            : PerSlotSolver::kProjectedGradient;
-}
-
 }  // namespace
 
 SweepEngine::SweepEngine(SweepOptions options) : options_(options) {}
@@ -74,16 +68,10 @@ SweepRunStats SweepEngine::run(
     plans.push_back(std::move(plan));
   }
 
-  // Phase 2: chunked parallel execution. Warm mode aligns chunk boundaries
-  // to the innermost-axis run length so each warm leg's predecessor chain
-  // stays within its own chunk (fixed warm ancestry at any --jobs).
+  // Phase 2: chunked parallel execution.
   const std::size_t jobs =
       options_.jobs == 0 ? ThreadPool::default_concurrency() : options_.jobs;
-  std::size_t chunk = std::max<std::size_t>(options_.chunk_size, 1);
-  if (options_.warm_start) {
-    const std::size_t L = spec.innermost_run_length();
-    chunk = (chunk + L - 1) / L * L;
-  }
+  const std::size_t chunk = std::max<std::size_t>(options_.chunk_size, 1);
   const std::size_t num_ranges = (num_legs + chunk - 1) / chunk;
   const std::size_t workers = std::max<std::size_t>(
       1, std::min(jobs, num_ranges));  // mirrors SimRunner's task count
@@ -92,7 +80,6 @@ SweepRunStats SweepEngine::run(
     arenas_.resize(workers);
   }
   const AuditMode audit = resolve_audit(options_.audit);
-  const std::size_t innermost = spec.innermost_run_length();
 
   std::vector<double> leg_ms(num_legs, 0.0);
   SimRunner runner(jobs);
@@ -105,25 +92,14 @@ SweepRunStats SweepEngine::run(
 
         std::shared_ptr<Scheduler> scheduler;
         if (plan.grefar.has_value()) {
-          const PerSlotSolver solver =
-              plan.grefar->solver.value_or(default_solver(plan.grefar->params));
           const bool reuse_sched = options_.reuse_engines &&
                                    arena.grefar != nullptr &&
                                    arena.grefar_config == art.config.get();
           if (reuse_sched) {
-            // Warm only when the predecessor leg ran on this worker, in the
-            // same innermost run (leg % L != 0 ⇒ leg-1 shares the chunk) and
-            // on the same scenario.
-            const bool keep_warm =
-                options_.warm_start && arena.has_last &&
-                arena.last_leg + 1 == leg && leg % innermost != 0 &&
-                arena.last_scenario_key == plan.scenario_key;
-            arena.grefar->begin_run(plan.grefar->params, solver, keep_warm);
+            arena.grefar->begin_run(*plan.grefar);
             obs::count("sweep.scheduler_reuses");
-            if (keep_warm) obs::count("sweep.warm_start_legs");
           } else {
-            arena.grefar = std::make_shared<GreFarScheduler>(
-                art.config, plan.grefar->params, solver);
+            arena.grefar = std::make_shared<GreFarScheduler>(art.config, *plan.grefar);
             arena.grefar_config = art.config.get();
             obs::count("sweep.scheduler_builds");
           }
@@ -167,9 +143,6 @@ SweepRunStats SweepEngine::run(
                           std::chrono::steady_clock::now() - t0)
                           .count();
         collect(leg, engine);
-        arena.has_last = true;
-        arena.last_leg = leg;
-        arena.last_scenario_key = plan.scenario_key;
       },
       chunk);
 

@@ -52,10 +52,6 @@ SweepPoint SweepSpec::point(std::size_t leg) const {
   return p;
 }
 
-std::size_t SweepSpec::innermost_run_length() const {
-  return axes.empty() ? 1 : axes.back().size();
-}
-
 void SweepSpec::validate() const {
   GREFAR_CHECK_MSG(!axes.empty(), "SweepSpec needs at least one axis");
   for (const SweepAxis& a : axes) {

@@ -7,8 +7,7 @@
 // set — see artifact_cache.h), and `plan` maps a grid point to the leg's
 // scheduler/admission/engine configuration. Leg indices enumerate the cross
 // product row-major: leg = ((i0 * n1 + i1) * n2 + i2) ... with the last
-// axis fastest, so consecutive legs differ (mostly) in the innermost axis —
-// exactly the adjacency the cross-leg warm starts exploit.
+// axis fastest.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/grefar.h"
@@ -50,13 +50,14 @@ struct SweepPoint {
   const std::string& label(std::size_t axis) const;
 };
 
-/// The GreFar fast path: legs declaring params (+ optional solver override)
-/// ride the scheduler arena — one persistent GreFarScheduler per worker is
-/// re-targeted via begin_run() instead of reconstructed, and adjacent legs
-/// may warm-start. Legs needing any other Scheduler provide make_scheduler.
+/// The two-field spelling `GreFarLegSpec{params, {}}` of a GreFar leg,
+/// from when the second field picked the per-slot solver. A leg is now just
+/// its GreFarParams (LegPlan::grefar); the second field is ignored and the
+/// spec converts to its params.
 struct GreFarLegSpec {
   GreFarParams params;
-  std::optional<PerSlotSolver> solver;  // default: GreFar's beta rule
+  std::monostate unused;
+  operator GreFarParams() const { return params; }  // NOLINT(google-explicit-constructor)
 };
 
 /// Everything the sweep engine needs to run one leg.
@@ -64,8 +65,11 @@ struct LegPlan {
   /// Artifact-cache key; legs with equal keys must describe the *same*
   /// scenario (they share one materialized instance).
   std::string scenario_key;
-  /// Exactly one of grefar / make_scheduler must be set.
-  std::optional<GreFarLegSpec> grefar;
+  /// Exactly one of grefar / make_scheduler must be set. A GreFar leg rides
+  /// the scheduler arena: one persistent GreFarScheduler per worker is
+  /// re-targeted via begin_run() instead of reconstructed. Legs needing any
+  /// other Scheduler provide make_scheduler.
+  std::optional<GreFarParams> grefar;
   std::function<std::shared_ptr<Scheduler>(const ScenarioArtifacts&)> make_scheduler;
   /// Optional per-leg admission policy; overrides the scenario's (which is
   /// attached when this is unset and the scenario carries one).
@@ -84,12 +88,6 @@ class SweepSpec {
   std::size_t num_axes() const { return axes.size(); }
   std::size_t num_legs() const;
   SweepPoint point(std::size_t leg) const;
-
-  /// Size of the innermost (fastest-varying) axis: consecutive legs within
-  /// a run of this length share every outer coordinate. Warm-start chunking
-  /// aligns chunk boundaries to multiples of this, so a warm leg's
-  /// predecessor is always in the same chunk. 1 when there are no axes.
-  std::size_t innermost_run_length() const;
 
   void validate() const;
 };

@@ -10,7 +10,7 @@
 //     contract; the grefar-hot-path-alloc check is the static half).
 //   * GREFAR_DETERMINISTIC — the function participates in a bit-identical
 //     reproducibility contract (DESIGN.md §11: decisions identical at any
-//     --jobs / intra_slot_jobs; §12: sparse == dense bitwise). It must not
+//     --jobs; §12: sparse == dense bitwise). It must not
 //     read clocks, entropy, thread ids, or accumulate floating-point state
 //     in unordered-container iteration order.
 //

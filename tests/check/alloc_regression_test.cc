@@ -57,13 +57,13 @@ constexpr std::int64_t kWarmupSlots = 300;
 constexpr std::int64_t kMeasuredSlots = 500;
 
 /// Steady-state allocations per engine slot for a GreFar run on the paper
-/// scenario. The auditor is explicitly off: it exists for Debug/CI
+/// scenario (the greedy at beta = 0, SPG above). The auditor is explicitly off: it exists for Debug/CI
 /// correctness runs and pays for its bookkeeping; this test guards the
 /// bare Release hot path.
-double measure_allocs_per_slot(PerSlotSolver solver, double beta) {
+double measure_allocs_per_slot(double beta) {
   PaperScenario scenario = make_paper_scenario(/*seed=*/42);
   auto scheduler = std::make_shared<GreFarScheduler>(
-      scenario.config, paper_grefar_params(/*V=*/7.5, beta), solver);
+      scenario.config, paper_grefar_params(/*V=*/7.5, beta));
   auto engine =
       make_scenario_engine(scenario, std::move(scheduler), {}, AuditMode::kOff);
   engine->run(kWarmupSlots);
@@ -98,7 +98,7 @@ double baseline(const char* key) {
 TEST(AllocRegression, GreedySteadyStateStaysWithinBaseline) {
   const double limit = baseline("grefar_greedy") * 1.1;
   ASSERT_GT(limit, 0.0);
-  const double measured = measure_allocs_per_slot(PerSlotSolver::kGreedy, 0.0);
+  const double measured = measure_allocs_per_slot(0.0);
   EXPECT_LE(measured, limit)
       << "greedy hot path now allocates " << measured
       << " times per slot (baseline allows " << limit
@@ -108,8 +108,7 @@ TEST(AllocRegression, GreedySteadyStateStaysWithinBaseline) {
 TEST(AllocRegression, PgdSteadyStateStaysWithinBaseline) {
   const double limit = baseline("grefar_pgd") * 1.1;
   ASSERT_GT(limit, 0.0);
-  const double measured =
-      measure_allocs_per_slot(PerSlotSolver::kProjectedGradient, 100.0);
+  const double measured = measure_allocs_per_slot(100.0);
   EXPECT_LE(measured, limit)
       << "PGD hot path now allocates " << measured
       << " times per slot (baseline allows " << limit
@@ -121,20 +120,10 @@ TEST(AllocRegression, PgdAllocatesNoMoreThanGreedy) {
   // allocations cancel: PGD at beta = 100 keeps its iterate, gradients and
   // line-search buffers in the scheduler's scratch and must add nothing
   // per slot on top of the greedy path.
-  const double greedy = measure_allocs_per_slot(PerSlotSolver::kGreedy, 0.0);
-  const double pgd = measure_allocs_per_slot(PerSlotSolver::kProjectedGradient, 100.0);
+  const double greedy = measure_allocs_per_slot(0.0);
+  const double pgd = measure_allocs_per_slot(100.0);
   EXPECT_LE(pgd, greedy) << "PGD makes " << pgd << " allocations per slot, greedy "
                          << greedy;
-}
-
-TEST(AllocRegression, LpSteadyStateStaysWithinBaseline) {
-  const double limit = baseline("grefar_lp") * 1.1;
-  ASSERT_GT(limit, 0.0);
-  const double measured = measure_allocs_per_slot(PerSlotSolver::kLp, 0.0);
-  EXPECT_LE(measured, limit)
-      << "LP hot path now allocates " << measured
-      << " times per slot (baseline allows " << limit
-      << "); find the new allocation or re-baseline BENCH_baseline.json";
 }
 
 /// Counts allocations only *between* decides: counting switches off when a
@@ -185,7 +174,7 @@ TEST(AllocRegression, PerJobEngineWorkAllocatesNothingInSteadyState) {
 
   engine.reset(artifacts.config, artifacts.prices, artifacts.availability,
                artifacts.arrivals, counter);
-  grefar->begin_run(params, grefar->solver());
+  grefar->begin_run(params);
   g_allocations.store(0, std::memory_order_relaxed);
   counter->armed = true;
   engine.run(kHorizon);
@@ -275,7 +264,7 @@ double measure_allocs_per_leg() {
   spec.plan = [](const sweep::SweepPoint& p) {
     sweep::LegPlan plan;
     plan.scenario_key = "paper/seed=42";
-    plan.grefar = sweep::GreFarLegSpec{paper_grefar_params(p.value(0), 0.0), {}};
+    plan.grefar = paper_grefar_params(p.value(0), 0.0);
     return plan;
   };
   sweep::SweepOptions options;

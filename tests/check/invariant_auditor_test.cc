@@ -33,8 +33,7 @@ TEST(InvariantAuditor, CleanOverGreFarWithFairnessOnPaperScenario) {
   auto scenario = make_paper_scenario(11);
   auto engine = make_scenario_engine(
       scenario,
-      std::make_shared<GreFarScheduler>(scenario.config, paper_grefar_params(7.5, 100.0),
-                                        PerSlotSolver::kProjectedGradient),
+      std::make_shared<GreFarScheduler>(scenario.config, paper_grefar_params(7.5, 100.0)),
       {}, AuditMode::kRecord);
   engine->run(150);
   const auto* auditor = dynamic_cast<const InvariantAuditor*>(engine->inspector());

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "check/per_slot_oracles.h"
+#include "core/per_slot_solvers.h"
 #include "util/rng.h"
 
 namespace grefar {
@@ -49,17 +54,28 @@ GreFarParams params(double V, double beta) {
   return p;
 }
 
+/// GreFar's production solve of `problem`: the greedy at beta = 0, SPG
+/// from the greedy point above.
+std::vector<double> production_solve(const PerSlotProblem& problem) {
+  PerSlotScratch scratch;
+  std::vector<double> u;
+  solve_per_slot_into(problem, u, scratch);
+  return u;
+}
+
 TEST(SolverCrosscheck, ExactSolversPassOnRandomSmallInstances) {
   auto config = small_config();
   Rng rng(42);
   for (int trial = 0; trial < 8; ++trial) {
     auto obs = random_obs(config, rng);
     PerSlotProblem problem(config, obs, params(rng.uniform(0.5, 10.0), 0.0));
-    for (PerSlotSolver solver : {PerSlotSolver::kGreedy, PerSlotSolver::kLp}) {
+    const std::pair<std::string, std::vector<double>> solutions[] = {
+        {"greedy", production_solve(problem)}, {"lp", solve_per_slot_lp(problem)}};
+    for (const auto& [name, u] : solutions) {
       SolverCrosscheckOptions options;
       options.points_per_dim = 5;
       options.objective_tol = 1e-4;
-      auto violations = crosscheck_per_slot_solver(problem, solver, options);
+      auto violations = crosscheck_solution(problem, u, name, options);
       EXPECT_TRUE(violations.empty())
           << "trial " << trial << ": " << violations[0].to_string();
     }
@@ -72,12 +88,14 @@ TEST(SolverCrosscheck, FirstOrderSolversPassWithinConvergenceTolerance) {
   for (int trial = 0; trial < 4; ++trial) {
     auto obs = random_obs(config, rng);
     PerSlotProblem problem(config, obs, params(2.0, 50.0));
-    for (PerSlotSolver solver :
-         {PerSlotSolver::kFrankWolfe, PerSlotSolver::kProjectedGradient}) {
+    const std::pair<std::string, std::vector<double>> solutions[] = {
+        {"spg", production_solve(problem)},
+        {"frank-wolfe", solve_per_slot_frank_wolfe(problem)}};
+    for (const auto& [name, u] : solutions) {
       SolverCrosscheckOptions options;
       options.points_per_dim = 5;
-      options.objective_tol = 1e-2;  // FW/PGD stop at their own tolerance
-      auto violations = crosscheck_per_slot_solver(problem, solver, options);
+      options.objective_tol = 1e-2;  // SPG/FW stop at their own tolerance
+      auto violations = crosscheck_solution(problem, u, name, options);
       EXPECT_TRUE(violations.empty())
           << "trial " << trial << ": " << violations[0].to_string();
     }

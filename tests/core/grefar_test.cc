@@ -1,8 +1,10 @@
 #include "core/grefar.h"
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "core/per_slot_solvers.h"
 #include "obs/trace_scope.h"
 #include "sim/engine.h"
 #include "util/check.h"
@@ -44,8 +46,7 @@ GreFarParams make_params(double V, double beta = 0.0) {
 }
 
 TEST(GreFar, NameEncodesParameters) {
-  GreFarScheduler s(two_dc_config(), make_params(7.5, 100.0),
-                    PerSlotSolver::kFrankWolfe);
+  GreFarScheduler s(two_dc_config(), make_params(7.5, 100.0));
   EXPECT_EQ(s.name(), "GreFar(V=7.50, beta=100.0)");
 }
 
@@ -129,21 +130,96 @@ TEST(GreFar, HonorsHMax) {
   EXPECT_LE(action.process(0, 0), 1.5 + 1e-9);
 }
 
-TEST(GreFar, BetaRequiresConvexSolver) {
-  EXPECT_THROW(
-      GreFarScheduler(two_dc_config(), make_params(1.0, 10.0), PerSlotSolver::kGreedy),
-      ContractViolation);
-  EXPECT_THROW(
-      GreFarScheduler(two_dc_config(), make_params(1.0, 10.0), PerSlotSolver::kLp),
-      ContractViolation);
-  // Default constructor auto-selects a fairness-capable solver.
-  GreFarScheduler ok(two_dc_config(), make_params(1.0, 10.0));
-  EXPECT_EQ(ok.solver(), PerSlotSolver::kProjectedGradient);
+/// Two DCs, four job types over two accounts with unequal gammas: enough
+/// structure that the fairness term moves the beta > 0 optimum off the
+/// greedy point.
+ClusterConfig fair_config() {
+  ClusterConfig c;
+  c.server_types = {{"std", 1.0, 1.0}, {"eco", 0.6, 0.5}};
+  c.data_centers = {{"dc1", {6, 4}}, {"dc2", {5, 6}}};
+  c.accounts = {{"a", 0.7}, {"b", 0.3}};
+  c.job_types = {{"j0", 1.0, {0, 1}, 0},
+                 {"j1", 2.0, {0}, 1},
+                 {"j2", 0.5, {1}, 1},
+                 {"j3", 1.5, {0, 1}, 0}};
+  return c;
+}
+
+SlotObservation fair_obs(std::int64_t slot) {
+  SlotObservation obs;
+  obs.slot = slot;
+  obs.prices = {0.4 + 0.1 * static_cast<double>(slot), 0.6};
+  obs.availability = Matrix<std::int64_t>(2, 2);
+  obs.availability(0, 0) = 6;
+  obs.availability(0, 1) = 4;
+  obs.availability(1, 0) = 5;
+  obs.availability(1, 1) = 3 + slot;
+  obs.central_queue = {4.0, 3.0, 5.0, 2.0};
+  obs.dc_queue = MatrixD(2, 4);
+  const double q[2][4] = {{6.0, 4.0, 0.0, 3.0}, {2.0, 0.0, 7.0, 5.0}};
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) obs.dc_queue(i, j) = q[i][j] + slot;
+  }
+  return obs;
+}
+
+/// Runs GreFar for two slots and, for each, rebuilds the per-slot problem it
+/// solved (post-routing queues) and hands it to `solve`, which returns the
+/// expected work vector u. GreFar's processing must be min(u / d_j, h_max)
+/// bit for bit.
+template <typename Solve>
+void expect_processing_from(double beta, Solve solve) {
+  const ClusterConfig config = fair_config();
+  const GreFarParams params = make_params(2.0, beta);
+  GreFarScheduler scheduler(config, params);
+  for (std::int64_t t = 0; t < 2; ++t) {
+    SlotObservation obs = fair_obs(t);
+    const SlotAction action = scheduler.decide(obs);
+    SlotObservation routed = obs;
+    for (std::size_t i = 0; i < 2; ++i) {
+      for (std::size_t j = 0; j < 4; ++j) routed.dc_queue(i, j) += action.route(i, j);
+    }
+    PerSlotProblem problem(config, routed, params);
+    const std::vector<double> u = solve(problem);
+    for (std::size_t i = 0; i < 2; ++i) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        const double expected =
+            std::min(u[problem.index(i, j)] / config.job_types[j].work, params.h_max);
+        EXPECT_EQ(action.process(i, j), expected)
+            << "slot " << t << " (" << i << ", " << j << ")";
+      }
+    }
+  }
 }
 
 TEST(GreFar, DefaultSolverIsGreedyWithoutFairness) {
-  GreFarScheduler s(two_dc_config(), make_params(1.0, 0.0));
-  EXPECT_EQ(s.solver(), PerSlotSolver::kGreedy);
+  // At beta = 0 GreFar's processing is exactly the greedy's.
+  expect_processing_from(0.0, [](const PerSlotProblem& problem) {
+    return solve_per_slot_greedy(problem);
+  });
+}
+
+TEST(GreFar, BetaRequiresConvexSolver) {
+  // At beta > 0 GreFar's processing is exactly a direct SPG solve: from the
+  // greedy point on the first slot, then from the previous slot's solution
+  // clamped onto the new bound box.
+  std::vector<double> prev;
+  bool greedy_differs = false;
+  expect_processing_from(10.0, [&](const PerSlotProblem& problem) {
+    std::vector<double> x0 = solve_per_slot_greedy(problem);
+    if (!prev.empty()) {
+      const std::vector<double>& ub = problem.polytope().upper_bounds();
+      for (std::size_t k = 0; k < x0.size(); ++k) x0[k] = std::clamp(prev[k], 0.0, ub[k]);
+    }
+    std::vector<double> u;
+    PgdWorkspace ws;
+    minimize_projected_gradient(problem, problem.polytope(), x0, u, ws);
+    greedy_differs = greedy_differs || u != solve_per_slot_greedy(problem);
+    prev = u;
+    return u;
+  });
+  // The check means something only if SPG left the greedy point.
+  EXPECT_TRUE(greedy_differs);
 }
 
 TEST(GreFar, RejectsNegativeParameters) {

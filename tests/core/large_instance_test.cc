@@ -1,26 +1,18 @@
-// Large-instance crosschecks and intra-slot determinism.
+// Large-instance crosschecks.
 //
-// The per-slot hot path (SoA reset, cached greedy merge, sharded kernels)
-// was rewritten for instances far larger than the paper's 3x8 evaluation;
-// these tests pin its correctness at 100 DCs x 64 job types:
-//
-//   * the incremental greedy still matches the simplex LP optimum exactly
-//     (beta = 0), and PGD / Frank-Wolfe land within solver tolerance of it;
-//   * decisions are bit-identical for intra_slot_jobs in {1, 4, 8} — the
-//     sharded kernels write disjoint per-DC slots and the caller merges in
-//     DC index order, so FP association never depends on the shard count;
-//   * full audited simulations (invariant auditor in throw mode) stay clean
-//     and produce bitwise-equal metrics at every shard count.
+// The per-slot hot path (SoA reset, cached greedy merge) was rewritten for
+// instances far larger than the paper's 3x8 evaluation; these tests pin its
+// correctness at 100 DCs x 64 job types: the incremental greedy still
+// matches the simplex LP oracle's optimum exactly (beta = 0), and the SPG
+// and Frank-Wolfe oracles land within solver tolerance of it.
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/grefar.h"
+#include "check/per_slot_oracles.h"
 #include "core/per_slot_solvers.h"
-#include "scenario/paper_scenario.h"
 #include "util/rng.h"
 
 namespace grefar {
@@ -131,105 +123,6 @@ TEST(LargeInstance, FrankWolfeWithinToleranceOfLpAtBetaZero) {
   const double fw_value = problem.value(solve_per_slot_frank_wolfe(problem));
   const double scale = 1.0 + std::abs(lp_value);
   EXPECT_NEAR(fw_value, lp_value, 2e-2 * scale);
-}
-
-// -- Bit-identical decisions across intra_slot_jobs -------------------------
-
-/// Drives one scheduler through a slot sequence designed to hit every cache
-/// path of the incremental greedy: a prices-only slot (demand caches and
-/// piece orders reuse), a queue move (demand re-sort), and an availability
-/// move (piece rebuild). Returns the concatenated route/process matrices.
-std::vector<MatrixD> decide_sequence(GreFarScheduler& scheduler, Instance inst) {
-  std::vector<MatrixD> out;
-  SlotAction action;
-  auto record = [&] {
-    scheduler.decide_into(inst.obs, action);
-    out.push_back(action.route);
-    out.push_back(action.process);
-  };
-  record();  // slot 0: cold
-  inst.obs.slot = 1;  // prices-only move
-  for (auto& p : inst.obs.prices) p *= 1.3;
-  record();
-  inst.obs.slot = 2;  // queue move
-  for (auto& q : inst.obs.central_queue) q *= 0.5;
-  for (auto& q : inst.obs.dc_queue.data()) q *= 1.7;
-  record();
-  inst.obs.slot = 3;  // availability move
-  for (auto& n : inst.obs.availability.data()) n = (n * 3) / 4;
-  record();
-  return out;
-}
-
-void expect_bit_identical(const std::vector<MatrixD>& a, const std::vector<MatrixD>& b,
-                          std::size_t jobs) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    // EXPECT_EQ on doubles is exact: any FP-association drift across shard
-    // counts fails here.
-    EXPECT_EQ(a[s].data(), b[s].data()) << "jobs=" << jobs << " matrix " << s;
-  }
-}
-
-TEST(IntraSlotDeterminism, GreedyDecisionsBitIdenticalAcrossJobs) {
-  auto inst = make_instance(100, 64, 3, 31);  // 6400 vars: pooled path engages
-  GreFarScheduler reference(inst.config, large_params(0.0));
-  const auto expected = decide_sequence(reference, inst);
-  for (std::size_t jobs : {1u, 4u, 8u}) {
-    GreFarParams p = large_params(0.0);
-    p.intra_slot_jobs = jobs;
-    GreFarScheduler scheduler(inst.config, p);
-    expect_bit_identical(decide_sequence(scheduler, inst), expected, jobs);
-  }
-}
-
-TEST(IntraSlotDeterminism, PgdDecisionsBitIdenticalAcrossJobs) {
-  auto inst = make_instance(30, 32, 3, 32);
-  GreFarParams base = large_params(100.0);
-  base.intra_slot_min_vars = 1;  // engage the pooled kernels even at 960 vars
-  GreFarScheduler reference(inst.config, base, PerSlotSolver::kProjectedGradient);
-  const auto expected = decide_sequence(reference, inst);
-  for (std::size_t jobs : {1u, 4u, 8u}) {
-    GreFarParams p = base;
-    p.intra_slot_jobs = jobs;
-    GreFarScheduler scheduler(inst.config, p, PerSlotSolver::kProjectedGradient);
-    expect_bit_identical(decide_sequence(scheduler, inst), expected, jobs);
-  }
-}
-
-// -- Audited end-to-end runs ------------------------------------------------
-
-/// Runs the paper scenario under the invariant auditor in throw mode (every
-/// slot machine-checked, first violation aborts) and returns the per-slot
-/// energy-cost series — bitwise-comparable across shard counts.
-std::vector<double> audited_energy_series(double beta, PerSlotSolver solver,
-                                          std::size_t jobs, std::int64_t horizon) {
-  auto scenario = make_paper_scenario(97);
-  GreFarParams p = paper_grefar_params(7.5, beta);
-  p.intra_slot_jobs = jobs;
-  p.intra_slot_min_vars = 1;  // the 3x8 scenario is tiny; force the pooled path
-  auto engine = run_scenario(
-      scenario, std::make_shared<GreFarScheduler>(scenario.config, p, solver),
-      horizon, {}, AuditMode::kThrow);
-  return engine->metrics().energy_cost.values();
-}
-
-TEST(IntraSlotDeterminism, AuditedGreedyRunCleanAndBitIdentical) {
-  const auto reference = audited_energy_series(0.0, PerSlotSolver::kGreedy, 1, 200);
-  for (std::size_t jobs : {4u, 8u}) {
-    EXPECT_EQ(audited_energy_series(0.0, PerSlotSolver::kGreedy, jobs, 200), reference)
-        << "jobs=" << jobs;
-  }
-}
-
-TEST(IntraSlotDeterminism, AuditedPgdRunCleanAndBitIdentical) {
-  const auto reference =
-      audited_energy_series(100.0, PerSlotSolver::kProjectedGradient, 1, 120);
-  for (std::size_t jobs : {4u, 8u}) {
-    EXPECT_EQ(audited_energy_series(100.0, PerSlotSolver::kProjectedGradient, jobs, 120),
-              reference)
-        << "jobs=" << jobs;
-  }
 }
 
 }  // namespace

@@ -12,10 +12,10 @@
 #include <optional>
 #include <string>
 
+#include "check/per_slot_oracles.h"
 #include "check/pgd_oracle.h"
 #include "core/grefar.h"
 #include "obs/counters.h"
-#include "parallel/shard.h"
 #include "scenario/paper_scenario.h"
 #include "scenario/serve_scenario.h"
 #include "sim/engine.h"
@@ -199,8 +199,8 @@ TEST(PgdSolveCost, ServeScenarioStaysCheap) {
   // ~155 projections. With the exact projection monotone PGD averaged ~21;
   // spectral projected gradient averages ~4.3.
   PaperScenario s = make_serve_scenario(8, 96, /*seed=*/1);
-  auto scheduler = std::make_shared<GreFarScheduler>(
-      s.config, paper_grefar_params(4.0, 0.5), PerSlotSolver::kProjectedGradient);
+  auto scheduler =
+      std::make_shared<GreFarScheduler>(s.config, paper_grefar_params(4.0, 0.5));
   SimulationEngine engine(s.config, s.prices, s.availability, s.arrivals, scheduler);
   obs::CounterRegistry counters;
   {
@@ -262,45 +262,59 @@ TEST(FairnessSolvers, BetaPullsAllocationTowardGamma) {
 
   GreFarParams p = params(1.0, 100.0);
   PerSlotProblem fair(c, obs, p);
-  for (auto solver :
-       {PerSlotSolver::kFrankWolfe, PerSlotSolver::kProjectedGradient}) {
-    auto u = solve_per_slot(fair, solver);
-    EXPECT_NEAR(u[0], 3.0, 0.3) << to_string(solver);
-    EXPECT_NEAR(u[1], 7.0, 0.3) << to_string(solver);
+  PerSlotScratch scratch;
+  std::vector<double> spg;
+  solve_per_slot_into(fair, spg, scratch);
+  const std::pair<const char*, std::vector<double>> solutions[] = {
+      {"spg", spg}, {"frank-wolfe", solve_per_slot_frank_wolfe(fair)}};
+  for (const auto& [name, u] : solutions) {
+    EXPECT_NEAR(u[0], 3.0, 0.3) << name;
+    EXPECT_NEAR(u[1], 7.0, 0.3) << name;
   }
 }
 
 TEST(PerSlotDispatch, AllSolversRun) {
+  // Production (greedy at beta = 0, SPG above) and every oracle return a
+  // feasible point of the right size.
   auto config = test_config();
   Rng rng(8);
   auto obs = random_obs(config, rng);
-  PerSlotProblem problem(config, obs, params(1.0, 0.0));
-  for (auto solver : {PerSlotSolver::kGreedy, PerSlotSolver::kFrankWolfe,
-                      PerSlotSolver::kProjectedGradient, PerSlotSolver::kLp}) {
-    auto u = solve_per_slot(problem, solver);
-    EXPECT_EQ(u.size(), problem.num_vars());
-    EXPECT_TRUE(problem.polytope().contains(u, 1e-6)) << to_string(solver);
+  for (double beta : {0.0, 1.0}) {
+    PerSlotProblem problem(config, obs, params(1.0, beta));
+    PerSlotScratch scratch;
+    std::vector<double> production;
+    solve_per_slot_into(problem, production, scratch);
+    const std::vector<std::pair<const char*, std::vector<double>>> solutions = {
+        {"production", production},
+        {"lp", solve_per_slot_lp(problem)},
+        {"frank-wolfe", solve_per_slot_frank_wolfe(problem)},
+        {"pgd", solve_per_slot_pgd(problem)}};
+    for (const auto& [name, u] : solutions) {
+      EXPECT_EQ(u.size(), problem.num_vars()) << name << " beta=" << beta;
+      EXPECT_TRUE(problem.polytope().contains(u, 1e-6)) << name << " beta=" << beta;
+    }
   }
 }
 
 TEST(CrossSlotWarmStart, OffReproducesTheColdTrajectory) {
-  // With warm_start_across_slots off, a scratch-carrying solve must be
-  // bitwise identical to the historical scratch-free cold solve, slot by
-  // slot — the A/B lever has to be a true control.
+  // With the warm start dropped (what begin_run does at every leg start), a
+  // scratch-carrying SPG solve must be bitwise identical to the scratch-free
+  // cold solve from the greedy point, slot by slot — the cached greedy
+  // start reproduces the uncached one exactly.
   auto config = test_config();
   Rng rng(21);
   GreFarParams p = params(2.0, 50.0);
-  p.warm_start_across_slots = false;
 
   std::vector<SlotObservation> slots;
   for (int t = 0; t < 5; ++t) slots.push_back(random_obs(config, rng));
   PerSlotProblem problem(config, slots[0], p);
-  PerSlotSolverScratch scratch;
+  PerSlotScratch scratch;
   std::vector<double> u;
   for (const auto& obs : slots) {
     problem.reset(obs);
-    solve_per_slot_into(problem, PerSlotSolver::kFrankWolfe, u, &scratch);
-    auto cold = solve_per_slot_frank_wolfe(problem);
+    scratch.prev_valid = false;
+    solve_per_slot_into(problem, u, scratch);
+    auto cold = solve_per_slot_pgd(problem);
     ASSERT_EQ(u.size(), cold.size());
     for (std::size_t v = 0; v < u.size(); ++v) EXPECT_EQ(u[v], cold[v]);
   }
@@ -308,32 +322,27 @@ TEST(CrossSlotWarmStart, OffReproducesTheColdTrajectory) {
 
 TEST(CrossSlotWarmStart, OnMatchesTheColdObjective) {
   // Warm-started slots may stop at a (very slightly) different point, but
-  // the objective must match the cold solve to solver tolerance for both
-  // iterative solvers, across a drifting observation sequence.
+  // the objective must match the cold solve to solver tolerance across a
+  // drifting observation sequence.
   auto config = test_config();
   Rng rng(22);
   GreFarParams p = params(2.0, 50.0);
-  ASSERT_TRUE(p.warm_start_across_slots);  // on by default
 
   std::vector<SlotObservation> slots;
   for (int t = 0; t < 6; ++t) slots.push_back(random_obs(config, rng));
-  for (auto solver :
-       {PerSlotSolver::kFrankWolfe, PerSlotSolver::kProjectedGradient}) {
-    PerSlotProblem problem(config, slots[0], p);
-    PerSlotSolverScratch scratch;
-    std::vector<double> u;
-    for (std::size_t t = 0; t < slots.size(); ++t) {
-      problem.reset(slots[t]);
-      solve_per_slot_into(problem, solver, u, &scratch);
-      EXPECT_TRUE(problem.polytope().contains(u, 1e-6))
-          << to_string(solver) << " slot " << t;
-      auto cold = solve_per_slot(problem, solver);
-      // Either start can stall marginally earlier; in practice the warm one
-      // often lands *lower*. Allow the solvers' own accuracy band.
-      double scale = std::max(1.0, std::abs(problem.value(cold)));
-      EXPECT_NEAR(problem.value(u), problem.value(cold), 5e-3 * scale)
-          << to_string(solver) << " slot " << t;
-    }
+  PerSlotProblem problem(config, slots[0], p);
+  PerSlotScratch scratch;
+  std::vector<double> u;
+  for (std::size_t t = 0; t < slots.size(); ++t) {
+    problem.reset(slots[t]);
+    solve_per_slot_into(problem, u, scratch);
+    EXPECT_TRUE(problem.polytope().contains(u, 1e-6)) << "slot " << t;
+    EXPECT_EQ(scratch.prev_valid, true);
+    auto cold = solve_per_slot_pgd(problem);
+    // Either start can stall marginally earlier; in practice the warm one
+    // often lands *lower*. Allow the solver's own accuracy band.
+    double scale = std::max(1.0, std::abs(problem.value(cold)));
+    EXPECT_NEAR(problem.value(u), problem.value(cold), 5e-3 * scale) << "slot " << t;
   }
 }
 
@@ -358,7 +367,7 @@ TEST(GreedySolver, IdleCompactSlotServesNoStaleDemands) {
   problem.reset(busy);
   ASSERT_TRUE(problem.compact());
 
-  PerSlotSolverScratch scratch;
+  PerSlotScratch scratch;
   std::vector<double> primed;
   solve_per_slot_greedy_into(problem, primed, &scratch);
   double routed = 0.0;
@@ -383,13 +392,6 @@ TEST(GreedySolver, IdleCompactSlotServesNoStaleDemands) {
   solve_per_slot_greedy_into(problem, again, &scratch);
   ASSERT_EQ(again.size(), primed.size());
   for (std::size_t k = 0; k < again.size(); ++k) EXPECT_EQ(again[k], primed[k]);
-}
-
-TEST(PerSlotSolverNames, AreStable) {
-  EXPECT_EQ(to_string(PerSlotSolver::kGreedy), "greedy");
-  EXPECT_EQ(to_string(PerSlotSolver::kFrankWolfe), "frank-wolfe");
-  EXPECT_EQ(to_string(PerSlotSolver::kProjectedGradient), "pgd");
-  EXPECT_EQ(to_string(PerSlotSolver::kLp), "lp");
 }
 
 // -- Bitwise oracles for the fused objective and the PGD loop --------------
@@ -564,10 +566,8 @@ TEST(FusedObjective, MatchesSeparateCallsAndSerialReferenceBitwise) {
   // value_and_gradient(x, g) == value(x) and gradient(x, g), bit for bit,
   // and both equal the single-row reference: dense and compact problems,
   // beta 0 and > 0, zero total resource, N = 1..9 DCs (every row-block
-  // tail), and 1 / 4 / 8 intra-slot shards engaged at any size.
+  // tail), three draws of each.
   Rng rng(0xF05ED);
-  IntraSlotExecutor exec4(4);
-  IntraSlotExecutor exec8(8);
   int evaluations = 0;
   for (std::size_t N = 1; N <= 9; ++N) {
     const ClusterConfig config = random_cluster(rng, N, 13, 5);
@@ -575,25 +575,18 @@ TEST(FusedObjective, MatchesSeparateCallsAndSerialReferenceBitwise) {
       const bool compact = (variant & 1) != 0;
       const double beta = (variant & 2) != 0 ? 0.7 : 0.0;
       const bool idle = (variant & 4) != 0;
-      const std::size_t jobs = variant / 8 == 0 ? 1 : variant / 8 == 1 ? 4 : 8;
       SCOPED_TRACE("N=" + std::to_string(N) + " compact=" + std::to_string(compact) +
                    " beta=" + std::to_string(beta) + " idle=" + std::to_string(idle) +
-                   " jobs=" + std::to_string(jobs));
+                   " draw=" + std::to_string(variant / 8));
       GreFarParams par;
       par.V = 2.0;
       par.beta = beta;
-      par.intra_slot_jobs = jobs;
-      par.intra_slot_min_vars = 1;
       const SlotObservation obs = random_hinted_obs(rng, config, idle);
       PerSlotProblem problem(config, par);
-      if (jobs == 4) problem.set_intra_slot_executor(&exec4);
-      if (jobs == 8) problem.set_intra_slot_executor(&exec8);
       problem.set_sparse_enabled(compact);
       problem.reset(obs);
       ASSERT_EQ(problem.compact(), compact);
       ASSERT_EQ(problem.total_resource() == 0.0, idle);
-      ASSERT_EQ(problem.intra_slot_executor() != nullptr,
-                jobs > 1 && problem.num_vars() > 0);
       const SerialReferenceObjective reference(problem);
       const std::vector<double>& ub = problem.polytope().upper_bounds();
       for (int point = 0; point < 6; ++point) {

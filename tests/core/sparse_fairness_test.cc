@@ -1,7 +1,7 @@
 // DESIGN.md §12: the compact (active-type) per-slot solve must be *bitwise*
 // identical to the dense solve — same route and process matrices, down to
 // the last ulp — across multi-slot runs with churning active sets, for both
-// the exact greedy (beta = 0) and PGD (beta > 0, warm starts across slots
+// the exact greedy (beta = 0) and SPG (beta > 0, warm starts across slots
 // remapping between coordinate systems). Two scheduler instances see the
 // identical observation stream; one gets the active-type hint, the other
 // does not.
@@ -102,12 +102,15 @@ void expect_actions_bitwise_equal(const SlotAction& sparse, const SlotAction& de
   }
 }
 
-void run_sparse_vs_dense(GreFarParams params, PerSlotSolver solver,
-                         std::uint64_t seed) {
+/// `cold_each_slot` re-binds both schedulers with begin_run() before every
+/// decide, so each slot starts SPG from the greedy point (a cold leg start)
+/// instead of the previous slot's solution.
+void run_sparse_vs_dense(GreFarParams params, std::uint64_t seed,
+                         bool cold_each_slot = false) {
   Rng rng(seed);
   ClusterConfig config = random_config(rng, 3, 48, 12);
-  GreFarScheduler with_hint(config, params, solver);
-  GreFarScheduler without_hint(config, params, solver);
+  GreFarScheduler with_hint(config, params);
+  GreFarScheduler without_hint(config, params);
 
   obs::CounterRegistry counters;
   SlotAction a_sparse;
@@ -118,6 +121,10 @@ void run_sparse_vs_dense(GreFarParams params, PerSlotSolver solver,
     if (t % 7 == 3) p_active = 0.9;
     if (t % 11 == 5) p_active = 0.0;
     SlotObservation obs = random_obs(rng, config, t, p_active);
+    if (cold_each_slot) {
+      with_hint.begin_run(params);
+      without_hint.begin_run(params);
+    }
     {
       obs::CountersScope scope(&counters);
       with_hint.decide_into(obs, a_sparse);
@@ -133,22 +140,21 @@ void run_sparse_vs_dense(GreFarParams params, PerSlotSolver solver,
 }
 
 TEST(SparseFairness, GreedyCompactMatchesDenseBitwise) {
-  run_sparse_vs_dense(GreFarParams{}, PerSlotSolver::kGreedy, 0xA11CE);
+  run_sparse_vs_dense(GreFarParams{}, 0xA11CE);
 }
 
 TEST(SparseFairness, PgdCompactMatchesDenseBitwise) {
   GreFarParams p;
   p.V = 2.0;
   p.beta = 0.5;
-  run_sparse_vs_dense(p, PerSlotSolver::kProjectedGradient, 0xB0B);
+  run_sparse_vs_dense(p, 0xB0B);
 }
 
 TEST(SparseFairness, PgdColdStartCompactMatchesDenseBitwise) {
   GreFarParams p;
   p.V = 1.0;
   p.beta = 1.5;
-  p.warm_start_across_slots = false;  // greedy cold start every slot
-  run_sparse_vs_dense(p, PerSlotSolver::kProjectedGradient, 0xC0FFEE);
+  run_sparse_vs_dense(p, 0xC0FFEE, /*cold_each_slot=*/true);
 }
 
 TEST(SparseFairness, DenseSlotsInterleavedStayBitwise) {
@@ -159,8 +165,8 @@ TEST(SparseFairness, DenseSlotsInterleavedStayBitwise) {
   GreFarParams params;
   params.V = 2.0;
   params.beta = 0.8;
-  GreFarScheduler mixed(config, params, PerSlotSolver::kProjectedGradient);
-  GreFarScheduler dense(config, params, PerSlotSolver::kProjectedGradient);
+  GreFarScheduler mixed(config, params);
+  GreFarScheduler dense(config, params);
   SlotAction a_mixed;
   SlotAction a_dense;
   for (std::int64_t t = 0; t < 40; ++t) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.h"
+#include "check/per_slot_oracles.h"
 #include "core/grefar.h"
 #include "core/per_slot_solvers.h"
 #include "price/price_model.h"

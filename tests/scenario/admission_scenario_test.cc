@@ -20,9 +20,8 @@ constexpr std::int64_t kHorizon = 120;
 std::unique_ptr<SimulationEngine> run_policy(std::uint64_t seed,
                                              AdmissionPolicyKind kind) {
   PaperScenario s = make_admission_scenario(seed, kind);
-  auto scheduler = std::make_shared<GreFarScheduler>(
-      s.config, paper_grefar_params(7.5, 10.0),
-      PerSlotSolver::kProjectedGradient);
+  auto scheduler =
+      std::make_shared<GreFarScheduler>(s.config, paper_grefar_params(7.5, 10.0));
   // kThrow: every slot is machine-checked, including the new admission
   // accounting, deadline-feasibility and value-conservation invariants.
   return run_scenario(s, std::move(scheduler), kHorizon, {}, AuditMode::kThrow);

@@ -1,8 +1,8 @@
 // The scale-out scenario at test-friendly sizes: the same factory the 1M
 // smoke uses (bench/large_scale_smoke.cc), shrunk so every property runs in
-// milliseconds. Determinism across intra-slot shard counts is the key
-// invariant: the sparse per-slot path must produce bit-identical runs at
-// any intra_slot_jobs (DESIGN.md §11-§12).
+// milliseconds. Determinism is the key invariant: a scheduler re-bound to a
+// new leg must run the sparse per-slot path bit-identically to a fresh one
+// (DESIGN.md §12, §16).
 #include "scenario/large_scale.h"
 
 #include <gtest/gtest.h>
@@ -132,10 +132,9 @@ TEST(LargeScale, ZipfHeadIsHeavierThanTail) {
 }
 
 std::unique_ptr<SimulationEngine> make_engine(const LargeScaleScenario& s,
-                                              GreFarParams params,
-                                              PerSlotSolver solver,
+                                              std::shared_ptr<GreFarScheduler> scheduler,
                                               bool audit) {
-  auto scheduler = std::make_shared<GreFarScheduler>(s.config, params, solver);
+  const GreFarParams& params = scheduler->params();
   auto engine = std::make_unique<SimulationEngine>(s.config, s.prices,
                                                    s.availability, s.arrivals,
                                                    std::move(scheduler));
@@ -150,18 +149,21 @@ std::unique_ptr<SimulationEngine> make_engine(const LargeScaleScenario& s,
   return engine;
 }
 
+std::unique_ptr<SimulationEngine> make_engine(const LargeScaleScenario& s,
+                                              const GreFarParams& params, bool audit) {
+  return make_engine(s, std::make_shared<GreFarScheduler>(s.config, params), audit);
+}
+
 TEST(LargeScale, AuditedGreedyRunIsClean) {
   LargeScaleScenario s = make_large_scale_scenario(small_options());
-  auto engine = make_engine(s, large_scale_grefar_params(2.0, 0.0),
-                            PerSlotSolver::kGreedy, /*audit=*/true);
+  auto engine = make_engine(s, large_scale_grefar_params(2.0, 0.0), /*audit=*/true);
   engine->run(40);  // throw_on_violation aborts on any invariant break
   EXPECT_GT(engine->metrics().delay_stats.count(), 0);
 }
 
 TEST(LargeScale, AuditedPgdRunIsClean) {
   LargeScaleScenario s = make_large_scale_scenario(small_options());
-  auto engine = make_engine(s, large_scale_grefar_params(2.0, 0.5),
-                            PerSlotSolver::kProjectedGradient, /*audit=*/true);
+  auto engine = make_engine(s, large_scale_grefar_params(2.0, 0.5), /*audit=*/true);
   engine->run(40);
   EXPECT_GT(engine->metrics().delay_stats.count(), 0);
 }
@@ -184,24 +186,23 @@ void expect_runs_bitwise_equal(const SimMetrics& a, const SimMetrics& b) {
   }
 }
 
-TEST(LargeScale, RunsAreBitIdenticalAcrossShardCounts) {
+TEST(LargeScale, RunsAreBitIdenticalAfterBeginRun) {
+  // A scheduler that already ran another leg (different V and beta, so its
+  // warm start, caches and sparse bookkeeping all hold state) and is then
+  // re-bound with begin_run() must reproduce a fresh scheduler's run bit
+  // for bit: every leg starts cold.
   LargeScaleScenario s = make_large_scale_scenario(small_options());
-  GreFarParams base = large_scale_grefar_params(2.0, 0.5);
-  base.intra_slot_min_vars = 1;  // engage the pool even at test sizes
+  const GreFarParams params = large_scale_grefar_params(2.0, 0.5);
+  auto fresh = make_engine(s, params, /*audit=*/false);
+  fresh->run(30);
 
-  std::unique_ptr<SimulationEngine> reference;
-  for (std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-    GreFarParams p = base;
-    p.intra_slot_jobs = jobs;
-    auto engine = make_engine(s, p, PerSlotSolver::kProjectedGradient,
-                              /*audit=*/false);
-    engine->run(30);
-    if (reference == nullptr) {
-      reference = std::move(engine);
-    } else {
-      expect_runs_bitwise_equal(reference->metrics(), engine->metrics());
-    }
-  }
+  auto reused = std::make_shared<GreFarScheduler>(s.config,
+                                                  large_scale_grefar_params(5.0, 1.5));
+  make_engine(s, reused, /*audit=*/false)->run(20);
+  reused->begin_run(params);
+  auto again = make_engine(s, reused, /*audit=*/false);
+  again->run(30);
+  expect_runs_bitwise_equal(fresh->metrics(), again->metrics());
 }
 
 }  // namespace

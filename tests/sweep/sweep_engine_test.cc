@@ -7,8 +7,8 @@
 //     same bits as a freshly constructed one per leg;
 //   * the whole sweep engine is equivalent to the historical
 //     rebuild-per-leg path, leg for leg;
-//   * warm starts (opt-in) stay deterministic across jobs/chunks even
-//     though they are not bitwise-comparable to cold runs.
+//   * every leg starts cold: the SPG warm start carries from slot to slot
+//     within a leg, never from one leg to the next.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,7 +44,7 @@ SweepSpec small_spec() {
     LegPlan plan;
     plan.scenario_key = "paper/seed=" + std::to_string(kSeed + p.index(0));
     if (p.index(1) == 0) {
-      plan.grefar = GreFarLegSpec{paper_grefar_params(p.value(2), 100.0), {}};
+      plan.grefar = paper_grefar_params(p.value(2), 100.0);
     } else {
       plan.make_scheduler = [](const ScenarioArtifacts& art) {
         return std::make_shared<AlwaysScheduler>(*art.config);
@@ -180,9 +180,12 @@ TEST(SweepEngineTest, MatchesRebuildPerLegPathBitwise) {
   }
 }
 
-/// GreFar-only spec for the warm-start tests (warm starts apply to the
-/// scheduler arena path; the LP solver also reuses its simplex basis).
-SweepSpec warm_spec() {
+TEST(SweepEngineTest, WarmStartsActuallyFire) {
+  // One worker runs all 8 beta > 0 legs; its scheduler is built once per
+  // seed (a new scenario brings a new config) and re-bound for the other 3
+  // legs of each. SPG starts from the previous slot's solution on every
+  // slot but the first of each leg, which starts from the greedy point like
+  // a fresh scheduler.
   SweepSpec spec;
   spec.axes = {{.name = "seed", .values = {42.0, 43.0}},
                {.name = "V", .values = {2.0, 7.5, 12.0, 20.0}}};
@@ -193,49 +196,22 @@ SweepSpec warm_spec() {
   spec.plan = [](const SweepPoint& p) {
     LegPlan plan;
     plan.scenario_key = "paper/seed=" + std::to_string(kSeed + p.index(0));
-    plan.grefar =
-        GreFarLegSpec{paper_grefar_params(p.value(1), 0.0), PerSlotSolver::kLp};
+    plan.grefar = paper_grefar_params(p.value(1), 100.0);
     return plan;
   };
-  return spec;
-}
-
-TEST(SweepEngineTest, WarmStartsAreDeterministicAcrossJobsAndChunks) {
-  SweepSpec spec = warm_spec();
-  SweepOptions reference_options;
-  reference_options.jobs = 1;
-  reference_options.chunk_size = 1;
-  reference_options.warm_start = true;
-  auto reference = run_digests(reference_options, spec);
-  for (std::size_t jobs : {std::size_t{4}, std::size_t{8}}) {
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
-      SweepOptions options = reference_options;
-      options.jobs = jobs;
-      options.chunk_size = chunk;
-      auto digests = run_digests(options, spec);
-      for (std::size_t leg = 0; leg < digests.size(); ++leg) {
-        EXPECT_TRUE(digests[leg] == reference[leg])
-            << "warm leg " << leg << " differs at jobs=" << jobs
-            << " chunk=" << chunk;
-      }
-    }
-  }
-}
-
-TEST(SweepEngineTest, WarmStartsActuallyFire) {
-  SweepSpec spec = warm_spec();
   SweepOptions options;
   options.jobs = 1;
-  options.warm_start = true;
   obs::CounterRegistry counters;
   {
     obs::CountersScope scope(&counters);
     SweepEngine engine(options);
     engine.run(spec, [](std::size_t, SimulationEngine&) {});
   }
-  // 2 runs of 4 V values: legs 1..3 of each run are warm-eligible.
-  EXPECT_EQ(counters.counter("sweep.warm_start_legs"), 6u);
-  EXPECT_GT(counters.counter("per_slot.lp_warm_starts"), 0u);
+  EXPECT_EQ(counters.counter("sweep.scheduler_builds"), 2u);
+  EXPECT_EQ(counters.counter("sweep.scheduler_reuses"), 6u);
+  EXPECT_EQ(counters.counter("per_slot.greedy_starts"), 8u);
+  EXPECT_EQ(counters.counter("per_slot.cross_slot_warm_starts"),
+            8u * static_cast<std::uint64_t>(kHorizon - 1));
 }
 
 TEST(SweepEngineTest, AuditStrideSamplesLegs) {
