@@ -107,10 +107,11 @@ struct PgdAccuracySample {
 /// is rebuilt, solved by production solve_per_slot_into from its own
 /// scratch — so from the same cross-slot warm start as the driving
 /// scheduler — and by minimize_monotone_pgd from that start (from the
-/// origin at beta == 0, where production is the greedy). `compact` lets the checked problem go
-/// compact when the observation carries the active-type hint; false keeps
-/// it dense. `all_solvers` adds the other oracles, which cost up to
-/// ~600x the production solve per slot (ablation_solvers sets it).
+/// origin at beta == 0, where production is the greedy). `compact` lets
+/// the checked problem go compact when the observation carries the
+/// active-type hint; false keeps it dense. `all_solvers` adds the other
+/// oracles, which cost up to ~600x the production solve per slot
+/// (ablation_solvers sets it).
 class PgdAccuracyProbe final : public Scheduler {
  public:
   PgdAccuracyProbe(const ClusterConfig& config, const GreFarParams& params, bool compact,

@@ -1,7 +1,7 @@
 // Golden fingerprints: "behaviour unchanged" as a checked-in test.
 //
-// GoldenDecisions: each case runs a fixed scenario for kSlots slots and hashes, with 64-bit
-// FNV-1a over the IEEE-754 bit patterns, the per-slot energy, fairness and
+// GoldenDecisions: each case runs a fixed scenario for kSlots slots and
+// hashes, with 64-bit FNV-1a over the IEEE-754 bit patterns, the per-slot energy, fairness and
 // total-queue series, the per-slot per-DC delay sums and completion counts
 // (which move when routing picks different jobs even if the totals do not),
 // plus the final central and DC queue lengths. The
@@ -158,18 +158,18 @@ const char* const kBenchHeader =
     "# FNV-1a over the stdout bytes of each paper bench run.";
 
 struct BenchCase {
-  const char* name;
-  const char* command;  // binary under the bench output dir, then its flags
+  const char* binary;  // under the bench output dir
+  const char* flags;
 };
 
 const std::vector<BenchCase>& bench_cases() {
   // --jobs 1 keeps ctest -j from oversubscribing; every one of these
   // benches prints the same bytes at any --jobs (CI diffs them).
   static const std::vector<BenchCase> cases = {
-      {"fig2_v_sweep", "fig2_v_sweep --horizon 120 --jobs 1"},
-      {"robustness_seeds", "robustness_seeds --horizon 100 --num-seeds 4 --jobs 1"},
-      {"admission_ablation", "admission_ablation --horizon 120 --audit=throw --jobs 1"},
-      {"theorem1_bounds", "theorem1_bounds --horizon 120 --jobs 1"},
+      {"fig2_v_sweep", "--horizon 120 --jobs 1"},
+      {"robustness_seeds", "--horizon 100 --num-seeds 4 --jobs 1"},
+      {"admission_ablation", "--horizon 120 --audit=throw --jobs 1"},
+      {"theorem1_bounds", "--horizon 120 --jobs 1"},
   };
   return cases;
 }
@@ -177,8 +177,8 @@ const std::vector<BenchCase>& bench_cases() {
 /// Runs one bench and adds the FNV-1a of its stdout to `out`, keyed
 /// "<bench>.stdout". Fails (returns false) when the binary does not exit 0.
 bool fingerprint_bench(const BenchCase& c, Fingerprints& out) {
-  const std::string command =
-      std::string(GREFAR_BENCH_DIR) + "/" + c.command + " 2>/dev/null";
+  const std::string command = "'" + std::string(GREFAR_BENCH_DIR) + "/" + c.binary +
+                              "' " + c.flags + " 2>/dev/null";
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return false;
   Fnv1a h;
@@ -188,7 +188,7 @@ bool fingerprint_bench(const BenchCase& c, Fingerprints& out) {
     for (std::size_t b = 0; b < n; ++b) h.add_byte(static_cast<unsigned char>(buf[b]));
   }
   if (pclose(pipe) != 0) return false;
-  out[std::string(c.name) + ".stdout"] = h.value();
+  out[std::string(c.binary) + ".stdout"] = h.value();
   return true;
 }
 
@@ -223,14 +223,14 @@ class GoldenBenchStdout : public testing::TestWithParam<std::size_t> {};
 TEST_P(GoldenBenchStdout, MatchesCheckedInFingerprints) {
   const BenchCase& c = bench_cases()[GetParam()];
   Fingerprints measured;
-  ASSERT_TRUE(fingerprint_bench(c, measured)) << c.command << " failed";
+  ASSERT_TRUE(fingerprint_bench(c, measured)) << c.binary << " " << c.flags << " failed";
   expect_matches(measured, GREFAR_GOLDEN_BENCH_FILE);
 }
 
 INSTANTIATE_TEST_SUITE_P(Benches, GoldenBenchStdout,
                          testing::Range<std::size_t>(0, bench_cases().size()),
                          [](const testing::TestParamInfo<std::size_t>& param) {
-                           return std::string(bench_cases()[param.param].name);
+                           return std::string(bench_cases()[param.param].binary);
                          });
 
 }  // namespace
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
       grefar::Fingerprints benches;
       for (const auto& c : grefar::bench_cases()) {
         if (!grefar::fingerprint_bench(c, benches)) {
-          std::fprintf(stderr, "%s failed\n", c.command);
+          std::fprintf(stderr, "%s %s failed\n", c.binary, c.flags);
           return 1;
         }
       }

@@ -134,7 +134,7 @@ TEST(LargeScale, ZipfHeadIsHeavierThanTail) {
 std::unique_ptr<SimulationEngine> make_engine(const LargeScaleScenario& s,
                                               std::shared_ptr<GreFarScheduler> scheduler,
                                               bool audit) {
-  const GreFarParams& params = scheduler->params();
+  const GreFarParams params = scheduler->params();
   auto engine = std::make_unique<SimulationEngine>(s.config, s.prices,
                                                    s.availability, s.arrivals,
                                                    std::move(scheduler));
