@@ -95,8 +95,7 @@ int main(int argc, char** argv) {
   auto sweep = run_sweep(betas.size(), horizon, jobs, [&](std::size_t leg) {
     PaperScenario scenario = make_paper_scenario(seed);
     probes[leg] = std::make_shared<PgdAccuracyProbe>(
-        scenario.config, paper_grefar_params(V, betas[leg]), /*compact=*/true,
-        /*all_solvers=*/true);
+        scenario.config, paper_grefar_params(V, betas[leg]), /*all_solvers=*/true);
     return make_scenario_engine(scenario, probes[leg], {}, audit);
   }, &obs);
 

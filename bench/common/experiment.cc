@@ -95,10 +95,7 @@ AuditMode audit_from_cli(const CliParser& cli) {
   if (mode == "off") return AuditMode::kOff;
   if (mode == "throw") return AuditMode::kThrow;
   if (mode == "record") return AuditMode::kRecord;
-  std::cerr << "error: --audit must be auto|off|throw|record, got '" << mode
-            << "'\n\n"
-            << cli.usage();
-  std::exit(1);
+  exit_usage(cli, "--audit must be auto|off|throw|record, got '" + mode + "'");
 }
 
 SweepResult run_sweep(
@@ -143,7 +140,11 @@ void parse_or_exit(CliParser& cli, int argc, char** argv) {
   auto status = cli.parse(argc, argv);
   if (status.ok()) return;
   if (status.error().message == "help") std::exit(0);
-  std::cerr << "error: " << status.error().message << "\n\n" << cli.usage();
+  exit_usage(cli, status.error().message);
+}
+
+void exit_usage(const CliParser& cli, const std::string& message) {
+  std::cerr << "error: " << message << "\n\n" << cli.usage();
   std::exit(1);
 }
 

@@ -129,6 +129,9 @@ std::vector<sweep::SweepLegResult> run_sweep_spec(const sweep::SweepSpec& spec,
 /// Parses argv; exits the process on --help (status 0) or bad flags (1).
 void parse_or_exit(CliParser& cli, int argc, char** argv);
 
+/// Prints "error: <message>" and the usage text to stderr, then exits 1.
+[[noreturn]] void exit_usage(const CliParser& cli, const std::string& message);
+
 /// Renders `series` (already running-averaged if desired) as an ASCII chart.
 std::string render_chart(const std::string& title, const std::string& y_label,
                          std::vector<TimeSeries> series, std::int64_t horizon);

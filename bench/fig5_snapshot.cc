@@ -7,6 +7,7 @@
 #include <cmath>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "baselines/baselines.h"
 #include "common/experiment.h"
@@ -32,6 +33,13 @@ int main(int argc, char** argv) {
   const auto start = cli.get_int("day-start");
   const auto window = cli.get_int("window");
   const auto audit = audit_from_cli(cli);
+  if (start < 0 || window <= 0 || start + window > horizon) {
+    exit_usage(cli, "the snapshot must lie inside the run: need 0 <= --day-start, "
+                    "0 < --window and --day-start + --window <= --horizon (got "
+                    "--day-start " + std::to_string(start) + ", --window " +
+                        std::to_string(window) + ", --horizon " +
+                        std::to_string(horizon) + ")");
+  }
 
   ObsSession obs(cli);
 
@@ -43,7 +51,7 @@ int main(int argc, char** argv) {
   // analogue of the paper's V=7.5 snapshot, so both are shown.
   const double V_strong = 20.0;
   PaperScenario scenario = make_paper_scenario(seed);
-  const auto run_slots = std::min<std::int64_t>(horizon, start + window);
+  const std::int64_t run_slots = start + window;
   auto grefar = make_scenario_engine(
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config, paper_grefar_params(V, 0.0)),

@@ -3,28 +3,31 @@
 // per leaf) with Zipf activity of ~10^3 draws per slot — run end-to-end
 // through the job-level engine, twice:
 //
-//   1. an *audited* leg with the per-slot InvariantAuditor in throw mode
-//      (auditor attached => traced decides => the dense per-slot path), and
-//   2. an *unaudited* leg on the sparse per-slot path the production engine
-//      runs (the active-type hint + clamped queues).
+//   1. the *production* leg: GreFar decides over the active-type columns
+//      the engine's hint lists, with the per-slot InvariantAuditor attached
+//      in throw mode (and the tracer, when --trace is given), and
+//   2. the *all-types* leg: the same scheduler behind HintStripper, which
+//      hands it every observation without the hint, so it decides over all
+//      J columns. This leg is the oracle.
 //
 // The two legs must agree bitwise on every per-slot metric and on the
 // cumulative per-account work — the engine-level statement of the
-// sparse == dense contract at M = 10^6. The process exits nonzero on any
-// invariant violation or metric divergence. It prints its own getrusage
-// peak RSS (portable to hosts without GNU time); CI parses that line and
-// asserts it stays under 1 GB: state must track the active set, not M.
+// active columns == all columns contract at M = 10^6. The process exits
+// nonzero on any invariant violation or metric divergence. It prints its
+// own getrusage peak RSS (portable to hosts without GNU time); CI parses
+// that line and asserts it stays under 1 GB.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "check/invariant_auditor.h"
 #include "common/experiment.h"
 #include "core/grefar.h"
-#include "core/per_slot_solvers.h"
 #include "scenario/large_scale.h"
 #include "sim/engine.h"
 
@@ -32,9 +35,36 @@ namespace {
 
 using namespace grefar;
 
+/// Forwards every observation with the active-type hint stripped, so the
+/// scheduler behind it decides over all J columns.
+class HintStripper final : public Scheduler {
+ public:
+  explicit HintStripper(std::shared_ptr<Scheduler> inner) : inner_(std::move(inner)) {}
+  SlotAction decide(const SlotObservation& obs) override {
+    SlotAction action;
+    decide_into(obs, action);
+    return action;
+  }
+  void decide_into(const SlotObservation& obs, SlotAction& out) override {
+    decide_into(obs, out, nullptr);
+  }
+  void decide_into(const SlotObservation& obs, SlotAction& out,
+                   TraceScope* scope) override {
+    stripped_ = obs;
+    stripped_.active_types_valid = false;
+    stripped_.active_types.clear();
+    inner_->decide_into(stripped_, out, scope);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::shared_ptr<Scheduler> inner_;
+  SlotObservation stripped_;
+};
+
 /// Bitwise comparison of the per-slot series and cumulative account work; any
-/// divergence between the audited (dense) and unaudited (sparse) legs is a
-/// contract break, not noise.
+/// divergence between the production and all-types legs is a contract
+/// break, not noise.
 bool runs_bitwise_equal(const SimMetrics& a, const SimMetrics& b) {
   bool ok = a.slots() == b.slots();
   for (std::size_t t = 0; ok && t < a.slots(); ++t) {
@@ -63,8 +93,8 @@ int main(int argc, char** argv) {
   using namespace grefar::bench;
 
   CliParser cli("large_scale_smoke",
-                "million-account scale smoke: audited dense leg vs sparse "
-                "production leg, bitwise-compared");
+                "million-account scale smoke: audited production leg vs "
+                "all-types leg, bitwise-compared");
   add_common_options(cli, /*default_horizon=*/"48");
   cli.add_option("V", "2.0", "GreFar cost-delay parameter");
   cli.add_option("beta", "0.5", "GreFar energy-fairness parameter");
@@ -84,7 +114,8 @@ int main(int argc, char** argv) {
   opt.draws_per_slot = static_cast<std::size_t>(cli.get_int("draws"));
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   // This binary exists to audit at scale, so "auto" means throw even in
-  // Release; --audit=off skips the audited leg (sparse-only timing runs).
+  // Release; --audit=off runs the production leg alone, unaudited (timing
+  // runs).
   AuditMode audit = audit_from_cli(cli);
   if (audit == AuditMode::kAuto) audit = AuditMode::kThrow;
 
@@ -110,13 +141,15 @@ int main(int argc, char** argv) {
   // Runs one leg and hands back its metrics; the engine (and its ~O(M)
   // buffers) is destroyed before the next leg builds, so peak RSS reflects
   // one live stack, which is what the CI bound measures.
-  auto run_leg = [&](bool audited) -> std::optional<SimMetrics> {
-    auto scheduler = std::make_shared<GreFarScheduler>(scenario.config, params);
+  auto run_leg = [&](bool production) -> std::optional<SimMetrics> {
+    std::shared_ptr<Scheduler> scheduler =
+        std::make_shared<GreFarScheduler>(scenario.config, params);
+    if (!production) scheduler = std::make_shared<HintStripper>(std::move(scheduler));
     auto engine = std::make_unique<SimulationEngine>(
         scenario.config, scenario.prices, scenario.availability,
         scenario.arrivals, std::move(scheduler));
     std::shared_ptr<InvariantAuditor> auditor;
-    if (audited) {
+    if (production && audit != AuditMode::kOff) {
       InvariantAuditorOptions audit_opts;
       audit_opts.throw_on_violation = audit == AuditMode::kThrow;
       audit_opts.expect_queue_bounded_ask = true;
@@ -132,8 +165,8 @@ int main(int argc, char** argv) {
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                   start)
             .count();
-    std::cout << (audited ? "audited (dense) leg: " : "sparse leg:          ")
-              << leg_ms << " ms for " << horizon << " slots ("
+    std::cout << (production ? "production leg: " : "all-types leg:  ") << leg_ms
+              << " ms for " << horizon << " slots ("
               << leg_ms / static_cast<double>(horizon) << " ms/slot), peak RSS "
               << peak_rss_mb() << " MB\n";
     if (auditor != nullptr) {
@@ -147,28 +180,28 @@ int main(int argc, char** argv) {
     return engine->metrics();
   };
 
-  std::optional<SimMetrics> audited;
-  if (audit != AuditMode::kOff) {
-    audited = run_leg(/*audited=*/true);
-    if (!audited.has_value()) return 1;
+  std::optional<SimMetrics> production = run_leg(/*production=*/true);
+  if (!production.has_value()) return 1;
+  if (audit == AuditMode::kOff) {
+    std::cout << "summary (production leg):\n"
+              << production->summary_json().dump(2) << "\n"
+              << "scale smoke OK (audit off: production leg only)\n";
+    obs.finish();
+    return 0;
   }
-  std::optional<SimMetrics> sparse = run_leg(/*audited=*/false);
-  if (!sparse.has_value()) return 1;
-
-  if (audited.has_value() && !runs_bitwise_equal(*audited, *sparse)) {
-    std::cout << "SCALE SMOKE FAILED: sparse leg diverges from audited dense "
+  std::optional<SimMetrics> all_types = run_leg(/*production=*/false);
+  if (!all_types.has_value()) return 1;
+  if (!runs_bitwise_equal(*production, *all_types)) {
+    std::cout << "SCALE SMOKE FAILED: production leg diverges from the all-types "
                  "leg\n";
     return 1;
   }
 
-  std::cout << "summary (sparse leg):\n"
-            << sparse->summary_json().dump(2) << "\n";
-  if (audited.has_value()) {
-    std::cout << "scale smoke OK: audit clean and sparse == dense bitwise at M = "
-              << scenario.config->num_accounts() << "\n";
-  } else {
-    std::cout << "scale smoke OK (audit off: sparse leg only)\n";
-  }
+  std::cout << "summary (production leg):\n"
+            << production->summary_json().dump(2) << "\n"
+            << "scale smoke OK: audit clean and active columns == all columns "
+               "bitwise at M = "
+            << scenario.config->num_accounts() << "\n";
   obs.finish();
   return 0;
 }

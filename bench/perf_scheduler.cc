@@ -167,8 +167,8 @@ BENCHMARK(BM_GreFarDecideFairnessPgd)
 /// Million-account instance for the sparse per-slot path (DESIGN.md §12):
 /// `n_types` job types, one account per type, queues empty except the first
 /// `n_active` types, and the observation carries the active-type hint. With
-/// the hint plus clamp_to_queue the scheduler runs the compact per-slot
-/// problem, so the decide cost must track n_active, not n_types.
+/// the hint plus clamp_to_queue the scheduler's per-slot problem has only
+/// the active columns, so the decide cost must track n_active, not n_types.
 Instance make_sparse_instance(std::size_t n_types, std::size_t n_active,
                               std::uint64_t seed) {
   const std::size_t n_dcs = 2;

@@ -120,12 +120,12 @@ int main(int argc, char** argv) {
         case 3: return std::make_shared<CheapestFirstScheduler>(*art.config);
         case 4: return std::make_shared<PriceThresholdScheduler>(*art.config, 0.45);
         default: {
-          MpcParams p;
-          p.window = mpc_windows[leg - 5 - grefar_vs.size()];
-          p.r_max = 50.0;
-          p.h_max = 50.0;
+          MpcParams mpc;
+          mpc.window = mpc_windows[leg - 5 - grefar_vs.size()];
+          mpc.r_max = 50.0;
+          mpc.h_max = 50.0;
           return std::make_shared<MpcScheduler>(*art.config, art.prices,
-                                                art.availability, art.arrivals, p);
+                                                art.availability, art.arrivals, mpc);
         }
       }
     };

@@ -31,34 +31,11 @@
 #include <string>
 #include <vector>
 
+#include "common/counting_new.h"
 #include "common/experiment.h"
 #include "core/grefar.h"
 #include "stats/summary_table.h"
 #include "util/strings.h"
-
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-// Counting operator new, same shape as tests/check/alloc_regression_test.cc:
-// throwing forms only; nothing in the measured path uses over-aligned types.
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 

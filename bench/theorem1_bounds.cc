@@ -178,8 +178,7 @@ int main(int argc, char** argv) {
     params.process_after_routing = false;  // literal eq. (13) ordering
     // Decides exactly like GreFarScheduler(fair_config, params) (PGD at
     // beta > 0) and measures each slot's suboptimality on the side.
-    auto scheduler = std::make_shared<PgdAccuracyProbe>(fair_config, params,
-                                                        /*compact=*/true);
+    auto scheduler = std::make_shared<PgdAccuracyProbe>(fair_config, params);
     ScalarQueueSimulator sim(fair_config, prices, avail, arrivals, scheduler);
     sim.run(flp.base.R * flp.base.T);
     double cost = sim.average_cost(beta);

@@ -36,7 +36,7 @@ std::vector<double> solve_per_slot_pgd(const PerSlotProblem& problem,
 /// is work served by server type k in DC i:
 ///   min  sum_{i,k} V*phi_i*(p_k/s_k) w_{i,k} - sum_{i,j} (q_{i,j}/d_j) u_{i,j}
 ///   s.t. sum_j u_{i,j} <= sum_k w_{i,k};  w_{i,k} <= n_{i,k} s_k;  u <= ub.
-/// j runs over the problem's columns (the active types when compact).
+/// j runs over the problem's columns (PerSlotProblem::columns()).
 /// Linear billing only: a tiered tariff is rejected.
 LinearProgram build_per_slot_lp(const PerSlotProblem& problem);
 

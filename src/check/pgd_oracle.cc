@@ -98,12 +98,10 @@ bool PgdAccuracySample::within_contract(double eps) const {
 }
 
 PgdAccuracyProbe::PgdAccuracyProbe(const ClusterConfig& config,
-                                   const GreFarParams& params, bool compact,
-                                   bool all_solvers)
+                                   const GreFarParams& params, bool all_solvers)
     : inner_(config, params),
       config_(config),
       params_(params),
-      compact_(compact),
       all_solvers_(all_solvers) {}
 
 SlotAction PgdAccuracyProbe::decide(const SlotObservation& obs) {
@@ -124,7 +122,6 @@ void PgdAccuracyProbe::decide_into(const SlotObservation& obs, SlotAction& out) 
     }
   }
   if (!problem_) problem_.emplace(config_, params_);
-  problem_->set_sparse_enabled(compact_);
   problem_->reset(routed_);
   PgdAccuracySample sample;
   sample.slot = obs.slot;
@@ -164,7 +161,6 @@ void PgdAccuracyProbe::decide_into(const SlotObservation& obs, SlotAction& out) 
   sample.reference_fw_gap = frank_wolfe_gap(*problem_, polytope, ref.x);
   sample.reference_iterations = ref.iterations;
   sample.reference_converged = ref.converged;
-  sample.compact = problem_->compact();
   if (all_solvers_) {
     sample.greedy = timed_oracle(*problem_, [](const PerSlotProblem& p) {
       return solve_per_slot_greedy(p);

@@ -79,7 +79,6 @@ struct PgdAccuracySample {
   double reference_fw_gap = 0.0;
   int reference_iterations = 0;
   bool reference_converged = false;
-  bool compact = false;
 
   /// Wall time of the production solve and of the reference.
   double value_micros = 0.0;
@@ -107,14 +106,14 @@ struct PgdAccuracySample {
 /// is rebuilt, solved by production solve_per_slot_into from its own
 /// scratch — so from the same cross-slot warm start as the driving
 /// scheduler — and by minimize_monotone_pgd from that start (from the
-/// origin at beta == 0, where production is the greedy). `compact` lets
-/// the checked problem go compact when the observation carries the
-/// active-type hint; false keeps it dense. `all_solvers` adds the other
+/// origin at beta == 0, where production is the greedy). The checked
+/// problem takes its column list from the observation, as production's
+/// does. `all_solvers` adds the other
 /// oracles, which cost up to ~600x the production solve per slot
 /// (ablation_solvers sets it).
 class PgdAccuracyProbe final : public Scheduler {
  public:
-  PgdAccuracyProbe(const ClusterConfig& config, const GreFarParams& params, bool compact,
+  PgdAccuracyProbe(const ClusterConfig& config, const GreFarParams& params,
                    bool all_solvers = false);
 
   SlotAction decide(const SlotObservation& obs) override;
@@ -127,7 +126,6 @@ class PgdAccuracyProbe final : public Scheduler {
   GreFarScheduler inner_;
   ClusterConfig config_;
   GreFarParams params_;
-  bool compact_;
   bool all_solvers_;
   std::optional<PerSlotProblem> problem_;
   PerSlotScratch scratch_;

@@ -30,7 +30,7 @@ std::vector<InvariantViolation> crosscheck_solution(
     const PerSlotProblem& problem, const std::vector<double>& u,
     const std::string& solver_name, const SolverCrosscheckOptions& options) {
   constexpr std::size_t kNone = InvariantViolation::kNoIndex;
-  const std::size_t J = problem.num_types_effective();
+  const std::size_t J = problem.num_columns();
   std::vector<InvariantViolation> violations;
 
   if (u.size() != problem.num_vars()) {

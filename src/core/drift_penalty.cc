@@ -26,23 +26,23 @@ PerSlotProblem::PerSlotProblem(const ClusterConfig& config, const GreFarParams& 
       energy_band_(num_dcs_, 0.0),
       fairness_(config.gammas()),
       polytope_(std::vector<double>(num_dcs_ * num_types_, 0.0)),
-      queue_value_(num_dcs_ * num_types_, 0.0),
-      num_types_eff_(num_types_) {
+      queue_value_(num_dcs_ * num_types_, 0.0) {
   GREFAR_CHECK(params_.V >= 0.0);
   GREFAR_CHECK(params_.beta >= 0.0);
   GREFAR_CHECK(params_.r_max >= 0.0);
   GREFAR_CHECK(params_.h_max >= 0.0);
 
-  // Static SoA arrays: eligibility as a bitmap (JobType::eligible() is a
-  // linear scan over D_j — calling it per (i, j) per reset made the rebuild
-  // O(N^2 J)), plus flat per-type columns so the hot loops never chase
-  // job_types[j] through three indirections.
-  eligible_.assign(num_dcs_ * num_types_, 0);
-  work_.resize(num_types_);
-  inv_work_.resize(num_types_);
-  account_of_.resize(num_types_);
-  max_rate_.resize(num_types_);
-  rate_capped_.resize(num_types_);
+  // Static SoA arrays over all J types: eligibility as a bitmap
+  // (JobType::eligible() is a linear scan over D_j — calling it per (i, j)
+  // per reset made the rebuild O(N^2 J)), plus flat per-type columns so the
+  // hot loops never chase job_types[j] through three indirections.
+  all_.types.resize(num_types_);
+  all_.eligible.assign(num_dcs_ * num_types_, 0);
+  all_.work.resize(num_types_);
+  all_.inv_work.resize(num_types_);
+  all_.account_of.resize(num_types_);
+  all_.max_rate.resize(num_types_);
+  all_.rate_capped.resize(num_types_);
   for (std::size_t j = 0; j < num_types_; ++j) {
     const JobType& jt = config.job_types[j];
     // Guard the fairness scatter below: an out-of-range account index would
@@ -53,31 +53,18 @@ PerSlotProblem::PerSlotProblem(const ClusterConfig& config, const GreFarParams& 
                      "job type " << j << " ('" << jt.name << "') references account "
                                  << jt.account << " but the cluster has only "
                                  << num_accounts_ << " accounts");
-    work_[j] = jt.work;
-    inv_work_[j] = 1.0 / jt.work;
-    account_of_[j] = static_cast<std::uint32_t>(jt.account);
-    max_rate_[j] = jt.max_rate;
-    rate_capped_[j] = std::isfinite(jt.max_rate) ? 1 : 0;
-    any_rate_cap_ = any_rate_cap_ || rate_capped_[j] != 0;
-    for (DataCenterId i : jt.eligible_dcs) eligible_[i * num_types_ + j] = 1;
+    all_.types[j] = static_cast<std::uint32_t>(j);
+    all_.work[j] = jt.work;
+    all_.inv_work[j] = 1.0 / jt.work;
+    all_.account_of[j] = static_cast<std::uint32_t>(jt.account);
+    all_.max_rate[j] = jt.max_rate;
+    all_.rate_capped[j] = std::isfinite(jt.max_rate) ? 1 : 0;
+    any_rate_cap_ = any_rate_cap_ || all_.rate_capped[j] != 0;
+    for (DataCenterId i : jt.eligible_dcs) all_.eligible[i * num_types_ + j] = 1;
   }
-
-  // Accounts no job type maps to can never receive work: the dense account
-  // accumulators cover only the referenced set (account_of_ is static, so
-  // this is computed once). See DESIGN.md §12 for why dropping them keeps
-  // the fairness sums bitwise unchanged.
-  referenced_accounts_ = account_of_;
-  std::sort(referenced_accounts_.begin(), referenced_accounts_.end());
-  referenced_accounts_.erase(
-      std::unique(referenced_accounts_.begin(), referenced_accounts_.end()),
-      referenced_accounts_.end());
-  account_slot_static_.resize(num_types_);
-  for (std::size_t j = 0; j < num_types_; ++j) {
-    account_slot_static_[j] = static_cast<std::uint32_t>(
-        std::lower_bound(referenced_accounts_.begin(), referenced_accounts_.end(),
-                         account_of_[j]) -
-        referenced_accounts_.begin());
-  }
+  // Accounts no job type maps to can never receive work, so even the
+  // all-J accumulators cover only the referenced set.
+  index_accounts(all_);
 
   const std::size_t K = config.num_server_types();
   speed_.resize(K);
@@ -100,72 +87,87 @@ PerSlotProblem::PerSlotProblem(const ClusterConfig& config, const GreFarParams& 
   dc_value_.resize(num_dcs_);
 }
 
+void PerSlotProblem::index_accounts(ColumnArrays& c) {
+  c.accounts = c.account_of;
+  std::sort(c.accounts.begin(), c.accounts.end());
+  c.accounts.erase(std::unique(c.accounts.begin(), c.accounts.end()), c.accounts.end());
+  c.account_slot.resize(c.account_of.size());
+  for (std::size_t a = 0; a < c.account_of.size(); ++a) {
+    c.account_slot[a] = static_cast<std::uint32_t>(
+        std::lower_bound(c.accounts.begin(), c.accounts.end(), c.account_of[a]) -
+        c.accounts.begin());
+  }
+}
+
+void PerSlotProblem::select_columns(const SlotObservation& obs) {
+  // Only a valid hint under the queue clamp may drop a type: it guarantees
+  // the type is empty, and the clamp turns that into ub == 0.
+  const bool hinted = obs.active_types_valid && params_.clamp_to_queue;
+  const std::vector<std::uint32_t>& want = hinted ? obs.active_types : all_.types;
+  if (want.size() == num_types_) {
+    // J strictly ascending ids below J can only be 0..J-1.
+    GREFAR_CHECK_MSG(&want == &all_.types || want == all_.types,
+                     "active type hint must be strictly ascending ids below "
+                         << num_types_);
+    all_columns_ = true;
+    return;
+  }
+  if (!all_columns_ && want == subset_.types) return;
+  all_columns_ = false;
+  // NOLINTBEGIN(grefar-hot-path-alloc): subset_ re-shapes persistent
+  // buffers that reach their high-water size after a few slots.
+  const std::size_t A = want.size();
+  subset_.types = want;
+  subset_.work.resize(A);
+  subset_.inv_work.resize(A);
+  subset_.account_of.resize(A);
+  subset_.max_rate.resize(A);
+  subset_.rate_capped.resize(A);
+  for (std::size_t a = 0; a < A; ++a) {
+    const std::uint32_t j = want[a];
+    GREFAR_CHECK_MSG(j < num_types_, "active type id " << j << " out of range");
+    GREFAR_CHECK_MSG(a == 0 || j > want[a - 1],
+                     "active type hint must be strictly ascending");
+    subset_.work[a] = all_.work[j];
+    subset_.inv_work[a] = all_.inv_work[j];
+    subset_.account_of[a] = all_.account_of[j];
+    subset_.max_rate[a] = all_.max_rate[j];
+    subset_.rate_capped[a] = all_.rate_capped[j];
+  }
+  subset_.eligible.resize(num_dcs_ * A);
+  for (std::size_t i = 0; i < num_dcs_; ++i) {
+    const std::uint8_t* el = all_.eligible.data() + i * num_types_;
+    std::uint8_t* el_sub = subset_.eligible.data() + i * A;
+    for (std::size_t a = 0; a < A; ++a) el_sub[a] = el[want[a]];
+  }
+  index_accounts(subset_);
+  // NOLINTEND(grefar-hot-path-alloc)
+}
+
 void PerSlotProblem::reset(const SlotObservation& obs) {
   const ClusterConfig& config = *config_;
   const std::size_t K = config.num_server_types();
   GREFAR_CHECK(obs.availability.rows() == num_dcs_ && obs.availability.cols() == K);
   GREFAR_CHECK(obs.dc_queue.rows() == num_dcs_ && obs.dc_queue.cols() == num_types_);
   obs_ = &obs;
-
-  // Compact mode engages only when every dead type provably has ub == 0:
-  // that requires both the hint (so we know which types are dead) and the
-  // queue clamp (so empty queues actually zero the bound).
-  compact_ = sparse_enabled_ && obs.active_types_valid && params_.clamp_to_queue;
+  select_columns(obs);
+  const ColumnArrays& c = cols();
+  const std::size_t A = c.types.size();
+  const std::size_t S = c.accounts.size();
   // NOLINTBEGIN(grefar-hot-path-alloc): every resize below re-shapes a
   // persistent buffer that reaches its high-water size after a few slots and
   // is reused in place thereafter (the header's allocation-free contract is
   // about the steady state, DESIGN.md §7/§12).
-  if (compact_) {
-    active_types_.assign(obs.active_types.begin(), obs.active_types.end());
-    const std::size_t A = active_types_.size();
-    num_types_eff_ = A;
-    work_eff_.resize(A);
-    inv_work_eff_.resize(A);
-    account_of_eff_.resize(A);
-    max_rate_eff_.resize(A);
-    rate_capped_eff_.resize(A);
-    for (std::size_t a = 0; a < A; ++a) {
-      const std::uint32_t id = active_types_[a];
-      GREFAR_CHECK_MSG(id < num_types_, "active type id " << id << " out of range");
-      GREFAR_CHECK_MSG(a == 0 || id > active_types_[a - 1],
-                       "active type hint must be strictly ascending");
-      work_eff_[a] = work_[id];
-      inv_work_eff_[a] = inv_work_[id];
-      account_of_eff_[a] = account_of_[id];
-      max_rate_eff_[a] = max_rate_[id];
-      rate_capped_eff_[a] = rate_capped_[id];
-    }
-    eligible_eff_.resize(num_dcs_ * A);
-    active_accounts_ = account_of_eff_;
-    std::sort(active_accounts_.begin(), active_accounts_.end());
-    active_accounts_.erase(
-        std::unique(active_accounts_.begin(), active_accounts_.end()),
-        active_accounts_.end());
-    account_slot_eff_.resize(A);
-    for (std::size_t a = 0; a < A; ++a) {
-      account_slot_eff_[a] = static_cast<std::uint32_t>(
-          std::lower_bound(active_accounts_.begin(), active_accounts_.end(),
-                           account_of_eff_[a]) -
-          active_accounts_.begin());
-    }
-  } else {
-    num_types_eff_ = num_types_;
-  }
-  num_account_slots_ = compact_ ? active_accounts_.size() : referenced_accounts_.size();
-  account_scratch_.resize(num_account_slots_);
-  account_partial_.resize(num_dcs_ * num_account_slots_);
-  account_term_.resize(num_account_slots_);
-  type_term_.resize(num_types_eff_);
+  account_scratch_.resize(S);
+  account_partial_.resize(num_dcs_ * S);
+  account_term_.resize(S);
+  type_term_.resize(A);
 
-  // Re-shape the polytope when the effective dimension moved (compact <->
-  // dense, or a different active count). Group structure is always N
-  // contiguous runs, so only the size matters; bounds and caps are fully
-  // rewritten by the pass below either way.
-  const std::size_t J_eff = num_types_eff_;
-  if (polytope_.dim() != num_dcs_ * J_eff) {
-    polytope_.rebuild_contiguous(num_dcs_, J_eff);
-  }
-  queue_value_.resize(num_dcs_ * J_eff);
+  // Re-shape the polytope when the dimension moved. Group structure is
+  // always N contiguous runs, so only the size matters; bounds and caps are
+  // fully rewritten by the pass below either way.
+  if (polytope_.dim() != num_dcs_ * A) polytope_.rebuild_contiguous(num_dcs_, A);
+  queue_value_.resize(num_dcs_ * A);
   // NOLINTEND(grefar-hot-path-alloc)
 
   const std::int64_t* avail = obs.availability.data().data();
@@ -174,12 +176,30 @@ void PerSlotProblem::reset(const SlotObservation& obs) {
   const std::size_t J = num_types_;
   const bool clamp = params_.clamp_to_queue;
   const double h_max = params_.h_max;
+  const std::uint32_t* types = c.types.data();
+  const double* work = c.work.data();
+  const double* max_rate = c.max_rate.data();
+  const std::uint8_t* rate_capped = c.rate_capped.data();
 
   // One fused pass per DC: curve rebuild, bands, group cap, queue values and
-  // work upper bounds, all off flat row pointers. The compact variant
-  // touches O(A) columns per DC (reading the dense queue row through the
-  // gather indices); its qv/ub arithmetic is the exact expression of the
-  // dense branch, so corresponding entries carry identical bits.
+  // work upper bounds, all off flat row pointers. The queue row is read
+  // through the column list; over all J types that is the identity, and
+  // the loop gets its own stride-1 (vectorizable) instance.
+  auto fill_row = [&](const double* q, const std::uint8_t* el, double* qv, double* ub_row,
+                      auto column) {
+    for (std::size_t a = 0; a < A; ++a) {
+      const double qa = q[column(a)];
+      qv[a] = el[a] != 0 ? qa / work[a] : 0.0;
+      double h_cap = clamp ? std::min(h_max, qa) : h_max;
+      double work_ub = std::max(h_cap, 0.0) * work[a];
+      // Parallelism constraint (guarded: max_rate * ceil(q) with an
+      // infinite rate and an empty queue would be inf * 0 = NaN).
+      if (any_rate_cap_ && rate_capped[a] != 0) {
+        work_ub = std::min(work_ub, max_rate[a] * std::ceil(qa));
+      }
+      ub_row[a] = el[a] != 0 ? work_ub : 0.0;
+    }
+  };
   total_resource_ = 0.0;
   for (std::size_t i = 0; i < num_dcs_; ++i) {
     curves_[i].rebuild(config.server_types, avail + i * K, K);
@@ -191,87 +211,47 @@ void PerSlotProblem::reset(const SlotObservation& obs) {
     polytope_.set_group_cap(i, cap);
 
     const double* q = dc_queue + i * J;
-    double* qv = queue_value_.data() + i * J_eff;
-    double* ub_row = ub + i * J_eff;
-    if (compact_) {
-      const std::uint8_t* el = eligible_.data() + i * J;
-      std::uint8_t* el_eff = eligible_eff_.data() + i * J_eff;
-      for (std::size_t a = 0; a < J_eff; ++a) {
-        const std::uint32_t j = active_types_[a];
-        const std::uint8_t e = el[j];
-        el_eff[a] = e;
-        qv[a] = e != 0 ? q[j] / work_eff_[a] : 0.0;
-        double h_cap = clamp ? std::min(h_max, q[j]) : h_max;
-        double work_ub = std::max(h_cap, 0.0) * work_eff_[a];
-        if (any_rate_cap_ && rate_capped_eff_[a] != 0) {
-          work_ub = std::min(work_ub, max_rate_eff_[a] * std::ceil(q[j]));
-        }
-        ub_row[a] = e != 0 ? work_ub : 0.0;
-      }
+    const std::uint8_t* el = c.eligible.data() + i * A;
+    double* qv = queue_value_.data() + i * A;
+    double* ub_row = ub + i * A;
+    if (all_columns_) {
+      fill_row(q, el, qv, ub_row, [](std::size_t a) { return a; });
     } else {
-      const std::uint8_t* el = eligible_.data() + i * J;
-      for (std::size_t j = 0; j < J; ++j) {
-        qv[j] = el[j] != 0 ? q[j] / work_[j] : 0.0;
-        double h_cap = clamp ? std::min(h_max, q[j]) : h_max;
-        double work_ub = std::max(h_cap, 0.0) * work_[j];
-        // Parallelism constraint (guarded: max_rate * ceil(q) with an
-        // infinite rate and an empty queue would be inf * 0 = NaN).
-        if (any_rate_cap_ && rate_capped_[j] != 0) {
-          work_ub = std::min(work_ub, max_rate_[j] * std::ceil(q[j]));
-        }
-        ub_row[j] = el[j] != 0 ? work_ub : 0.0;
-      }
+      fill_row(q, el, qv, ub_row, [types](std::size_t a) { return types[a]; });
     }
   }
 
   // Dead-column mask for the fairness gradient (see the header): a column
   // with ub == 0 in every DC gets a zero fairness term.
   if (params_.beta > 0.0) {
-    active_col_.assign(J_eff, 0);
+    active_col_.assign(A, 0);
     const double* bounds = polytope_.upper_bounds().data();
     for (std::size_t i = 0; i < num_dcs_; ++i) {
-      const double* row = bounds + i * J_eff;
-      for (std::size_t j = 0; j < J_eff; ++j) {
-        if (row[j] > 0.0) active_col_[j] = 1;
+      const double* row = bounds + i * A;
+      for (std::size_t a = 0; a < A; ++a) {
+        if (row[a] > 0.0) active_col_[a] = 1;
       }
     }
   }
 
   if (obs::counting()) {
-    const std::uint64_t act = num_account_slots_;
-    obs::count("fairness.active_accounts", act);
-    obs::count("fairness.sparse_skips",
-               static_cast<std::uint64_t>(num_accounts_) - act);
+    obs::count("fairness.active_accounts", S);
+    obs::count("fairness.sparse_skips", static_cast<std::uint64_t>(num_accounts_) - S);
   }
-}
-
-double PerSlotProblem::queue_value(DataCenterId i, JobTypeId j) const {
-  GREFAR_CHECK_MSG(!compact_,
-                   "full-space queue_value() is a dense-mode accessor; compact "
-                   "callers read view().queue_value");
-  GREFAR_CHECK(i < num_dcs_ && j < num_types_);
-  return queue_value_[i * num_types_ + j];
 }
 
 PerSlotView PerSlotProblem::view() const {
+  const ColumnArrays& c = cols();
   PerSlotView v;
   v.num_dcs = num_dcs_;
-  v.num_types = num_types_eff_;
+  v.num_types = c.types.size();
   v.num_servers = speed_.size();
   v.num_accounts = num_accounts_;
-  if (compact_) {
-    v.eligible = eligible_eff_.data();
-    v.work = work_eff_.data();
-    v.inv_work = inv_work_eff_.data();
-    v.account_of = account_of_eff_.data();
-    v.type_ids = active_types_.data();
-  } else {
-    v.eligible = eligible_.data();
-    v.work = work_.data();
-    v.inv_work = inv_work_.data();
-    v.account_of = account_of_.data();
-    v.type_ids = nullptr;
-  }
+  v.type_ids = c.types.data();
+  v.eligible = c.eligible.data();
+  v.work = c.work.data();
+  v.inv_work = c.inv_work.data();
+  v.account_of = c.account_of.data();
   v.speed = speed_.data();
   v.busy_power = busy_power_.data();
   v.energy_per_work = energy_per_work_.data();
@@ -303,7 +283,7 @@ void PerSlotProblem::accumulate_rows(const std::vector<double>& x, bool need_val
 template <std::size_t R>
 void PerSlotProblem::accumulate_block(const double* x, std::size_t i0, bool need_value,
                                       bool need_marginal, bool need_accounts) const {
-  const std::size_t J = num_types_eff_;
+  const std::size_t J = num_columns();
   const double* xr[R];
   const double* qv[R];
   double dc_work[R];
@@ -315,9 +295,8 @@ void PerSlotProblem::accumulate_block(const double* x, std::size_t i0, bool need
     queue_dot[r] = 0.0;
   }
   if (need_accounts) {
-    const std::size_t S = num_account_slots_;
-    const std::uint32_t* acct_slot =
-        compact_ ? account_slot_eff_.data() : account_slot_static_.data();
+    const std::size_t S = cols().accounts.size();
+    const std::uint32_t* acct_slot = cols().account_slot.data();
     double* ap[R];
     for (std::size_t r = 0; r < R; ++r) {
       ap[r] = account_partial_.data() + (i0 + r) * S;
@@ -362,7 +341,7 @@ void PerSlotProblem::finish_row(std::size_t i, double dc_work, double queue_dot,
 }
 
 void PerSlotProblem::merge_account_work() const {
-  const std::size_t S = num_account_slots_;
+  const std::size_t S = account_scratch_.size();
   std::fill(account_scratch_.begin(), account_scratch_.end(), 0.0);
   for (std::size_t i = 0; i < num_dcs_; ++i) {
     const double* ap = account_partial_.data() + i * S;
@@ -407,11 +386,9 @@ double PerSlotProblem::finish_value(bool fair) const {
     // -V*beta*f(u): f is the (negative) fairness score, evaluated sparsely
     // over the account slots — bitwise equal to the full-M evaluation (see
     // sim/fairness.h).
-    const std::uint32_t* ids =
-        compact_ ? active_accounts_.data() : referenced_accounts_.data();
     total -= params_.V * params_.beta *
-             fairness_.score_active(ids, account_scratch_.data(),
-                                    num_account_slots_, total_resource_);
+             fairness_.score_active(cols().accounts.data(), account_scratch_.data(),
+                                    account_scratch_.size(), total_resource_);
   }
   return total;
 }
@@ -419,14 +396,14 @@ double PerSlotProblem::finish_value(bool fair) const {
 void PerSlotProblem::finish_gradient(bool fair, std::vector<double>& out) const {
   // Amortized: the caller's gradient buffer is sized once per shape change.
   out.resize(num_vars());  // NOLINT(grefar-hot-path-alloc)
-  const std::size_t J = num_types_eff_;
+  const ColumnArrays& c = cols();
+  const std::size_t J = c.types.size();
   if (fair) {
     const double inv = fairness_.inv_total(total_resource_);
     const double vb = params_.V * params_.beta;
-    const std::uint32_t* ids =
-        compact_ ? active_accounts_.data() : referenced_accounts_.data();
+    const std::uint32_t* ids = c.accounts.data();
     const double* gam = fairness_.gamma().data();
-    for (std::size_t s = 0; s < num_account_slots_; ++s) {
+    for (std::size_t s = 0; s < account_term_.size(); ++s) {
       // d/du of -V*beta*f = -V*beta * d f/d r.
       account_term_[s] =
           vb * fairness_kernel::gradient(account_scratch_[s], gam[ids[s]], inv);
@@ -434,8 +411,7 @@ void PerSlotProblem::finish_gradient(bool fair, std::vector<double>& out) const 
     // Scatter the account terms to the type columns once, so the fill below
     // is a pure stride-1 triad. Dead columns (no positive bound anywhere)
     // get 0 — see active_col_ in the header.
-    const std::uint32_t* acct_slot =
-        compact_ ? account_slot_eff_.data() : account_slot_static_.data();
+    const std::uint32_t* acct_slot = c.account_slot.data();
     for (std::size_t j = 0; j < J; ++j) {
       type_term_[j] = active_col_[j] != 0 ? account_term_[acct_slot[j]] : 0.0;
     }

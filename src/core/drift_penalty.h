@@ -17,22 +17,18 @@
 //
 // with C_i the minimum-energy curve and r_m(u) the per-account work. This
 // file exposes the problem as a ConvexObjective over a CappedBoxPolytope so
-// any first-order solver can run on it; variables are flattened as
-// index = i * J + j.
+// any first-order solver can run on it.
 //
-// Compact (active-type) mode — DESIGN.md §12. At million-type /
-// million-account scale almost every column is dead in any given slot: a
-// type with nothing queued anywhere has queue value 0 and (with
-// clamp_to_queue) upper bound 0, so no solver can put work on it. When the
-// observation carries the active-type hint and sparse mode is enabled (the
-// GreFar scheduler does this on every untraced decide), reset()
-// re-shapes the problem onto the A = |active| types only: variables become
-// i * A + a with a indexing the ascending active-type list, every per-type
-// array is gathered to length A, and the fairness state collapses to the
-// accounts those types reference. Per-slot cost is then O(N*A + A log A)
-// instead of O(N*J), and — by the exact-zero kernel argument in
+// Column list — DESIGN.md §12. The program is defined over a list of A
+// job-type columns, ascending: variables are flattened as i * A + a, and
+// column a stands for job type columns()[a]. A type with nothing queued
+// anywhere has queue value 0 and (with clamp_to_queue) upper bound 0, so no
+// solver can put work on it; reset() therefore takes the observation's
+// active types as the list when the hint is valid and the clamp is on, and
+// all J types otherwise. At million-type scale A << J, so per-slot cost is
+// O(N*A) instead of O(N*J), and — by the exact-zero kernel argument in
 // sim/fairness.h plus the dead-column gradient rule below — the solve is
-// *bit-identical* to the dense solve scattered back to full coordinates.
+// *bit-identical* to the all-J solve scattered back to full coordinates.
 #pragma once
 
 #include <cstdint>
@@ -68,14 +64,14 @@ struct GreFarParams {
   bool process_after_routing = true;
 };
 
-/// The per-slot convex program in work units u (flattened N*J vector, or
-/// N*A in compact mode — see the header comment).
+/// The per-slot convex program in work units u (flattened N*A vector over
+/// the column list — see the header comment).
 ///
 /// Hot-path note: a long-lived scheduler constructs one PerSlotProblem on
 /// its first slot and calls reset() on every later slot — curves, polytope,
 /// and all internal vectors are then updated in place, so steady-state
-/// problem construction is allocation-free (compact-mode buffers reach
-/// their high-water size after a few slots and are reused thereafter). An
+/// problem construction is allocation-free (column buffers reach their
+/// high-water size after a few slots and are reused thereafter). An
 /// instance is single-threaded (concurrent runs each own their problem).
 class PerSlotProblem final : public ConvexObjective {
  public:
@@ -84,13 +80,15 @@ class PerSlotProblem final : public ConvexObjective {
 
   /// Deferred variant: bakes the config-derived state but performs no
   /// initial reset — the caller must reset() before any other use. Lets a
-  /// caller that re-resets immediately (sparse mode set after construction)
-  /// pay for and count exactly one reset, the same as every later slot.
+  /// scheduler that builds its problem on the first slot pay for and count
+  /// exactly one reset there, the same as every later slot.
   PerSlotProblem(const ClusterConfig& config, const GreFarParams& params);
 
   /// Re-targets the problem at a new observation of the *same* cluster and
   /// params, reusing all internal storage. `obs` must outlive the problem's
-  /// next use (the problem keeps a pointer, not a copy).
+  /// next use (the problem keeps a pointer, not a copy). The per-column
+  /// arrays are gathered again only when the column list changed; over all
+  /// J types they are the static arrays themselves.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void reset(const SlotObservation& obs);
 
@@ -106,28 +104,18 @@ class PerSlotProblem final : public ConvexObjective {
     params_ = params;
   }
 
-  /// Opts in to compact active-type resets. Takes effect at the next
-  /// reset(), and only when the observation carries a valid active-type
-  /// hint and params.clamp_to_queue is set (without the clamp, dead types
-  /// keep ub = h_max * d_j and cannot be dropped). Off by default, so every
-  /// existing caller keeps the dense problem.
-  void set_sparse_enabled(bool enabled) { sparse_enabled_ = enabled; }
+  /// Ascending job type ids the current problem is defined over (column a
+  /// is job type columns()[a]): the observation's active types when its
+  /// hint is valid and params.clamp_to_queue is set (without the clamp, an
+  /// empty type keeps ub = h_max * d_j and cannot be dropped), else all J.
+  const std::vector<std::uint32_t>& columns() const { return cols().types; }
 
-  /// True when the *current* reset ran compact: variables are i*A+a over
-  /// the active_type_ids() list instead of i*J+j.
-  bool compact() const { return compact_; }
+  /// A, the stride of num_vars() and every flattened array.
+  std::size_t num_columns() const { return cols().types.size(); }
 
-  /// Ascending active type ids the compact problem is defined over (column
-  /// a is job type active_type_ids()[a]). Empty/meaningless in dense mode.
-  const std::vector<std::uint32_t>& active_type_ids() const { return active_types_; }
-
-  /// Number of type columns of the current problem: A in compact mode, J
-  /// otherwise. num_vars() and all flattened arrays use this stride.
-  std::size_t num_types_effective() const { return num_types_eff_; }
-
-  std::size_t num_vars() const { return num_dcs_ * num_types_eff_; }
-  /// Flat index in *effective* type space (j < num_types_effective()).
-  std::size_t index(DataCenterId i, JobTypeId j) const { return i * num_types_eff_ + j; }
+  std::size_t num_vars() const { return num_dcs_ * num_columns(); }
+  /// Flat index of (DC i, column a), a < num_columns().
+  std::size_t index(DataCenterId i, std::size_t a) const { return i * num_columns() + a; }
 
   /// Feasible region: box [0, ub] with one capacity group per data center.
   const CappedBoxPolytope& polytope() const { return polytope_; }
@@ -138,15 +126,9 @@ class PerSlotProblem final : public ConvexObjective {
   /// Total compute resource R(t) (work units across all DCs).
   double total_resource() const { return total_resource_; }
 
-  /// Queue benefit per unit work: q_{i,j} / d_j (0 for ineligible pairs).
-  /// Dense-mode accessor (j is a full-space type id); the compact hot paths
-  /// read view().queue_value instead.
-  double queue_value(DataCenterId i, JobTypeId j) const;
-
   /// Flat structure-of-arrays borrow of the current slot's problem data
-  /// (see problem_view.h). Invalidated by the next reset(). In compact mode
-  /// the per-type arrays are the gathered length-A versions and
-  /// view().type_ids maps columns back to job types.
+  /// (see problem_view.h). Invalidated by the next reset(). The per-type
+  /// arrays are per column and view().type_ids maps columns to job types.
   PerSlotView view() const;
 
   // ConvexObjective: the h-part of eq. (14) as described above.
@@ -162,9 +144,31 @@ class PerSlotProblem final : public ConvexObjective {
 
   const GreFarParams& params() const { return params_; }
   const ClusterConfig& config() const { return *config_; }
-  const SlotObservation& observation() const { return *obs_; }
 
  private:
+  /// Per-column arrays. all_ covers the J types (built once); subset_ is
+  /// gathered from it for a shorter column list.
+  struct ColumnArrays {
+    std::vector<std::uint32_t> types;         // [A] ascending job type ids
+    std::vector<double> work;                 // [A] d_j
+    std::vector<double> inv_work;             // [A] 1/d_j
+    std::vector<std::uint32_t> account_of;    // [A] global account ids
+    std::vector<double> max_rate;             // [A] work one job absorbs per slot
+    std::vector<std::uint8_t> rate_capped;    // [A] 1 iff max_rate is finite
+    std::vector<std::uint8_t> eligible;       // [N*A] 1 iff i in D_j
+    std::vector<std::uint32_t> accounts;      // ascending ids the columns reference
+    std::vector<std::uint32_t> account_slot;  // [A] -> index into accounts
+  };
+
+  const ColumnArrays& cols() const { return all_columns_ ? all_ : subset_; }
+
+  /// Points cols() at the column list `obs` selects, gathering subset_
+  /// only when that list differs from the one it holds.
+  void select_columns(const SlotObservation& obs);
+
+  /// Fills accounts / account_slot from account_of.
+  static void index_accounts(ColumnArrays& c);
+
   /// Shared first half of value()/gradient(): per-DC row reductions of x
   /// (work, queue-value dot, account partials) plus the per-DC energy term,
   /// written to the dc_*_ / account_partial_ slots, which the callers merge
@@ -209,68 +213,44 @@ class PerSlotProblem final : public ConvexObjective {
   double total_resource_ = 0.0;
   FairnessFunction fairness_;
   CappedBoxPolytope polytope_;
-  std::vector<double> queue_value_;  // q/d, flattened [N * num_types_eff_]
+  std::vector<double> queue_value_;  // q/d, flattened [N * A]
 
-  // Static SoA arrays (see problem_view.h), built once at construction.
-  std::vector<std::uint8_t> eligible_;   // [N*J] 1 iff i in D_j
-  std::vector<double> work_;             // [J] d_j
-  std::vector<double> inv_work_;         // [J] 1/d_j
-  std::vector<std::uint32_t> account_of_;  // [J]
-  std::vector<double> max_rate_;           // [J] work one job absorbs per slot
-  std::vector<std::uint8_t> rate_capped_;  // [J] 1 iff max_rate_ is finite
+  // Account compaction (DESIGN.md §12). The fairness accumulators never
+  // span all M accounts, only ColumnArrays::accounts: the accounts the
+  // columns reference. Accounts outside it provably accumulate exactly 0.0
+  // work, and fairness_kernel::term(0, g, inv) is an exact float zero, so
+  // the compacted sums are bitwise equal to the full-M sum.
+  ColumnArrays all_;      // static, built at construction
+  ColumnArrays subset_;   // gathered when a shorter column list changes
+  bool all_columns_ = true;  // cols() is all_
   std::vector<double> speed_;            // [K]
   std::vector<double> busy_power_;       // [K]
   std::vector<double> energy_per_work_;  // [K]
   bool any_rate_cap_ = false;            // any finite JobType::max_rate?
 
-  // Account compaction (DESIGN.md §12). The fairness accumulators never
-  // span all M accounts: dense resets use the *referenced* set (accounts
-  // some job type maps to — computed once, account_of_ is static) and
-  // compact resets the per-slot *active* set (accounts of active types).
-  // Accounts outside the chosen set provably accumulate exactly 0.0 work,
-  // and fairness_kernel::term(0, g, inv) is an exact float zero, so both
-  // compacted sums are bitwise equal to the full-M sum.
-  std::vector<std::uint32_t> referenced_accounts_;   // static, ascending
-  std::vector<std::uint32_t> account_slot_static_;   // [J] -> referenced slot
-
-  // Compact-mode per-slot state (sized/filled by a compact reset).
-  bool sparse_enabled_ = false;
-  bool compact_ = false;
-  std::size_t num_types_eff_;             // A when compact, J otherwise
-  std::vector<std::uint32_t> active_types_;     // [A] ascending type ids
-  std::vector<double> work_eff_;                // [A] gathered d_j
-  std::vector<double> inv_work_eff_;            // [A]
-  std::vector<std::uint32_t> account_of_eff_;   // [A] global account ids
-  std::vector<double> max_rate_eff_;            // [A]
-  std::vector<std::uint8_t> rate_capped_eff_;   // [A]
-  std::vector<std::uint8_t> eligible_eff_;      // [N*A]
-  std::vector<std::uint32_t> active_accounts_;  // ascending account ids
-  std::vector<std::uint32_t> account_slot_eff_; // [A] -> active-account slot
-
   // Per-slot SoA arrays refreshed by reset().
   std::vector<double> dc_capacity_;      // [N] curve capacity per DC
-  std::size_t num_account_slots_ = 0;    // rows of the account accumulators
   /// Dead-column mask for the fairness gradient (built when beta > 0):
-  /// active_col_[j] == 0 iff ub_{i,j} == 0 for every DC i. Such a column's
+  /// active_col_[a] == 0 iff ub_{i,a} == 0 for every DC i. Such a column's
   /// fairness term is zeroed in the gradient — the column cannot move and
-  /// its account received no work through it. Compact PGD (where dead
-  /// columns simply don't exist) is bit-identical to dense PGD because the
-  /// projection skips ub == 0 entries outright (DESIGN.md §11).
-  mutable std::vector<std::uint8_t> active_col_;  // [num_types_eff_]
+  /// its account received no work through it. That, and the projection
+  /// skipping ub == 0 entries outright (DESIGN.md §11), keeps a solve over
+  /// a shorter column list bit-identical to the all-J one.
+  mutable std::vector<std::uint8_t> active_col_;  // [A]
 
   // Reused scratch: value()/gradient() run every solver iteration and must
   // not touch the heap. Each row pass writes per-DC slots, and the merge
   // walks them in DC order, so a row's sums never depend on how the rows
-  // are blocked (accumulate_block). Account rows are num_account_slots_
-  // wide (referenced or active set), never M — the O(N*M)
+  // are blocked (accumulate_block). Account rows are S = |cols().accounts|
+  // wide, never M — the O(N*M)
   // account_partial_ buffer this replaces was the million-account scaling
   // wall.
-  mutable std::vector<double> account_scratch_;    // [slots] merged account work
-  mutable std::vector<double> account_partial_;    // [N*slots] per-DC account work
+  mutable std::vector<double> account_scratch_;    // [S] merged account work
+  mutable std::vector<double> account_partial_;    // [N*S] per-DC account work
   mutable std::vector<double> marginal_scratch_;   // [N] per-DC marginal cost
   mutable std::vector<double> dc_value_;           // [N] per-DC objective part
-  mutable std::vector<double> account_term_;       // [slots] fairness grad term
-  mutable std::vector<double> type_term_;          // [num_types_eff_]
+  mutable std::vector<double> account_term_;       // [S] fairness grad term
+  mutable std::vector<double> type_term_;          // [A]
 };
 
 }  // namespace grefar

@@ -10,6 +10,24 @@
 
 namespace grefar {
 
+namespace {
+
+/// Zeroes columns `cols` (ascending type ids) of the row-major N x J
+/// matrix `m`, row by row; a full list is one flat fill.
+void zero_columns(double* m, std::size_t N, std::size_t J,
+                  const std::vector<std::uint32_t>& cols) {
+  if (cols.size() == J) {
+    std::fill(m, m + N * J, 0.0);
+    return;
+  }
+  for (std::size_t i = 0; i < N; ++i) {
+    double* row = m + i * J;
+    for (const std::uint32_t j : cols) row[j] = 0.0;
+  }
+}
+
+}  // namespace
+
 GreFarScheduler::GreFarScheduler(ClusterConfig config, GreFarParams params)
     : GreFarScheduler(std::make_shared<const ClusterConfig>(std::move(config)),
                       params) {}
@@ -21,6 +39,9 @@ GreFarScheduler::GreFarScheduler(std::shared_ptr<const ClusterConfig> config,
   config_->validate();
   GREFAR_CHECK(params_.V >= 0.0);
   GREFAR_CHECK(params_.beta >= 0.0);
+  all_types_.resize(config_->num_job_types());
+  std::iota(all_types_.begin(), all_types_.end(), std::uint32_t{0});
+  for (const JobType& jt : config_->job_types) eligible_pairs_ += jt.eligible_dcs.size();
 }
 
 void GreFarScheduler::begin_run(const GreFarParams& params) {
@@ -29,13 +50,12 @@ void GreFarScheduler::begin_run(const GreFarParams& params) {
   params_ = params;
   if (problem_.has_value()) problem_->rebind_params(params_);
 
-  // Cross-slot sparse-action bookkeeping covered a matrix from the previous
-  // leg; the next decide must start from the unknown-invariant (full-clear)
-  // state a fresh scheduler would.
-  sparse_route_data_ = nullptr;
-  sparse_proc_data_ = nullptr;
-  routed_obs_sparse_valid_ = false;
-  prev_active_.clear();
+  // The column bookkeeping covered matrices from the previous leg; the next
+  // decide must start from the unknown (clear-everything) state a fresh
+  // scheduler would.
+  route_data_ = nullptr;
+  proc_data_ = nullptr;
+  routed_obs_valid_ = false;
 
   // Cold leg start: no SPG warm start, and no content-keyed per-DC caches,
   // so a reused scheduler sorts demands and rebuilds pieces exactly where a
@@ -47,7 +67,6 @@ void GreFarScheduler::begin_run(const GreFarParams& params) {
   solver_scratch_.prev_valid = false;
   for (auto& key : solver_scratch_.cached_qv) key.clear();
   for (auto& key : solver_scratch_.cached_avail) key.clear();
-  solver_scratch_.cache_compact = false;
   solver_scratch_.cache_types.clear();
 }
 
@@ -74,17 +93,15 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
   GREFAR_CHECK(obs.central_queue.size() == J);
   GREFAR_CHECK(obs.dc_queue.rows() == N && obs.dc_queue.cols() == J);
 
-  // Sparse per-slot regime (DESIGN.md §12): with the active-type hint, any
-  // job type not listed has Q_j == 0 and q_{i,j} == 0 everywhere, so it can
-  // neither route (no queued jobs, and q < Q is impossible at Q == 0) nor
-  // process (nothing to serve). Every O(N*J) sweep below then runs over the
-  // A active columns only. Traced decides stay dense: the drift-weight
-  // census and tie-split annotations are defined over all J types. The
-  // queue clamp is required: without it the literal mode permits "null
-  // work" (h > 0 on an empty queue), so inactive columns can carry
-  // non-zero process entries and the sparse clearing invariant would break.
-  const bool hint =
-      obs.active_types_valid && scope == nullptr && params_.clamp_to_queue;
+  // Column list (DESIGN.md §12): with the active-type hint, any job type
+  // not listed has Q_j == 0 and q_{i,j} == 0 everywhere, so it can neither
+  // route (no queued jobs, and q < Q is impossible at Q == 0) nor process
+  // (nothing to serve). Every O(N*J) sweep below then runs over the A
+  // listed columns only, traced or not. The queue clamp is required:
+  // without it the literal mode permits "null work" (h > 0 on an empty
+  // queue), so unlisted columns could carry non-zero process entries.
+  const bool hint = obs.active_types_valid && params_.clamp_to_queue;
+  const std::vector<std::uint32_t>& cols = hint ? obs.active_types : all_types_;
 
   const bool shapes_ok = action.route.rows() == N && action.route.cols() == J;
   if (!shapes_ok) {
@@ -94,21 +111,15 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
   double* route_data = action.route.data().data();
   double* proc_data = action.process.data().data();
   if (shapes_ok) {
-    if (hint && sparse_route_data_ == route_data && sparse_proc_data_ == proc_data) {
-      // Only columns written last slot can be non-zero; clear exactly those.
-      for (std::uint32_t j : prev_active_) {
-        for (std::size_t i = 0; i < N; ++i) {
-          route_data[i * J + j] = 0.0;
-          proc_data[i * J + j] = 0.0;
-        }
-      }
-    } else {
-      action.route.fill(0.0);
-      action.process.fill(0.0);
-    }
+    // Matrices written last slot can be non-zero only in prev_cols_; any
+    // other matrix is cleared whole.
+    const bool known = route_data == route_data_ && proc_data == proc_data_;
+    const std::vector<std::uint32_t>& dirty = known ? prev_cols_ : all_types_;
+    zero_columns(route_data, N, J, dirty);
+    zero_columns(proc_data, N, J, dirty);
   }
-  sparse_route_data_ = hint ? route_data : nullptr;
-  sparse_proc_data_ = hint ? proc_data : nullptr;
+  route_data_ = route_data;
+  proc_data_ = proc_data;
 
   // Per-DC total capacity sum_k n_{i,k} s_k for this slot, computed once up
   // front (the routing tie-break below used to recompute it per tie group
@@ -126,25 +137,17 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
   }
 
   // -- Routing: minimize sum (q_{i,j} - Q_j) r_{i,j} ------------------------
-  const std::size_t route_sweep = hint ? obs.active_types.size() : J;
-  for (std::size_t jj = 0; jj < route_sweep; ++jj) {
-    const std::size_t j = hint ? obs.active_types[jj] : jj;
+  std::size_t negative_pairs = 0;  // drift-weight census, see below
+  for (const std::uint32_t j : cols) {
     const double Q = obs.central_queue[j];
     std::vector<std::size_t>& beneficial = beneficial_;
     beneficial.clear();
     for (DataCenterId i : config_->job_types[j].eligible_dcs) {
-      const bool negative_weight = dcq[i * J + j] < Q;
-      if (scope != nullptr) {
-        if (negative_weight) {
-          ++scope->drift_weights_negative;
-        } else {
-          ++scope->drift_weights_nonnegative;
-        }
-      }
       // Amortized: beneficial_ reaches its high-water size after a few slots
       // and is clear()+refilled thereafter (DESIGN.md §7).
-      if (negative_weight) beneficial.push_back(i);  // NOLINT(grefar-hot-path-alloc)
+      if (dcq[i * J + j] < Q) beneficial.push_back(i);  // NOLINT(grefar-hot-path-alloc)
     }
+    negative_pairs += beneficial.size();
     if (beneficial.empty()) continue;
     std::sort(beneficial.begin(), beneficial.end(), [&](std::size_t a, std::size_t b) {
       return dcq[a * J + j] < dcq[b * J + j];
@@ -194,6 +197,12 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
       for (std::size_t i : beneficial) action.route(i, j) = params_.r_max;
     }
   }
+  if (scope != nullptr) {
+    // Every other eligible pair has drift weight q - Q >= 0, including each
+    // pair of a type off the list (Q_j = q_{i,j} = 0).
+    scope->drift_weights_negative += negative_pairs;
+    scope->drift_weights_nonnegative += eligible_pairs_ - negative_pairs;
+  }
 
   // -- Processing: solve the convex program of eq. (14) ---------------------
   // Routing executes before service within a slot, so the processing
@@ -207,83 +216,61 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
     routed_obs_.slot = obs.slot;
     routed_obs_.prices = obs.prices;
     routed_obs_.availability = obs.availability;
-    const bool routed_shape_ok =
-        routed_obs_.dc_queue.rows() == N && routed_obs_.dc_queue.cols() == J;
-    if (!routed_shape_ok) routed_obs_.dc_queue = MatrixD(N, J);
-    const double* route = action.route.data().data();
+    if (routed_obs_.dc_queue.rows() != N || routed_obs_.dc_queue.cols() != J) {
+      routed_obs_.dc_queue = MatrixD(N, J);
+    }
+    // Post-routing queues: q + r on this slot's columns, 0 on the columns
+    // the previous fill wrote and this one does not (an unlisted column is
+    // q + r = 0 + 0). The per-slot problem never reads the central queue,
+    // so routed_obs_ does not carry it.
     double* routed_q = routed_obs_.dc_queue.data().data();
-    if (hint && routed_obs_sparse_valid_ && routed_shape_ok) {
-      // Incremental update: inactive columns are q + r = 0 + 0 = 0, and the
-      // previous slot left non-zeros only in its own active columns. Zero
-      // those, then fill this slot's active columns.
-      for (std::uint32_t j : prev_active_) {
-        for (std::size_t i = 0; i < N; ++i) routed_q[i * J + j] = 0.0;
-      }
-      for (std::uint32_t j : obs.active_types) {
-        for (std::size_t i = 0; i < N; ++i) {
-          routed_q[i * J + j] = dcq[i * J + j] + route[i * J + j];
-        }
-      }
+    if (cols.size() == J) {
+      for (std::size_t idx = 0; idx < N * J; ++idx) routed_q[idx] = dcq[idx] + route_data[idx];
     } else {
-      // Post-routing queues in one fused flat pass (the copy-then-add over
-      // checked accessors this replaces was a visible slice of the per-slot
-      // cost at 100+ DCs).
-      for (std::size_t idx = 0; idx < N * J; ++idx) routed_q[idx] = dcq[idx] + route[idx];
+      zero_columns(routed_q, N, J, routed_obs_valid_ ? prev_cols_ : all_types_);
+      for (std::size_t i = 0; i < N; ++i) {
+        const double* q = dcq + i * J;
+        const double* r = route_data + i * J;
+        double* rq = routed_q + i * J;
+        for (const std::uint32_t j : cols) rq[j] = q[j] + r[j];
+      }
     }
-    routed_obs_sparse_valid_ = hint;
-    if (!hint) {
-      // The per-slot problem never reads the central queue, so the sparse
-      // path skips this O(J) copy (at J = 10^6 it is pure overhead).
-      routed_obs_.central_queue = obs.central_queue;
-    }
+    routed_obs_valid_ = true;
     // Routing only ever adds jobs to types with Q_j > 0, which are active
     // already, so the hint stays valid for the post-routing queues.
     routed_obs_.active_types_valid = obs.active_types_valid;
-    if (obs.active_types_valid) routed_obs_.active_types = obs.active_types;
+    routed_obs_.active_types = obs.active_types;
     problem_obs = &routed_obs_;
   }
-  // Deferred construction: set sparse mode first so slot 0 runs (and
-  // counts) exactly one reset on the same path as every later slot — a
-  // freshly built scheduler must be indistinguishable, counters included,
-  // from a reused one.
+  // Deferred construction, so slot 0 runs (and counts) exactly one reset
+  // like every later slot — a freshly built scheduler must be
+  // indistinguishable, counters included, from a reused one.
   if (!problem_.has_value()) problem_.emplace(*config_, params_);
-  problem_->set_sparse_enabled(hint);
   problem_->reset(*problem_obs);
   solve_per_slot_into(*problem_, u_, solver_scratch_);
+  // Scatter the A solved columns (the problem's list is `cols`) back to
+  // full coordinates; everything else is already zero by the clearing
+  // invariant above.
   const PerSlotView v = problem_->view();
-  double* proc = action.process.data().data();
+  const std::size_t A = v.num_types;
   const double h_max = params_.h_max;
-  if (problem_->compact()) {
-    // Compact solve: scatter the A active columns back to full coordinates
-    // (everything else is already zero by the clearing invariant above).
-    // Mode-checked via compact(), not v.type_ids: an idle slot's empty
-    // active list has a null data() pointer but is still compact.
-    const std::size_t A = v.num_types;
+  auto scatter_rows = [&](auto column) {
     for (std::size_t i = 0; i < N; ++i) {
       const double* u_row = u_.data() + i * A;
-      double* proc_row = proc + i * J;
+      double* proc_row = proc_data + i * J;
       for (std::size_t a = 0; a < A; ++a) {
         // Keep the division by d_j (not a reciprocal multiply): the engine
         // and auditor recompute h * d_j and expect the exact same values.
-        proc_row[v.type_ids[a]] = std::min(u_row[a] / v.work[a], h_max);
+        proc_row[column(a)] = std::min(u_row[a] / v.work[a], h_max);
       }
     }
+  };
+  if (A == J) {
+    scatter_rows([](std::size_t a) { return a; });  // the identity list
   } else {
-    for (std::size_t i = 0; i < N; ++i) {
-      const double* u_row = u_.data() + i * J;
-      double* proc_row = proc + i * J;
-      for (std::size_t j = 0; j < J; ++j) {
-        // Keep the division by d_j (not a reciprocal multiply): the engine and
-        // auditor recompute h * d_j and expect the exact same values.
-        proc_row[j] = std::min(u_row[j] / v.work[j], h_max);
-      }
-    }
+    scatter_rows([&v](std::size_t a) { return v.type_ids[a]; });
   }
-  if (hint) {
-    prev_active_.assign(obs.active_types.begin(), obs.active_types.end());
-  } else {
-    prev_active_.clear();
-  }
+  prev_cols_.assign(cols.begin(), cols.end());
 }
 
 double GreFarScheduler::split_tie_group(std::size_t j, double jobs,

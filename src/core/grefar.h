@@ -41,7 +41,7 @@ class GreFarScheduler final : public Scheduler {
   /// Rebinds a long-lived scheduler to a new sweep leg without
   /// reconstructing it (DESIGN.md §16). Validates params like the
   /// constructor, rebinds the cached per-slot problem's parameters, and
-  /// drops all cross-slot state — the SPG warm start, the sparse-action
+  /// drops all cross-slot state — the SPG warm start, the action-matrix
   /// bookkeeping and the content-keyed piece/demand caches — so the next
   /// decide produces bitwise the same actions, and counts the same cache
   /// events, as a fresh scheduler's.
@@ -54,7 +54,8 @@ class GreFarScheduler final : public Scheduler {
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void decide_into(const SlotObservation& obs, SlotAction& out) override;
   /// Traced variant: annotates `scope` (when non-null) with the slot's
-  /// routing tie-group splits and the drift-weight sign census.
+  /// routing tie-group splits and the drift-weight sign census. It decides
+  /// on the same column list, so its actions are bitwise the untraced ones.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void decide_into(const SlotObservation& obs, SlotAction& out,
                    TraceScope* scope) override;
@@ -79,18 +80,20 @@ class GreFarScheduler final : public Scheduler {
   SlotObservation routed_obs_;           // obs with routing applied to dc_queue
   std::vector<double> u_;                // per-slot solver result (work units)
 
-  // Sparse per-slot bookkeeping (DESIGN.md §12). When the observation
-  // carries the active-type hint, the O(N*J) per-slot fills (action
-  // clearing, routing sweep, routed-queue rebuild) shrink to O(N*A): only
-  // columns in prev_active_ can hold non-zeros from the previous slot, so
-  // clearing those restores the all-zero invariant. The cached data
-  // pointers detect a swapped/reallocated action matrix (then the invariant
-  // is unknown and a full clear runs), and any dense slot in between —
-  // a traced decide, a hint-less caller — resets the state likewise.
-  std::vector<std::uint32_t> prev_active_;      // columns written last slot
-  const double* sparse_route_data_ = nullptr;   // matrices the invariant
-  const double* sparse_proc_data_ = nullptr;    //   currently covers
-  bool routed_obs_sparse_valid_ = false;        // routed_obs_ zero-invariant
+  // Column bookkeeping (DESIGN.md §12). A slot works over a column list:
+  // the observation's active types when its hint is valid and the queue
+  // clamp is on, else all_types_. Every per-slot fill (action clearing,
+  // routing sweep, routed-queue rebuild, scatter) then costs O(N*A), and
+  // only prev_cols_ can hold non-zeros from the previous slot, so clearing
+  // those restores the all-zero invariant. The cached data pointers detect
+  // a swapped/reallocated action matrix, whose invariant is unknown: then
+  // all J columns are cleared.
+  std::vector<std::uint32_t> all_types_;    // 0 .. J-1
+  std::vector<std::uint32_t> prev_cols_;    // columns written last slot
+  const double* route_data_ = nullptr;      // matrices prev_cols_
+  const double* proc_data_ = nullptr;       //   describes
+  bool routed_obs_valid_ = false;           // routed_obs_ zero off prev_cols_
+  std::size_t eligible_pairs_ = 0;          // sum_j |D_j|, for the census
   std::vector<double> dc_capacity_;      // sum_k n_{i,k} s_k, per DC per slot
   std::vector<std::size_t> beneficial_;  // routing candidates for one job type
   std::vector<std::size_t> tie_members_; // one tie group's capacity>0 members

@@ -69,105 +69,70 @@ bool refresh_pieces(const PerSlotProblem& problem, const PerSlotView& v,
 /// allocates nothing — the copy, the remap scratch and the projection all
 /// reuse existing capacity.
 ///
-/// The previous solution is clamped onto the current bound box entry-wise
-/// (coordinates whose bound collapsed to 0 — a type whose queue drained —
-/// start at exactly 0). The clamp is what keeps the compact and dense x0
-/// bitwise aligned: a compact warm start simply has no slot for a
-/// now-inactive type, and the dense one clamps the stale value to the same
-/// 0.0. Across differing coordinate systems (dense <-> compact, or two
-/// different active-type lists) the solution is remapped by job type id.
+/// The previous solution is remapped by job type id from its column list
+/// onto the current one (a newly listed type starts at 0) and clamped onto
+/// the current bound box entry-wise (coordinates whose bound collapsed to
+/// 0 — a type whose queue drained — start at exactly 0). The clamp is what
+/// makes the start independent of the lists: a type missing from a shorter
+/// list has no slot, and the all-J list clamps its stale value to the same
+/// 0.0.
 void prepare_warm_start(const PerSlotProblem& problem, PerSlotScratch& scratch) {
   std::vector<double>& warm = scratch.warm;
-  // prev_valid, not prev.empty(): an idle compact slot legitimately saves a
-  // zero-variable solution, and the slot after it must still warm-start
-  // (from all zeros) exactly like the dense run does.
-  if (scratch.prev_valid) {
-    const std::size_t N = problem.config().num_data_centers();
-    const std::size_t J_full = problem.config().num_job_types();
-    const bool prev_compact = scratch.prev_compact;
-    const std::size_t J_prev = prev_compact ? scratch.prev_types.size() : J_full;
-    if (scratch.prev.size() == N * J_prev) {
-      const bool now_compact = problem.compact();
-      const std::size_t J_now = problem.num_types_effective();
-      const double* ub = problem.polytope().upper_bounds().data();
-      const double* prev = scratch.prev.data();
-      warm.assign(problem.num_vars(), 0.0);
-      if (!prev_compact && !now_compact) {
-        for (std::size_t k = 0; k < warm.size(); ++k) {
-          warm[k] = std::clamp(prev[k], 0.0, ub[k]);
-        }
-      } else if (!prev_compact) {
-        // Dense -> compact: gather the active columns.
-        const std::uint32_t* ids = problem.active_type_ids().data();
-        for (std::size_t i = 0; i < N; ++i) {
-          const double* prev_row = prev + i * J_full;
-          const double* ub_row = ub + i * J_now;
-          double* warm_row = warm.data() + i * J_now;
-          for (std::size_t a = 0; a < J_now; ++a) {
-            warm_row[a] = std::clamp(prev_row[ids[a]], 0.0, ub_row[a]);
-          }
-        }
-      } else if (!now_compact) {
-        // Compact -> dense: scatter back to full columns (the rest stay 0,
-        // matching the 0 those coordinates held in the compact solution).
-        const std::uint32_t* prev_ids = scratch.prev_types.data();
-        for (std::size_t i = 0; i < N; ++i) {
-          const double* prev_row = prev + i * J_prev;
-          const double* ub_row = ub + i * J_full;
-          double* warm_row = warm.data() + i * J_full;
-          for (std::size_t ap = 0; ap < J_prev; ++ap) {
-            const std::uint32_t j = prev_ids[ap];
-            warm_row[j] = std::clamp(prev_row[ap], 0.0, ub_row[j]);
-          }
-        }
-      } else {
-        // Compact -> compact: align the two ascending type lists once, then
-        // remap rows through the merged index (UINT32_MAX = newly active).
-        const std::uint32_t* ids = problem.active_type_ids().data();
-        const std::uint32_t* prev_ids = scratch.prev_types.data();
-        constexpr std::uint32_t kNone = 0xffffffffu;
-        scratch.warm_map.assign(J_now, kNone);
-        for (std::size_t a = 0, ap = 0; a < J_now && ap < J_prev;) {
-          if (prev_ids[ap] < ids[a]) {
-            ++ap;
-          } else if (prev_ids[ap] > ids[a]) {
-            ++a;
-          } else {
-            scratch.warm_map[a] = static_cast<std::uint32_t>(ap);
-            ++a;
-            ++ap;
-          }
-        }
-        for (std::size_t i = 0; i < N; ++i) {
-          const double* prev_row = prev + i * J_prev;
-          const double* ub_row = ub + i * J_now;
-          double* warm_row = warm.data() + i * J_now;
-          for (std::size_t a = 0; a < J_now; ++a) {
-            const std::uint32_t ap = scratch.warm_map[a];
-            if (ap != kNone) warm_row[a] = std::clamp(prev_row[ap], 0.0, ub_row[a]);
-          }
+  const std::size_t N = problem.config().num_data_centers();
+  const std::size_t J_prev = scratch.prev_types.size();
+  // prev_valid, not prev.empty(): an idle slot legitimately saves a
+  // zero-column solution, and the slot after it must still warm-start (from
+  // all zeros) exactly like a run over more columns does.
+  if (scratch.prev_valid && scratch.prev.size() == N * J_prev) {
+    const std::size_t J_now = problem.num_columns();
+    const std::uint32_t* ids = problem.columns().data();
+    const std::uint32_t* prev_ids = scratch.prev_types.data();
+    const double* ub = problem.polytope().upper_bounds().data();
+    const double* prev = scratch.prev.data();
+    warm.assign(problem.num_vars(), 0.0);
+    if (scratch.prev_types == problem.columns()) {
+      // Same list, same coordinates.
+      for (std::size_t k = 0; k < warm.size(); ++k) warm[k] = std::clamp(prev[k], 0.0, ub[k]);
+    } else {
+      // Align the two ascending lists once, then remap rows through the
+      // merged index (kNone = newly listed).
+      constexpr std::uint32_t kNone = 0xffffffffu;
+      scratch.warm_map.assign(J_now, kNone);
+      for (std::size_t a = 0, ap = 0; a < J_now && ap < J_prev;) {
+        if (prev_ids[ap] < ids[a]) {
+          ++ap;
+        } else if (prev_ids[ap] > ids[a]) {
+          ++a;
+        } else {
+          scratch.warm_map[a] = static_cast<std::uint32_t>(ap);
+          ++a;
+          ++ap;
         }
       }
-      obs::count("per_slot.cross_slot_warm_starts");
-      return;
+      for (std::size_t i = 0; i < N; ++i) {
+        const double* prev_row = prev + i * J_prev;
+        const double* ub_row = ub + i * J_now;
+        double* warm_row = warm.data() + i * J_now;
+        for (std::size_t a = 0; a < J_now; ++a) {
+          const std::uint32_t ap = scratch.warm_map[a];
+          if (ap != kNone) warm_row[a] = std::clamp(prev_row[ap], 0.0, ub_row[a]);
+        }
+      }
     }
+    obs::count("per_slot.cross_slot_warm_starts");
+    return;
   }
   obs::count("per_slot.greedy_starts");
   solve_per_slot_greedy_into(problem, warm, &scratch);
 }
 
-/// Records the SPG solution for the next slot's warm start, tagged
-/// with the coordinate system it lives in.
+/// Records the SPG solution, with its column list, for the next slot's
+/// warm start.
 void save_solution(const PerSlotProblem& problem, const std::vector<double>& u,
                    PerSlotScratch& scratch) {
   scratch.prev = u;
   scratch.prev_valid = true;
-  scratch.prev_compact = problem.compact();
-  if (problem.compact()) {
-    scratch.prev_types = problem.active_type_ids();
-  } else {
-    scratch.prev_types.clear();
-  }
+  scratch.prev_types = problem.columns();
 }
 
 }  // namespace
@@ -185,7 +150,7 @@ void solve_per_slot_greedy_into(const PerSlotProblem& problem, std::vector<doubl
   const std::size_t J = v.num_types;
   const double V = problem.params().V;
 
-  // A compact idle slot has zero active types: nothing can be routed, and
+  // An idle slot can have zero columns: nothing can be processed, and
   // the (qv, ub) demand-cache keys degenerate to empty rows that compare
   // equal to a *cleared* key (size 0 == J), which would serve the previous
   // busy slot's demand list against a zero-variable u. Return the empty
@@ -207,24 +172,12 @@ void solve_per_slot_greedy_into(const PerSlotProblem& problem, std::vector<doubl
   ws.cached_ub.resize(N);
   // NOLINTEND(grefar-hot-path-alloc)
 
-  // Demand caches are keyed on raw (qv, ub) rows; in compact mode column a
-  // means job type v.type_ids[a], so a changed active-type list must clear
-  // the keys even when the bytes happen to match (same A, same values,
-  // different types). Dense rows always carry the same column identity.
-  // problem.compact(), not v.type_ids != nullptr: an empty active-type list
-  // (idle slot) is still a compact problem, but its data() pointer is null.
-  const bool compact = problem.compact();
-  const std::vector<std::uint32_t>& active_ids = problem.active_type_ids();
-  const bool same_columns =
-      compact == ws.cache_compact && (!compact || ws.cache_types == active_ids);
-  if (!same_columns) {
+  // Demand caches are keyed on raw (qv, ub) rows, and column a means job
+  // type v.type_ids[a], so a changed column list must clear the keys even
+  // when the bytes happen to match (same A, same values, different types).
+  if (ws.cache_types != problem.columns()) {
     for (auto& key : ws.cached_qv) key.clear();
-    ws.cache_compact = compact;
-    if (compact) {
-      ws.cache_types = active_ids;
-    } else {
-      ws.cache_types.clear();
-    }
+    ws.cache_types = problem.columns();
   }
 
   u.assign(problem.num_vars(), 0.0);

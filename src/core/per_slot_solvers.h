@@ -50,28 +50,24 @@ struct PerSlotScratch {
   std::vector<std::vector<Demand>> demand_cache;  // [dc] sorted desc by value
   std::vector<std::vector<double>> cached_qv;     // [dc] queue-value row key
   std::vector<std::vector<double>> cached_ub;     // [dc] upper-bound row key
-  /// Column-identity key for the demand caches: in compact mode column a of
-  /// the (qv, ub) rows stands for job type cache_types[a], so byte-equal
-  /// rows under a *different* active-type list must still miss. A mode or
-  /// type-list change clears every per-DC key.
-  bool cache_compact = false;
+  /// Column list the demand caches were keyed under: column a of the
+  /// (qv, ub) rows stands for job type cache_types[a], so byte-equal rows
+  /// under a *different* list must still miss. A list change clears every
+  /// per-DC key.
   std::vector<std::uint32_t> cache_types;
   std::vector<Demand> fill_demands;  // fill working copy of one DC's demands
   std::vector<double> warm;          // SPG start point
   PgdWorkspace pgd;                  // SPG iterate buffers
-  /// Previous slot's SPG solution; the next solve starts here (clamped onto
-  /// the current bound box and, in compact mode, remapped across
-  /// active-type lists) instead of at the greedy point. prev_valid flags
-  /// that a solution was saved at all — an empty prev with prev_valid set
-  /// is a real zero-variable compact solution (idle slot), not "no
-  /// history". prev_compact / prev_types record the coordinate system the
-  /// solution was saved under (dense full-space when prev_compact is
-  /// false).
+  /// Previous slot's SPG solution over the column list prev_types; the
+  /// next solve starts here (remapped onto the current list and clamped
+  /// onto the current bound box) instead of at the greedy point.
+  /// prev_valid flags that a solution was saved at all — an empty prev
+  /// with prev_valid set is a real zero-column solution (idle slot), not
+  /// "no history".
   std::vector<double> prev;
   bool prev_valid = false;
-  bool prev_compact = false;
   std::vector<std::uint32_t> prev_types;
-  std::vector<std::uint32_t> warm_map;  // remap scratch (active -> prev col)
+  std::vector<std::uint32_t> warm_map;  // remap scratch (column -> prev col)
 };
 
 /// Exact greedy for beta = 0 (the fairness term, if any, is ignored).

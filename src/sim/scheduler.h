@@ -31,8 +31,8 @@ struct SlotObservation {
   /// some i; any type not listed is guaranteed empty everywhere this slot.
   /// Schedulers may use the hint to touch only active columns; the engine
   /// maintains it from its queues, and a producer that sets the flag owns
-  /// the guarantee. An invalid flag (default) means "no information" and
-  /// must trigger dense behavior, not "no active types".
+  /// the guarantee. An invalid flag (default) means "no information": every
+  /// type may be active, not "no active types".
   bool active_types_valid = false;
   std::vector<std::uint32_t> active_types;
 };

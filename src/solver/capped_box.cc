@@ -167,8 +167,8 @@ void CappedBoxPolytope::project_span_from(double* x, const double* ub, std::size
   // where entry k leaves 0 (lambda = y_k) and leaves its bound
   // (lambda = y_k - ub_k). An entry with y_k <= 0 or ub_k == 0 is 0 at every
   // lambda >= 0 and contributes nothing: skipping it explicitly is what keeps
-  // a compact problem bitwise equal to its dense twin, whose dead columns
-  // have ub == 0. Breakpoints <= 0 lie outside the search range.
+  // a problem over a short column list bitwise equal to its all-types twin,
+  // whose extra columns have ub == 0. Breakpoints <= 0 lie outside the search range.
   std::vector<double>& leaves_zero = leaves_zero_;
   std::vector<double>& leaves_ub = leaves_ub_;
   leaves_zero.clear();  // amortized, like lmo_order_

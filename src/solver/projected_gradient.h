@@ -14,7 +14,8 @@
 // optimal faces). The search is nonmonotone, so the best iterate seen is
 // returned, not the last one. Every reduction (g'd, s's, s'y, ||d||_inf)
 // is serial in index order and a column with a zero bound adds exact zeros,
-// so compact and dense problems stay bitwise equal (DESIGN.md §11).
+// so a problem over fewer columns stays bitwise equal to one over all the
+// types (DESIGN.md §11).
 //
 // Each line-search candidate costs one fused value_and_gradient()
 // evaluation: an accepted candidate already carries the gradient the next

@@ -28,11 +28,12 @@ namespace grefar {
 namespace sweep {
 
 /// One sweep dimension. `values` and/or `labels` name the points; they must
-/// agree on the count when both are given.
+/// agree on the count when both are given. The default member initializers
+/// let a designated initializer name only the members it sets.
 struct SweepAxis {
-  std::string name;
-  std::vector<double> values;
-  std::vector<std::string> labels;
+  std::string name = {};
+  std::vector<double> values = {};
+  std::vector<std::string> labels = {};
 
   std::size_t size() const;
 };

@@ -92,8 +92,8 @@ Status write_job_trace_streaming(const ArrivalProcess& process,
     // Pin the trace's span to [0, horizon) even when the last slot is idle.
     if (t == horizon - 1 && !wrote_any) {
       row[0] = std::to_string(t);
-      row[1] = "0";
-      row[2] = "0";
+      row[1].assign(1, '0');  // not = "0": g++ 12 reports a false -Wrestrict
+      row[2].assign(1, '0');
       writer.write_row(row);
     }
   }

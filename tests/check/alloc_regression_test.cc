@@ -3,12 +3,13 @@
 // PR "per-slot hot-path allocation elimination" brought the steady-state
 // cost of one engine step down to a handful of allocations (amortized
 // vector growth in the lazily extended price/arrival caches); this test
-// locks those numbers in. It overrides global operator new with a counting
-// hook, runs the paper scenario past its warm-up transient, measures
-// allocations per slot over a long window, and fails if the measurement
-// exceeds the checked-in baseline (BENCH_baseline.json, "allocs_per_slot")
-// by more than 10%. The run is deterministic per seed, so the measured
-// value is bit-stable — a failure means a real hot-path regression.
+// locks those numbers in. It links the counting global operator new
+// (bench/common/counting_new.h), runs the paper scenario past its warm-up
+// transient, measures allocations per slot over a long window, and fails
+// if the measurement exceeds the checked-in baseline (BENCH_baseline.json,
+// "allocs_per_slot") by more than 10%. The run is deterministic per seed,
+// so the measured value is bit-stable — a failure means a real hot-path
+// regression.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <new>
 #include <string>
 
+#include "common/counting_new.h"
 #include "core/grefar.h"
 #include "obs/trace_sink.h"
 #include "obs/tracing_inspector.h"
@@ -25,30 +27,6 @@
 #include "sweep/artifact_cache.h"
 #include "sweep/sweep_engine.h"
 #include "util/json.h"
-
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-// Throwing forms only: the default nothrow/aligned forms forward here, and
-// nothing in the measured path uses over-aligned types.
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace grefar {
 namespace {

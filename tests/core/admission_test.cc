@@ -12,7 +12,7 @@ namespace {
 
 JobType unit_work_type() {
   JobType jt;
-  jt.name = "t";
+  jt.name.assign(1, 't');  // not = "t": g++ 12 reports a false -Wrestrict
   jt.work = 2.0;
   jt.eligible_dcs = {0};
   return jt;

@@ -347,7 +347,7 @@ TEST(CrossSlotWarmStart, OnMatchesTheColdObjective) {
 }
 
 TEST(GreedySolver, IdleCompactSlotServesNoStaleDemands) {
-  // A busy compact slot primes the per-DC demand caches; the following
+  // A busy slot primes the per-DC demand caches; the following
   // zero-active-type slot must produce the empty action. Regression: with
   // J == 0 the (qv, ub) cache key rows are empty and compare equal to a
   // *cleared* key (size 0 == J), so the fill served the previous busy
@@ -357,15 +357,13 @@ TEST(GreedySolver, IdleCompactSlotServesNoStaleDemands) {
   auto config = test_config();
   Rng rng(31);
   GreFarParams p = params(0.0, 0.0);  // V = 0: route everything queued
-  p.clamp_to_queue = true;            // compact resets need the clamp
+  p.clamp_to_queue = true;            // the hint needs the clamp
 
   SlotObservation busy = random_obs(config, rng);
   busy.active_types_valid = true;
   busy.active_types = {0, 1};
   PerSlotProblem problem(config, busy, p);
-  problem.set_sparse_enabled(true);
-  problem.reset(busy);
-  ASSERT_TRUE(problem.compact());
+  ASSERT_EQ(problem.num_columns(), 2u);
 
   PerSlotScratch scratch;
   std::vector<double> primed;
@@ -379,7 +377,7 @@ TEST(GreedySolver, IdleCompactSlotServesNoStaleDemands) {
   idle.central_queue.assign(config.num_job_types(), 0.0);
   idle.active_types.clear();
   problem.reset(idle);
-  ASSERT_TRUE(problem.compact());
+  ASSERT_EQ(problem.num_columns(), 0u);
   ASSERT_EQ(problem.num_vars(), 0u);
 
   std::vector<double> u;  // no capacity — the crashing shape
@@ -506,19 +504,27 @@ class SerialReferenceObjective final : public ConvexObjective {
   mutable std::vector<double> account_work_;
 };
 
+/// `prefix` followed by `n` ("t3"), appended: g++ 12 reports a false
+/// -Wrestrict on the inlined `"t" + std::to_string(n)`.
+std::string numbered(const char* prefix, std::size_t n) {
+  std::string s = prefix;
+  s += std::to_string(n);
+  return s;
+}
+
 ClusterConfig random_cluster(Rng& rng, std::size_t num_dcs, std::size_t num_types,
                              std::size_t num_accounts) {
   ClusterConfig c;
   c.server_types = {{"std", 1.0, 1.0}, {"eco", 0.75, 0.6}};
   for (std::size_t i = 0; i < num_dcs; ++i) {
-    c.data_centers.push_back({"dc" + std::to_string(i), {12, 8}});
+    c.data_centers.push_back({numbered("dc", i), {12, 8}});
   }
   for (std::size_t m = 0; m < num_accounts; ++m) {
-    c.accounts.push_back({"a" + std::to_string(m), 1.0 / static_cast<double>(num_accounts)});
+    c.accounts.push_back({numbered("a", m), 1.0 / static_cast<double>(num_accounts)});
   }
   for (std::size_t j = 0; j < num_types; ++j) {
     JobType jt;
-    jt.name = "t" + std::to_string(j);
+    jt.name = numbered("t", j);
     jt.work = rng.uniform(0.5, 2.0);
     for (std::size_t i = 0; i < num_dcs; ++i) {
       if (rng.bernoulli(0.7)) jt.eligible_dcs.push_back(i);
@@ -564,28 +570,32 @@ SlotObservation random_hinted_obs(Rng& rng, const ClusterConfig& c, bool idle) {
 
 TEST(FusedObjective, MatchesSeparateCallsAndSerialReferenceBitwise) {
   // value_and_gradient(x, g) == value(x) and gradient(x, g), bit for bit,
-  // and both equal the single-row reference: dense and compact problems,
-  // beta 0 and > 0, zero total resource, N = 1..9 DCs (every row-block
-  // tail), three draws of each.
+  // and both equal the single-row reference: hint on (the active columns)
+  // and off (all J), beta 0 and > 0, zero total resource, N = 1..9 DCs
+  // (every row-block tail), three draws of each.
   Rng rng(0xF05ED);
   int evaluations = 0;
   for (std::size_t N = 1; N <= 9; ++N) {
     const ClusterConfig config = random_cluster(rng, N, 13, 5);
     for (int variant = 0; variant < 24; ++variant) {
-      const bool compact = (variant & 1) != 0;
+      const bool hinted = (variant & 1) != 0;
       const double beta = (variant & 2) != 0 ? 0.7 : 0.0;
       const bool idle = (variant & 4) != 0;
-      SCOPED_TRACE("N=" + std::to_string(N) + " compact=" + std::to_string(compact) +
+      SCOPED_TRACE("N=" + std::to_string(N) + " hinted=" + std::to_string(hinted) +
                    " beta=" + std::to_string(beta) + " idle=" + std::to_string(idle) +
                    " draw=" + std::to_string(variant / 8));
       GreFarParams par;
       par.V = 2.0;
       par.beta = beta;
-      const SlotObservation obs = random_hinted_obs(rng, config, idle);
+      SlotObservation obs = random_hinted_obs(rng, config, idle);
+      const std::size_t active = obs.active_types.size();
+      if (!hinted) {
+        obs.active_types_valid = false;
+        obs.active_types.clear();
+      }
       PerSlotProblem problem(config, par);
-      problem.set_sparse_enabled(compact);
       problem.reset(obs);
-      ASSERT_EQ(problem.compact(), compact);
+      ASSERT_EQ(problem.num_columns(), hinted ? active : config.num_job_types());
       ASSERT_EQ(problem.total_resource() == 0.0, idle);
       const SerialReferenceObjective reference(problem);
       const std::vector<double>& ub = problem.polytope().upper_bounds();
@@ -616,6 +626,29 @@ TEST(FusedObjective, MatchesSeparateCallsAndSerialReferenceBitwise) {
   EXPECT_EQ(evaluations, 9 * 24 * 6);
 }
 
+/// Forwards every observation with the active-type hint stripped, so the
+/// scheduler behind it works over all J columns.
+class HintStripper final : public Scheduler {
+ public:
+  explicit HintStripper(std::shared_ptr<Scheduler> inner) : inner_(std::move(inner)) {}
+  SlotAction decide(const SlotObservation& obs) override {
+    SlotAction action;
+    decide_into(obs, action);
+    return action;
+  }
+  void decide_into(const SlotObservation& obs, SlotAction& out) override {
+    stripped_ = obs;
+    stripped_.active_types_valid = false;
+    stripped_.active_types.clear();
+    inner_->decide_into(stripped_, out);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::shared_ptr<Scheduler> inner_;
+  SlotObservation stripped_;
+};
+
 /// The accuracy contract (DESIGN.md §11). Every slot of the run is checked:
 /// the engine's per-slot problem is solved by production and by the
 /// monotone-PGD oracle run to its own stop, both from the same warm start.
@@ -629,15 +662,19 @@ TEST(FusedObjective, MatchesSeparateCallsAndSerialReferenceBitwise) {
 ///     x. At the default tolerance both tests fire together on these runs;
 ///     a looser tolerance stops solves on the residual test alone, earlier.
 /// Solves that reached the iteration cap are returned for the caller to
-/// count; the contract is not promised for them.
+/// count; the contract is not promised for them. With `hinted` false the
+/// probe sees every observation without the active-type hint, so it
+/// decides and checks over all J columns.
 std::vector<PgdAccuracySample> expect_accuracy_contract(const PaperScenario& s,
                                                         const GreFarParams& params,
-                                                        bool compact,
+                                                        bool hinted,
                                                         std::int64_t slots = 300) {
   constexpr double kContract = 1e-6;
   constexpr double kResidualTolerance = 1e-8;
-  auto probe = std::make_shared<PgdAccuracyProbe>(s.config, params, compact);
-  SimulationEngine engine(s.config, s.prices, s.availability, s.arrivals, probe);
+  auto probe = std::make_shared<PgdAccuracyProbe>(s.config, params);
+  std::shared_ptr<Scheduler> driver = probe;
+  if (!hinted) driver = std::make_shared<HintStripper>(probe);
+  SimulationEngine engine(s.config, s.prices, s.availability, s.arrivals, driver);
   engine.run(slots);
   const std::vector<PgdAccuracySample>& samples = probe->samples();
   EXPECT_EQ(samples.size(), static_cast<std::size_t>(slots));
@@ -645,7 +682,6 @@ std::vector<PgdAccuracySample> expect_accuracy_contract(const PaperScenario& s,
   double worst_certificate = 0.0;
   double worst_residual = 0.0;
   double oracle_iterations = 0.0;
-  std::size_t compact_slots = 0;
   std::size_t residual_stops = 0;
   for (const PgdAccuracySample& sample : samples) {
     const double scale = 1.0 + std::abs(sample.reference);
@@ -666,9 +702,7 @@ std::vector<PgdAccuracySample> expect_accuracy_contract(const PaperScenario& s,
     }
     worst_certificate = std::max(worst_certificate, sample.reference_fw_gap / scale);
     oracle_iterations += sample.reference_iterations;
-    if (sample.compact) ++compact_slots;
   }
-  EXPECT_EQ(compact_slots, compact ? samples.size() : 0u);
   // The checked problems must not be trivial: the oracle takes several
   // steps per solve from the warm start on average.
   EXPECT_GT(oracle_iterations / static_cast<double>(samples.size()), 3.0);
@@ -691,7 +725,7 @@ TEST(PgdAccuracyContract, ServeScenario) {
   // The served-slot fairness workload: 8 DCs x 96 types, V = 4, beta = 0.5.
   const auto samples = expect_accuracy_contract(make_serve_scenario(8, 96, /*seed=*/1),
                                                 paper_grefar_params(4.0, 0.5),
-                                                /*compact=*/true);
+                                                /*hinted=*/true);
   EXPECT_EQ(count_capped(samples), 0u);
 }
 
@@ -699,10 +733,10 @@ TEST(PgdAccuracyContract, PaperScenario) {
   // The paper's 3-DC scenario at beta = 100, at a small and a large V, over
   // the active types and over all of them.
   for (double V : {0.5, 20.0}) {
-    for (bool compact : {true, false}) {
-      SCOPED_TRACE("V=" + std::to_string(V) + " compact=" + std::to_string(compact));
+    for (bool hinted : {true, false}) {
+      SCOPED_TRACE("V=" + std::to_string(V) + " hinted=" + std::to_string(hinted));
       const auto samples = expect_accuracy_contract(
-          make_paper_scenario(/*seed=*/42), paper_grefar_params(V, 100.0), compact);
+          make_paper_scenario(/*seed=*/42), paper_grefar_params(V, 100.0), hinted);
       EXPECT_EQ(count_capped(samples), 0u);
     }
   }
@@ -719,7 +753,7 @@ TEST(PgdAccuracyContract, IterationCapSlot) {
   // meets the contract.
   const auto samples = expect_accuracy_contract(
       make_paper_scenario(/*seed=*/8), paper_grefar_params(0.5 + 19.5 * 5.0 / 7.0, 100.0),
-      /*compact=*/true, /*slots=*/94);
+      /*hinted=*/true, /*slots=*/94);
   ASSERT_EQ(samples.size(), 94u);
   const PgdAccuracySample& cap = samples[93];
   EXPECT_EQ(cap.stop, PgdStop::kIterationCap);

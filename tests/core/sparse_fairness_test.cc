@@ -1,17 +1,20 @@
-// DESIGN.md §12: the compact (active-type) per-slot solve must be *bitwise*
-// identical to the dense solve — same route and process matrices, down to
-// the last ulp — across multi-slot runs with churning active sets, for both
-// the exact greedy (beta = 0) and SPG (beta > 0, warm starts across slots
-// remapping between coordinate systems). Two scheduler instances see the
-// identical observation stream; one gets the active-type hint, the other
-// does not.
+// DESIGN.md §12: the per-slot solve over the active-type columns must be
+// *bitwise* identical to the solve over all J columns — same route and
+// process matrices, down to the last ulp — across multi-slot runs with
+// churning active sets, for both the exact greedy (beta = 0) and SPG
+// (beta > 0, warm starts remapped between column lists). Two scheduler
+// instances see the identical observation stream; one gets the active-type
+// hint (its columns), the other does not (all J).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/drift_penalty.h"
 #include "core/grefar.h"
+#include "core/per_slot_solvers.h"
 #include "obs/counters.h"
+#include "obs/trace_scope.h"
+#include "scenario/paper_scenario.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -135,7 +138,7 @@ void run_sparse_vs_dense(GreFarParams params, std::uint64_t seed,
     without_hint.decide_into(dense_obs, a_dense);
     expect_actions_bitwise_equal(a_sparse, a_dense, t);
   }
-  // The hinted scheduler must actually have taken the compact path.
+  // The hinted scheduler must actually have dropped columns.
   EXPECT_GT(counters.counter("fairness.sparse_skips"), 0u);
 }
 
@@ -158,8 +161,8 @@ TEST(SparseFairness, PgdColdStartCompactMatchesDenseBitwise) {
 }
 
 TEST(SparseFairness, DenseSlotsInterleavedStayBitwise) {
-  // Hint-less slots in the middle of a hinted run force compact -> dense ->
-  // compact transitions (warm-start remaps, action-clear invariant resets).
+  // Hint-less slots in the middle of a hinted run switch the column list to
+  // all J and back (warm-start remaps, action-clear invariant resets).
   Rng rng(0xD15C0);
   ClusterConfig config = random_config(rng, 2, 32, 8);
   GreFarParams params;
@@ -182,6 +185,139 @@ TEST(SparseFairness, DenseSlotsInterleavedStayBitwise) {
     dense_obs.active_types.clear();
     dense.decide_into(dense_obs, a_dense);
     expect_actions_bitwise_equal(a_mixed, a_dense, t);
+  }
+}
+
+/// Drives the engine with an untraced GreFar and, on the side, decides every
+/// observation again with a traced twin. Counts slots whose actions differ
+/// in any bit, and slots whose drift-weight census differs from a loop over
+/// all J types and their eligible DCs.
+class TracedTwin final : public Scheduler {
+ public:
+  TracedTwin(const ClusterConfig& config, const GreFarParams& params)
+      : config_(config), untraced_(config, params), traced_(config, params) {}
+
+  SlotAction decide(const SlotObservation& obs) override {
+    SlotAction action;
+    decide_into(obs, action);
+    return action;
+  }
+  void decide_into(const SlotObservation& obs, SlotAction& out) override {
+    untraced_.decide_into(obs, out);
+    scope_.clear();
+    traced_.decide_into(obs, twin_, &scope_);
+    if (twin_.route.data() != out.route.data() ||
+        twin_.process.data() != out.process.data()) {
+      ++action_mismatches;
+    }
+    std::size_t negative = 0;
+    std::size_t nonnegative = 0;
+    for (std::size_t j = 0; j < config_.num_job_types(); ++j) {
+      for (DataCenterId i : config_.job_types[j].eligible_dcs) {
+        if (obs.dc_queue(i, j) < obs.central_queue[j]) {
+          ++negative;
+        } else {
+          ++nonnegative;
+        }
+      }
+    }
+    if (scope_.drift_weights_negative != negative ||
+        scope_.drift_weights_nonnegative != nonnegative) {
+      ++census_mismatches;
+    }
+    if (obs.active_types.size() < config_.num_job_types()) ++slots_with_idle_types;
+    ++slots;
+  }
+  std::string name() const override { return "TracedTwin"; }
+
+  int slots = 0;
+  int slots_with_idle_types = 0;
+  int action_mismatches = 0;
+  int census_mismatches = 0;
+
+ private:
+  const ClusterConfig& config_;
+  GreFarScheduler untraced_;
+  GreFarScheduler traced_;
+  SlotAction twin_;
+  TraceScope scope_;
+};
+
+TEST(SparseFairness, TracedDecideMatchesUntracedBitwise) {
+  // The paper scenario has idle job types in most slots, so the traced
+  // decide works over fewer than J columns there; its actions must be the
+  // untraced ones and its census the all-J count. Greedy and SPG.
+  for (double beta : {0.0, 100.0}) {
+    SCOPED_TRACE("beta=" + std::to_string(beta));
+    PaperScenario scenario = make_paper_scenario(42);
+    auto twin = std::make_shared<TracedTwin>(scenario.config,
+                                             paper_grefar_params(7.5, beta));
+    run_scenario(scenario, twin, 200);
+    EXPECT_EQ(twin->slots, 200);
+    EXPECT_GT(twin->slots_with_idle_types, 0);
+    EXPECT_EQ(twin->action_mismatches, 0);
+    EXPECT_EQ(twin->census_mismatches, 0);
+  }
+}
+
+TEST(SparseFairness, SameSizeColumnListRebuildsColumnArrays) {
+  // Two slots whose hints list different types of the same count: the
+  // second reset must gather its own per-column arrays, so its solve equals
+  // the all-J solve of the same slot scattered to full coordinates.
+  const ClusterConfig config = make_paper_scenario(42).config;
+  const std::size_t N = config.num_data_centers();
+  const std::size_t J = config.num_job_types();
+  Rng rng(0x5A3E);
+  SlotObservation first = random_obs(rng, config, 0, 0.5);
+  SlotObservation second = random_obs(rng, config, 1, 0.5);
+  // Same count, disjoint types: the first list's complement, cut to size.
+  first.active_types = {0, 2, 4};
+  second.active_types = {1, 3, 5};
+  for (std::size_t j = 0; j < J; ++j) {
+    const bool in_first = j == 0 || j == 2 || j == 4;
+    const bool in_second = j == 1 || j == 3 || j == 5;
+    if (!in_first) first.central_queue[j] = 0.0;
+    if (!in_second) second.central_queue[j] = 0.0;
+    for (std::size_t i = 0; i < N; ++i) {
+      if (!in_first) first.dc_queue(i, j) = 0.0;
+      if (!in_second) second.dc_queue(i, j) = 0.0;
+      if (in_second && config.job_types[j].eligible(i)) {
+        second.dc_queue(i, j) = 2.0 + static_cast<double>(i + j);
+      }
+    }
+  }
+  SlotObservation all_types = second;
+  all_types.active_types_valid = false;
+  all_types.active_types.clear();
+  for (double beta : {0.0, 0.5}) {
+    SCOPED_TRACE("beta=" + std::to_string(beta));
+    GreFarParams params;
+    params.V = 1.0;
+    params.beta = beta;
+    PerSlotProblem listed(config, first, params);
+    ASSERT_EQ(listed.num_columns(), 3u);
+    listed.reset(second);
+    ASSERT_EQ(listed.columns(), second.active_types);
+    PerSlotProblem full(config, all_types, params);
+    ASSERT_EQ(full.num_columns(), J);
+    std::vector<double> u_listed;
+    std::vector<double> u_full;
+    PerSlotScratch scratch_listed;
+    PerSlotScratch scratch_full;
+    solve_per_slot_into(listed, u_listed, scratch_listed);
+    solve_per_slot_into(full, u_full, scratch_full);
+    std::vector<double> scattered(N * J, 0.0);
+    for (std::size_t i = 0; i < N; ++i) {
+      for (std::size_t a = 0; a < 3; ++a) {
+        scattered[i * J + second.active_types[a]] = u_listed[i * 3 + a];
+      }
+    }
+    double work = 0.0;
+    for (double u : u_full) work += u;
+    EXPECT_GT(work, 0.0);
+    for (std::size_t k = 0; k < N * J; ++k) {
+      EXPECT_EQ(scattered[k], u_full[k]) << "index " << k;
+    }
   }
 }
 

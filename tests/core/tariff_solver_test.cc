@@ -135,13 +135,14 @@ TEST(TariffGreedy, RandomInstancesBeatBruteForceGrid) {
     auto greedy = solve_per_slot_greedy(problem);
     EXPECT_TRUE(problem.polytope().contains(greedy, 1e-9));
     // Exact objective (kinked tariff, kinked curve).
+    const double* qv = problem.view().queue_value;  // all J columns
     auto exact = [&](const std::vector<double>& u) {
       double total = 0.0;
       for (std::size_t i = 0; i < c.num_data_centers(); ++i) {
         double work = 0.0;
         for (std::size_t j = 0; j < c.num_job_types(); ++j) {
           work += u[problem.index(i, j)];
-          total -= problem.queue_value(i, j) * u[problem.index(i, j)];
+          total -= qv[problem.index(i, j)] * u[problem.index(i, j)];
         }
         total += problem.params().V * obs.prices[i] *
                  c.tariff(i).cost(problem.curve(i).energy_for_work(work));

@@ -12,6 +12,9 @@
 // horizon and hashes its stdout bytes (timings go to stderr), compared
 // against bench_stdout_fingerprints.txt. This covers what the decision
 // series do not: delay percentiles, table formatting and the sweep specs.
+// GoldenBenchTrace does the same for the --trace JSONL slot log of a traced
+// greedy run (fig1_trace) and a traced SPG run (fig3_fairness), which carry
+// the routing tie splits and the drift-weight census.
 //
 // A change that means to move either re-records both files on purpose:
 //
@@ -22,6 +25,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -155,7 +159,8 @@ std::string decision_header() {
 
 const char* const kBenchHeader =
     "# Golden bench stdout fingerprints (tests/golden/golden_test.cc): 64-bit\n"
-    "# FNV-1a over the stdout bytes of each paper bench run.";
+    "# FNV-1a over the stdout bytes of each paper bench run (.stdout) and\n"
+    "# over the --trace JSONL of each traced run (.trace).";
 
 struct BenchCase {
   const char* binary;  // under the bench output dir
@@ -170,25 +175,73 @@ const std::vector<BenchCase>& bench_cases() {
       {"robustness_seeds", "--horizon 100 --num-seeds 4 --jobs 1"},
       {"admission_ablation", "--horizon 120 --audit=throw --jobs 1"},
       {"theorem1_bounds", "--horizon 120 --jobs 1"},
+      {"fig3_fairness", "--horizon 120 --jobs 1"},
+      {"fig4_vs_always", "--horizon 120 --jobs 1"},
+      {"intext_work_distribution", "--horizon 120 --jobs 1"},
+      {"ablation_tariffs", "--horizon 120 --jobs 1"},
+      {"fig5_snapshot", "--horizon 120 --day-start 72 --window 24 --jobs 1"},
   };
   return cases;
+}
+
+/// Benches whose --trace JSONL is fingerprinted (stdout names the trace
+/// path, so it is not). A sweep traces its leg 0, so fig3 runs beta = 100
+/// alone to trace an SPG run; fig1's reference run is greedy.
+const std::vector<BenchCase>& trace_cases() {
+  static const std::vector<BenchCase> cases = {
+      {"fig1_trace", "--horizon 72 --jobs 1"},
+      {"fig3_fairness", "--horizon 120 --beta 100 --jobs 1"},
+  };
+  return cases;
+}
+
+/// The quoted binary path and its flags. Appended piece by piece: g++ 12
+/// reports a false -Wrestrict on the inlined `"'" + std::string` form.
+std::string bench_command(const BenchCase& c) {
+  std::string command = "'";
+  command += GREFAR_BENCH_DIR;
+  command += '/';
+  command += c.binary;
+  command += "' ";
+  command += c.flags;
+  return command;
+}
+
+/// FNV-1a over every byte `in` yields until EOF.
+std::uint64_t hash_stream(FILE* in) {
+  Fnv1a h;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) {
+    for (std::size_t b = 0; b < n; ++b) h.add_byte(static_cast<unsigned char>(buf[b]));
+  }
+  return h.value();
 }
 
 /// Runs one bench and adds the FNV-1a of its stdout to `out`, keyed
 /// "<bench>.stdout". Fails (returns false) when the binary does not exit 0.
 bool fingerprint_bench(const BenchCase& c, Fingerprints& out) {
-  const std::string command = "'" + std::string(GREFAR_BENCH_DIR) + "/" + c.binary +
-                              "' " + c.flags + " 2>/dev/null";
-  FILE* pipe = popen(command.c_str(), "r");
+  FILE* pipe = popen((bench_command(c) + " 2>/dev/null").c_str(), "r");
   if (pipe == nullptr) return false;
-  Fnv1a h;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
-    for (std::size_t b = 0; b < n; ++b) h.add_byte(static_cast<unsigned char>(buf[b]));
-  }
+  const std::uint64_t h = hash_stream(pipe);
   if (pclose(pipe) != 0) return false;
-  out[std::string(c.binary) + ".stdout"] = h.value();
+  out[std::string(c.binary) + ".stdout"] = h;
+  return true;
+}
+
+/// Runs one bench with --trace into a temporary file and adds the FNV-1a of
+/// the JSONL it wrote to `out`, keyed "<bench>.trace".
+bool fingerprint_trace(const BenchCase& c, const std::string& tmp_dir,
+                       Fingerprints& out) {
+  const std::string path = tmp_dir + "golden_" + c.binary + ".jsonl";
+  const std::string command =
+      bench_command(c) + " --trace '" + path + "' >/dev/null 2>&1";
+  if (std::system(command.c_str()) != 0) return false;
+  FILE* trace = std::fopen(path.c_str(), "rb");
+  if (trace == nullptr) return false;
+  out[std::string(c.binary) + ".trace"] = hash_stream(trace);
+  std::fclose(trace);
+  std::remove(path.c_str());
   return true;
 }
 
@@ -233,6 +286,42 @@ INSTANTIATE_TEST_SUITE_P(Benches, GoldenBenchStdout,
                            return std::string(bench_cases()[param.param].binary);
                          });
 
+class GoldenBenchTrace : public testing::TestWithParam<std::size_t> {};
+
+TEST_P(GoldenBenchTrace, MatchesCheckedInFingerprints) {
+  const BenchCase& c = trace_cases()[GetParam()];
+  Fingerprints measured;
+  ASSERT_TRUE(fingerprint_trace(c, testing::TempDir(), measured))
+      << c.binary << " " << c.flags << " --trace failed";
+  expect_matches(measured, GREFAR_GOLDEN_BENCH_FILE);
+}
+
+INSTANTIATE_TEST_SUITE_P(Benches, GoldenBenchTrace,
+                         testing::Range<std::size_t>(0, trace_cases().size()),
+                         [](const testing::TestParamInfo<std::size_t>& param) {
+                           return std::string(trace_cases()[param.param].binary);
+                         });
+
+// A snapshot window past the end of the run is a usage error that names
+// the options, not a ContractViolation from indexing past the series.
+TEST(BenchUsage, Fig5RejectsSnapshotPastHorizon) {
+  const std::string command =
+      bench_command({"fig5_snapshot", "--horizon 300 --jobs 1"}) + " 2>&1 >/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string err;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) err.append(buf, n);
+  const int status = pclose(pipe);
+  EXPECT_NE(status, 0);
+  EXPECT_NE(err.find("error: "), std::string::npos) << err;
+  for (const char* option : {"--day-start", "--window", "--horizon"}) {
+    EXPECT_NE(err.find(option), std::string::npos) << option << " not named in:\n" << err;
+  }
+  EXPECT_EQ(err.find("ContractViolation"), std::string::npos) << err;
+}
+
 }  // namespace
 }  // namespace grefar
 
@@ -245,6 +334,12 @@ int main(int argc, char** argv) {
       for (const auto& c : grefar::bench_cases()) {
         if (!grefar::fingerprint_bench(c, benches)) {
           std::fprintf(stderr, "%s %s failed\n", c.binary, c.flags);
+          return 1;
+        }
+      }
+      for (const auto& c : grefar::trace_cases()) {
+        if (!grefar::fingerprint_trace(c, testing::TempDir(), benches)) {
+          std::fprintf(stderr, "%s %s --trace failed\n", c.binary, c.flags);
           return 1;
         }
       }

@@ -238,7 +238,8 @@ TEST(CappedBox, ProjectionMatchesExactReferenceOnDegenerateGroups) {
     }
 
     // Dropping the entries that are 0 at every lambda (y <= 0 or ub == 0),
-    // as a compact problem drops dead columns, changes no bit of the rest.
+    // as a problem over the active columns drops dead ones, changes no bit
+    // of the rest.
     std::vector<double> y_live;
     std::vector<double> ub_live;
     std::vector<std::size_t> live_at;
