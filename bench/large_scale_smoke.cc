@@ -27,6 +27,7 @@
 
 #include "check/invariant_auditor.h"
 #include "common/experiment.h"
+#include "common/hint_stripper.h"
 #include "core/grefar.h"
 #include "scenario/large_scale.h"
 #include "sim/engine.h"
@@ -34,33 +35,6 @@
 namespace {
 
 using namespace grefar;
-
-/// Forwards every observation with the active-type hint stripped, so the
-/// scheduler behind it decides over all J columns.
-class HintStripper final : public Scheduler {
- public:
-  explicit HintStripper(std::shared_ptr<Scheduler> inner) : inner_(std::move(inner)) {}
-  SlotAction decide(const SlotObservation& obs) override {
-    SlotAction action;
-    decide_into(obs, action);
-    return action;
-  }
-  void decide_into(const SlotObservation& obs, SlotAction& out) override {
-    decide_into(obs, out, nullptr);
-  }
-  void decide_into(const SlotObservation& obs, SlotAction& out,
-                   TraceScope* scope) override {
-    stripped_ = obs;
-    stripped_.active_types_valid = false;
-    stripped_.active_types.clear();
-    inner_->decide_into(stripped_, out, scope);
-  }
-  std::string name() const override { return inner_->name(); }
-
- private:
-  std::shared_ptr<Scheduler> inner_;
-  SlotObservation stripped_;
-};
 
 /// Bitwise comparison of the per-slot series and cumulative account work; any
 /// divergence between the production and all-types legs is a contract

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "check/per_slot_oracles.h"
+#include "common/hint_stripper.h"
 #include "check/pgd_oracle.h"
 #include "core/grefar.h"
 #include "obs/counters.h"
@@ -626,29 +627,6 @@ TEST(FusedObjective, MatchesSeparateCallsAndSerialReferenceBitwise) {
   EXPECT_EQ(evaluations, 9 * 24 * 6);
 }
 
-/// Forwards every observation with the active-type hint stripped, so the
-/// scheduler behind it works over all J columns.
-class HintStripper final : public Scheduler {
- public:
-  explicit HintStripper(std::shared_ptr<Scheduler> inner) : inner_(std::move(inner)) {}
-  SlotAction decide(const SlotObservation& obs) override {
-    SlotAction action;
-    decide_into(obs, action);
-    return action;
-  }
-  void decide_into(const SlotObservation& obs, SlotAction& out) override {
-    stripped_ = obs;
-    stripped_.active_types_valid = false;
-    stripped_.active_types.clear();
-    inner_->decide_into(stripped_, out);
-  }
-  std::string name() const override { return inner_->name(); }
-
- private:
-  std::shared_ptr<Scheduler> inner_;
-  SlotObservation stripped_;
-};
-
 /// The accuracy contract (DESIGN.md §11). Every slot of the run is checked:
 /// the engine's per-slot problem is solved by production and by the
 /// monotone-PGD oracle run to its own stop, both from the same warm start.
@@ -673,7 +651,7 @@ std::vector<PgdAccuracySample> expect_accuracy_contract(const PaperScenario& s,
   constexpr double kResidualTolerance = 1e-8;
   auto probe = std::make_shared<PgdAccuracyProbe>(s.config, params);
   std::shared_ptr<Scheduler> driver = probe;
-  if (!hinted) driver = std::make_shared<HintStripper>(probe);
+  if (!hinted) driver = std::make_shared<bench::HintStripper>(probe);
   SimulationEngine engine(s.config, s.prices, s.availability, s.arrivals, driver);
   engine.run(slots);
   const std::vector<PgdAccuracySample>& samples = probe->samples();
