@@ -12,7 +12,6 @@
 #include "obs/task_registries.h"
 #include "parallel/thread_pool.h"
 #include "serve/spsc_queue.h"
-#include "serve/staged_feed.h"
 #include "util/check.h"
 
 namespace grefar {
@@ -165,17 +164,12 @@ ServiceLoop::ServiceLoop(std::shared_ptr<const ClusterConfig> config,
       "price trace has " << prices_->num_data_centers()
                          << " DCs, config expects "
                          << config_->data_centers.size());
-  // The feed's valued flag must match the trace schema at engine
-  // construction — the engine samples has_valued_arrivals() once. Plain v1
-  // traces keep the counts path, so their serve runs stay byte-identical.
   valued_ = jobs_->valued();
-  feed_ = std::make_unique<StagedTraceFeed>(config_->job_types.size(),
-                                            config_->data_centers.size(),
-                                            valued_);
   inspector_ = std::make_shared<PipelineInspector>();
+  // No price or arrival model: every slot's input is pushed by step(in).
   engine_ = std::make_unique<SimulationEngine>(
-      config_, feed_->price_model(), std::move(availability),
-      feed_->arrival_process(), std::move(scheduler), options_.engine);
+      config_, nullptr, std::move(availability), nullptr, std::move(scheduler),
+      options_.engine);
   if (options_.admission != nullptr) {
     engine_->set_admission_policy(options_.admission);
   }
@@ -196,6 +190,7 @@ std::int64_t ServiceLoop::slots_processed() const { return slots_; }
 
 Result<bool> ServiceLoop::ingest_one(SlotInput& in) {
   in.slot = jobs_->next_slot();
+  in.valued = valued_;
   auto more_jobs = valued_ ? jobs_->next_slot_batches_into(in.batches)
                            : jobs_->next_slot_into(in.arrivals);
   if (!more_jobs.ok()) return more_jobs.error();
@@ -208,14 +203,24 @@ Result<bool> ServiceLoop::ingest_one(SlotInput& in) {
   return true;
 }
 
+namespace {
+
+/// Cold path of solve_slot: names the slot whose step threw.
+Error solve_failure(std::int64_t slot, const std::exception& e) {
+  return Error::make("solve stage failed at slot " + std::to_string(slot) +
+                     ": " + e.what());
+}
+
+}  // namespace
+
 GREFAR_HOT_PATH GREFAR_DETERMINISTIC
-void ServiceLoop::solve_slot(const SlotInput& in) {
-  if (valued_) {
-    feed_->stage_valued(in.slot, in.batches, in.prices);
-  } else {
-    feed_->stage(in.slot, in.arrivals, in.prices);
+Status ServiceLoop::solve_slot(const SlotInput& in) {
+  try {
+    engine_->step(in);
+  } catch (const std::exception& e) {
+    return solve_failure(in.slot, e);
   }
-  engine_->step();
+  return {};
 }
 
 Status ServiceLoop::flush_record(const FlushCopy& copy) {
@@ -259,7 +264,8 @@ Result<ServiceStats> ServiceLoop::run_serial() {
     if (!more.ok()) return more.error();
     if (!more.value()) break;
     const auto t0 = std::chrono::steady_clock::now();
-    solve_slot(in);
+    Status solved = solve_slot(in);
+    if (!solved.ok()) return solved.error();
     const auto t1 = std::chrono::steady_clock::now();
     const double ms = elapsed_ms(t0, t1);
     latency_p50_.add(ms);
@@ -314,6 +320,7 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
 
   std::mutex error_mutex;
   std::optional<Error> ingest_error;
+  std::optional<Error> solve_error;  // solve thread only: no lock needed
   std::optional<Error> flush_error;
   std::atomic<bool> flush_failed{false};
 
@@ -364,7 +371,11 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
       if (!input_ready.pop(in)) break;  // ingest done (or failed)
       const auto t0 = std::chrono::steady_clock::now();
       ingest_wait_ms += elapsed_ms(wait_start, t0);
-      solve_slot(*in);
+      Status solved = solve_slot(*in);
+      if (!solved.ok()) {
+        solve_error = solved.error();
+        break;
+      }
       const auto t1 = std::chrono::steady_clock::now();
       const double ms = elapsed_ms(t0, t1);
       latency_p50_.add(ms);
@@ -374,20 +385,25 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
       input_free.push(in);
     }
 
-    // Shutdown: unblock the ingest thread (waiting on a free input or a
-    // full ready queue) and let the flush thread drain what is queued.
+    // Shutdown, also after an error: unblock the ingest thread (waiting on
+    // a free input or a full ready queue) and let the flush thread drain
+    // what is queued. Every queue is closed so no worker can block on one.
     input_free.close();
     input_ready.close();
     flush_ready.close();
+    flush_free.close();
     pool.wait_idle();
   }  // ThreadPool joins
   const auto wall_end = std::chrono::steady_clock::now();
   regs.merge_ordered();
 
   {
+    // Earliest slot first, as the serial loop would report: flush trails
+    // the solve stage, which trails ingest.
     std::lock_guard<std::mutex> lock(error_mutex);
-    if (ingest_error.has_value()) return *ingest_error;
     if (flush_error.has_value()) return *flush_error;
+    if (solve_error.has_value()) return *solve_error;
+    if (ingest_error.has_value()) return *ingest_error;
   }
 
   ServiceStats stats;

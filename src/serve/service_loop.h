@@ -3,15 +3,20 @@
 // inspectors (TraceSink tracer, invariant auditor, ...) consume slot t-1.
 //
 //   [ingest thread]  --input queue-->  [solve: caller thread]
-//        StreamingJobTraceSource            StagedTraceFeed + engine.step()
+//        StreamingJobTraceSource            engine.step(SlotInput)
 //        StreamingPriceTraceSource              |
+//        (fill a pooled SlotInput)              |
 //   [flush thread]  <--flush queue--        copied SlotRecord
 //        flush inspectors, in attach order
 //
-// Stages are connected by bounded SPSC queues (serve/spsc_queue.h) with
-// blocking backpressure, and slot buffers are pooled and recycled through
-// the queues, so steady-state memory is O(queue_depth) regardless of trace
-// length and the hot loop allocates nothing once capacities are warm.
+// Ingest parses each slot straight into a pooled engine SlotInput (counts
+// for v1 traces, annotated batches for v2) and the solve stage pushes it
+// into the engine's one per-slot entry — the same step(in) a batch run
+// drives from its models. Stages are connected by bounded SPSC queues
+// (serve/spsc_queue.h) with blocking backpressure, and slot buffers are
+// pooled and recycled through the queues, so steady-state memory is
+// O(queue_depth) regardless of trace length and the hot loop allocates
+// nothing once capacities are warm.
 //
 // Determinism (DESIGN.md §14): the engine only ever steps on the caller
 // thread, in slot order, on inputs that are pure functions of the trace
@@ -21,8 +26,8 @@
 // or serial; the flush queue is FIFO, so inspectors also observe slots in
 // order. Counters follow the TaskRegistries ordered-merge discipline.
 //
-// Slot latency (solve-stage residence: staging + engine step + flush
-// handoff, excluding time blocked waiting for input) is tracked with
+// Slot latency (solve-stage residence: engine step + flush handoff,
+// excluding time blocked waiting for input) is tracked with
 // P2Quantile estimators and reported as p50/p99 — the serve-mode SLO metric.
 #pragma once
 
@@ -40,8 +45,6 @@
 
 namespace grefar {
 
-class StagedTraceFeed;
-
 struct ServiceLoopOptions {
   /// Capacity of each inter-stage queue (>= 1). Total buffered slots are
   /// O(queue_depth); deeper queues absorb burstier stage-time variance.
@@ -53,7 +56,7 @@ struct ServiceLoopOptions {
   /// Stop after this many slots (0 = run to the end of the traces; the run
   /// ends at whichever of the two traces ends first).
   std::int64_t max_slots = 0;
-  /// Optional admission policy screening each staged arrival batch before
+  /// Optional admission policy screening each ingested arrival batch before
   /// it enters the central queues (nullptr = admit everything). Consulted
   /// by the engine on the solve thread, so stateful policies need no
   /// synchronization.
@@ -103,7 +106,10 @@ class ServiceLoop {
   void add_flush_inspector(std::shared_ptr<SlotInspector> inspector);
 
   /// Runs the loop to completion (trace end, max_slots, or first error).
-  /// Single-shot: a ServiceLoop instance runs once.
+  /// An ingest, solve-stage (engine or scheduler throw) or flush error ends
+  /// the run in both modes and is returned naming its slot; the worker
+  /// threads are shut down first. Single-shot: a ServiceLoop instance runs
+  /// once.
   Result<ServiceStats> run();
 
   /// The engine's accumulated metrics (valid after run(); bit-identical to
@@ -112,12 +118,6 @@ class ServiceLoop {
   std::int64_t slots_processed() const;
 
  private:
-  struct SlotInput {
-    std::int64_t slot = 0;
-    std::vector<std::int64_t> arrivals;    // counts mode (v1 traces)
-    std::vector<ArrivalBatch> batches;     // valued mode (v2 traces)
-    std::vector<double> prices;
-  };
   struct FlushCopy;          // deep copy of one SlotRecord (service_loop.cc)
   class PipelineInspector;   // engine hook that fills FlushCopy buffers
   struct Pipeline;           // queues + pools + worker state (pipelined mode)
@@ -126,10 +126,11 @@ class ServiceLoop {
   /// clean end of stream.
   Result<bool> ingest_one(SlotInput& in);
 
-  /// Stages `in` and steps the engine exactly once. The flush handoff
-  /// happens inside the step via the attached PipelineInspector.
+  /// Steps the engine exactly once on `in`. The flush handoff happens
+  /// inside the step via the attached PipelineInspector. A throw from the
+  /// engine or the scheduler is converted into an error naming the slot.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
-  void solve_slot(const SlotInput& in);
+  Status solve_slot(const SlotInput& in);
 
   /// Runs the flush inspectors over one copied record; returns their error
   /// (a throwing inspector is converted, not propagated).
@@ -143,10 +144,9 @@ class ServiceLoop {
   std::unique_ptr<StreamingPriceTraceSource> prices_;
   ServiceLoopOptions options_;
   /// Fixed at construction from the job trace's detected schema: valued
-  /// traces flow through the feed as annotated batches (v2), plain traces
-  /// as dense counts (v1) — so v1 serve runs stay byte-identical to before.
+  /// traces are ingested as annotated batches (v2), plain traces as dense
+  /// counts (v1) — so v1 serve runs expand counts exactly as a batch run.
   bool valued_ = false;
-  std::unique_ptr<StagedTraceFeed> feed_;
   std::unique_ptr<SimulationEngine> engine_;
   std::shared_ptr<PipelineInspector> inspector_;
   std::vector<std::shared_ptr<SlotInspector>> flush_inspectors_;

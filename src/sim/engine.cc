@@ -36,41 +36,12 @@ SimulationEngine::SimulationEngine(std::shared_ptr<const ClusterConfig> config,
                                    std::shared_ptr<const ArrivalProcess> arrivals,
                                    std::shared_ptr<Scheduler> scheduler,
                                    EngineOptions options)
-    : config_(require_config(std::move(config))),
-      prices_(std::move(prices)),
-      availability_(std::move(availability)),
-      arrivals_(std::move(arrivals)),
-      scheduler_(std::move(scheduler)),
-      options_(options),
-      fairness_fn_(config_->gammas()),
-      metrics_(config_->num_data_centers(), config_->num_accounts()) {
-  config_->validate();
-  GREFAR_CHECK(prices_ != nullptr && availability_ != nullptr &&
-               arrivals_ != nullptr && scheduler_ != nullptr);
-  GREFAR_CHECK_MSG(prices_->num_data_centers() == config_->num_data_centers(),
-                   "price model covers " << prices_->num_data_centers()
-                                         << " DCs, cluster has "
-                                         << config_->num_data_centers());
-  GREFAR_CHECK_MSG(availability_->num_data_centers() == config_->num_data_centers(),
-                   "availability model DC count mismatch");
-  GREFAR_CHECK_MSG(availability_->num_server_types() == config_->num_server_types(),
-                   "availability model server-type count mismatch");
-  GREFAR_CHECK_MSG(arrivals_->num_job_types() == config_->num_job_types(),
-                   "arrival process job-type count mismatch");
-
-  central_.reserve(config_->num_job_types());
-  for (const auto& jt : config_->job_types) central_.emplace_back(jt.work);
-  dc_.resize(config_->num_data_centers());
-  for (auto& row : dc_) {
-    row.reserve(config_->num_job_types());
-    for (const auto& jt : config_->job_types) row.emplace_back(jt.work);
-  }
-  valued_arrivals_ = arrivals_->has_valued_arrivals();
-  deadlines_possible_ = valued_arrivals_;
-  for (const auto& jt : config_->job_types) {
-    if (jt.deadline != kNoDeadline) deadlines_possible_ = true;
-  }
-  build_eligible_mask();
+    : fairness_fn_(require_config(config)->gammas()),
+      metrics_(config->num_data_centers(), config->num_accounts()) {
+  // config_ is still null here, so reset() validates the config and builds
+  // every piece of per-cluster state.
+  reset(std::move(config), std::move(prices), std::move(availability),
+        std::move(arrivals), std::move(scheduler), options);
 }
 
 void SimulationEngine::build_eligible_mask() {
@@ -95,11 +66,11 @@ void SimulationEngine::reset(std::shared_ptr<const ClusterConfig> config,
                              std::shared_ptr<Scheduler> scheduler,
                              EngineOptions options) {
   GREFAR_CHECK_MSG(config != nullptr, "SimulationEngine needs a cluster config");
-  GREFAR_CHECK(prices != nullptr && availability != nullptr &&
-               arrivals != nullptr && scheduler != nullptr);
+  GREFAR_CHECK(availability != nullptr && scheduler != nullptr);
   const bool same_config = config.get() == config_.get();
   if (!same_config) config->validate();
-  GREFAR_CHECK_MSG(prices->num_data_centers() == config->num_data_centers(),
+  GREFAR_CHECK_MSG(prices == nullptr ||
+                       prices->num_data_centers() == config->num_data_centers(),
                    "price model covers " << prices->num_data_centers()
                                          << " DCs, cluster has "
                                          << config->num_data_centers());
@@ -107,7 +78,8 @@ void SimulationEngine::reset(std::shared_ptr<const ClusterConfig> config,
                    "availability model DC count mismatch");
   GREFAR_CHECK_MSG(availability->num_server_types() == config->num_server_types(),
                    "availability model server-type count mismatch");
-  GREFAR_CHECK_MSG(arrivals->num_job_types() == config->num_job_types(),
+  GREFAR_CHECK_MSG(arrivals == nullptr ||
+                       arrivals->num_job_types() == config->num_job_types(),
                    "arrival process job-type count mismatch");
 
   config_ = std::move(config);
@@ -125,7 +97,7 @@ void SimulationEngine::reset(std::shared_ptr<const ClusterConfig> config,
   }
 
   // Queues: same cluster shape ⇒ clear in place keeping capacity; otherwise
-  // rebuild per the constructor.
+  // rebuild one queue per type, centrally and per DC.
   const std::size_t N = config_->num_data_centers();
   const std::size_t J = config_->num_job_types();
   bool queues_match = central_.size() == J && dc_.size() == N;
@@ -164,8 +136,10 @@ void SimulationEngine::reset(std::shared_ptr<const ClusterConfig> config,
   }
   touched_accounts_.clear();
 
-  valued_arrivals_ = arrivals_->has_valued_arrivals();
-  deadlines_possible_ = valued_arrivals_;
+  // A valued arrival model arms expiry from slot 0; without an arrival
+  // model, the first valued input pushed to step(in) arms it.
+  model_input_.valued = arrivals_ != nullptr && arrivals_->has_valued_arrivals();
+  deadlines_possible_ = model_input_.valued;
   for (const auto& jt : config_->job_types) {
     if (jt.deadline != kNoDeadline) deadlines_possible_ = true;
   }
@@ -183,20 +157,23 @@ double SimulationEngine::dc_queue_length(DataCenterId i, JobTypeId j) const {
 }
 
 SlotObservation SimulationEngine::observe() const {
+  GREFAR_CHECK_MSG(prices_ != nullptr, "observe() reads the price model");
+  std::vector<double> prices(config_->num_data_centers());
+  for (std::size_t i = 0; i < prices.size(); ++i) prices[i] = prices_->price(i, slot_);
   SlotObservation obs;
-  observe_into(obs);
+  observe_into(prices, obs);
   return obs;
 }
 
-void SimulationEngine::observe_into(SlotObservation& out) const {
+void SimulationEngine::observe_into(const std::vector<double>& prices,
+                                    SlotObservation& out) const {
   const std::size_t N = config_->num_data_centers();
   const std::size_t J = config_->num_job_types();
   out.slot = slot_;
   // NOLINTBEGIN(grefar-hot-path-alloc): the observation buffers are sized on
   // the first slot (N, J fixed per cluster) and reused in place afterwards;
   // active_types is clear()+refilled within its high-water capacity.
-  out.prices.resize(N);
-  for (std::size_t i = 0; i < N; ++i) out.prices[i] = prices_->price(i, slot_);
+  out.prices.assign(prices.begin(), prices.end());
   availability_->availability_into(slot_, out.availability);
   out.central_queue.resize(J);
   active_flag_.assign(J, 0);
@@ -236,6 +213,34 @@ void SimulationEngine::set_inspector(std::shared_ptr<SlotInspector> inspector) {
 }
 
 void SimulationEngine::step() {
+  GREFAR_CHECK_MSG(prices_ != nullptr && arrivals_ != nullptr,
+                   "step() pulls from the price and arrival models; an engine "
+                   "built without them is driven by step(const SlotInput&)");
+  SlotInput& in = model_input_;
+  in.slot = slot_;
+  // Amortized: sized N on the first slot, reused afterwards.
+  in.prices.resize(config_->num_data_centers());  // NOLINT(grefar-hot-path-alloc)
+  for (std::size_t i = 0; i < in.prices.size(); ++i) in.prices[i] = prices_->price(i, slot_);
+  if (in.valued) {
+    arrivals_->valued_arrivals_into(slot_, in.batches);
+  } else {
+    arrivals_->arrivals_into(slot_, in.arrivals);
+  }
+  step(in);
+}
+
+void SimulationEngine::step(const SlotInput& in) {
+  GREFAR_CHECK_MSG(in.slot == slot_, "SlotInput for slot " << in.slot
+                                                           << " pushed at engine slot "
+                                                           << slot_);
+  GREFAR_CHECK_MSG(in.prices.size() == config_->num_data_centers(),
+                   "SlotInput has " << in.prices.size() << " prices, cluster has "
+                                    << config_->num_data_centers() << " DCs");
+  GREFAR_CHECK_MSG(in.valued || in.arrivals.size() == config_->num_job_types(),
+                   "SlotInput has " << in.arrivals.size()
+                                    << " arrival counts, cluster has "
+                                    << config_->num_job_types() << " job types");
+  if (in.valued) deadlines_possible_ = true;
   slot_offered_jobs_ = 0;
   slot_admitted_jobs_ = 0;
   slot_rejected_jobs_ = 0;
@@ -253,7 +258,7 @@ void SimulationEngine::step() {
   }
   {
     obs::ScopedTimer timer("engine.observe");
-    observe_into(obs_scratch_);
+    observe_into(in.prices, obs_scratch_);
   }
   const SlotObservation& obs = obs_scratch_;
   {
@@ -304,7 +309,7 @@ void SimulationEngine::step() {
   }
   {
     obs::ScopedTimer timer("engine.admit");
-    admit_arrivals();
+    admit_arrivals(in);
   }
   obs::count("engine.slots");
 
@@ -334,7 +339,7 @@ void SimulationEngine::step() {
     record.central_after = &central_after_;
     record.dc_after = &dc_after_;
     record.offered = &offered_counts_;
-    record.admission_active = admission_ != nullptr || valued_arrivals_;
+    record.admission_active = admission_ != nullptr || in.valued;
     record.admitted_value = slot_admitted_value_;
     record.rejected_value = slot_rejected_value_;
     record.realized_value = slot_realized_value_;
@@ -551,26 +556,25 @@ void SimulationEngine::serve(const SlotObservation& obs, const SlotAction& actio
   obs::gauge_max("engine.total_queue_high_water_jobs", total_q);
 }
 
-void SimulationEngine::admit_arrivals() {
+void SimulationEngine::admit_arrivals(const SlotInput& in) {
   const std::size_t J = config_->num_job_types();
-  // Fetch this slot's offered arrivals as batches. Valued processes hand
-  // over annotated batches directly; plain processes hand over counts,
-  // expanded here into one defaulted batch per non-empty type (identical
-  // job construction order either way — DESIGN.md §11).
-  if (valued_arrivals_) {
-    arrivals_->valued_arrivals_into(slot_, batch_scratch_);
-  } else {
-    arrivals_->arrivals_into(slot_, arrival_counts_);
-    GREFAR_CHECK(arrival_counts_.size() == J);
+  // This slot's offered arrivals as batches. Valued inputs carry annotated
+  // batches directly; counts are expanded here into one defaulted batch per
+  // non-empty type, ascending (identical job construction order either
+  // way — DESIGN.md §11).
+  const std::vector<ArrivalBatch>* batches = &in.batches;
+  if (!in.valued) {
     batch_scratch_.clear();
     for (std::size_t j = 0; j < J; ++j) {
-      if (arrival_counts_[j] <= 0) continue;
+      // A negative count becomes a batch, which the check below rejects.
+      if (in.arrivals[j] == 0) continue;
       ArrivalBatch b;
       b.type = j;
-      b.count = arrival_counts_[j];
+      b.count = in.arrivals[j];
       // Amortized: clear()+refill within high-water capacity.
       batch_scratch_.push_back(b);  // NOLINT(grefar-hot-path-alloc)
     }
+    batches = &batch_scratch_;
   }
 
   // NOLINTBEGIN(grefar-hot-path-alloc): sized J on the first slot, reused.
@@ -578,7 +582,7 @@ void SimulationEngine::admit_arrivals() {
   arrival_counts_.assign(J, 0);
   // NOLINTEND(grefar-hot-path-alloc)
   double admitted_work = 0.0;
-  for (const ArrivalBatch& b : batch_scratch_) {
+  for (const ArrivalBatch& b : *batches) {
     GREFAR_CHECK_MSG(b.type < J, "arrival batch for unknown job type " << b.type);
     GREFAR_CHECK_MSG(b.count >= 0, "negative arrival count " << b.count);
     if (b.count == 0) continue;

@@ -1,6 +1,15 @@
 // SimulationEngine: the discrete-time simulator that drives a Scheduler
 // through the system of paper §III and accounts energy, fairness and delay.
 //
+// One entry runs a slot: step(const SlotInput&). The caller pushes the
+// slot's exogenous input x(t) = {prices phi_i(t), arrivals a_j(t)}; the
+// engine observes it together with availability (always a model — no trace
+// carries it) and its own queue state. Batch step()/run() are drivers over
+// that entry: they fill an engine-owned SlotInput from the price and
+// arrival models and push it, so batch runs, sweep legs over frozen
+// artifact tables and the serve loop's ingested slots share one code path
+// (DESIGN.md §3, §14).
+//
 // Slot lifecycle (see DESIGN.md §3 for the clamping rationale):
 //   1. observe x(t) = {prices, availability} and queue state Theta(t);
 //   2. scheduler decides z(t) = {r, h};
@@ -10,7 +19,8 @@
 //      queue, total clamped to the DC's available capacity; energy is
 //      charged via the minimum-energy curve on the work actually served;
 //   5. fairness is scored on the per-account work actually served;
-//   6. arrivals a_j(t) join the central queues (visible from slot t+1).
+//   6. arrivals a_j(t) join the central queues (visible from slot t+1);
+//   7. an attached SlotInspector receives the slot's SlotRecord.
 //
 // Two optional stages bracket the lifecycle when the workload carries value
 // annotations (workload/job.h):
@@ -50,6 +60,22 @@
 
 namespace grefar {
 
+/// One slot of exogenous input, pushed into SimulationEngine::step(in).
+struct SlotInput {
+  /// The slot this input belongs to; must equal the engine's slot().
+  std::int64_t slot = 0;
+  /// phi_i(t) per DC, length N.
+  std::vector<double> prices;
+  /// Selects the arrivals representation. False: `arrivals` holds a_j(t)
+  /// per type (length J), admitted as one type-default batch per non-empty
+  /// type in ascending type order. True: `batches` holds the slot's
+  /// annotated arrival batches (workload/job.h), admitted in order; a valued
+  /// input also arms the deadline-expiry stage.
+  bool valued = false;
+  std::vector<std::int64_t> arrivals;
+  std::vector<ArrivalBatch> batches;
+};
+
 struct EngineOptions {
   /// When true (default) slot-t service may also cover jobs routed during
   /// slot t; when false service applies only to jobs already queued at the
@@ -59,6 +85,9 @@ struct EngineOptions {
 
 class SimulationEngine {
  public:
+  /// `prices` and `arrivals` may be null when the caller drives the engine
+  /// with step(in) only (serve mode); step()/run() then fail loudly.
+  /// Availability and the scheduler are required.
   SimulationEngine(ClusterConfig config, std::shared_ptr<const PriceModel> prices,
                    std::shared_ptr<const AvailabilityModel> availability,
                    std::shared_ptr<const ArrivalProcess> arrivals,
@@ -75,15 +104,16 @@ class SimulationEngine {
                    std::shared_ptr<Scheduler> scheduler, EngineOptions options = {});
 
   /// Rebinds this engine to a new scenario without reconstructing it — the
-  /// sweep arena's reuse path (DESIGN.md §16). Performs the constructor's
-  /// null/dimension checks, swaps in the new models/scheduler/options, and
-  /// returns every piece of mutable simulation state (queues, metrics, slot
-  /// counter, job ids, per-account accumulators) to its freshly-constructed
-  /// value; admission policy and inspector are detached (re-attach per leg).
-  /// Scratch buffers keep their high-water capacity, so when the cluster
-  /// shape is unchanged the reset itself is allocation-free and the
-  /// subsequent run is bitwise identical to a fresh engine's. Passing the
-  /// *same* ClusterConfig instance (pointer equality) skips re-validation.
+  /// sweep arena's reuse path (DESIGN.md §16); the constructors run it too.
+  /// Checks the models against the cluster, swaps in the new
+  /// models/scheduler/options, and returns every piece of mutable
+  /// simulation state (queues, metrics, slot counter, job ids, per-account
+  /// accumulators) to its freshly-constructed value; admission policy and
+  /// inspector are detached (re-attach per leg). Scratch buffers keep their
+  /// high-water capacity, so when the cluster shape is unchanged the reset
+  /// itself is allocation-free and the subsequent run is bitwise identical
+  /// to a fresh engine's. Passing the *same* ClusterConfig instance
+  /// (pointer equality) skips re-validation.
   void reset(std::shared_ptr<const ClusterConfig> config,
              std::shared_ptr<const PriceModel> prices,
              std::shared_ptr<const AvailabilityModel> availability,
@@ -93,9 +123,15 @@ class SimulationEngine {
   /// Advances the simulation by `slots` steps.
   void run(std::int64_t slots);
 
-  /// Advances by a single slot.
+  /// Advances by a single slot, pulling its input from the price and
+  /// arrival models: fills an engine-owned SlotInput and calls step(in).
   GREFAR_HOT_PATH
   void step();
+
+  /// Advances by a single slot from a pushed input. Contract-checks that
+  /// `in.slot == slot()` and that `in` is N prices (and J counts) wide.
+  GREFAR_HOT_PATH
+  void step(const SlotInput& in);
 
   std::int64_t slot() const { return slot_; }
   const SimMetrics& metrics() const { return metrics_; }
@@ -106,13 +142,9 @@ class SimulationEngine {
   double central_queue_length(JobTypeId j) const;
   double dc_queue_length(DataCenterId i, JobTypeId j) const;
 
-  /// Builds the observation for the current slot (exposed for tests).
+  /// Builds the observation for the current slot, with prices read from
+  /// the price model (exposed for tests).
   SlotObservation observe() const;
-
-  /// Writes the current-slot observation into `out`, reusing its storage
-  /// (the engine's own step() path; steady-state allocation-free).
-  GREFAR_HOT_PATH
-  void observe_into(SlotObservation& out) const;
 
   /// Attaches a per-slot inspector (nullptr detaches). While attached, the
   /// engine additionally tracks per-(i,j) routed jobs and served work and
@@ -137,11 +169,15 @@ class SimulationEngine {
   AdmissionPolicy* admission_policy() const { return admission_.get(); }
 
  private:
+  /// Writes the current-slot observation into `out`, reusing its storage
+  /// (the step path; steady-state allocation-free).
+  GREFAR_HOT_PATH
+  void observe_into(const std::vector<double>& prices, SlotObservation& out) const;
   GREFAR_HOT_PATH
   void route(const SlotObservation& obs, const SlotAction& action);
   GREFAR_HOT_PATH
   void serve(const SlotObservation& obs, const SlotAction& action);
-  void admit_arrivals();
+  void admit_arrivals(const SlotInput& in);
   /// Abandons every queued job whose deadline_slot precedes the current
   /// slot (stage 0 above). O(1) per deadline-free queue via the queues'
   /// min-deadline watermark.
@@ -157,12 +193,9 @@ class SimulationEngine {
   std::shared_ptr<Scheduler> scheduler_;
   std::shared_ptr<AdmissionPolicy> admission_;   // nullptr = admit all
   EngineOptions options_;
-  /// True when the arrival process carries per-batch value annotations;
-  /// admit_arrivals then pulls valued batches instead of plain counts.
-  bool valued_arrivals_ = false;
   /// True when any queued job could ever carry a deadline (a job type
-  /// declares one, or arrivals are valued and may annotate one); gates the
-  /// expiry stage so deadline-free runs pay nothing.
+  /// declares one, or some input was valued and may annotate one); gates
+  /// the expiry stage so deadline-free runs pay nothing.
   bool deadlines_possible_ = false;
 
   std::int64_t slot_ = 0;
@@ -178,6 +211,7 @@ class SimulationEngine {
   // Per-step buffers reused across slots so the steady-state step() makes
   // no heap allocations of its own (an engine instance is single-threaded;
   // concurrent simulations each own an engine — see src/parallel/).
+  SlotInput model_input_;                        // step()'s pull from the models
   SlotObservation obs_scratch_;
   SlotAction action_scratch_;
   std::vector<EnergyCostCurve> curves_;          // per DC, rebuilt per slot
@@ -196,7 +230,7 @@ class SimulationEngine {
   std::vector<Completion> completions_;          // one queue's completions
   std::vector<std::int64_t> arrival_counts_;     // per-type admitted arrivals
   std::vector<std::int64_t> offered_counts_;     // per-type pre-admission a_j(t)
-  std::vector<ArrivalBatch> batch_scratch_;      // this slot's arrival batches
+  std::vector<ArrivalBatch> batch_scratch_;      // counts expanded to batches
   std::vector<Job> expired_scratch_;             // this slot's abandoned jobs
 
   // Per-slot value/admission accumulators, reset at the top of step() and

@@ -24,9 +24,9 @@
 //
 // Pricing is Dantzig with deterministic ascending-index tie-breaks; the
 // solver switches to Bland's rule after a run of degenerate steps, so it
-// terminates on degenerate problems. solve_lp_tableau retains the original
-// dense full-tableau method (bounds expanded to rows) as an independent
-// cross-check oracle for the property tests.
+// terminates on degenerate problems. The original dense full-tableau method
+// (bounds expanded to rows) lives on as an independent oracle in
+// check/lp_tableau.h.
 #pragma once
 
 #include <cstdint>
@@ -125,12 +125,6 @@ LpSolution solve_lp(const LinearProgram& lp, const SimplexOptions& options = {})
 /// solve_lp(lp).
 LpSolution solve_lp(const LinearProgram& lp, const SimplexBasis& warm,
                     const SimplexOptions& options = {});
-
-/// The original dense two-phase tableau simplex (upper bounds expanded into
-/// singleton rows, Bland's rule). Kept as an independent oracle for property
-/// tests; O(m * n) per pivot with m counting every bound row — do not use on
-/// hot paths.
-LpSolution solve_lp_tableau(const LinearProgram& lp, const SimplexOptions& options = {});
 
 /// Human-readable status name (for logs and test failure messages).
 std::string to_string(LpStatus status);

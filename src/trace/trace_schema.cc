@@ -151,6 +151,12 @@ Result<PriceTraceRow> decode_price_trace_row(
     return Error::make(row_tag("price", row_index, row_start) +
                        " has out-of-range dc id");
   }
+  // from_chars accepts "nan", "inf" and "infinity": a non-finite price
+  // would poison every energy sum downstream.
+  if (!std::isfinite(price.value())) {
+    return Error::make(row_tag("price", row_index, row_start) +
+                       " has non-finite price");
+  }
   if (price.value() <= 0.0) {
     return Error::make(row_tag("price", row_index, row_start) +
                        " has non-positive price");

@@ -342,6 +342,59 @@ TEST(ServiceLoop, ThrowingFlushInspectorSurfacesAsError) {
   }
 }
 
+/// GreFar, except that deciding slot `at` throws — a solve-stage fault
+/// (engine contract violations surface the same way).
+class ThrowingScheduler final : public Scheduler {
+ public:
+  ThrowingScheduler(std::shared_ptr<Scheduler> inner, std::int64_t at)
+      : inner_(std::move(inner)), at_(at) {}
+
+  SlotAction decide(const SlotObservation& obs) override {
+    SlotAction out;
+    decide_into(obs, out, nullptr);
+    return out;
+  }
+  void decide_into(const SlotObservation& obs, SlotAction& out,
+                   TraceScope* scope) override {
+    if (obs.slot == at_) throw ContractViolation("scheduler boom");
+    inner_->decide_into(obs, out, scope);
+  }
+  std::string name() const override { return "throwing"; }
+
+ private:
+  std::shared_ptr<Scheduler> inner_;
+  std::int64_t at_;
+};
+
+TEST(ServiceLoop, SolveStageThrowSurfacesAsError) {
+  // Both modes: the run ends with an error naming the slot, the slots
+  // before it are served and flushed, and no worker thread is left blocked.
+  Fixture f;
+  for (bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "serial");
+    auto jobs = std::make_unique<StreamingJobTraceSource>(
+        std::make_unique<std::istringstream>(f.jobs_csv),
+        f.config->num_job_types());
+    auto prices = std::make_unique<StreamingPriceTraceSource>(
+        std::make_unique<std::istringstream>(f.prices_csv),
+        f.config->num_data_centers());
+    ServiceLoopOptions options;
+    options.pipelined = pipelined;
+    options.queue_depth = 2;
+    ServiceLoop loop(f.config, f.scenario.availability,
+                     std::make_shared<ThrowingScheduler>(f.make_scheduler(), 5),
+                     std::move(jobs), std::move(prices), options);
+    auto recorder = std::make_shared<RecordingInspector>();
+    loop.add_flush_inspector(recorder);
+    auto stats = loop.run();
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.error().message,
+              "solve stage failed at slot 5: scheduler boom");
+    EXPECT_EQ(loop.slots_processed(), 5);
+    EXPECT_EQ(recorder->slots, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
+  }
+}
+
 TEST(ServiceLoop, IngestErrorSurfacesWithByteOffset) {
   Fixture f;
   for (bool pipelined : {false, true}) {
@@ -366,10 +419,11 @@ TEST(ServiceLoop, IngestErrorSurfacesWithByteOffset) {
 
 TEST(ServiceLoop, IngestErrorSurfacesAtTheSlotThatNeedsTheRow) {
   // A malformed job row at slot k (after a good one, so slot k-1 is
-  // complete without it), and separately a price gap at slot k, both well
-  // inside the first default-size read. Serial and pipelined loops serve
-  // slots 0..k-1, flush them, then fail with the reader's own message —
-  // for the job row, the batch reader's byte offset — at any read size.
+  // complete without it), and separately a price gap or a NaN price at
+  // slot k, all well inside the first default-size read. Serial and
+  // pipelined loops serve slots 0..k-1, flush them, then fail with the
+  // reader's own message — for the job row and the NaN price, the batch
+  // reader's byte offset — at any read size.
   Fixture f;
   constexpr std::int64_t kBad = 20;
   auto table = materialize_arrivals(*f.scenario.arrivals, kHorizon);
@@ -386,6 +440,12 @@ TEST(ServiceLoop, IngestErrorSurfacesAtTheSlotThatNeedsTheRow) {
   const std::string gap_row = "\n" + std::to_string(kBad) + ",1,";
   const std::size_t gap_start = gap_prices.find(gap_row) + 1;
   gap_prices.erase(gap_start, gap_prices.find('\n', gap_start) + 1 - gap_start);
+  // A NaN price at slot k: before it was rejected, it reached the solver.
+  std::string nan_prices = f.prices_csv;
+  const std::size_t nan_field = nan_prices.find(gap_row) + gap_row.size();
+  nan_prices.replace(nan_field, nan_prices.find('\n', nan_field) - nan_field, "nan");
+  const auto nan_error = price_trace_from_csv(nan_prices, f.config->num_data_centers());
+  ASSERT_FALSE(nan_error.ok());
 
   struct Case {
     const char* name;
@@ -397,6 +457,7 @@ TEST(ServiceLoop, IngestErrorSurfacesAtTheSlotThatNeedsTheRow) {
       {"malformed job row", &bad_jobs, &f.prices_csv, batch_error.error().message},
       {"price gap", &clean_jobs, &gap_prices,
        "price trace has a gap at slot 20 for dc 1"},
+      {"non-finite price", &clean_jobs, &nan_prices, nan_error.error().message},
   };
   for (const Case& c : cases) {
     for (std::size_t chunk : {std::size_t{7}, StreamSourceOptions{}.chunk_bytes}) {

@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/admission.h"
 #include "core/grefar.h"
 #include "price/price_model.h"
 #include "scenario/paper_scenario.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace grefar {
 namespace {
@@ -378,6 +382,253 @@ TEST(Engine, ResetToSameScenarioReplaysRun) {
                make_grefar());
   engine.run(kSlots);
   EXPECT_EQ(engine.metrics().energy_cost.values(), first);
+}
+
+// --- The pushed entry: step(const SlotInput&) ------------------------------
+
+/// Flattens every field of each SlotRecord into bit patterns, so two runs'
+/// records compare bitwise (NaN included).
+class BitRecorder final : public SlotInspector {
+ public:
+  void inspect(const SlotRecord& r) override {
+    std::vector<std::uint64_t>& out = records.emplace_back();
+    auto put = [&out](double v) { out.push_back(std::bit_cast<std::uint64_t>(v)); };
+    auto put_vec = [&put](const std::vector<double>& v) {
+      for (double x : v) put(x);
+    };
+    auto put_ints = [&out](const std::vector<std::int64_t>& v) {
+      for (std::int64_t x : v) out.push_back(static_cast<std::uint64_t>(x));
+    };
+    auto put_mat = [&put](const MatrixD& m) {
+      for (std::size_t i = 0; i < m.rows(); ++i) {
+        for (std::size_t j = 0; j < m.cols(); ++j) put(m(i, j));
+      }
+    };
+    out.push_back(static_cast<std::uint64_t>(r.slot));
+    put_vec(r.obs->prices);
+    put_vec(r.obs->central_queue);
+    put_mat(r.obs->dc_queue);
+    for (std::uint32_t j : r.obs->active_types) out.push_back(j);
+    put_mat(r.action->route);
+    put_mat(r.action->process);
+    put_mat(*r.routed);
+    put_mat(*r.served_work);
+    put_vec(*r.dc_capacity);
+    put_vec(*r.dc_energy_cost);
+    put_vec(*r.dc_completions);
+    put_vec(*r.dc_delay_sum);
+    put_vec(*r.account_work);
+    put(r.fairness);
+    put_ints(*r.arrivals);
+    put_ints(*r.offered);
+    put_vec(*r.central_after);
+    put_mat(*r.dc_after);
+    out.push_back(r.admission_active ? 1 : 0);
+    for (double v : {r.admitted_value, r.rejected_value, r.realized_value,
+                     r.decay_loss, r.abandoned_jobs, r.abandoned_work,
+                     r.abandoned_value, r.queued_value_after}) {
+      put(v);
+    }
+    out.push_back(static_cast<std::uint64_t>(r.deadline_violations));
+  }
+
+  std::vector<std::vector<std::uint64_t>> records;
+};
+
+void expect_series_bitwise(const TimeSeries& a, const TimeSeries& b, const char* name) {
+  ASSERT_EQ(a.size(), b.size()) << name;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.at(t)), std::bit_cast<std::uint64_t>(b.at(t)))
+        << name << " slot " << t;
+  }
+}
+
+void expect_metrics_bitwise(const SimMetrics& a, const SimMetrics& b) {
+  expect_series_bitwise(a.energy_cost, b.energy_cost, "energy_cost");
+  expect_series_bitwise(a.fairness, b.fairness, "fairness");
+  expect_series_bitwise(a.arrived_jobs, b.arrived_jobs, "arrived_jobs");
+  expect_series_bitwise(a.arrived_work, b.arrived_work, "arrived_work");
+  expect_series_bitwise(a.total_queue_jobs, b.total_queue_jobs, "total_queue_jobs");
+  expect_series_bitwise(a.max_queue_jobs, b.max_queue_jobs, "max_queue_jobs");
+  expect_series_bitwise(a.offered_jobs, b.offered_jobs, "offered_jobs");
+  expect_series_bitwise(a.rejected_jobs, b.rejected_jobs, "rejected_jobs");
+  expect_series_bitwise(a.abandoned_jobs, b.abandoned_jobs, "abandoned_jobs");
+  expect_series_bitwise(a.abandoned_work, b.abandoned_work, "abandoned_work");
+  expect_series_bitwise(a.admitted_value, b.admitted_value, "admitted_value");
+  expect_series_bitwise(a.rejected_value, b.rejected_value, "rejected_value");
+  expect_series_bitwise(a.abandoned_value, b.abandoned_value, "abandoned_value");
+  expect_series_bitwise(a.realized_value, b.realized_value, "realized_value");
+  expect_series_bitwise(a.decay_loss, b.decay_loss, "decay_loss");
+  ASSERT_EQ(a.dc_energy_cost.size(), b.dc_energy_cost.size());
+  for (std::size_t i = 0; i < a.dc_energy_cost.size(); ++i) {
+    expect_series_bitwise(a.dc_energy_cost[i], b.dc_energy_cost[i], "dc_energy_cost");
+    expect_series_bitwise(a.dc_work[i], b.dc_work[i], "dc_work");
+    expect_series_bitwise(a.dc_routed_jobs[i], b.dc_routed_jobs[i], "dc_routed_jobs");
+    expect_series_bitwise(a.dc_delay_sum[i], b.dc_delay_sum[i], "dc_delay_sum");
+    expect_series_bitwise(a.dc_completions[i], b.dc_completions[i], "dc_completions");
+    expect_series_bitwise(a.dc_price[i], b.dc_price[i], "dc_price");
+  }
+  EXPECT_EQ(a.account_work_total, b.account_work_total);
+  EXPECT_EQ(a.mean_delay(), b.mean_delay());
+  EXPECT_EQ(a.delay_p99(), b.delay_p99());
+}
+
+/// The paper scenario's counts re-issued as annotated batches: per-batch
+/// value, decay rate and (half the time) a deadline, deterministic in t.
+std::shared_ptr<const ArrivalProcess> valued_paper_arrivals(const PaperScenario& s,
+                                                            std::int64_t horizon) {
+  std::vector<std::vector<ArrivalBatch>> slots(static_cast<std::size_t>(horizon));
+  std::vector<std::int64_t> counts;
+  const Rng root(0xBA7C4ULL);
+  for (std::int64_t t = 0; t < horizon; ++t) {
+    s.arrivals->arrivals_into(t, counts);
+    Rng r = root.fork(static_cast<std::uint64_t>(t));
+    for (std::size_t j = 0; j < counts.size(); ++j) {
+      if (counts[j] <= 0) continue;
+      ArrivalBatch b;
+      b.type = j;
+      b.count = counts[j];
+      b.value = r.uniform(0.5, 3.0) * s.config.job_types[j].work;
+      b.decay_rate = r.uniform(0.0, 0.2);
+      b.deadline = r.bernoulli(0.5) ? r.uniform_int(2, 10) : kNoDeadline;
+      slots[static_cast<std::size_t>(t)].push_back(b);
+    }
+  }
+  return std::make_shared<ValuedTableArrivals>(std::move(slots), s.config.job_types.size());
+}
+
+// Batch run() is a driver over step(in): the same slots pushed by hand into
+// an engine that holds no price or arrival model replay it bitwise — every
+// metric series and every inspected SlotRecord — at beta = 0 (greedy) and
+// beta > 0 (SPG), for count and valued (admission + deadline) arrivals.
+TEST(Engine, PushedInputsReplayModelRunBitwise) {
+  constexpr std::int64_t kSlots = 60;
+  for (double beta : {0.0, 100.0}) {
+    for (bool valued : {false, true}) {
+      SCOPED_TRACE("beta " + std::to_string(beta) + (valued ? ", valued" : ", counts"));
+      PaperScenario s = make_paper_scenario(/*seed=*/5);
+      if (valued) {
+        for (std::size_t j = 0; j < s.config.job_types.size(); ++j) {
+          s.config.job_types[j].decay =
+              j % 2 == 0 ? DecayKind::kExponential : DecayKind::kLinear;
+        }
+      }
+      auto config = std::make_shared<const ClusterConfig>(s.config);
+      auto arrivals = valued ? valued_paper_arrivals(s, kSlots) : s.arrivals;
+      auto grefar = [&] {
+        return std::make_shared<GreFarScheduler>(config, paper_grefar_params(7.5, beta));
+      };
+
+      SimulationEngine model_run(config, s.prices, s.availability, arrivals, grefar());
+      SimulationEngine pushed(config, nullptr, s.availability, nullptr, grefar());
+      auto model_rec = std::make_shared<BitRecorder>();
+      auto pushed_rec = std::make_shared<BitRecorder>();
+      model_run.set_inspector(model_rec);
+      pushed.set_inspector(pushed_rec);
+      if (valued) {
+        model_run.set_admission_policy(std::make_shared<ThresholdAdmission>(1.5));
+        pushed.set_admission_policy(std::make_shared<ThresholdAdmission>(1.5));
+      }
+
+      model_run.run(kSlots);
+      SlotInput in;
+      in.valued = valued;
+      for (std::int64_t t = 0; t < kSlots; ++t) {
+        in.slot = t;
+        in.prices.resize(config->num_data_centers());
+        for (std::size_t i = 0; i < in.prices.size(); ++i) in.prices[i] = s.prices->price(i, t);
+        if (valued) {
+          arrivals->valued_arrivals_into(t, in.batches);
+        } else {
+          arrivals->arrivals_into(t, in.arrivals);
+        }
+        pushed.step(in);
+      }
+
+      if (valued) {
+        // The valued leg must reach the admission and deadline stages.
+        EXPECT_GT(model_run.metrics().rejected_jobs.sum(), 0.0);
+        EXPECT_GT(model_run.metrics().abandoned_jobs.sum(), 0.0);
+      }
+      EXPECT_EQ(pushed.slot(), kSlots);
+      expect_metrics_bitwise(pushed.metrics(), model_run.metrics());
+      ASSERT_EQ(pushed_rec->records.size(), model_rec->records.size());
+      for (std::size_t t = 0; t < model_rec->records.size(); ++t) {
+        EXPECT_EQ(pushed_rec->records[t], model_rec->records[t]) << "slot " << t;
+      }
+    }
+  }
+}
+
+/// Runs `fn` and returns the ContractViolation message it throws.
+std::string contract_message(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no ContractViolation thrown";
+  return {};
+}
+
+std::unique_ptr<SimulationEngine> make_pushed_engine() {
+  ClusterConfig config = simple_config();
+  auto avail = std::make_shared<FullAvailability>(config.data_centers);
+  return std::make_unique<SimulationEngine>(std::move(config), nullptr, avail, nullptr,
+                                            std::make_shared<LambdaScheduler>(idle_action));
+}
+
+SlotInput counts_input(std::int64_t slot) {
+  SlotInput in;
+  in.slot = slot;
+  in.prices = {0.5, 0.5};
+  in.arrivals = {2};
+  return in;
+}
+
+TEST(Engine, PushedInputForAnotherSlotIsRejected) {
+  auto engine = make_pushed_engine();
+  engine->step(counts_input(0));
+  const std::string ahead = contract_message([&] { engine->step(counts_input(2)); });
+  EXPECT_NE(ahead.find("SlotInput for slot 2 pushed at engine slot 1"), std::string::npos)
+      << ahead;
+  const std::string replay = contract_message([&] { engine->step(counts_input(0)); });
+  EXPECT_NE(replay.find("SlotInput for slot 0 pushed at engine slot 1"), std::string::npos)
+      << replay;
+  EXPECT_EQ(engine->slot(), 1);
+  EXPECT_DOUBLE_EQ(engine->central_queue_length(0), 2.0);
+}
+
+TEST(Engine, PushedInputOfWrongWidthIsRejected) {
+  auto engine = make_pushed_engine();
+  SlotInput wide_prices = counts_input(0);
+  wide_prices.prices.push_back(0.5);
+  const std::string prices = contract_message([&] { engine->step(wide_prices); });
+  EXPECT_NE(prices.find("SlotInput has 3 prices, cluster has 2 DCs"), std::string::npos)
+      << prices;
+  SlotInput short_counts = counts_input(0);
+  short_counts.arrivals.clear();
+  const std::string counts = contract_message([&] { engine->step(short_counts); });
+  EXPECT_NE(counts.find("SlotInput has 0 arrival counts, cluster has 1 job types"),
+            std::string::npos)
+      << counts;
+  EXPECT_EQ(engine->slot(), 0);
+}
+
+TEST(Engine, NegativePushedCountIsRejected) {
+  auto engine = make_pushed_engine();
+  SlotInput in = counts_input(0);
+  in.arrivals = {-3};
+  const std::string message = contract_message([&] { engine->step(in); });
+  EXPECT_NE(message.find("negative arrival count -3"), std::string::npos) << message;
+}
+
+TEST(Engine, ModelStepWithoutModelsIsRejected) {
+  auto engine = make_pushed_engine();
+  EXPECT_THROW(engine->step(), ContractViolation);
+  EXPECT_THROW((void)engine->observe(), ContractViolation);
+  engine->step(counts_input(0));  // the pushed entry still works
+  EXPECT_EQ(engine->slot(), 1);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/lp_tableau.h"
 #include "solver/brute_force.h"
 #include "solver/capped_box.h"
 #include "util/check.h"

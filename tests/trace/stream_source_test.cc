@@ -527,6 +527,25 @@ TEST(StreamingPriceSource, GapFailsAtTheSlot) {
             "price trace has a gap at slot 0 for dc 1");
 }
 
+TEST(StreamingPriceSource, NonFinitePriceFailsLikeTheBatchReader) {
+  // std::from_chars parses every one of these spellings; none is a price.
+  for (const char* price : {"nan", "-nan", "inf", "-inf", "infinity", "NAN"}) {
+    SCOPED_TRACE(price);
+    const std::string csv =
+        std::string("slot,dc,price\n0,0,0.4\n0,1,0.5\n1,0,") + price + "\n1,1,0.5\n";
+    auto batch = price_trace_from_csv(csv, 2);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.error().message,
+              "price trace row 3 at byte 30 (line 4, col 1) has non-finite price");
+    for (std::size_t chunk : read_sizes()) {
+      SCOPED_TRACE("chunk_bytes " + std::to_string(chunk));
+      auto streamed = drain_prices(csv, 2, wide_window(chunk));
+      ASSERT_FALSE(streamed.ok());
+      EXPECT_EQ(streamed.error().message, batch.error().message);
+    }
+  }
+}
+
 TEST(StreamingPriceSource, HeaderOnlyAndEmpty) {
   auto series = drain_prices("slot,dc,price\n", 1);
   ASSERT_FALSE(series.ok());
@@ -562,6 +581,9 @@ TEST(GoldenEquivalence, CuratedPriceDocs) {
            std::string("slot,dc,price\n0,0,0.4\n0,0,0.45\n0,1,0.5\n"),  // dup
            std::string("slot,dc,price\n0,0,0.4\n"),          // gap for dc 1
            std::string("slot,dc,price\n0,0,0.4\n0,1,0\n"),   // non-positive
+           std::string("slot,dc,price\n0,0,0.4\n0,1,nan\n"), // non-finite
+           std::string("slot,dc,price\n0,0,0.4\n0,1,inf\n"),
+           std::string("slot,dc,price\n0,0,-inf\n0,1,0.5\n"),
            std::string("slot,dc,price\n0,5,0.4\n"),          // dc out of range
            std::string("slot,dc,price\n"),
            std::string(""),
