@@ -2,12 +2,12 @@
 // ingest-bound scenario trace on disk (streamed, so generation itself stays
 // O(1) in memory), then replays it through the ServiceLoop twice — serial
 // ingest→solve→flush vs the three-stage pipeline — and reports slots/sec,
-// p50/p99/max solve-stage latency, backpressure counters and getrusage peak
-// RSS. The two legs must agree bitwise on every per-slot metric (the
-// pipeline determinism contract); the process exits nonzero otherwise, or
-// when the optional --max-rss-mb / --p99-slo-ms gates are violated — which
-// is how the CI serve smoke asserts bounded memory and the latency SLO on a
-// trace ~10x the ingest buffer.
+// p50/p99/max solve-stage latency, backpressure counters, getrusage peak
+// RSS and the slot-log flush time per slot. The two legs must agree bitwise
+// on every per-slot metric (the pipeline determinism contract); the process
+// exits nonzero otherwise, or when the optional --max-rss-mb / --p99-slo-ms
+// gates are violated — which is how the CI serve smoke asserts bounded
+// memory and the latency SLO on a trace ~10x the ingest buffer.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -52,10 +52,37 @@ bool runs_bitwise_equal(const SimMetrics& a, const SimMetrics& b) {
   return ok;
 }
 
+/// Forwards every slot to the slot-log inspector and sums the time it
+/// takes, so the report can set the flush against the stage handoffs.
+class TimedInspector final : public SlotInspector {
+ public:
+  explicit TimedInspector(std::shared_ptr<SlotInspector> inner)
+      : inner_(std::move(inner)) {}
+
+  void inspect(const SlotRecord& record) override {
+    const auto start = std::chrono::steady_clock::now();
+    inner_->inspect(record);
+    elapsed_ += std::chrono::steady_clock::now() - start;
+  }
+
+  double elapsed_ms() const {
+    return std::chrono::duration<double, std::milli>(elapsed_).count();
+  }
+
+ private:
+  std::shared_ptr<SlotInspector> inner_;
+  std::chrono::steady_clock::duration elapsed_{};
+};
+
 struct Leg {
   ServiceStats stats;
   SimMetrics metrics;
+  double flush_ms = -1.0;  // slot-log inspector time; < 0 without a slot log
 };
+
+double per_slot_us(double total_ms, std::int64_t slots) {
+  return slots > 0 ? total_ms * 1e3 / static_cast<double>(slots) : 0.0;
+}
 
 void print_leg(const char* label, const Leg& leg) {
   std::cout << label << ": " << leg.stats.slots << " slots in "
@@ -64,15 +91,15 @@ void print_leg(const char* label, const Leg& leg) {
             << " ms, p99 " << leg.stats.latency_p99_ms << " ms, max "
             << leg.stats.latency_max_ms << " ms\n"
             << "  ingest stalls " << leg.stats.ingest_stalls << " (waited "
-            << (leg.stats.slots > 0
-                    ? leg.stats.ingest_wait_ms * 1e3 /
-                          static_cast<double>(leg.stats.slots)
-                    : 0.0)
-            << " us/slot)"
+            << per_slot_us(leg.stats.ingest_wait_ms, leg.stats.slots) << " us/slot)"
             << ", backpressure blocks " << leg.stats.backpressure_blocks
             << ", queue high-water input " << leg.stats.input_queue_high_water
             << " / flush " << leg.stats.flush_queue_high_water << ", peak RSS "
             << peak_rss_mb() << " MB\n";
+  if (leg.flush_ms >= 0.0) {
+    std::cout << "  slot-log flush " << per_slot_us(leg.flush_ms, leg.stats.slots)
+              << " us/slot\n";
+  }
 }
 
 }  // namespace
@@ -181,13 +208,15 @@ int main(int argc, char** argv) {
       loop.add_flush_inspector(
           std::make_shared<InvariantAuditor>(*config, audit_opts));
     }
+    std::shared_ptr<TimedInspector> flush;
     if (slot_log) {
       // Both legs write the same log (the pipelined leg overwrites the
       // serial leg's file), so the flush work compared is identical.
       obs::TraceSink::Options sink_opts;
       sink_opts.path = dir + "/slots.jsonl";
-      loop.add_flush_inspector(std::make_shared<obs::TracingInspector>(
+      flush = std::make_shared<TimedInspector>(std::make_shared<obs::TracingInspector>(
           std::make_shared<obs::TraceSink>(sink_opts)));
+      loop.add_flush_inspector(flush);
     }
     auto stats = loop.run();
     if (!stats.ok()) {
@@ -195,7 +224,7 @@ int main(int argc, char** argv) {
                 << " leg failed: " << stats.error().message << "\n";
       return std::nullopt;
     }
-    return Leg{stats.value(), loop.metrics()};
+    return Leg{stats.value(), loop.metrics(), flush != nullptr ? flush->elapsed_ms() : -1.0};
   };
 
   std::optional<Leg> serial, pipelined;

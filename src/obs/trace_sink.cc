@@ -11,6 +11,7 @@ TraceSink::TraceSink(Options options) : options_(std::move(options)) {
     file_.open(options_.path, std::ios::out | std::ios::trunc);
     GREFAR_CHECK_MSG(file_.is_open(),
                      "cannot open trace file '" << options_.path << "' for writing");
+    file_chunk_.reserve(kFileChunkBytes);
   }
 }
 
@@ -18,34 +19,43 @@ TraceSink::~TraceSink() { flush(); }
 
 void TraceSink::write_line(std::string_view line) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string* entry = &staging_;
   if (options_.ring_capacity > 0) {
+    std::string* entry = nullptr;
     if (ring_.size() < options_.ring_capacity) {
       entry = &ring_.emplace_back();
     } else {
       entry = &ring_[ring_head_];
       ring_head_ = (ring_head_ + 1) % ring_.size();
     }
+    // Lines reuse the evicted line's buffer. A buffer too small for the
+    // line is replaced by one sized to the longest line so far plus 1/8,
+    // not grown by std::string's doubling: the ring holds ring_capacity
+    // lines of similar length, doubling would leave up to half of it slack,
+    // and this way a buffer is replaced again only after a new longest line.
+    longest_line_ = std::max(longest_line_, line.size());
+    if (entry->capacity() < line.size()) {
+      std::string grown;
+      grown.reserve(longest_line_ + longest_line_ / 8);
+      entry->swap(grown);
+    }
+    entry->assign(line);
   }
-  // Lines reuse the evicted line's buffer. A buffer too small for the line
-  // is replaced by one sized to the longest line so far plus 1/8, not grown
-  // by std::string's doubling: the ring holds ring_capacity lines of similar
-  // length, doubling would leave up to half of it slack, and this way a
-  // buffer is replaced again only after a new longest line.
-  const std::size_t needed = line.size() + 1;  // + newline for the file
-  longest_line_ = std::max(longest_line_, needed);
-  if (entry->capacity() < needed) {
-    std::string grown;
-    grown.reserve(longest_line_ + longest_line_ / 8);
-    entry->swap(grown);
-  }
-  entry->assign(line);
   if (file_.is_open()) {
-    entry->push_back('\n');
-    file_.write(entry->data(), static_cast<std::streamsize>(entry->size()));
-    entry->pop_back();
+    if (file_chunk_.size() + line.size() + 1 > kFileChunkBytes) write_chunk();
+    if (line.size() + 1 > kFileChunkBytes) {
+      file_.write(line.data(), static_cast<std::streamsize>(line.size()));
+      file_.put('\n');
+    } else {
+      file_chunk_.append(line);
+      file_chunk_.push_back('\n');
+    }
   }
   ++records_written_;
+}
+
+void TraceSink::write_chunk() {
+  file_.write(file_chunk_.data(), static_cast<std::streamsize>(file_chunk_.size()));
+  file_chunk_.clear();
 }
 
 void TraceSink::write(const JsonValue& record) { write_line(record.dump()); }
@@ -67,7 +77,9 @@ std::uint64_t TraceSink::records_written() const {
 
 void TraceSink::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (file_.is_open()) file_.flush();
+  if (!file_.is_open()) return;
+  write_chunk();
+  file_.flush();
 }
 
 }  // namespace grefar::obs

@@ -8,6 +8,12 @@
 // and serialization happens outside the lock. Once the ring is full, a new
 // line reuses the evicted line's buffer, so a steady stream of similar-sized
 // records allocates nothing.
+//
+// File output goes out in chunks of up to kFileChunkBytes: std::filebuf
+// hands any write of 1 KiB or more straight to write(2), so a 14–20 KB slot
+// record written on its own would pay that call's fixed cost once per
+// record. Lines reach the file when the chunk fills, on flush() and on
+// destruction.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +41,11 @@ class TraceSink {
   explicit TraceSink(Options options);
   ~TraceSink();
 
+  /// Bytes of JSONL lines staged before one file write.
+  static constexpr std::size_t kFileChunkBytes = std::size_t{64} << 10;
+
   /// Appends `line` (one compact JSON document, no newline) as one JSONL
-  /// line: one file write, and a ring entry.
+  /// line: staged for the file, and a ring entry.
   void write_line(std::string_view line);
 
   /// Serializes `record` (compact) and appends it via write_line().
@@ -47,12 +56,16 @@ class TraceSink {
 
   std::uint64_t records_written() const;
 
-  /// Flushes the file stream (called by the destructor too).
+  /// Writes the staged lines and flushes the file stream (called by the
+  /// destructor too).
   void flush();
 
   const std::string& path() const { return options_.path; }
 
  private:
+  /// Writes file_chunk_ to the file and empties it; mutex_ held.
+  void write_chunk();
+
   Options options_;
   mutable std::mutex mutex_;
   std::ofstream file_;
@@ -60,9 +73,9 @@ class TraceSink {
   /// to be overwritten.
   std::vector<std::string> ring_;
   std::size_t ring_head_ = 0;
-  /// Line + newline staging for the file when there is no ring to stage in.
-  std::string staging_;
-  std::size_t longest_line_ = 0;  // with its newline; sizes new buffers
+  /// JSONL lines not yet written to the file.
+  std::string file_chunk_;
+  std::size_t longest_line_ = 0;  // sizes new ring buffers
   std::uint64_t records_written_ = 0;
 };
 

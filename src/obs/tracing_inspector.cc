@@ -1,6 +1,8 @@
 #include "obs/tracing_inspector.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <string_view>
 
@@ -13,24 +15,39 @@ namespace grefar::obs {
 
 namespace {
 
-// Appends compact JSON to a line buffer. Keys are trusted literals (written
-// unescaped), and callers emit each object's keys in sorted order — the
-// order a JsonObject (std::map) serializes them in — so the text matches
-// JsonValue::dump of the equivalent tree byte for byte.
+// Writes compact JSON through a cursor into a reused buffer: each token
+// checks the room left once and writes its bytes in place, numbers through
+// write_json_number. Keys are trusted literals (written unescaped), and
+// callers emit each object's keys in sorted order — the order a JsonObject
+// (std::map) serializes them in — so the text matches JsonValue::dump of the
+// equivalent tree byte for byte.
 class LineWriter {
  public:
-  explicit LineWriter(std::string& out) : out_(out) {}
+  /// Writes from the start of `buffer`, whose size is the room it offers;
+  /// the buffer grows (and keeps its size across records) when a record
+  /// needs more.
+  explicit LineWriter(std::string& buffer)
+      : buffer_(buffer), p_(buffer.data()), end_(p_ + buffer.size()) {}
+
+  /// The text written so far.
+  std::string_view line() const {
+    return {buffer_.data(), static_cast<std::size_t>(p_ - buffer_.data())};
+  }
 
   void key(std::string_view k) {
+    room(k.size() + 4);
     separate();
-    out_ += '"';
-    out_ += k;
-    out_ += "\":";
+    *p_++ = '"';
+    std::memcpy(p_, k.data(), k.size());
+    p_ += k.size();
+    *p_++ = '"';
+    *p_++ = ':';
     comma_ = false;
   }
   void number(double d) {
+    room(kJsonNumberMaxChars + 1);
     separate();
-    append_json_number(d, out_);
+    p_ = write_json_number(d, p_);
     comma_ = true;
   }
   void field(std::string_view k, double d) {
@@ -38,17 +55,21 @@ class LineWriter {
     number(d);
   }
   void null() {
+    room(5);
     separate();
-    out_ += "null";
+    std::memcpy(p_, "null", 4);
+    p_ += 4;
     comma_ = true;
   }
   void open(char bracket) {
+    room(2);
     separate();
-    out_ += bracket;
+    *p_++ = bracket;
     comma_ = false;
   }
   void close(char bracket) {
-    out_ += bracket;
+    room(1);
+    *p_++ = bracket;
     comma_ = true;
   }
 
@@ -98,11 +119,23 @@ class LineWriter {
   }
 
  private:
+  // Makes room for `n` more bytes.
+  void room(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - p_) < n) grow(n);
+  }
+  [[gnu::noinline]] void grow(std::size_t n) {
+    const auto used = static_cast<std::size_t>(p_ - buffer_.data());
+    buffer_.resize(std::max(2 * buffer_.size(), used + std::max<std::size_t>(n, 4096)));
+    p_ = buffer_.data() + used;
+    end_ = buffer_.data() + buffer_.size();
+  }
   void separate() {
-    if (comma_) out_ += ',';
+    if (comma_) *p_++ = ',';
   }
 
-  std::string& out_;
+  std::string& buffer_;
+  char* p_;
+  char* end_;
   bool comma_ = false;
 };
 
@@ -124,8 +157,7 @@ void TracingInspector::inspect(const SlotRecord& record) {
                record.routed != nullptr && record.served_work != nullptr);
   const std::size_t sparse_at = options_.sparse_array_threshold;
   const bool matrices = options_.include_matrices;
-  line_.clear();
-  LineWriter w(line_);
+  LineWriter w(buffer_);
   // Keys in sorted order at every level; see LineWriter.
   w.open('{');
   if (record.account_work != nullptr) {
@@ -242,7 +274,7 @@ void TracingInspector::inspect(const SlotRecord& record) {
   }
   w.field("slot", static_cast<double>(record.slot));
   w.close('}');
-  sink_->write_line(line_);
+  sink_->write_line(w.line());
   ++slots_traced_;
 }
 

@@ -8,13 +8,19 @@
 // scheduler filled any. Records go to a shared TraceSink (JSONL file and/or
 // in-memory ring).
 //
-// Records are written straight into a reused line buffer, with no document
-// tree in between: keys go out in a fixed sorted order (the order a
-// JsonObject would give them) and numbers through append_json_number, so the
-// line is byte-identical to dumping the equivalent JsonValue (pinned against
-// a DOM oracle by tests/obs). Every number comes from the deterministic
-// simulation state, so two runs of the same seed produce byte-identical
-// traces.
+// Records are written by a cursor straight into a reused line buffer, with
+// no document tree and no per-token std::string append in between: each key,
+// bracket or number checks the room left once and writes in place. Keys go
+// out in a fixed sorted order (the order a JsonObject would give them) and
+// numbers through write_json_number, the formatter behind JsonValue::dump,
+// so the line is byte-identical to dumping the equivalent JsonValue (pinned
+// against a DOM oracle by tests/obs). That formatter writes zeros and
+// integers inline and lays any other normal value out from its shortest
+// round-trip digits by %.{P}g's rules, P = max(15, digit count); exact
+// powers of two and subnormals, where that could differ from the first of
+// %.15g/%.16g/%.17g that round-trips, take that round-trip loop itself.
+// Every number comes from the deterministic simulation state, so two runs of
+// the same seed produce byte-identical traces.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +60,9 @@ class TracingInspector final : public SlotInspector {
  private:
   std::shared_ptr<TraceSink> sink_;
   TracingInspectorOptions options_;
-  std::string line_;  // the record being written; keeps capacity across slots
+  /// The record being written, from its start; its size is the room the
+  /// writer has and is kept across slots, so records reuse it.
+  std::string buffer_;
   std::int64_t slots_traced_ = 0;
 };
 

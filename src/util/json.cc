@@ -1,8 +1,11 @@
 #include "util/json.h"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <system_error>
 
 #include "util/check.h"
@@ -98,30 +101,74 @@ void append_newline_indent(std::string& out, int indent, int depth) {
 
 }  // namespace
 
-void append_json_number(double d, std::string& out) {
-  GREFAR_CHECK_MSG(std::isfinite(d), "JSON cannot represent non-finite numbers");
-  // Integral values get the text printf's %.0f gives, which keeps the sign
-  // of -0.0. Zero, by far the most common value in a slot record, first.
-  if (d == 0.0) {
-    out += std::signbit(d) ? "-0" : "0";
-    return;
-  }
-  char buf[32];
-  char* const end = buf + sizeof(buf);
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    out.append(buf, std::to_chars(buf, end, static_cast<std::int64_t>(d)).ptr);
-    return;
-  }
-  // Shortest of %.15g / %.16g / %.17g that round-trips exactly; to_chars
-  // with a precision formats as printf's %.*g would, minus the locale.
+namespace {
+
+// The %.15g / %.16g / %.17g round-trip loop. to_chars with a precision
+// formats as printf's %.*g would, minus the locale.
+char* write_round_trip_loop(double d, char* p) {
+  char* const end = p + kJsonNumberMaxChars;
   char* last = end;
   for (int precision : {15, 16, 17}) {
-    last = std::to_chars(buf, end, d, std::chars_format::general, precision).ptr;
+    last = std::to_chars(p, end, d, std::chars_format::general, precision).ptr;
     double back = 0.0;
-    std::from_chars(buf, last, back);
+    std::from_chars(p, last, back);
     if (back == d) break;
   }
-  out.append(buf, last);
+  return last;
+}
+
+// Lays the shortest round-trip digits of `d` out as %.{P}g would, with
+// P = max(15, digit count): for any normal value but an exact power of two,
+// the first of %.15g / %.16g / %.17g that round-trips rounds to exactly
+// these digits (see write_json_number).
+char* write_shortest(double d, char* p) {
+  // "-d.ddde-XX": sign, digits, an exponent of at least two digits — the
+  // very text %g gives when it picks the exponent form. Rearranged in place.
+  char* const end =
+      std::to_chars(p, p + kJsonNumberMaxChars, d, std::chars_format::scientific).ptr;
+  char* const s = *p == '-' ? p + 1 : p;  // the first digit; the rest follow a '.'
+  char* const e = end[-4] == 'e' ? end - 4 : end - 5;  // e+XX or e+XXX
+  const auto digits = e == s + 1 ? 1 : static_cast<int>(e - s) - 1;
+  int exponent = 10 * (end[-2] - '0') + (end[-1] - '0');
+  if (e == end - 5) exponent += 100 * (end[-3] - '0');
+  if (e[1] == '-') exponent = -exponent;
+  if (exponent < -4 || exponent >= std::max(15, digits)) return end;
+  if (exponent >= 0) {
+    // d.ddd -> dd.dd: the first `exponent` fraction digits move left over
+    // the '.', which goes when none is left behind it (an integer of P
+    // digits; P > exponent leaves no shorter one to pad with zeros).
+    for (int k = 1; k <= exponent; ++k) s[k] = s[k + 1];
+    if (exponent == digits - 1) return e - 1;
+    s[exponent + 1] = '.';
+    return e;
+  }
+  // d.ddd -> 0.000dddd
+  const int zeros = -exponent - 1;
+  const char lead = s[0];
+  for (int k = digits - 2; k >= 0; --k) s[2 + zeros + 1 + k] = s[2 + k];
+  s[2 + zeros] = lead;
+  s[0] = '0';
+  s[1] = '.';
+  for (int k = 0; k < zeros; ++k) s[2 + k] = '0';
+  return s + 2 + zeros + digits;
+}
+
+}  // namespace
+
+char* detail::write_json_number_digits(double d, char* p) {
+  GREFAR_CHECK_MSG(std::isfinite(d), "JSON cannot represent non-finite numbers");
+  constexpr std::uint64_t kExponentBits = std::uint64_t{0x7ff} << 52;
+  constexpr std::uint64_t kFractionBits = (std::uint64_t{1} << 52) - 1;
+  const auto bits = std::bit_cast<std::uint64_t>(d);
+  if ((bits & kExponentBits) == 0 || (bits & kFractionBits) == 0) {
+    return write_round_trip_loop(d, p);  // subnormal, or ±2^k
+  }
+  return write_shortest(d, p);
+}
+
+void append_json_number(double d, std::string& out) {
+  char buf[kJsonNumberMaxChars];
+  out.append(buf, write_json_number(d, buf));
 }
 
 void JsonValue::dump_to(std::string& out, int indent, int depth) const {

@@ -4,6 +4,9 @@
 // grammar except numeric exotica (NaN/Inf are rejected on serialize).
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -72,11 +75,45 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> data_;
 };
 
-/// Appends the JSON text of `d` to `out`: integral values below 1e15 in
-/// magnitude as integers ("-0" for -0.0), anything else as the shortest of
-/// %.15g / %.16g / %.17g that round-trips exactly. Locale-independent; the
-/// one number formatter behind dump() and the streaming slot-log writer.
-/// Contract: `d` is finite (JSON has no NaN/Inf).
+/// Room write_json_number needs at its cursor: the longest text it emits is
+/// 24 bytes ("-2.2250738585072014e-308").
+inline constexpr std::size_t kJsonNumberMaxChars = 32;
+
+namespace detail {
+/// write_json_number for values that are neither zero nor integral below
+/// 1e15; checks that `d` is finite.
+char* write_json_number_digits(double d, char* p);
+}  // namespace detail
+
+/// Writes the JSON text of `d` at `p` and returns one past its last byte;
+/// `p` must have kJsonNumberMaxChars bytes of room. Integral values below
+/// 1e15 in magnitude are written as integers ("-0" for -0.0), anything else
+/// as the shortest of %.15g / %.16g / %.17g that round-trips exactly. The
+/// one number formatter behind dump() and the streaming slot-log writer;
+/// locale-independent. Contract: `d` is finite (JSON has no NaN/Inf).
+///
+/// Zeros and integers, most of a slot record, take the inline path here. A
+/// normal value's text is laid out from its shortest round-trip digits by
+/// %.{P}g's rules, P = max(15, digit count); that is the same text except
+/// for exact powers of two, whose rounding interval is lopsided, and for
+/// subnormals, which have fewer than 15 significant digits. Those two
+/// classes take the round-trip loop itself.
+inline char* write_json_number(double d, char* p) {
+  // Integral values get the text printf's %.0f gives, which keeps the sign
+  // of -0.0. Neither test passes NaN or Inf.
+  if (d == 0.0) {
+    if (std::signbit(d)) *p++ = '-';
+    *p++ = '0';
+    return p;
+  }
+  if (std::abs(d) < 1e15) {
+    const auto i = static_cast<std::int64_t>(d);
+    if (static_cast<double>(i) == d) return std::to_chars(p, p + kJsonNumberMaxChars, i).ptr;
+  }
+  return detail::write_json_number_digits(d, p);
+}
+
+/// Appends the text write_json_number gives `d` to `out`.
 void append_json_number(double d, std::string& out);
 
 /// Parses a JSON document. Errors carry 1-based line/column positions.

@@ -503,6 +503,75 @@ TEST(TracingInspector, StreamedRecordMatchesDomOracleOnEmptyShapes) {
   expect_matches_oracle(parts.record(), "empty vectors and matrices");
 }
 
+// Number text at the formatter's branch points, in every vector and matrix
+// of the record: -0.0, the 1e15 integer cut and its neighbours, 2^53 + 2,
+// the power of two 2^-1017 and a subnormal (both take the round-trip loop),
+// and short decimals. option_sets() writes each dense and sparse.
+TEST(TracingInspector, StreamedRecordMatchesDomOracleOnNumberEdges) {
+  const std::vector<double> edges = {
+      -0.0,
+      1e15,
+      std::nextafter(1e15, 0.0),
+      std::nextafter(1e15, 2e15),
+      9007199254740994.0,  // 2^53 + 2
+      std::ldexp(1.0, -1017),
+      3 * std::numeric_limits<double>::denorm_min(),
+      0.1,
+      0.7,
+      -12.75,
+      0.0001,
+  };
+  RecordParts parts;
+  parts.obs.prices = edges;
+  parts.obs.central_queue = edges;
+  parts.dc_capacity = edges;
+  parts.dc_energy_cost = edges;
+  parts.dc_completions = edges;
+  parts.dc_delay_sum = edges;
+  parts.account_work = edges;
+  parts.central_after = edges;
+  for (MatrixD* m : {&parts.obs.dc_queue, &parts.action.route, &parts.action.process,
+                     &parts.routed, &parts.served, &parts.dc_after}) {
+    *m = MatrixD(2, edges.size());
+    for (std::size_t j = 0; j < edges.size(); ++j) {
+      (*m)(0, j) = edges[j];
+      (*m)(1, j) = edges[edges.size() - 1 - j];
+    }
+  }
+  parts.arrivals = {0, 999999999999999, 1000000000000000, 1000000000000001,
+                    -9007199254740994};
+  parts.offered = parts.arrivals;
+  parts.scope.admission.threshold = std::nextafter(1e15, 0.0);
+  parts.scope.tie_splits[0].jobs = std::ldexp(1.0, -1017);
+  SlotRecord record = parts.record();
+  record.fairness = 9007199254740994.0;
+  record.realized_value = std::numeric_limits<double>::denorm_min();
+  record.queued_value_after = std::nextafter(1e15, 2e15);
+  expect_matches_oracle(record, "number edges");
+}
+
+// One inspector writes records that outgrow its buffer mid-record, then a
+// short one into the grown buffer, then a longer one again.
+TEST(TracingInspector, StreamedRecordMatchesDomOracleAcrossBufferGrowth) {
+  obs::TraceSink::Options sink_options;
+  sink_options.ring_capacity = 4;
+  auto sink = std::make_shared<obs::TraceSink>(sink_options);
+  const obs::TracingInspectorOptions options;
+  obs::TracingInspector inspector(sink, options);
+  std::vector<std::string> expected;
+  for (std::size_t n : {std::size_t{3000}, std::size_t{2}, std::size_t{9000}}) {
+    RecordParts parts;
+    parts.account_work.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      parts.account_work[k] = static_cast<double>(k) + 1.0 / 3.0;
+    }
+    inspector.inspect(parts.record());
+    expected.push_back(dom_record(parts.record(), options).dump());
+  }
+  EXPECT_GT(expected.back().size(), 9000u * 17u);
+  EXPECT_EQ(sink->ring(), expected);
+}
+
 TEST(TracingInspector, StreamedRecordMatchesDomOracleOnEngineRuns) {
   // Plain GreFar on the small scenario, dense and with every vector and
   // row past the sparse threshold, with and without matrices.
@@ -554,6 +623,47 @@ TEST(TraceSink, WriteLineWithoutRingStillWritesFile) {
                          std::istreambuf_iterator<char>());
   EXPECT_EQ(text, "{\"a\":1}\n[]\n");
   std::remove(path.c_str());
+}
+
+// The file gets every line, in order, whichever side of a chunk boundary
+// it falls on — lines that fill a chunk exactly, overflow it by one byte or
+// are longer than a chunk — with or without a ring; flush() writes what is
+// staged.
+TEST(TraceSink, FileGetsEveryLineAcrossChunkBoundaries) {
+  constexpr std::size_t kChunk = obs::TraceSink::kFileChunkBytes;
+  const std::vector<std::size_t> lengths = {
+      10, kChunk - 12, 0, kChunk - 1, kChunk, 1, kChunk + 7, 3 * kChunk, 5, kChunk / 2,
+      kChunk / 2, kChunk / 2 - 1, 7};
+  for (std::size_t ring : {std::size_t{0}, std::size_t{3}}) {
+    const std::string path = testing::TempDir() + "trace_sink_chunks.jsonl";
+    std::remove(path.c_str());
+    std::string expected;
+    {
+      obs::TraceSink::Options options;
+      options.path = path;
+      options.ring_capacity = ring;
+      obs::TraceSink sink(options);
+      for (std::size_t k = 0; k < lengths.size(); ++k) {
+        const std::string line(lengths[k], static_cast<char>('a' + k));
+        sink.write_line(line);
+        expected += line + "\n";
+        if (k == 4) {
+          sink.flush();
+          std::ifstream in(path, std::ios::binary);
+          const std::string text((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+          EXPECT_EQ(text, expected) << "after flush, ring " << ring;
+        }
+      }
+      EXPECT_EQ(sink.records_written(), lengths.size());
+      EXPECT_EQ(sink.ring().size(), ring);
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text, expected) << "ring " << ring;
+    std::remove(path.c_str());
+  }
 }
 
 // A counting inspector for the tee test.

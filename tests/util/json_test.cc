@@ -3,15 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <random>
 #include <string>
 
+#include "json_number_reference.h"
 #include "util/check.h"
 
 namespace grefar {
@@ -151,20 +151,7 @@ TEST(JsonDump, RejectsNonFinite) {
   EXPECT_THROW(v.dump(), ContractViolation);
 }
 
-// The snprintf formatter append_json_number replaced, kept as the reference
-// its output must match byte for byte.
-std::string printf_json_number(double d) {
-  char buf[32];
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", d);
-    return buf;
-  }
-  for (int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) break;
-  }
-  return buf;
-}
+using testing_reference::printf_json_number;
 
 std::string json_number(double d) {
   std::string out;
@@ -236,6 +223,64 @@ TEST(JsonNumber, MatchesPrintfReferenceOnRandomValues) {
     const double dec = static_cast<double>(small(rng)) / 1000.0;
     ASSERT_EQ(json_number(dec), printf_json_number(dec)) << std::hexfloat << dec;
   }
+}
+
+// Checks `d` and -`d` against the reference.
+void expect_matches_reference(double d) {
+  for (double v : {d, -d}) EXPECT_EQ(json_number(v), printf_json_number(v)) << std::hexfloat << v;
+}
+
+// Exact powers of two are the one class of normal values where the shortest
+// round-trip digits and the first of %.15g/%.16g/%.17g that round-trips can
+// differ (their rounding interval is narrower below than above), so the
+// formatter hands them to the round-trip loop. Every one of them, normal and
+// subnormal.
+TEST(JsonNumber, MatchesPrintfReferenceOnEveryPowerOfTwo) {
+  for (int k = -1074; k <= 1023; ++k) expect_matches_reference(std::ldexp(1.0, k));
+}
+
+// Every decimal power in range, and both of its neighbours: the values where
+// %g switches between fixed and exponent layout and where a digit count
+// changes.
+TEST(JsonNumber, MatchesPrintfReferenceOnPowersOfTenAndNeighbours) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int k = -323; k <= 308; ++k) {
+    const std::string text = "1e" + std::to_string(k);
+    double p = 0.0;
+    std::from_chars(text.data(), text.data() + text.size(), p);
+    ASSERT_GT(p, 0.0) << text;
+    for (double d : {std::nextafter(p, 0.0), p, std::nextafter(p, inf)}) {
+      if (std::isfinite(d)) expect_matches_reference(d);
+    }
+  }
+}
+
+TEST(JsonNumber, MatchesPrintfReferenceOnSubnormals) {
+  std::mt19937_64 rng(0x5eed5eed5eedULL);
+  const std::uint64_t fraction = (std::uint64_t{1} << 52) - 1;
+  for (int k = 0; k < 20000; ++k) {
+    expect_matches_reference(std::bit_cast<double>((rng() & fraction) | 1));
+  }
+  for (std::uint64_t bits : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+                             fraction, fraction - 1, fraction / 3, fraction / 10}) {
+    expect_matches_reference(std::bit_cast<double>(bits));
+  }
+}
+
+// The integer path ends at 1e15 and exact integers end at 2^53: every
+// double within 64 of either cut.
+TEST(JsonNumber, MatchesPrintfReferenceOnIntegerCuts) {
+  for (double cut : {1e15, 9007199254740992.0}) {
+    for (double d = cut; d > cut - 64; d = std::nextafter(d, 0.0)) {
+      expect_matches_reference(d);
+    }
+    for (double d = cut; d < cut + 64; d = std::nextafter(d, 2 * cut)) {
+      expect_matches_reference(d);
+    }
+  }
+  EXPECT_EQ(json_number(1e15), "1e+15");
+  EXPECT_EQ(json_number(std::nextafter(1e15, 0.0)), "999999999999999.9");
+  EXPECT_EQ(json_number(9007199254740994.0), "9007199254740994");
 }
 
 TEST(JsonNumber, RejectsNonFinite) {
