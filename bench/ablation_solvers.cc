@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
     PaperScenario scenario = make_paper_scenario(seed);
     probes[leg] = std::make_shared<PgdAccuracyProbe>(
         scenario.config, paper_grefar_params(V, betas[leg]), /*all_solvers=*/true);
-    return make_scenario_engine(scenario, probes[leg], {}, audit);
+    return make_scenario_engine(scenario, probes[leg], audit);
   }, &obs);
 
   const SolverColumn greedy{"greedy", [](const PgdAccuracySample& s) { return s.greedy.value; },

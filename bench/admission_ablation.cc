@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     PaperScenario scenario = make_admission_scenario(seed, legs[leg].kind);
     auto scheduler = std::make_shared<GreFarScheduler>(
         scenario.config, paper_grefar_params(V, beta));
-    return make_scenario_engine(scenario, std::move(scheduler), {}, audit);
+    return make_scenario_engine(scenario, std::move(scheduler), audit);
   }, &obs);
 
   SummaryTable table({"policy", "offered jobs", "admitted jobs",

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
 
   auto sweep = run_sweep(legs.size(), horizon, jobs, [&](std::size_t leg) {
     PaperScenario scenario = make_paper_scenario(seed);
-    return make_scenario_engine(scenario, legs[leg].make(scenario), {}, audit);
+    return make_scenario_engine(scenario, legs[leg].make(scenario), audit);
   }, &obs);
 
   SummaryTable table({"scheduler", "slots audited", "violations", "leg ms"});

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <utility>
 
@@ -48,7 +49,15 @@ ObsSession::ObsSession(const CliParser& cli) {
   }
 }
 
-ObsSession::~ObsSession() { finish(); }
+ObsSession::~ObsSession() {
+  // The fallback for a main() that returned early: a slot-log flush failure
+  // cannot leave a destructor, so it is reported here instead.
+  try {
+    finish();
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+  }
+}
 
 void ObsSession::attach_tracer(SimulationEngine& engine) const {
   if (sink_ == nullptr) return;

@@ -43,8 +43,9 @@ void add_common_options(CliParser& cli, const std::string& default_horizon = "20
 /// calling thread (the parallel runner forwards them to worker threads and
 /// merges at join, so counter totals are identical at any --jobs value).
 /// With none of the flags given every member stays null and the run is
-/// untouched. finish() prints the requested reports; the destructor calls
-/// it as a fallback.
+/// untouched. finish() prints the requested reports and throws
+/// ContractViolation if the --trace file cannot be written; the destructor
+/// calls it as a fallback and reports such a failure on stderr.
 class ObsSession {
  public:
   explicit ObsSession(const CliParser& cli);

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     PaperScenario scenario = make_paper_scenario(seed);
     auto scheduler = std::make_shared<GreFarScheduler>(
         scenario.config, paper_grefar_params(V, betas[leg]));
-    return make_scenario_engine(scenario, std::move(scheduler), {}, audit);
+    return make_scenario_engine(scenario, std::move(scheduler), audit);
   }, &obs);
 
   std::vector<TimeSeries> energy, fairness, delay_dc1;

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     } else {
       scheduler = std::make_shared<AlwaysScheduler>(scenario.config);
     }
-    return make_scenario_engine(scenario, std::move(scheduler), {}, audit);
+    return make_scenario_engine(scenario, std::move(scheduler), audit);
   }, &obs);
 
   std::vector<TimeSeries> energy, fairness, delay_dc1;

@@ -55,16 +55,16 @@ int main(int argc, char** argv) {
   auto grefar = make_scenario_engine(
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config, paper_grefar_params(V, 0.0)),
-      {}, audit);
+      audit);
   obs.attach_tracer(*grefar);  // reference run carries the --trace records
   grefar->run(run_slots);
   auto grefar_strong = run_scenario(
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config,
                                         paper_grefar_params(V_strong, 0.0)),
-      run_slots, {}, audit);
+      run_slots, audit);
   auto always = run_scenario(scenario, std::make_shared<AlwaysScheduler>(scenario.config),
-                             run_slots, {}, audit);
+                             run_slots, audit);
 
   TimeSeries price("Price in DC #1");
   TimeSeries g_work("GreFar V=" + format_fixed(V, 1));

@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
   auto grefar = make_scenario_engine(
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config, paper_grefar_params(V, beta)),
-      {}, audit);
+      audit);
   obs.attach_tracer(*grefar);  // reference run carries the --trace records
   grefar->run(horizon);
   auto always = run_scenario(scenario, std::make_shared<AlwaysScheduler>(scenario.config),
-                             horizon, {}, audit);
+                             horizon, audit);
 
   const double paper[3] = {33.967, 48.502, 14.770};
   SummaryTable table({"DC", "cost/work", "GreFar work/slot", "paper", "Always work/slot"});

@@ -208,17 +208,19 @@ int main(int argc, char** argv) {
       loop.add_flush_inspector(
           std::make_shared<InvariantAuditor>(*config, audit_opts));
     }
+    std::shared_ptr<obs::TraceSink> sink;
     std::shared_ptr<TimedInspector> flush;
     if (slot_log) {
       // Both legs write the same log (the pipelined leg overwrites the
       // serial leg's file), so the flush work compared is identical.
       obs::TraceSink::Options sink_opts;
       sink_opts.path = dir + "/slots.jsonl";
-      flush = std::make_shared<TimedInspector>(std::make_shared<obs::TracingInspector>(
-          std::make_shared<obs::TraceSink>(sink_opts)));
+      sink = std::make_shared<obs::TraceSink>(sink_opts);
+      flush = std::make_shared<TimedInspector>(std::make_shared<obs::TracingInspector>(sink));
       loop.add_flush_inspector(flush);
     }
     auto stats = loop.run();
+    if (stats.ok() && sink != nullptr) sink->flush();  // throws if the tail is lost
     if (!stats.ok()) {
       std::cerr << (pipelined ? "pipelined" : "serial")
                 << " leg failed: " << stats.error().message << "\n";

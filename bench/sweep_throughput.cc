@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
       PaperScenario scenario = make_paper_scenario(leg_seed(leg));
       auto scheduler = std::make_shared<GreFarScheduler>(
           scenario.config, paper_grefar_params(leg_v(leg), 0.0));
-      return make_scenario_engine(scenario, std::move(scheduler), {}, audit);
+      return make_scenario_engine(scenario, std::move(scheduler), audit);
     });
     for (std::size_t leg = 0; leg < num_legs; ++leg) {
       fp_rebuild[leg] = fingerprint(result.engines[leg]->metrics());

@@ -1,4 +1,4 @@
-#include "solver/frank_wolfe.h"
+#include "check/frank_wolfe.h"
 
 #include <cmath>
 #include <cstdint>
@@ -8,6 +8,12 @@
 #include "util/check.h"
 
 namespace grefar {
+
+namespace {
+// The stall stop (see the header comment).
+constexpr double kProgressTolerance = 1e-11;
+constexpr int kStallIterations = 8;
+}  // namespace
 
 FrankWolfeResult minimize_frank_wolfe(const ConvexObjective& objective,
                                       const CappedBoxPolytope& polytope,
@@ -76,19 +82,17 @@ FrankWolfeResult minimize_frank_wolfe(const ConvexObjective& objective,
     if (t < 1e-12) t = 2.0 / (iter + 2.0);
     for (std::size_t j = 0; j < n; ++j) x[j] += t * (s[j] - x[j]);
 
-    // Stall stop (see FrankWolfeOptions): the line search is exact, so the
-    // objective is non-increasing and a run of negligible-progress
-    // iterations means the remaining zig-zag only polishes the certificate.
-    if (options.stall_iterations > 0) {
-      double f = objective.value(x);
-      double min_progress = options.progress_tolerance * (1.0 + std::abs(f));
-      stall = f_prev - f < min_progress ? stall + 1 : 0;
-      f_prev = f;
-      if (stall >= options.stall_iterations) {
-        result.converged = true;
-        stall_stop = true;
-        break;
-      }
+    // Stall stop: the line search is exact, so the objective is
+    // non-increasing and a run of negligible-progress iterations means the
+    // remaining zig-zag only polishes the certificate.
+    double f = objective.value(x);
+    double min_progress = kProgressTolerance * (1.0 + std::abs(f));
+    stall = f_prev - f < min_progress ? stall + 1 : 0;
+    f_prev = f;
+    if (stall >= kStallIterations) {
+      result.converged = true;
+      stall_stop = true;
+      break;
     }
   }
 

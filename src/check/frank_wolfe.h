@@ -1,4 +1,6 @@
-// Frank-Wolfe (conditional gradient) over a CappedBoxPolytope.
+// Frank-Wolfe (conditional gradient) over a CappedBoxPolytope: an oracle
+// for the per-slot solve (per_slot_oracles.h, pgd_oracle.h); no scheduler
+// runs it.
 //
 // Each iteration calls the polytope's linear minimization oracle — which for
 // the GreFar per-slot problem is exactly the beta=0 greedy — then takes an
@@ -6,6 +8,14 @@
 // segment is convex in one variable; we use ternary search). The Frank-Wolfe
 // gap g_k = grad(x_k) . (x_k - s_k) upper-bounds the suboptimality, giving a
 // certified stopping rule.
+//
+// Near a face the FW gap zig-zags around a loose plateau long after the
+// objective has stopped moving (two-vertex crawl with step sizes ~1e-6), so
+// the certificate alone may never fire. A solve therefore also stops after
+// 8 consecutive iterations that each improve the objective by less than
+// 1e-11 * (1 + |f|); that stall rule is what lets a warm-started solve (x0
+// near the optimum) return in a few iterations instead of burning the whole
+// budget.
 #pragma once
 
 #include <vector>
@@ -20,16 +30,6 @@ struct FrankWolfeOptions {
   int max_iterations = 500;
   double gap_tolerance = 1e-7;  // stop when the FW gap certificate is below
   int line_search_iters = 48;   // ternary-search refinements per step
-  /// Stall stop: also finish after `stall_iterations` consecutive iterations
-  /// that each improve the objective by less than
-  /// progress_tolerance * (1 + |f|). Near a face the FW gap zig-zags around
-  /// a loose plateau long after the objective has stopped moving (two-vertex
-  /// crawl with step sizes ~1e-6), so the certificate alone never fires; the
-  /// stall rule is what lets a warm-started solve (x0 near the optimum)
-  /// return in a few iterations instead of burning the whole budget.
-  /// Set stall_iterations <= 0 to disable and rely on the gap alone.
-  double progress_tolerance = 1e-11;
-  int stall_iterations = 8;
 };
 
 struct FrankWolfeResult {

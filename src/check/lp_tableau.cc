@@ -20,8 +20,7 @@ namespace {
 // ---------------------------------------------------------------------------
 class Tableau {
  public:
-  Tableau(const LinearProgram& lp, const SimplexOptions& options)
-      : options_(options), n_struct_(lp.num_vars()) {
+  explicit Tableau(const LinearProgram& lp) : n_struct_(lp.num_vars()) {
     // Densify sparse rows and materialize finite bounds as rows.
     std::vector<std::vector<double>> dense;
     std::vector<ConstraintSense> senses;
@@ -145,7 +144,7 @@ class Tableau {
       if (basis_[i] < first_artificial_) continue;
       std::size_t pivot_col = SIZE_MAX;
       for (std::size_t j = 0; j < first_artificial_; ++j) {
-        if (std::abs(rows_[i][j]) > options_.eps) {
+        if (std::abs(rows_[i][j]) > kSimplexEps) {
           pivot_col = j;
           break;
         }
@@ -160,7 +159,7 @@ class Tableau {
 
   /// Runs the simplex method with Bland's rule on the given cost vector.
   LpStatus run_simplex(const std::vector<double>& cost, int* iteration_counter) {
-    for (int iter = 0; iter < options_.max_iterations; ++iter) {
+    for (int iter = 0; iter < kSimplexMaxIterations; ++iter) {
       ++*iteration_counter;
       std::size_t entering = SIZE_MAX;
       for (std::size_t j = 0; j < n_total_; ++j) {
@@ -170,7 +169,7 @@ class Tableau {
         for (std::size_t i = 0; i < m_; ++i) {
           reduced -= cost[basis_[i]] * rows_[i][j];
         }
-        if (reduced < -options_.eps) {
+        if (reduced < -kSimplexEps) {
           entering = j;  // Bland: first improving index
           break;
         }
@@ -181,10 +180,10 @@ class Tableau {
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < m_; ++i) {
         double a = rows_[i][entering];
-        if (a > options_.eps) {
+        if (a > kSimplexEps) {
           double ratio = rhs_[i] / a;
-          if (ratio < best_ratio - options_.eps ||
-              (std::abs(ratio - best_ratio) <= options_.eps &&
+          if (ratio < best_ratio - kSimplexEps ||
+              (std::abs(ratio - best_ratio) <= kSimplexEps &&
                (leaving == SIZE_MAX || basis_[i] < basis_[leaving]))) {
             best_ratio = ratio;
             leaving = i;
@@ -222,7 +221,6 @@ class Tableau {
     basis_[row] = col;
   }
 
-  SimplexOptions options_;
   std::size_t m_ = 0;
   std::size_t n_struct_;
   std::size_t n_total_ = 0;
@@ -236,8 +234,8 @@ class Tableau {
 
 }  // namespace
 
-LpSolution solve_lp_tableau(const LinearProgram& lp, const SimplexOptions& options) {
-  Tableau tableau(lp, options);
+LpSolution solve_lp_tableau(const LinearProgram& lp) {
+  Tableau tableau(lp);
   return tableau.solve();
 }
 

@@ -12,6 +12,6 @@ namespace grefar {
 
 /// Solves `lp` with the dense tableau simplex (cold, two-phase). The
 /// returned solution carries no basis.
-LpSolution solve_lp_tableau(const LinearProgram& lp, const SimplexOptions& options = {});
+LpSolution solve_lp_tableau(const LinearProgram& lp);
 
 }  // namespace grefar

@@ -16,8 +16,8 @@
 
 #include <vector>
 
+#include "check/frank_wolfe.h"
 #include "core/drift_penalty.h"
-#include "solver/frank_wolfe.h"
 #include "solver/lp.h"
 #include "solver/projected_gradient.h"
 

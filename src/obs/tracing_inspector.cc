@@ -156,7 +156,6 @@ void TracingInspector::inspect(const SlotRecord& record) {
   GREFAR_CHECK(record.obs != nullptr && record.action != nullptr &&
                record.routed != nullptr && record.served_work != nullptr);
   const std::size_t sparse_at = options_.sparse_array_threshold;
-  const bool matrices = options_.include_matrices;
   LineWriter w(buffer_);
   // Keys in sorted order at every level; see LineWriter.
   w.open('{');
@@ -235,7 +234,7 @@ void TracingInspector::inspect(const SlotRecord& record) {
   }
   w.key("central_queue");
   w.dense_or_sparse(span_of(record.obs->central_queue), sparse_at);
-  if (matrices && record.dc_after != nullptr) {
+  if (record.dc_after != nullptr) {
     w.key("dc_after");
     w.rows(*record.dc_after, sparse_at);
   }
@@ -255,23 +254,19 @@ void TracingInspector::inspect(const SlotRecord& record) {
     w.key("dc_energy_cost");
     w.dense(span_of(*record.dc_energy_cost));
   }
-  if (matrices) {
-    w.key("dc_queue");
-    w.rows(record.obs->dc_queue, sparse_at);
-  }
+  w.key("dc_queue");
+  w.rows(record.obs->dc_queue, sparse_at);
   w.field("fairness", record.fairness);
   w.key("prices");
   w.dense(span_of(record.obs->prices));
-  if (matrices) {
-    w.key("process_ask");
-    w.rows(record.action->process, sparse_at);
-    w.key("route_ask");
-    w.rows(record.action->route, sparse_at);
-    w.key("routed");
-    w.rows(*record.routed, sparse_at);
-    w.key("served_work");
-    w.rows(*record.served_work, sparse_at);
-  }
+  w.key("process_ask");
+  w.rows(record.action->process, sparse_at);
+  w.key("route_ask");
+  w.rows(record.action->route, sparse_at);
+  w.key("routed");
+  w.rows(*record.routed, sparse_at);
+  w.key("served_work");
+  w.rows(*record.served_work, sparse_at);
   w.field("slot", static_cast<double>(record.slot));
   w.close('}');
   sink_->write_line(w.line());

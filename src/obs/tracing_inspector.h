@@ -1,12 +1,11 @@
 // TracingInspector: SlotInspector -> structured JSONL slot records.
 //
 // Attached to a SimulationEngine, it converts every SlotRecord into one JSON
-// object — prices, queue state, the scheduler's ask, what the engine actually
-// routed/served, per-DC capacity and billed energy, per-account work,
-// fairness, completions, post-slot queues — plus scheduler-internal
-// annotations (TraceScope: tie-group splits, drift-weight signs) when the
-// scheduler filled any. Records go to a shared TraceSink (JSONL file and/or
-// in-memory ring).
+// object — prices, queue state, the scheduler's ask, what the engine
+// actually routed/served (always the full N x J matrices), per-DC capacity
+// and billed energy, per-account work, fairness, completions, post-slot
+// queues — plus scheduler-internal annotations (TraceScope: tie-group
+// splits, drift-weight signs) when the scheduler filled any. Records go to a shared TraceSink (a JSONL file).
 //
 // Records are written by a cursor straight into a reused line buffer, with
 // no document tree and no per-token std::string append in between: each key,
@@ -34,10 +33,6 @@
 namespace grefar::obs {
 
 struct TracingInspectorOptions {
-  /// Include the N x J matrices (ask, routed, served, post-slot queues).
-  /// Off keeps records small for long horizons at the cost of per-(i,j)
-  /// detail; the per-DC and per-account aggregates are always emitted.
-  bool include_matrices = true;
   /// Per-type / per-account vectors longer than this — and matrix rows with
   /// more columns than this — are emitted in sparse form, {"n": length,
   /// "idx": [...], "val": [...]} over the non-zero entries, instead of a

@@ -74,10 +74,4 @@ void SimRunner::for_each_index(std::size_t count,
       count, [&fn](std::size_t /*task*/, std::size_t i) { fn(i); }, chunk);
 }
 
-std::vector<std::unique_ptr<SimulationEngine>> SimRunner::run_engines(
-    std::vector<std::function<std::unique_ptr<SimulationEngine>()>> makers) const {
-  return map<std::unique_ptr<SimulationEngine>>(
-      makers.size(), [&makers](std::size_t i) { return makers[i](); });
-}
-
 }  // namespace grefar

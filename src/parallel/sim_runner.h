@@ -13,18 +13,16 @@
 // accumulators (RunningStats and friends) merge cleanly afterwards because
 // they are parallel-combinable by design.
 //
-// A task that throws poisons only its own slot; run()/map() rethrow the
-// first failure in leg order after every leg has finished.
+// A task that throws poisons only its own slot; run() and the indexed loops
+// rethrow the first failure in leg order after every leg has finished.
 #pragma once
 
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "sim/engine.h"
 #include "util/annotations.h"
 
 namespace grefar {
@@ -61,21 +59,6 @@ class SimRunner {
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t index)>& fn,
                       std::size_t chunk = 1) const;
-
-  /// Parallel map with ordered results: results[i] = fn(i). Routed through
-  /// the chunked ticket path, so no per-index closure is allocated.
-  template <typename Result>
-  std::vector<Result> map(std::size_t count,
-                          std::function<Result(std::size_t)> fn) const {
-    std::vector<Result> results(count);
-    for_each_index(count, [&results, &fn](std::size_t i) { results[i] = fn(i); });
-    return results;
-  }
-
-  /// Domain shorthand: each maker builds *and runs* one engine on a worker;
-  /// engines (with their SimMetrics) come back in maker order.
-  std::vector<std::unique_ptr<SimulationEngine>> run_engines(
-      std::vector<std::function<std::unique_ptr<SimulationEngine>()>> makers) const;
 
  private:
   std::size_t jobs_;

@@ -64,14 +64,13 @@ enum class AuditMode { kAuto, kOff, kThrow, kRecord };
 /// — the form the parallel sweep runner wants (it drives run() itself).
 std::unique_ptr<SimulationEngine> make_scenario_engine(
     const PaperScenario& scenario, std::shared_ptr<Scheduler> scheduler,
-    EngineOptions options = {}, AuditMode audit = AuditMode::kAuto);
+    AuditMode audit = AuditMode::kAuto);
 
 /// Runs `scheduler` on `scenario` for `horizon` slots on the job-level
 /// engine and returns the engine (metrics inside).
 std::unique_ptr<SimulationEngine> run_scenario(const PaperScenario& scenario,
                                                std::shared_ptr<Scheduler> scheduler,
                                                std::int64_t horizon,
-                                               EngineOptions options = {},
                                                AuditMode audit = AuditMode::kAuto);
 
 }  // namespace grefar

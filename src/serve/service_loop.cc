@@ -168,8 +168,7 @@ ServiceLoop::ServiceLoop(std::shared_ptr<const ClusterConfig> config,
   inspector_ = std::make_shared<PipelineInspector>();
   // No price or arrival model: every slot's input is pushed by step(in).
   engine_ = std::make_unique<SimulationEngine>(
-      config_, nullptr, std::move(availability), nullptr, std::move(scheduler),
-      options_.engine);
+      config_, nullptr, std::move(availability), nullptr, std::move(scheduler));
   if (options_.admission != nullptr) {
     engine_->set_admission_policy(options_.admission);
   }

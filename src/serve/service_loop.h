@@ -61,7 +61,6 @@ struct ServiceLoopOptions {
   /// by the engine on the solve thread, so stateful policies need no
   /// synchronization.
   std::shared_ptr<AdmissionPolicy> admission;
-  EngineOptions engine;
 };
 
 struct ServiceStats {

@@ -24,24 +24,22 @@ SimulationEngine::SimulationEngine(ClusterConfig config,
                                    std::shared_ptr<const PriceModel> prices,
                                    std::shared_ptr<const AvailabilityModel> availability,
                                    std::shared_ptr<const ArrivalProcess> arrivals,
-                                   std::shared_ptr<Scheduler> scheduler,
-                                   EngineOptions options)
+                                   std::shared_ptr<Scheduler> scheduler)
     : SimulationEngine(std::make_shared<const ClusterConfig>(std::move(config)),
                        std::move(prices), std::move(availability),
-                       std::move(arrivals), std::move(scheduler), options) {}
+                       std::move(arrivals), std::move(scheduler)) {}
 
 SimulationEngine::SimulationEngine(std::shared_ptr<const ClusterConfig> config,
                                    std::shared_ptr<const PriceModel> prices,
                                    std::shared_ptr<const AvailabilityModel> availability,
                                    std::shared_ptr<const ArrivalProcess> arrivals,
-                                   std::shared_ptr<Scheduler> scheduler,
-                                   EngineOptions options)
+                                   std::shared_ptr<Scheduler> scheduler)
     : fairness_fn_(require_config(config)->gammas()),
       metrics_(config->num_data_centers(), config->num_accounts()) {
   // config_ is still null here, so reset() validates the config and builds
   // every piece of per-cluster state.
   reset(std::move(config), std::move(prices), std::move(availability),
-        std::move(arrivals), std::move(scheduler), options);
+        std::move(arrivals), std::move(scheduler));
 }
 
 void SimulationEngine::build_eligible_mask() {
@@ -63,8 +61,7 @@ void SimulationEngine::reset(std::shared_ptr<const ClusterConfig> config,
                              std::shared_ptr<const PriceModel> prices,
                              std::shared_ptr<const AvailabilityModel> availability,
                              std::shared_ptr<const ArrivalProcess> arrivals,
-                             std::shared_ptr<Scheduler> scheduler,
-                             EngineOptions options) {
+                             std::shared_ptr<Scheduler> scheduler) {
   GREFAR_CHECK_MSG(config != nullptr, "SimulationEngine needs a cluster config");
   GREFAR_CHECK(availability != nullptr && scheduler != nullptr);
   const bool same_config = config.get() == config_.get();
@@ -87,7 +84,6 @@ void SimulationEngine::reset(std::shared_ptr<const ClusterConfig> config,
   availability_ = std::move(availability);
   arrivals_ = std::move(arrivals);
   scheduler_ = std::move(scheduler);
-  options_ = options;
   admission_.reset();
   inspector_.reset();
 
@@ -455,15 +451,9 @@ void SimulationEngine::serve(const SlotObservation& obs, const SlotAction& actio
     double dc_completions = 0.0;
     for (std::size_t j = 0; j < J; ++j) {
       if (want[j] <= 0.0) continue;
-      // In literal-(13) mode, only work queued at the start of the slot is
-      // servable this slot.
-      double servable = want[j];
-      if (!options_.serve_routed_same_slot) {
-        servable = std::min(servable, obs.dc_queue(i, j) * config_->job_types[j].work);
-      }
       double consumed = 0.0;
       completions_.clear();
-      dc_[i][j].serve_into(servable, slot_, &consumed, completions_,
+      dc_[i][j].serve_into(want[j], slot_, &consumed, completions_,
                            config_->job_types[j].max_rate);
       if (inspector_ != nullptr) served_mat_(i, j) = consumed;
       dc_work += consumed;

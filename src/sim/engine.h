@@ -76,13 +76,6 @@ struct SlotInput {
   std::vector<ArrivalBatch> batches;
 };
 
-struct EngineOptions {
-  /// When true (default) slot-t service may also cover jobs routed during
-  /// slot t; when false service applies only to jobs already queued at the
-  /// start of the slot (the literal eq. (13) ordering).
-  bool serve_routed_same_slot = true;
-};
-
 class SimulationEngine {
  public:
   /// `prices` and `arrivals` may be null when the caller drives the engine
@@ -91,7 +84,7 @@ class SimulationEngine {
   SimulationEngine(ClusterConfig config, std::shared_ptr<const PriceModel> prices,
                    std::shared_ptr<const AvailabilityModel> availability,
                    std::shared_ptr<const ArrivalProcess> arrivals,
-                   std::shared_ptr<Scheduler> scheduler, EngineOptions options = {});
+                   std::shared_ptr<Scheduler> scheduler);
 
   /// Shared-config overload: at M = 10^6 accounts a ClusterConfig weighs
   /// ~10^2 MB, so engine/scheduler/auditor sharing one immutable instance
@@ -101,12 +94,12 @@ class SimulationEngine {
                    std::shared_ptr<const PriceModel> prices,
                    std::shared_ptr<const AvailabilityModel> availability,
                    std::shared_ptr<const ArrivalProcess> arrivals,
-                   std::shared_ptr<Scheduler> scheduler, EngineOptions options = {});
+                   std::shared_ptr<Scheduler> scheduler);
 
   /// Rebinds this engine to a new scenario without reconstructing it — the
   /// sweep arena's reuse path (DESIGN.md §16); the constructors run it too.
   /// Checks the models against the cluster, swaps in the new
-  /// models/scheduler/options, and returns every piece of mutable
+  /// models and scheduler, and returns every piece of mutable
   /// simulation state (queues, metrics, slot counter, job ids, per-account
   /// accumulators) to its freshly-constructed value; admission policy and
   /// inspector are detached (re-attach per leg). Scratch buffers keep their
@@ -118,7 +111,7 @@ class SimulationEngine {
              std::shared_ptr<const PriceModel> prices,
              std::shared_ptr<const AvailabilityModel> availability,
              std::shared_ptr<const ArrivalProcess> arrivals,
-             std::shared_ptr<Scheduler> scheduler, EngineOptions options = {});
+             std::shared_ptr<Scheduler> scheduler);
 
   /// Advances the simulation by `slots` steps.
   void run(std::int64_t slots);
@@ -192,7 +185,6 @@ class SimulationEngine {
   std::shared_ptr<const ArrivalProcess> arrivals_;
   std::shared_ptr<Scheduler> scheduler_;
   std::shared_ptr<AdmissionPolicy> admission_;   // nullptr = admit all
-  EngineOptions options_;
   /// True when any queued job could ever carry a deadline (a job type
   /// declares one, or some input was valued and may annotate one); gates
   /// the expiry stage so deadline-free runs pay nothing.

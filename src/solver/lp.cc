@@ -75,9 +75,8 @@ namespace {
 // ---------------------------------------------------------------------------
 class RevisedSimplex {
  public:
-  RevisedSimplex(const LinearProgram& lp, const SimplexOptions& options)
-      : options_(options),
-        m_(lp.num_constraints()),
+  explicit RevisedSimplex(const LinearProgram& lp)
+      : m_(lp.num_constraints()),
         n_struct_(lp.num_vars()),
         objective_(lp.objective()) {
     // Normalize rhs >= 0 by negating rows (flips <= / >=), then lay out the
@@ -355,10 +354,10 @@ class RevisedSimplex {
   /// Dantzig pricing with ascending-index tie-breaks; Bland's rule after a
   /// stall, which guarantees termination on degenerate problems.
   LpStatus iterate(const std::vector<double>& cost, int* iteration_counter) {
-    const double eps = options_.eps;
+    const double eps = kSimplexEps;
     int stall = 0;
     bool bland = false;
-    while (*iteration_counter < options_.max_iterations) {
+    while (*iteration_counter < kSimplexMaxIterations) {
       ++*iteration_counter;
       if (pivots_since_refactor_ >= kRefactorInterval) {
         if (!factorize()) return LpStatus::kIterationLimit;
@@ -515,7 +514,6 @@ class RevisedSimplex {
                                         static_cast<std::ptrdiff_t>(n_cols_));
   }
 
-  SimplexOptions options_;
   std::size_t m_;
   std::size_t n_struct_;
   std::size_t n_cols_ = 0;  // structural + slack/surplus
@@ -558,18 +556,17 @@ void flush_simplex_counters(const RevisedSimplex& solver) {
 }
 }  // namespace
 
-LpSolution solve_lp(const LinearProgram& lp, const SimplexOptions& options) {
-  RevisedSimplex solver(lp, options);
+LpSolution solve_lp(const LinearProgram& lp) {
+  RevisedSimplex solver(lp);
   LpSolution solution = solver.solve_cold();
   obs::count("lp.cold_solves");
   flush_simplex_counters(solver);
   return solution;
 }
 
-LpSolution solve_lp(const LinearProgram& lp, const SimplexBasis& warm,
-                    const SimplexOptions& options) {
+LpSolution solve_lp(const LinearProgram& lp, const SimplexBasis& warm) {
   if (warm.valid()) {
-    RevisedSimplex solver(lp, options);
+    RevisedSimplex solver(lp);
     LpSolution solution;
     if (solver.solve_warm(warm, &solution)) {
       obs::count("lp.warm_start_hits");
@@ -579,7 +576,7 @@ LpSolution solve_lp(const LinearProgram& lp, const SimplexBasis& warm,
     flush_simplex_counters(solver);  // work spent on the failed warm attempt
   }
   obs::count("lp.warm_start_cold_fallbacks");
-  RevisedSimplex cold(lp, options);
+  RevisedSimplex cold(lp);
   LpSolution solution = cold.solve_cold();
   flush_simplex_counters(cold);
   return solution;

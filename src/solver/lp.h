@@ -110,21 +110,20 @@ struct LpSolution {
   bool optimal() const { return status == LpStatus::kOptimal; }
 };
 
-/// Solver options; defaults are adequate for every LP in this repository.
-struct SimplexOptions {
-  double eps = 1e-9;           // pivot / reduced-cost tolerance
-  int max_iterations = 50000;  // across both phases
-};
+/// Pivot / reduced-cost tolerance of this simplex and of the dense-tableau
+/// oracle (check/lp_tableau.h).
+inline constexpr double kSimplexEps = 1e-9;
+/// Iteration cap of one solve, across both phases (kIterationLimit beyond).
+inline constexpr int kSimplexMaxIterations = 50000;
 
 /// Solves the LP with the bounded-variable revised simplex (cold start).
-LpSolution solve_lp(const LinearProgram& lp, const SimplexOptions& options = {});
+LpSolution solve_lp(const LinearProgram& lp);
 
 /// Warm-started solve: re-enters phase 2 from `warm` (a basis exported by a
 /// previous solve of a same-shape LP). Falls back to a cold solve if the
 /// basis does not fit the current data, so this is never less robust than
 /// solve_lp(lp).
-LpSolution solve_lp(const LinearProgram& lp, const SimplexBasis& warm,
-                    const SimplexOptions& options = {});
+LpSolution solve_lp(const LinearProgram& lp, const SimplexBasis& warm);
 
 /// Human-readable status name (for logs and test failure messages).
 std::string to_string(LpStatus status);

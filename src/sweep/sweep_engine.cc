@@ -112,13 +112,12 @@ SweepRunStats SweepEngine::run(
 
         if (options_.reuse_engines && arena.engine != nullptr) {
           arena.engine->reset(art.config, art.prices, art.availability,
-                              art.arrivals, std::move(scheduler),
-                              plan.engine_options);
+                              art.arrivals, std::move(scheduler));
           obs::count("sweep.engine_reuses");
         } else {
           arena.engine = std::make_unique<SimulationEngine>(
               art.config, art.prices, art.availability, art.arrivals,
-              std::move(scheduler), plan.engine_options);
+              std::move(scheduler));
           obs::count("sweep.engine_builds");
         }
         SimulationEngine& engine = *arena.engine;

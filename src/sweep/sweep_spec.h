@@ -76,7 +76,6 @@ struct LegPlan {
   /// attached when this is unset and the scenario carries one).
   std::function<std::shared_ptr<AdmissionPolicy>(const ScenarioArtifacts&)>
       make_admission;
-  EngineOptions engine_options;
 };
 
 class SweepSpec {

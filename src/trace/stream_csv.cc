@@ -11,12 +11,14 @@ std::string CsvPosition::to_string() const {
          ", col " + std::to_string(column) + ")";
 }
 
-StreamCsvParser::StreamCsvParser(RowCallback on_row, CsvDialect dialect,
-                                 CsvLimits limits)
-    : on_row_(std::move(on_row)), dialect_(dialect), limits_(limits) {
+namespace {
+constexpr char kSeparator = ',';
+constexpr char kQuote = '"';
+}  // namespace
+
+StreamCsvParser::StreamCsvParser(RowCallback on_row, CsvLimits limits)
+    : on_row_(std::move(on_row)), limits_(limits) {
   GREFAR_CHECK(static_cast<bool>(on_row_));
-  GREFAR_CHECK(dialect_.separator != dialect_.quote);
-  GREFAR_CHECK(dialect_.separator != '\n' && dialect_.quote != '\n');
 }
 
 Status StreamCsvParser::fail(std::string message) {
@@ -90,46 +92,21 @@ Status StreamCsvParser::feed(std::string_view chunk) {
 
   for (std::size_t i = 0; i < chunk.size(); ++i) {
     const char c = chunk[i];
-
-    // A deferred '\r' (skip_bare_cr=false dialect) becomes a literal field
-    // byte unless the byte after it is '\n'.
-    if (cr_pending_) {
-      cr_pending_ = false;
-      if (c == '\n') {
-        if (Status st = end_row(); !st.ok()) return st;
-        advance(c);
-        continue;
-      }
-      if (state_ == State::kQuoteEnd && dialect_.strict_quotes) {
-        return fail("unexpected byte after closing quote at " +
-                    cr_pos_.to_string());
-      }
-      if (state_ == State::kRowStart) row_start_ = cr_pos_;
-      if (Status st = append_field_byte('\r'); !st.ok()) return st;
-      state_ = State::kUnquoted;
-      // fall through: `c` itself is processed below.
-    }
-
     if (state_ == State::kRowStart) row_start_ = pos_;
 
     switch (state_) {
       case State::kRowStart:
       case State::kFieldStart:
-        if (c == dialect_.quote) {
+        if (c == kQuote) {
           quote_open_ = pos_;
           state_ = State::kQuoted;
-        } else if (c == dialect_.separator) {
+        } else if (c == kSeparator) {
           if (Status st = end_field(); !st.ok()) return st;
           state_ = State::kFieldStart;
         } else if (c == '\n') {
           if (Status st = end_row(); !st.ok()) return st;
         } else if (c == '\r') {
-          if (dialect_.skip_bare_cr) {
-            // dropped; the row does not become dirty (kRowStart persists).
-          } else {
-            cr_pending_ = true;
-            cr_pos_ = pos_;
-          }
+          // dropped; the row does not become dirty (kRowStart persists).
         } else {
           if (Status st = append_field_byte(c); !st.ok()) return st;
           state_ = State::kUnquoted;
@@ -137,27 +114,18 @@ Status StreamCsvParser::feed(std::string_view chunk) {
         break;
 
       case State::kUnquoted:
-        if (c == dialect_.separator) {
+        if (c == kSeparator) {
           if (Status st = end_field(); !st.ok()) return st;
           state_ = State::kFieldStart;
         } else if (c == '\n') {
           if (Status st = end_row(); !st.ok()) return st;
-        } else if (c == '\r') {
-          if (dialect_.skip_bare_cr) {
-            // dropped anywhere outside quotes (historical CsvReader rule).
-          } else {
-            cr_pending_ = true;
-            cr_pos_ = pos_;
-          }
-        } else if (c == dialect_.quote && dialect_.strict_quotes) {
-          return fail("quote opening mid-field at " + pos_.to_string());
-        } else {
+        } else if (c != '\r') {  // '\r' is dropped anywhere outside quotes
           if (Status st = append_field_byte(c); !st.ok()) return st;
         }
         break;
 
       case State::kQuoted:
-        if (c == dialect_.quote) {
+        if (c == kQuote) {
           state_ = State::kQuoteEnd;
         } else {
           if (Status st = append_field_byte(c); !st.ok()) return st;
@@ -165,25 +133,17 @@ Status StreamCsvParser::feed(std::string_view chunk) {
         break;
 
       case State::kQuoteEnd:
-        if (c == dialect_.quote) {
+        if (c == kQuote) {
           // Doubled quote: one literal quote byte, still inside the section.
           if (Status st = append_field_byte(c); !st.ok()) return st;
           state_ = State::kQuoted;
-        } else if (c == dialect_.separator) {
+        } else if (c == kSeparator) {
           if (Status st = end_field(); !st.ok()) return st;
           state_ = State::kFieldStart;
         } else if (c == '\n') {
           if (Status st = end_row(); !st.ok()) return st;
         } else if (c == '\r') {
-          if (dialect_.skip_bare_cr) {
-            // dropped; still "just closed a quote".
-          } else {
-            cr_pending_ = true;
-            cr_pos_ = pos_;
-          }
-        } else if (dialect_.strict_quotes) {
-          return fail("unexpected byte after closing quote at " +
-                      pos_.to_string());
+          // dropped; still "just closed a quote".
         } else {
           // Lenient concatenation: "a"x parses as the field ax.
           if (Status st = append_field_byte(c); !st.ok()) return st;
@@ -201,16 +161,6 @@ Status StreamCsvParser::finish() {
   if (finished_) return {};
   finished_ = true;
 
-  if (cr_pending_) {
-    cr_pending_ = false;
-    if (state_ == State::kQuoteEnd && dialect_.strict_quotes) {
-      return fail("unexpected byte after closing quote at " +
-                  cr_pos_.to_string());
-    }
-    if (state_ == State::kRowStart) row_start_ = cr_pos_;
-    if (Status st = append_field_byte('\r'); !st.ok()) return st;
-    state_ = State::kUnquoted;
-  }
   if (state_ == State::kQuoted) {
     return fail("unterminated quoted field opened at " +
                 quote_open_.to_string());
@@ -224,9 +174,8 @@ Status StreamCsvParser::finish() {
 }
 
 Status parse_csv(std::string_view text,
-                 const StreamCsvParser::RowCallback& on_row, CsvDialect dialect,
-                 CsvLimits limits) {
-  StreamCsvParser parser(on_row, dialect, limits);
+                 const StreamCsvParser::RowCallback& on_row, CsvLimits limits) {
+  StreamCsvParser parser(on_row, limits);
   if (Status st = parser.feed(text); !st.ok()) return st;
   return parser.finish();
 }

@@ -1,14 +1,18 @@
 // StreamCsvParser: the repo's one CSV parser — an incremental, SAX-style
-// state machine modeled on the libcsv callback design with the explicit
-// dialect options of the ghoti.io CSV module (SNIPPETS.md §2–3).
+// state machine modeled on the libcsv callback design (SNIPPETS.md §2).
+//
+// One dialect: ',' separates fields, '"' quotes them (RFC-4180 doubling
+// inside a quoted section), a bare '\r' outside quotes is dropped (CRLF and
+// stray carriage returns are tolerated), and bytes after a closing quote
+// concatenate leniently ("a"x is the field ax).
 //
 // Bytes are *fed* in arbitrary chunks (a 64 KiB file read, a whole
 // materialized string, one byte at a time — the row stream is identical,
 // property-fuzzed in tests/fuzz/fuzz_stream_csv.cc); completed rows are
 // handed to a callback as they finish, so a trace file far larger than RAM
-// parses in O(one row) memory. The materializing readers (util/csv.h
-// CsvReader, trace/job_trace.h, trace/price_trace.h) are thin wrappers over
-// this parser; there is deliberately no second CSV implementation to drift.
+// parses in O(one row) memory. The materializing trace readers
+// (trace/job_trace.h, trace/price_trace.h) call parse_csv directly; there
+// is deliberately no second CSV implementation to drift.
 //
 // Error discipline: every failure carries the absolute byte offset plus
 // 1-based line/column of the offending byte ("unterminated quoted field
@@ -26,25 +30,6 @@
 #include "util/result.h"
 
 namespace grefar {
-
-/// Explicit CSV dialect (ghoti.io-style): exactly how bytes become fields.
-struct CsvDialect {
-  /// Field separator (',' CSV, '\t' TSV, ';', '|', ...).
-  char separator = ',';
-  /// Quote character; a field starting with it is parsed RFC-4180-quoted
-  /// (separators/newlines literal inside, the quote itself doubled).
-  char quote = '"';
-  /// Outside quotes, '\r' is dropped wherever it appears (tolerates CRLF and
-  /// stray carriage returns — the historical CsvReader behaviour). When
-  /// false, '\r' is only consumed as part of a "\r\n" row terminator and is
-  /// a literal field byte elsewhere.
-  bool skip_bare_cr = true;
-  /// Strict RFC-4180 quoting: after a quoted section closes, only the
-  /// separator or a row terminator may follow ("\"a\"x" is an error instead
-  /// of the lenient concatenation "ax"), and a quote opening mid-field is an
-  /// error instead of a literal byte.
-  bool strict_quotes = false;
-};
 
 /// Hard resource limits: parsing fails (with the offending position) instead
 /// of growing unboundedly. Zero disables an individual limit.
@@ -76,8 +61,7 @@ class StreamCsvParser {
       const std::vector<std::string>& fields, std::uint64_t row_index,
       const CsvPosition& row_start)>;
 
-  explicit StreamCsvParser(RowCallback on_row, CsvDialect dialect = {},
-                           CsvLimits limits = {});
+  explicit StreamCsvParser(RowCallback on_row, CsvLimits limits = {});
 
   /// Feeds one chunk; emits every row completed within it. After an error
   /// (from the machine or the callback) the parser is poisoned: further
@@ -107,7 +91,6 @@ class StreamCsvParser {
   Status end_row();
 
   RowCallback on_row_;
-  CsvDialect dialect_;
   CsvLimits limits_;
 
   State state_ = State::kRowStart;
@@ -118,8 +101,6 @@ class StreamCsvParser {
   std::vector<std::string> row_;  // reused fields of the current row
   std::size_t row_width_ = 0;    // fields completed in the current row
   std::uint64_t rows_emitted_ = 0;
-  bool cr_pending_ = false;      // skip_bare_cr=false: '\r' awaiting lookahead
-  CsvPosition cr_pos_;           // where the pending '\r' was consumed
   bool finished_ = false;
   bool failed_ = false;
   std::string error_;            // sticky first error
@@ -128,6 +109,6 @@ class StreamCsvParser {
 /// Convenience: runs `text` through a StreamCsvParser in one feed + finish.
 /// The callback contract is identical; chunking never changes the row stream.
 Status parse_csv(std::string_view text, const StreamCsvParser::RowCallback& on_row,
-                 CsvDialect dialect = {}, CsvLimits limits = {});
+                 CsvLimits limits = {});
 
 }  // namespace grefar

@@ -19,7 +19,7 @@ TraceChunkReader::TraceChunkReader(std::unique_ptr<std::istream> in,
                                    StreamCsvParser::RowCallback on_row)
     : in_(std::move(in)),
       what_(what),
-      parser_(std::move(on_row), CsvDialect{}, options.limits) {
+      parser_(std::move(on_row), options.limits) {
   GREFAR_CHECK(in_ != nullptr);
   GREFAR_CHECK(options.reorder_window >= 0);
   GREFAR_CHECK(options.chunk_bytes > 0);

@@ -10,7 +10,7 @@ namespace grefar {
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out_ << sep_;
+    if (i > 0) out_ << ',';
     out_ << escape(fields[i]);
   }
   out_ << '\n';
@@ -23,8 +23,8 @@ void CsvWriter::write_row(const std::vector<double>& fields, int precision) {
   write_row(text);
 }
 
-std::string CsvWriter::escape(const std::string& field) const {
-  bool needs_quotes = field.find(sep_) != std::string::npos ||
+std::string CsvWriter::escape(const std::string& field) {
+  bool needs_quotes = field.find(',') != std::string::npos ||
                       field.find('"') != std::string::npos ||
                       field.find('\n') != std::string::npos ||
                       field.find('\r') != std::string::npos;
@@ -36,28 +36,6 @@ std::string CsvWriter::escape(const std::string& field) const {
   }
   out += '"';
   return out;
-}
-
-Result<std::vector<std::vector<std::string>>> CsvReader::parse(std::string_view text) const {
-  std::vector<std::vector<std::string>> rows;
-  CsvDialect dialect;
-  dialect.separator = sep_;
-  Status st = parse_csv(
-      text,
-      [&rows](const std::vector<std::string>& fields, std::uint64_t /*row*/,
-              const CsvPosition& /*row_start*/) -> Status {
-        rows.push_back(fields);
-        return {};
-      },
-      dialect, limits_);
-  if (!st.ok()) return st.error();
-  return rows;
-}
-
-Result<std::vector<std::vector<std::string>>> CsvReader::parse_file(const std::string& path) const {
-  auto content = read_file(path);
-  if (!content.ok()) return content.error();
-  return parse(content.value());
 }
 
 Result<std::string> read_file(const std::string& path) {

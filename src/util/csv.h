@@ -1,22 +1,23 @@
-// Minimal RFC-4180-style CSV reader/writer used by the trace module and the
-// benchmark harness. Supports quoted fields containing separators, quotes
-// (doubled) and newlines.
+// Minimal RFC-4180-style CSV writer plus whole-file read/write helpers used
+// by the trace module and the benchmark harness. Reading CSV goes through
+// trace/stream_csv.h's parse_csv.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "trace/stream_csv.h"
 #include "util/result.h"
 
 namespace grefar {
 
-/// Serializes rows to CSV. Fields containing the separator, quotes or
-/// newlines are quoted; embedded quotes are doubled.
+/// Serializes rows to CSV in the dialect parse_csv reads: ',' separates,
+/// and fields containing a comma, quotes or line breaks are quoted with
+/// embedded quotes doubled.
 class CsvWriter {
  public:
-  explicit CsvWriter(std::ostream& out, char sep = ',') : out_(out), sep_(sep) {}
+  explicit CsvWriter(std::ostream& out) : out_(out) {}
 
   /// Writes one row; flushes a trailing '\n'.
   void write_row(const std::vector<std::string>& fields);
@@ -25,32 +26,9 @@ class CsvWriter {
   void write_row(const std::vector<double>& fields, int precision = 6);
 
  private:
-  std::string escape(const std::string& field) const;
+  static std::string escape(const std::string& field);
 
   std::ostream& out_;
-  char sep_;
-};
-
-/// Parses CSV text into materialized rows of fields. A thin wrapper over
-/// StreamCsvParser (trace/stream_csv.h) — the repo's one CSV state machine —
-/// with the historical lenient dialect. `limits` bounds resource usage
-/// (max field bytes / fields per row / row count); violations and malformed
-/// quoting fail with byte-offset diagnostics.
-class CsvReader {
- public:
-  explicit CsvReader(char sep = ',', CsvLimits limits = {})
-      : sep_(sep), limits_(limits) {}
-
-  /// Parses an entire document. Returns all rows (the caller decides whether
-  /// the first is a header). Fails on unterminated quotes.
-  Result<std::vector<std::vector<std::string>>> parse(std::string_view text) const;
-
-  /// Reads and parses a whole file.
-  Result<std::vector<std::vector<std::string>>> parse_file(const std::string& path) const;
-
- private:
-  char sep_;
-  CsvLimits limits_;
 };
 
 /// Reads an entire file into a string.

@@ -43,7 +43,7 @@ double measure_allocs_per_slot(double beta) {
   auto scheduler = std::make_shared<GreFarScheduler>(
       scenario.config, paper_grefar_params(/*V=*/7.5, beta));
   auto engine =
-      make_scenario_engine(scenario, std::move(scheduler), {}, AuditMode::kOff);
+      make_scenario_engine(scenario, std::move(scheduler), AuditMode::kOff);
   engine->run(kWarmupSlots);
   g_allocations.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
@@ -193,14 +193,12 @@ class CountingTracer final : public SlotInspector {
 };
 
 // The traced slot writes its JSONL record into reused buffers: once the
-// line buffer has grown and the ring has lapped, a slot log with a file and
-// the default ring allocates nothing.
+// line buffer has grown, the slot log allocates nothing.
 TEST(AllocRegression, TracedSlotLogAllocatesNothingInSteadyState) {
   const std::string path = testing::TempDir() + "alloc_regression_trace.jsonl";
   obs::TraceSink::Options sink_options;
   sink_options.path = path;
   auto sink = std::make_shared<obs::TraceSink>(sink_options);
-  ASSERT_LT(sink_options.ring_capacity, static_cast<std::size_t>(kWarmupSlots));
   auto tracer = std::make_shared<CountingTracer>(
       std::make_shared<obs::TracingInspector>(sink));
 
@@ -209,7 +207,7 @@ TEST(AllocRegression, TracedSlotLogAllocatesNothingInSteadyState) {
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config,
                                         paper_grefar_params(/*V=*/7.5, 0.0)),
-      {}, AuditMode::kOff);
+      AuditMode::kOff);
   engine->set_inspector(tracer);
   engine->run(kWarmupSlots);
   g_allocations.store(0, std::memory_order_relaxed);
@@ -219,6 +217,7 @@ TEST(AllocRegression, TracedSlotLogAllocatesNothingInSteadyState) {
   const auto allocations = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(allocations, 0u) << "the traced slot log allocated " << allocations
                              << " times over " << kMeasuredSlots << " slots";
+  sink->flush();
   EXPECT_EQ(sink->records_written(),
             static_cast<std::uint64_t>(kWarmupSlots + kMeasuredSlots));
   std::remove(path.c_str());

@@ -1,4 +1,4 @@
-#include "solver/frank_wolfe.h"
+#include "check/frank_wolfe.h"
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,9 @@
 // Differential fuzz harness for the streaming CSV parser: the same document
 // parsed whole and parsed in chunks (split points derived from the input
 // bytes themselves, so the fuzzer controls where chunk boundaries land) must
-// produce the identical row stream, positions and error. The first two input
-// bytes pick the chunking and dialect; the rest is the CSV text.
+// produce the identical row stream, positions and error. Byte 0 picks the
+// chunking and byte 1 is ignored, so the checked-in corpus keeps its layout;
+// the rest is the CSV text.
 //
 // grefar::ContractViolation is the defined failure mode for contract-checked
 // construction and is caught; a divergence aborts (the finding), and
@@ -32,7 +33,6 @@ struct Outcome {
 };
 
 Outcome parse(std::string_view text, std::size_t chunk,
-              const grefar::CsvDialect& dialect,
               const grefar::CsvLimits& limits) {
   Outcome out;
   grefar::StreamCsvParser parser(
@@ -42,7 +42,7 @@ Outcome parse(std::string_view text, std::size_t chunk,
         out.row_bytes.push_back(row_start.byte);
         return {};
       },
-      dialect, limits);
+      limits);
   grefar::Status st;
   if (chunk == 0) {
     st = parser.feed(text);
@@ -62,12 +62,8 @@ Outcome parse(std::string_view text, std::size_t chunk,
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 2) return 0;
-  // Byte 0: chunk size 1..64. Byte 1: dialect bits.
+  // Byte 0: chunk size 1..64. Byte 1: unused.
   const std::size_t chunk = 1 + data[0] % 64;
-  grefar::CsvDialect dialect;
-  dialect.strict_quotes = (data[1] & 1) != 0;
-  dialect.skip_bare_cr = (data[1] & 2) != 0;
-  if ((data[1] & 4) != 0) dialect.separator = ';';
   grefar::CsvLimits limits;
   limits.max_field_bytes = 1 << 10;
   limits.max_fields_per_row = 64;
@@ -75,8 +71,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::string_view text(reinterpret_cast<const char*>(data + 2),
                               size - 2);
   try {
-    const Outcome whole = parse(text, 0, dialect, limits);
-    const Outcome chunked = parse(text, chunk, dialect, limits);
+    const Outcome whole = parse(text, 0, limits);
+    const Outcome chunked = parse(text, chunk, limits);
     if (!(whole == chunked)) {
       std::abort();  // chunk-boundary divergence: the bug class we hunt
     }

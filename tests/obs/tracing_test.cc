@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,10 +22,54 @@
 #include "parallel/sim_runner.h"
 #include "scenario/admission_scenario.h"
 #include "scenario/paper_scenario.h"
+#include "util/check.h"
 #include "util/json.h"
 
 namespace grefar {
 namespace {
+
+/// A TraceSink on a temp file named after the running test plus `suffix`
+/// (so tests running in parallel never share one); text() and lines()
+/// flush it, unless close() dropped it, and read the JSONL back. The file
+/// is removed with the helper.
+class TempTraceFile {
+ public:
+  explicit TempTraceFile(const std::string& suffix = "")
+      : path_(testing::TempDir() + "tracing_test_" +
+              testing::UnitTest::GetInstance()->current_test_info()->name() + suffix +
+              ".jsonl"),
+        sink_(std::make_shared<obs::TraceSink>(obs::TraceSink::Options{path_})) {}
+  ~TempTraceFile() {
+    close();
+    std::remove(path_.c_str());
+  }
+  TempTraceFile(const TempTraceFile&) = delete;
+  TempTraceFile& operator=(const TempTraceFile&) = delete;
+
+  const std::shared_ptr<obs::TraceSink>& sink() const { return sink_; }
+
+  /// Destroys the sink, so only its destructor writes what is staged.
+  void close() { sink_.reset(); }
+
+  /// The whole file as written so far (after a flush).
+  std::string text() const {
+    if (sink_ != nullptr) sink_->flush();
+    std::ifstream in(path_, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+
+  /// The file's lines, without their newlines.
+  std::vector<std::string> lines() const {
+    std::istringstream in(text());
+    std::vector<std::string> out;
+    for (std::string line; std::getline(in, line);) out.push_back(line);
+    return out;
+  }
+
+ private:
+  std::string path_;
+  std::shared_ptr<obs::TraceSink> sink_;
+};
 
 // --- DOM oracle --------------------------------------------------------------
 // The JsonObject tree TracingInspector used to build for every record before
@@ -136,15 +182,13 @@ JsonValue dom_record(const SlotRecord& record,
                 static_cast<double>(record.deadline_violations));
     root.emplace("admission", JsonValue(std::move(adm)));
   }
-  if (options.include_matrices) {
-    root.emplace("dc_queue", rows_of(record.obs->dc_queue, sparse_at));
-    root.emplace("route_ask", rows_of(record.action->route, sparse_at));
-    root.emplace("process_ask", rows_of(record.action->process, sparse_at));
-    root.emplace("routed", rows_of(*record.routed, sparse_at));
-    root.emplace("served_work", rows_of(*record.served_work, sparse_at));
-    if (record.dc_after != nullptr) {
-      root.emplace("dc_after", rows_of(*record.dc_after, sparse_at));
-    }
+  root.emplace("dc_queue", rows_of(record.obs->dc_queue, sparse_at));
+  root.emplace("route_ask", rows_of(record.action->route, sparse_at));
+  root.emplace("process_ask", rows_of(record.action->process, sparse_at));
+  root.emplace("routed", rows_of(*record.routed, sparse_at));
+  root.emplace("served_work", rows_of(*record.served_work, sparse_at));
+  if (record.dc_after != nullptr) {
+    root.emplace("dc_after", rows_of(*record.dc_after, sparse_at));
   }
   if (record.scope != nullptr) {
     const TraceScope& scope = *record.scope;
@@ -189,11 +233,9 @@ JsonValue dom_record(const SlotRecord& record,
 /// The streamed line TracingInspector writes for `record`.
 std::string streamed_line(const SlotRecord& record,
                           const obs::TracingInspectorOptions& options) {
-  obs::TraceSink::Options sink_options;
-  sink_options.ring_capacity = 1;
-  auto sink = std::make_shared<obs::TraceSink>(sink_options);
-  obs::TracingInspector(sink, options).inspect(record);
-  return sink->ring().back();
+  const TempTraceFile file("_line");
+  obs::TracingInspector(file.sink(), options).inspect(record);
+  return file.lines().back();
 }
 
 /// Checks every record an engine produces against the oracle.
@@ -299,14 +341,12 @@ struct RecordParts {
   }
 };
 
-/// Option sets covering dense, sparse (vectors and rows trip at J = 5 > 3)
-/// and matrix-free records.
+/// Option sets covering dense and sparse records (vectors and rows trip at
+/// J = 5 > 3).
 std::vector<obs::TracingInspectorOptions> option_sets() {
   std::vector<obs::TracingInspectorOptions> out;
-  for (bool matrices : {true, false}) {
-    for (std::size_t threshold : {std::size_t{4096}, std::size_t{3}, std::size_t{0}}) {
-      out.push_back({.include_matrices = matrices, .sparse_array_threshold = threshold});
-    }
+  for (std::size_t threshold : {std::size_t{4096}, std::size_t{3}, std::size_t{0}}) {
+    out.push_back({.sparse_array_threshold = threshold});
   }
   return out;
 }
@@ -314,67 +354,31 @@ std::vector<obs::TracingInspectorOptions> option_sets() {
 void expect_matches_oracle(const SlotRecord& record, const std::string& what) {
   for (const auto& options : option_sets()) {
     EXPECT_EQ(streamed_line(record, options), dom_record(record, options).dump())
-        << what << " (matrices " << options.include_matrices << ", sparse above "
-        << options.sparse_array_threshold << ")";
+        << what << " (sparse above " << options.sparse_array_threshold << ")";
   }
 }
 
 // Runs the small 2-DC scenario under GreFar for `slots` with a tracer
-// attached and returns the serialized records (ring snapshot).
-std::vector<std::string> run_traced(std::uint64_t seed, std::int64_t slots,
-                                    std::shared_ptr<obs::TraceSink> sink = nullptr) {
-  if (sink == nullptr) {
-    sink = std::make_shared<obs::TraceSink>(obs::TraceSink::Options{});
-  }
+// attached and returns the serialized records.
+std::vector<std::string> run_traced(std::uint64_t seed, std::int64_t slots) {
+  const TempTraceFile file("_run");
   PaperScenario scenario = make_small_scenario(seed);
   auto engine = make_scenario_engine(
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config,
                                         paper_grefar_params(7.5, 10.0)),
-      {}, AuditMode::kOff);
-  engine->set_inspector(std::make_shared<obs::TracingInspector>(sink));
+      AuditMode::kOff);
+  engine->set_inspector(std::make_shared<obs::TracingInspector>(file.sink()));
   engine->run(slots);
-  return sink->ring();
-}
-
-TEST(TraceSink, RingKeepsMostRecentRecords) {
-  obs::TraceSink::Options options;
-  options.ring_capacity = 2;
-  obs::TraceSink sink(options);
-  JsonObject o;
-  for (int i = 0; i < 5; ++i) {
-    o["i"] = JsonValue(i);
-    sink.write(JsonValue(o));
-  }
-  EXPECT_EQ(sink.records_written(), 5u);
-  const auto ring = sink.ring();
-  ASSERT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring[0], "{\"i\":3}");
-  EXPECT_EQ(ring[1], "{\"i\":4}");
+  return file.lines();
 }
 
 TEST(TraceSink, WritesJsonlFile) {
-  const std::string path = testing::TempDir() + "trace_sink_test.jsonl";
-  std::remove(path.c_str());
-  {
-    obs::TraceSink::Options options;
-    options.path = path;
-    obs::TraceSink sink(options);
-    JsonObject o;
-    o["slot"] = JsonValue(0);
-    sink.write(JsonValue(o));
-    o["slot"] = JsonValue(1);
-    sink.write(JsonValue(o));
-  }  // destructor flushes
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "{\"slot\":0}");
-  EXPECT_EQ(lines[1], "{\"slot\":1}");
-  std::remove(path.c_str());
+  TempTraceFile file;
+  file.sink()->write_line("{\"slot\":0}");
+  file.sink()->write_line("{\"slot\":1}");
+  file.close();  // the destructor writes the staged lines
+  EXPECT_EQ(file.lines(), (std::vector<std::string>{"{\"slot\":0}", "{\"slot\":1}"}));
 }
 
 // The golden structural contract of one slot record: every documented field
@@ -421,24 +425,6 @@ TEST(TracingInspector, TraceIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(first, second);
   const auto other_seed = run_traced(/*seed=*/12, /*slots=*/30);
   EXPECT_NE(first, other_seed);
-}
-
-TEST(TracingInspector, MatrixFreeModeOmitsMatrices) {
-  auto sink = std::make_shared<obs::TraceSink>(obs::TraceSink::Options{});
-  PaperScenario scenario = make_small_scenario(3);
-  auto engine = make_scenario_engine(
-      scenario,
-      std::make_shared<GreFarScheduler>(scenario.config,
-                                        paper_grefar_params(7.5, 0.0)),
-      {}, AuditMode::kOff);
-  obs::TracingInspectorOptions options;
-  options.include_matrices = false;
-  engine->set_inspector(std::make_shared<obs::TracingInspector>(sink, options));
-  engine->run(3);
-  auto parsed = parse_json(sink->ring().front());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().find("routed"), nullptr);
-  EXPECT_NE(parsed.value().find("central_queue"), nullptr);
 }
 
 TEST(TracingInspector, StreamedRecordMatchesDomOracle) {
@@ -553,11 +539,9 @@ TEST(TracingInspector, StreamedRecordMatchesDomOracleOnNumberEdges) {
 // One inspector writes records that outgrow its buffer mid-record, then a
 // short one into the grown buffer, then a longer one again.
 TEST(TracingInspector, StreamedRecordMatchesDomOracleAcrossBufferGrowth) {
-  obs::TraceSink::Options sink_options;
-  sink_options.ring_capacity = 4;
-  auto sink = std::make_shared<obs::TraceSink>(sink_options);
+  const TempTraceFile file;
   const obs::TracingInspectorOptions options;
-  obs::TracingInspector inspector(sink, options);
+  obs::TracingInspector inspector(file.sink(), options);
   std::vector<std::string> expected;
   for (std::size_t n : {std::size_t{3000}, std::size_t{2}, std::size_t{9000}}) {
     RecordParts parts;
@@ -569,19 +553,19 @@ TEST(TracingInspector, StreamedRecordMatchesDomOracleAcrossBufferGrowth) {
     expected.push_back(dom_record(parts.record(), options).dump());
   }
   EXPECT_GT(expected.back().size(), 9000u * 17u);
-  EXPECT_EQ(sink->ring(), expected);
+  EXPECT_EQ(file.lines(), expected);
 }
 
 TEST(TracingInspector, StreamedRecordMatchesDomOracleOnEngineRuns) {
   // Plain GreFar on the small scenario, dense and with every vector and
-  // row past the sparse threshold, with and without matrices.
+  // row past the sparse threshold.
   for (const auto& options : option_sets()) {
     PaperScenario scenario = make_small_scenario(19);
     auto engine = make_scenario_engine(
         scenario,
         std::make_shared<GreFarScheduler>(scenario.config,
                                           paper_grefar_params(7.5, 10.0)),
-        {}, AuditMode::kOff);
+        AuditMode::kOff);
     auto check = std::make_shared<OracleCheckInspector>(options);
     engine->set_inspector(check);
     engine->run(40);
@@ -595,7 +579,7 @@ TEST(TracingInspector, StreamedRecordMatchesDomOracleOnEngineRuns) {
         scenario,
         std::make_shared<GreFarScheduler>(scenario.config,
                                           paper_grefar_params(7.5, 0.0)),
-        {}, AuditMode::kOff);
+        AuditMode::kOff);
     auto check = std::make_shared<OracleCheckInspector>(
         obs::TracingInspectorOptions{.sparse_array_threshold = 3});
     engine->set_inspector(check);
@@ -605,65 +589,65 @@ TEST(TracingInspector, StreamedRecordMatchesDomOracleOnEngineRuns) {
   }
 }
 
-TEST(TraceSink, WriteLineWithoutRingStillWritesFile) {
-  const std::string path = testing::TempDir() + "trace_sink_no_ring.jsonl";
-  std::remove(path.c_str());
-  {
-    obs::TraceSink::Options options;
-    options.path = path;
-    options.ring_capacity = 0;
-    obs::TraceSink sink(options);
-    sink.write_line("{\"a\":1}");
-    sink.write_line("[]");
-    EXPECT_TRUE(sink.ring().empty());
-    EXPECT_EQ(sink.records_written(), 2u);
-  }
-  std::ifstream in(path);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  EXPECT_EQ(text, "{\"a\":1}\n[]\n");
-  std::remove(path.c_str());
-}
-
 // The file gets every line, in order, whichever side of a chunk boundary
 // it falls on — lines that fill a chunk exactly, overflow it by one byte or
-// are longer than a chunk — with or without a ring; flush() writes what is
-// staged.
+// are longer than a chunk; flush() writes what is staged.
 TEST(TraceSink, FileGetsEveryLineAcrossChunkBoundaries) {
   constexpr std::size_t kChunk = obs::TraceSink::kFileChunkBytes;
   const std::vector<std::size_t> lengths = {
       10, kChunk - 12, 0, kChunk - 1, kChunk, 1, kChunk + 7, 3 * kChunk, 5, kChunk / 2,
       kChunk / 2, kChunk / 2 - 1, 7};
-  for (std::size_t ring : {std::size_t{0}, std::size_t{3}}) {
-    const std::string path = testing::TempDir() + "trace_sink_chunks.jsonl";
-    std::remove(path.c_str());
-    std::string expected;
-    {
-      obs::TraceSink::Options options;
-      options.path = path;
-      options.ring_capacity = ring;
-      obs::TraceSink sink(options);
-      for (std::size_t k = 0; k < lengths.size(); ++k) {
-        const std::string line(lengths[k], static_cast<char>('a' + k));
-        sink.write_line(line);
-        expected += line + "\n";
-        if (k == 4) {
-          sink.flush();
-          std::ifstream in(path, std::ios::binary);
-          const std::string text((std::istreambuf_iterator<char>(in)),
-                                 std::istreambuf_iterator<char>());
-          EXPECT_EQ(text, expected) << "after flush, ring " << ring;
-        }
-      }
-      EXPECT_EQ(sink.records_written(), lengths.size());
-      EXPECT_EQ(sink.ring().size(), ring);
+  const TempTraceFile file;
+  std::string expected;
+  for (std::size_t k = 0; k < lengths.size(); ++k) {
+    const std::string line(lengths[k], static_cast<char>('a' + k));
+    file.sink()->write_line(line);
+    expected += line + "\n";
+    if (k == 4) {
+      EXPECT_EQ(file.text(), expected) << "after flush";
     }
-    std::ifstream in(path, std::ios::binary);
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    EXPECT_EQ(text, expected) << "ring " << ring;
-    std::remove(path.c_str());
   }
+  EXPECT_EQ(file.sink()->records_written(), lengths.size());
+  EXPECT_EQ(file.text(), expected);
+}
+
+// A full device fails the write that spills a chunk (a large record goes
+// straight to the file) and the flush of a staged tail, naming the path.
+TEST(TraceSink, FailedWriteIsAnError) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  auto expect_names_path = [](const std::function<void()>& fn, const char* what) {
+    try {
+      fn();
+      ADD_FAILURE() << what << ": no error";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("'/dev/full'"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_names_path(
+      [] {
+        obs::TraceSink sink(obs::TraceSink::Options{"/dev/full"});
+        const std::string record(20000, 'x');
+        for (int k = 0; k < 10; ++k) sink.write_line(record);
+      },
+      "ten 20 KB records");
+  expect_names_path(
+      [] {
+        obs::TraceSink sink(obs::TraceSink::Options{"/dev/full"});
+        sink.write_line(std::string(obs::TraceSink::kFileChunkBytes, 'x'));
+      },
+      "one record larger than a chunk");
+  expect_names_path(
+      [] {
+        obs::TraceSink sink(obs::TraceSink::Options{"/dev/full"});
+        sink.write_line("{}");
+        sink.flush();
+      },
+      "flush of a staged line");
+}
+
+TEST(TraceSink, EmptyPathIsAContractError) {
+  EXPECT_THROW(obs::TraceSink(obs::TraceSink::Options{}), ContractViolation);
 }
 
 // A counting inspector for the tee test.
@@ -691,7 +675,7 @@ TEST(Counters, EngineCounterTotalsAreJobCountInvariant) {
             scenario,
             std::make_shared<GreFarScheduler>(scenario.config,
                                               paper_grefar_params(7.5, 0.0)),
-            {}, AuditMode::kOff);
+            AuditMode::kOff);
         engine->run(40);
       });
     }
@@ -713,7 +697,7 @@ TEST(TeeInspector, FansOutToAllInspectors) {
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config,
                                         paper_grefar_params(7.5, 0.0)),
-      {}, AuditMode::kOff);
+      AuditMode::kOff);
   engine->set_inspector(std::make_shared<obs::TeeInspector>(
       std::vector<std::shared_ptr<SlotInspector>>{a, b}));
   engine->run(4);

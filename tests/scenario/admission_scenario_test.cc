@@ -24,7 +24,7 @@ std::unique_ptr<SimulationEngine> run_policy(std::uint64_t seed,
       std::make_shared<GreFarScheduler>(s.config, paper_grefar_params(7.5, 10.0));
   // kThrow: every slot is machine-checked, including the new admission
   // accounting, deadline-feasibility and value-conservation invariants.
-  return run_scenario(s, std::move(scheduler), kHorizon, {}, AuditMode::kThrow);
+  return run_scenario(s, std::move(scheduler), kHorizon, AuditMode::kThrow);
 }
 
 TEST(AdmissionScenario, ScenarioShape) {

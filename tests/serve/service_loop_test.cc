@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <istream>
 #include <memory>
 #include <sstream>
@@ -17,6 +18,8 @@
 #include "check/invariant_auditor.h"
 #include "core/admission.h"
 #include "core/grefar.h"
+#include "obs/trace_sink.h"
+#include "obs/tracing_inspector.h"
 #include "scenario/paper_scenario.h"
 #include "scenario/serve_scenario.h"
 #include "trace/job_trace.h"
@@ -34,12 +37,14 @@ struct Fixture {
   std::shared_ptr<const ClusterConfig> config;
   std::string jobs_csv, prices_csv;
 
-  Fixture() : scenario(make_serve_scenario(2, 6, /*seed=*/11)) {
+  explicit Fixture(std::size_t dcs = 2, std::size_t types = 6,
+                   std::int64_t horizon = kHorizon)
+      : scenario(make_serve_scenario(dcs, types, /*seed=*/11)) {
     config = std::make_shared<const ClusterConfig>(scenario.config);
     jobs_csv =
-        job_trace_to_csv(materialize_arrivals(*scenario.arrivals, kHorizon));
+        job_trace_to_csv(materialize_arrivals(*scenario.arrivals, horizon));
     prices_csv =
-        price_trace_to_csv(materialize_prices(*scenario.prices, kHorizon));
+        price_trace_to_csv(materialize_prices(*scenario.prices, horizon));
   }
 
   std::shared_ptr<GreFarScheduler> make_scheduler() const {
@@ -339,6 +344,27 @@ TEST(ServiceLoop, ThrowingFlushInspectorSurfacesAsError) {
     ASSERT_FALSE(stats.ok());
     EXPECT_EQ(stats.error().message,
               "flush inspector failed at slot 5: inspector boom");
+  }
+}
+
+// A slot log on a full device ends the run at the slot whose record spills
+// the sink's first 64 KiB chunk, in both modes, with an error naming the
+// slot and the path.
+TEST(ServiceLoop, FailedSlotLogWriteSurfacesAsError) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Fixture f(/*dcs=*/6, /*types=*/64, /*horizon=*/60);
+  for (bool pipelined : {false, true}) {
+    ServiceLoopOptions options;
+    options.pipelined = pipelined;
+    auto loop = f.make_loop(options);
+    loop->add_flush_inspector(std::make_shared<obs::TracingInspector>(
+        std::make_shared<obs::TraceSink>(obs::TraceSink::Options{"/dev/full"})));
+    auto stats = loop->run();
+    ASSERT_FALSE(stats.ok()) << "pipelined " << pipelined;
+    const std::string& message = stats.error().message;
+    EXPECT_EQ(message.rfind("flush inspector failed at slot ", 0), 0u) << message;
+    EXPECT_NE(message.find("'/dev/full'"), std::string::npos) << message;
+    EXPECT_LT(loop->slots_processed(), 60);
   }
 }
 

@@ -77,7 +77,7 @@ std::unique_ptr<SimulationEngine> make_engine(
   auto avail = std::make_shared<FullAvailability>(config.data_centers);
   auto sched = std::make_shared<LambdaScheduler>(std::move(fn));
   auto engine = std::make_unique<SimulationEngine>(
-      config, prices, avail, std::move(arrivals), sched, EngineOptions{});
+      config, prices, avail, std::move(arrivals), sched);
   if (admission != nullptr) engine->set_admission_policy(std::move(admission));
   InvariantAuditorOptions opts;
   opts.throw_on_violation = true;

@@ -21,7 +21,7 @@ struct ParseOutcome {
 /// once). The streaming contract: the outcome is identical for every chunk
 /// size, including byte-at-a-time.
 ParseOutcome parse_chunked(const std::string& text, std::size_t chunk,
-                           CsvDialect dialect = {}, CsvLimits limits = {}) {
+                           CsvLimits limits = {}) {
   ParseOutcome out;
   StreamCsvParser parser(
       [&out](const std::vector<std::string>& fields, std::uint64_t row_index,
@@ -31,7 +31,7 @@ ParseOutcome parse_chunked(const std::string& text, std::size_t chunk,
         out.row_starts.push_back(row_start.byte);
         return {};
       },
-      dialect, limits);
+      limits);
   Status st;
   if (chunk == 0) {
     st = parser.feed(text);
@@ -87,54 +87,17 @@ TEST(StreamCsv, ErrorsAreChunkInvariantToo) {
   }
 }
 
-TEST(StreamCsv, CustomSeparatorDialect) {
-  CsvDialect dialect;
-  dialect.separator = ';';
-  auto out = parse_chunked("a;b,c\n", 1, dialect);
-  ASSERT_TRUE(out.ok);
-  EXPECT_EQ(out.rows[0], (std::vector<std::string>{"a", "b,c"}));
-}
-
 TEST(StreamCsv, BareCrSkippedByDefault) {
-  // The historical CsvReader rule: '\r' vanishes anywhere outside quotes.
+  // '\r' vanishes anywhere outside quotes.
   auto out = parse_chunked("a\rb,c\r\n", 0);
   ASSERT_TRUE(out.ok);
   EXPECT_EQ(out.rows[0], (std::vector<std::string>{"ab", "c"}));
-}
-
-TEST(StreamCsv, BareCrKeptWhenDialectSaysSo) {
-  CsvDialect dialect;
-  dialect.skip_bare_cr = false;
-  for (std::size_t chunk : {0u, 1u}) {
-    // '\r\n' still terminates the row; a lone '\r' is a literal byte.
-    auto out = parse_chunked("a\rb,c\r\n\r", chunk, dialect);
-    ASSERT_TRUE(out.ok) << "chunk=" << chunk;
-    ASSERT_EQ(out.rows.size(), 2u);
-    EXPECT_EQ(out.rows[0], (std::vector<std::string>{"a\rb", "c"}));
-    EXPECT_EQ(out.rows[1], (std::vector<std::string>{"\r"}));
-  }
 }
 
 TEST(StreamCsv, LenientQuoteConcatenation) {
   auto out = parse_chunked("\"a\"x,\"b\"\n", 0);
   ASSERT_TRUE(out.ok);
   EXPECT_EQ(out.rows[0], (std::vector<std::string>{"ax", "b"}));
-}
-
-TEST(StreamCsv, StrictQuotesRejectsTrailingBytes) {
-  CsvDialect dialect;
-  dialect.strict_quotes = true;
-  auto out = parse_chunked("\"a\"x\n", 0, dialect);
-  ASSERT_FALSE(out.ok);
-  EXPECT_EQ(out.error, "unexpected byte after closing quote at byte 3 (line 1, col 4)");
-}
-
-TEST(StreamCsv, StrictQuotesRejectsMidFieldQuote) {
-  CsvDialect dialect;
-  dialect.strict_quotes = true;
-  auto out = parse_chunked("ab\"c\n", 0, dialect);
-  ASSERT_FALSE(out.ok);
-  EXPECT_EQ(out.error, "quote opening mid-field at byte 2 (line 1, col 3)");
 }
 
 TEST(StreamCsv, UnterminatedQuoteReportsOpeningOffset) {
@@ -161,9 +124,9 @@ TEST(StreamCsv, PositionsTrackLinesAndColumns) {
 TEST(StreamCsv, MaxFieldBytesLimit) {
   CsvLimits limits;
   limits.max_field_bytes = 4;
-  auto out = parse_chunked("abcd\n", 0, {}, limits);
+  auto out = parse_chunked("abcd\n", 0, limits);
   EXPECT_TRUE(out.ok);
-  out = parse_chunked("abcde\n", 0, {}, limits);
+  out = parse_chunked("abcde\n", 0, limits);
   ASSERT_FALSE(out.ok);
   EXPECT_EQ(out.error, "CSV field exceeds max_field_bytes=4 at byte 4 (line 1, col 5)");
 }
@@ -171,9 +134,9 @@ TEST(StreamCsv, MaxFieldBytesLimit) {
 TEST(StreamCsv, MaxFieldsPerRowLimit) {
   CsvLimits limits;
   limits.max_fields_per_row = 2;
-  auto out = parse_chunked("a,b\n", 0, {}, limits);
+  auto out = parse_chunked("a,b\n", 0, limits);
   EXPECT_TRUE(out.ok);
-  out = parse_chunked("a,b,c\n", 0, {}, limits);
+  out = parse_chunked("a,b,c\n", 0, limits);
   ASSERT_FALSE(out.ok);
   EXPECT_NE(out.error.find("max_fields_per_row=2"), std::string::npos);
 }
@@ -181,9 +144,9 @@ TEST(StreamCsv, MaxFieldsPerRowLimit) {
 TEST(StreamCsv, MaxRowsLimit) {
   CsvLimits limits;
   limits.max_rows = 2;
-  auto out = parse_chunked("a\nb\n", 0, {}, limits);
+  auto out = parse_chunked("a\nb\n", 0, limits);
   EXPECT_TRUE(out.ok);
-  out = parse_chunked("a\nb\nc\n", 0, {}, limits);
+  out = parse_chunked("a\nb\nc\n", 0, limits);
   ASSERT_FALSE(out.ok);
   EXPECT_NE(out.error.find("max_rows=2"), std::string::npos);
 }

@@ -5,8 +5,28 @@
 #include <cstdio>
 #include <sstream>
 
+#include "trace/stream_csv.h"
+
 namespace grefar {
 namespace {
+
+using Rows = std::vector<std::vector<std::string>>;
+
+// Reads a whole document into rows through parse_csv, the way the batch
+// trace readers do; the CsvReader.* cases below read through it.
+Result<Rows> read_rows(std::string_view text, CsvLimits limits = {}) {
+  Rows rows;
+  Status st = parse_csv(
+      text,
+      [&rows](const std::vector<std::string>& fields, std::uint64_t,
+              const CsvPosition&) -> Status {
+        rows.push_back(fields);
+        return {};
+      },
+      limits);
+  if (!st.ok()) return st.error();
+  return rows;
+}
 
 std::string write_rows(const std::vector<std::vector<std::string>>& rows) {
   std::ostringstream os;
@@ -39,74 +59,57 @@ TEST(CsvWriter, DoubleRow) {
 }
 
 TEST(CsvReader, ParsesSimpleDocument) {
-  CsvReader reader;
-  auto rows = reader.parse("a,b\n1,2\n").value();
+  auto rows = read_rows("a,b\n1,2\n").value();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2"}));
 }
 
 TEST(CsvReader, HandlesMissingTrailingNewline) {
-  CsvReader reader;
-  auto rows = reader.parse("a,b\n1,2").value();
+  auto rows = read_rows("a,b\n1,2").value();
   ASSERT_EQ(rows.size(), 2u);
 }
 
 TEST(CsvReader, QuotedFieldWithSeparator) {
-  CsvReader reader;
-  auto rows = reader.parse("\"a,b\",c\n").value();
+  auto rows = read_rows("\"a,b\",c\n").value();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a,b", "c"}));
 }
 
 TEST(CsvReader, QuotedFieldWithEscapedQuote) {
-  CsvReader reader;
-  auto rows = reader.parse("\"say \"\"hi\"\"\"\n").value();
+  auto rows = read_rows("\"say \"\"hi\"\"\"\n").value();
   EXPECT_EQ(rows[0][0], "say \"hi\"");
 }
 
 TEST(CsvReader, QuotedFieldWithNewline) {
-  CsvReader reader;
-  auto rows = reader.parse("\"l1\nl2\",x\n").value();
+  auto rows = read_rows("\"l1\nl2\",x\n").value();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], "l1\nl2");
 }
 
 TEST(CsvReader, ToleratesCrLf) {
-  CsvReader reader;
-  auto rows = reader.parse("a,b\r\n1,2\r\n").value();
+  auto rows = read_rows("a,b\r\n1,2\r\n").value();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[1][1], "2");
 }
 
 TEST(CsvReader, EmptyFields) {
-  CsvReader reader;
-  auto rows = reader.parse("a,,c\n").value();
+  auto rows = read_rows("a,,c\n").value();
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "", "c"}));
 }
 
 TEST(CsvReader, FailsOnUnterminatedQuote) {
-  CsvReader reader;
-  EXPECT_FALSE(reader.parse("\"abc\n").ok());
+  EXPECT_FALSE(read_rows("\"abc\n").ok());
 }
 
 TEST(CsvReader, EmptyDocumentHasNoRows) {
-  CsvReader reader;
-  EXPECT_TRUE(reader.parse("").value().empty());
-}
-
-TEST(CsvReader, CustomSeparator) {
-  CsvReader reader(';');
-  auto rows = reader.parse("a;b\n").value();
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(read_rows("").value().empty());
 }
 
 TEST(CsvRoundTrip, WriterOutputParsesBack) {
-  std::vector<std::vector<std::string>> original{
-      {"plain", "with,comma", "with \"quote\"", "multi\nline"},
-      {"", "x", "", "y"}};
-  CsvReader reader;
-  auto parsed = reader.parse(write_rows(original)).value();
+  Rows original{{"plain", "with,comma", "with \"quote\"", "multi\nline"},
+                {"", "x", "", "y"}};
+  auto parsed = read_rows(write_rows(original)).value();
   EXPECT_EQ(parsed, original);
 }
 
@@ -127,8 +130,9 @@ TEST(FileIo, ReadMissingFileFails) {
 TEST(FileIo, ParseFileRoundTrip) {
   std::string path = ::testing::TempDir() + "/grefar_csv_parse.csv";
   ASSERT_TRUE(write_file(path, "h1,h2\n1,2\n").ok());
-  CsvReader reader;
-  auto rows = reader.parse_file(path);
+  auto content = read_file(path);
+  ASSERT_TRUE(content.ok());
+  auto rows = read_rows(content.value());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().size(), 2u);
   std::remove(path.c_str());
@@ -137,9 +141,8 @@ TEST(FileIo, ParseFileRoundTrip) {
 TEST(CsvReaderLimits, FieldBytesEnforcedWithByteOffset) {
   CsvLimits limits;
   limits.max_field_bytes = 3;
-  CsvReader reader(',', limits);
-  EXPECT_TRUE(reader.parse("abc,def\n").ok());
-  auto rows = reader.parse("abcd\n");
+  EXPECT_TRUE(read_rows("abc,def\n", limits).ok());
+  auto rows = read_rows("abcd\n", limits);
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.error().message,
             "CSV field exceeds max_field_bytes=3 at byte 3 (line 1, col 4)");
@@ -149,16 +152,14 @@ TEST(CsvReaderLimits, RowAndDocumentLimits) {
   CsvLimits limits;
   limits.max_fields_per_row = 2;
   limits.max_rows = 2;
-  CsvReader reader(',', limits);
-  EXPECT_TRUE(reader.parse("a,b\nc,d\n").ok());
-  EXPECT_FALSE(reader.parse("a,b,c\n").ok());
-  EXPECT_FALSE(reader.parse("a\nb\nc\n").ok());
+  EXPECT_TRUE(read_rows("a,b\nc,d\n", limits).ok());
+  EXPECT_FALSE(read_rows("a,b,c\n", limits).ok());
+  EXPECT_FALSE(read_rows("a\nb\nc\n", limits).ok());
 }
 
 TEST(CsvReaderLimits, DefaultLimitsAreGenerous) {
-  CsvReader reader;
   std::string wide(1000, 'x');
-  auto rows = reader.parse(wide + "," + wide + "\n");
+  auto rows = read_rows(wide + "," + wide + "\n");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value()[0][0].size(), 1000u);
 }
