@@ -10,6 +10,10 @@
 namespace grefar {
 
 namespace {
+// Stop when the FW gap certificate is at most this.
+constexpr double kGapTolerance = 1e-7;
+// Ternary-search refinements per line search.
+constexpr int kLineSearchIters = 48;
 // The stall stop (see the header comment).
 constexpr double kProgressTolerance = 1e-11;
 constexpr int kStallIterations = 8;
@@ -53,7 +57,7 @@ FrankWolfeResult minimize_frank_wolfe(const ConvexObjective& objective,
     double gap = 0.0;
     for (std::size_t j = 0; j < n; ++j) gap += grad[j] * (x[j] - s[j]);
     result.gap = gap;
-    if (gap <= options.gap_tolerance) {
+    if (gap <= kGapTolerance) {
       result.converged = true;
       gap_stop = true;
       break;
@@ -67,7 +71,7 @@ FrankWolfeResult minimize_frank_wolfe(const ConvexObjective& objective,
     };
     double lo = 0.0, hi = 1.0;
     phase.start();
-    for (int ls = 0; ls < options.line_search_iters; ++ls) {
+    for (int ls = 0; ls < kLineSearchIters; ++ls) {
       double m1 = lo + (hi - lo) / 3.0;
       double m2 = hi - (hi - lo) / 3.0;
       if (value_at(m1) <= value_at(m2)) hi = m2;

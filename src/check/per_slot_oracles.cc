@@ -8,19 +8,16 @@
 
 namespace grefar {
 
-std::vector<double> solve_per_slot_frank_wolfe(const PerSlotProblem& problem,
-                                               const FrankWolfeOptions& options) {
+std::vector<double> solve_per_slot_frank_wolfe(const PerSlotProblem& problem) {
   std::vector<double> warm = solve_per_slot_greedy(problem);
-  auto result = minimize_frank_wolfe(problem, problem.polytope(), std::move(warm),
-                                     options);
+  auto result = minimize_frank_wolfe(problem, problem.polytope(), std::move(warm));
   return std::move(result.x);
 }
 
-std::vector<double> solve_per_slot_pgd(const PerSlotProblem& problem,
-                                       const PgdOptions& options) {
+std::vector<double> solve_per_slot_pgd(const PerSlotProblem& problem) {
   std::vector<double> warm = solve_per_slot_greedy(problem);
   auto result = minimize_projected_gradient(problem, problem.polytope(),
-                                            std::move(warm), options);
+                                            std::move(warm));
   return std::move(result.x);
 }
 

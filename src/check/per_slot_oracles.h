@@ -24,13 +24,11 @@
 namespace grefar {
 
 /// Frank-Wolfe on the full convex objective, from the greedy point.
-std::vector<double> solve_per_slot_frank_wolfe(const PerSlotProblem& problem,
-                                               const FrankWolfeOptions& options = {});
+std::vector<double> solve_per_slot_frank_wolfe(const PerSlotProblem& problem);
 
 /// Spectral projected gradient on the full convex objective, from the
 /// greedy point.
-std::vector<double> solve_per_slot_pgd(const PerSlotProblem& problem,
-                                       const PgdOptions& options = {});
+std::vector<double> solve_per_slot_pgd(const PerSlotProblem& problem);
 
 /// Builds the beta = 0 LP over variables [u_{i,j} | w_{i,k}] where w_{i,k}
 /// is work served by server type k in DC i:

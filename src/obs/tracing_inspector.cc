@@ -273,6 +273,8 @@ void TracingInspector::inspect(const SlotRecord& record) {
   ++slots_traced_;
 }
 
+void TracingInspector::finish() { sink_->flush(); }
+
 TeeInspector::TeeInspector(std::vector<std::shared_ptr<SlotInspector>> inspectors)
     : inspectors_(std::move(inspectors)) {
   for (const auto& inspector : inspectors_) GREFAR_CHECK(inspector != nullptr);
@@ -280,6 +282,10 @@ TeeInspector::TeeInspector(std::vector<std::shared_ptr<SlotInspector>> inspector
 
 void TeeInspector::inspect(const SlotRecord& record) {
   for (const auto& inspector : inspectors_) inspector->inspect(record);
+}
+
+void TeeInspector::finish() {
+  for (const auto& inspector : inspectors_) inspector->finish();
 }
 
 }  // namespace grefar::obs

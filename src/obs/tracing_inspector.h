@@ -48,6 +48,8 @@ class TracingInspector final : public SlotInspector {
                             TracingInspectorOptions options = {});
 
   void inspect(const SlotRecord& record) override;
+  /// Flushes the sink, so a failed write of its staged lines throws here.
+  void finish() override;
 
   const std::shared_ptr<TraceSink>& sink() const { return sink_; }
   std::int64_t slots_traced() const { return slots_traced_; }
@@ -69,6 +71,7 @@ class TeeInspector final : public SlotInspector {
   explicit TeeInspector(std::vector<std::shared_ptr<SlotInspector>> inspectors);
 
   void inspect(const SlotRecord& record) override;
+  void finish() override;
 
  private:
   std::vector<std::shared_ptr<SlotInspector>> inspectors_;

@@ -154,7 +154,6 @@ ServiceLoop::ServiceLoop(std::shared_ptr<const ClusterConfig> config,
   GREFAR_CHECK(config_ != nullptr);
   GREFAR_CHECK(jobs_ != nullptr && prices_ != nullptr);
   GREFAR_CHECK(options_.queue_depth >= 1);
-  GREFAR_CHECK(options_.max_slots >= 0);
   GREFAR_CHECK_MSG(jobs_->num_types() == config_->job_types.size(),
                    "job trace has " << jobs_->num_types()
                                     << " types, config expects "
@@ -235,6 +234,18 @@ Status ServiceLoop::flush_record(const FlushCopy& copy) {
   return {};
 }
 
+Status ServiceLoop::finish_flush_inspectors() {
+  for (const auto& inspector : flush_inspectors_) {
+    try {
+      inspector->finish();
+    } catch (const std::exception& e) {
+      return Error::make("flush inspector failed to finish after " +
+                         std::to_string(slots_) + " slots: " + e.what());
+    }
+  }
+  return {};
+}
+
 Result<ServiceStats> ServiceLoop::run() {
   GREFAR_CHECK_MSG(!ran_, "ServiceLoop::run() is single-shot");
   ran_ = true;
@@ -258,7 +269,7 @@ Result<ServiceStats> ServiceLoop::run_serial() {
   inspector_->submit = [&pending](FlushCopy* c) { pending = c; };
 
   const auto wall_start = std::chrono::steady_clock::now();
-  while (options_.max_slots == 0 || slots_ < options_.max_slots) {
+  while (true) {
     auto more = ingest_one(in);
     if (!more.ok()) return more.error();
     if (!more.value()) break;
@@ -278,6 +289,7 @@ Result<ServiceStats> ServiceLoop::run_serial() {
     }
   }
   const auto wall_end = std::chrono::steady_clock::now();
+  if (Status st = finish_flush_inspectors(); !st.ok()) return st.error();
 
   ServiceStats stats;
   stats.slots = slots_;
@@ -363,8 +375,7 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
       }
     });
 
-    while (options_.max_slots == 0 || slots_ < options_.max_slots) {
-      if (flush_failed.load(std::memory_order_relaxed)) break;
+    while (!flush_failed.load(std::memory_order_relaxed)) {
       SlotInput* in = nullptr;
       const auto wait_start = std::chrono::steady_clock::now();
       if (!input_ready.pop(in)) break;  // ingest done (or failed)
@@ -404,6 +415,8 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
     if (solve_error.has_value()) return *solve_error;
     if (ingest_error.has_value()) return *ingest_error;
   }
+  // The flush thread has joined: every record went through the inspectors.
+  if (Status st = finish_flush_inspectors(); !st.ok()) return st.error();
 
   ServiceStats stats;
   stats.slots = slots_;

@@ -53,9 +53,6 @@ struct ServiceLoopOptions {
   /// identical results, no overlap — the baseline bench/serve_latency
   /// compares against.
   bool pipelined = true;
-  /// Stop after this many slots (0 = run to the end of the traces; the run
-  /// ends at whichever of the two traces ends first).
-  std::int64_t max_slots = 0;
   /// Optional admission policy screening each ingested arrival batch before
   /// it enters the central queues (nullptr = admit everything). Consulted
   /// by the engine on the solve thread, so stateful policies need no
@@ -100,11 +97,14 @@ class ServiceLoop {
 
   /// Registers an inspector to run in the flush stage, in registration
   /// order, over a copied SlotRecord (safe off-thread: no pointers into
-  /// engine scratch). Call before run(). An inspector throw (e.g. the
-  /// auditor's strict mode) surfaces as run()'s error.
+  /// engine scratch). Call before run(). After the last slot, run() calls
+  /// each inspector's finish() (a TracingInspector flushes its sink there).
+  /// An inspector throw (e.g. the auditor's strict mode, a failed slot-log
+  /// write) surfaces as run()'s error.
   void add_flush_inspector(std::shared_ptr<SlotInspector> inspector);
 
-  /// Runs the loop to completion (trace end, max_slots, or first error).
+  /// Runs the loop to completion (the end of the shorter trace, or the
+  /// first error).
   /// An ingest, solve-stage (engine or scheduler throw) or flush error ends
   /// the run in both modes and is returned naming its slot; the worker
   /// threads are shut down first. Single-shot: a ServiceLoop instance runs
@@ -119,7 +119,6 @@ class ServiceLoop {
  private:
   struct FlushCopy;          // deep copy of one SlotRecord (service_loop.cc)
   class PipelineInspector;   // engine hook that fills FlushCopy buffers
-  struct Pipeline;           // queues + pools + worker state (pipelined mode)
 
   /// Pulls the next slot from both sources into `in`. Returns false at
   /// clean end of stream.
@@ -134,6 +133,10 @@ class ServiceLoop {
   /// Runs the flush inspectors over one copied record; returns their error
   /// (a throwing inspector is converted, not propagated).
   Status flush_record(const FlushCopy& copy);
+
+  /// Calls finish() on the flush inspectors once every record has gone
+  /// through them; returns the first throw as an error.
+  Status finish_flush_inspectors();
 
   Result<ServiceStats> run_serial();
   Result<ServiceStats> run_pipelined();

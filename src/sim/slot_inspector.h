@@ -74,6 +74,10 @@ class SlotInspector {
  public:
   virtual ~SlotInspector() = default;
   virtual void inspect(const SlotRecord& record) = 0;
+  /// Called once after the last slot by a run that owns the inspector's end
+  /// (the serve loop): an inspector that stages output writes it here.
+  /// Throwing reports a failure as inspect() does.
+  virtual void finish() {}
 };
 
 }  // namespace grefar

@@ -24,6 +24,8 @@ constexpr double kSigma1 = 0.1;
 constexpr double kSigma2 = 0.9;
 // Stop when the predicted decrease -g'd is below this, relative to 1 + |f|.
 constexpr double kNegligibleDecrease = 1e-12;
+// Or when the step residual ||d||_inf / min(lambda, 1) is at most this.
+constexpr double kResidualTolerance = 1e-8;
 // After this many step cuts the search gives up and the solve stops with
 // the best iterate. The predicted-decrease stop keeps
 // -g'd above the objective's rounding, so for a finite C^1 objective the
@@ -104,7 +106,7 @@ PgdStats minimize_projected_gradient(const ConvexObjective& objective,
     // unit-step residual ~1e-6. Such a point also has a negligible
     // predicted decrease, and the stop is reported as that.
     const bool negligible = -gtd <= kNegligibleDecrease * (1.0 + std::abs(fx));
-    if (negligible || d_max / std::min(lambda, 1.0) <= options.tolerance) {
+    if (negligible || d_max / std::min(lambda, 1.0) <= kResidualTolerance) {
       stats.converged = true;
       stats.stop = negligible ? PgdStop::kNegligibleDecrease : PgdStop::kResidual;
       break;

@@ -8,7 +8,7 @@
 // backtracking). It expects a C^1 objective — the per-slot GreFar problem
 // blends its energy kinks (DESIGN.md "Kink smoothing").
 //
-// The solve stops when ||d||_inf / min(lambda, 1) <= tolerance, which bounds
+// The solve stops when ||d||_inf / min(lambda, 1) <= 1e-8, which bounds
 // the unit-step residual ||P(x - g) - x||_inf without another projection,
 // or when the predicted decrease -g'd falls below 1e-12 * (1 + |f|) (flat
 // optimal faces). The search is nonmonotone, so the best iterate seen is
@@ -32,13 +32,12 @@ namespace grefar {
 
 struct PgdOptions {
   int max_iterations = 400;
-  double tolerance = 1e-8;  // on ||d||_inf / min(lambda, 1)
 };
 
 /// Which test ended a solve.
 enum class PgdStop {
   kNegligibleDecrease,  // -g'd <= 1e-12 * (1 + |f|)
-  kResidual,            // ||d||_inf / min(lambda, 1) <= tolerance, the above not
+  kResidual,            // ||d||_inf / min(lambda, 1) <= 1e-8, the above not
   kLineSearch,          // the Armijo search gave up (non-finite objective)
   kIterationCap,        // max_iterations reached
 };

@@ -2,15 +2,56 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
-#include "trace/stream_csv.h"
-#include "trace/trace_schema.h"
+#include "trace/stream_source.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/strings.h"
 
 namespace grefar {
+namespace {
+
+// The batch readers take rows in any slot order: a reorder window covering
+// the whole document, so the source parses it all before the first slot.
+constexpr StreamSourceOptions kWholeDocument{
+    .reorder_window = std::numeric_limits<std::int64_t>::max()};
+
+std::unique_ptr<std::istream> text_stream(std::string_view csv) {
+  return std::make_unique<std::istringstream>(std::string(csv));
+}
+
+Result<std::vector<std::vector<std::int64_t>>> drain_counts(
+    StreamingJobTraceSource& source) {
+  // The counts table has no room for annotations: v1 only.
+  if (source.schema() == JobTraceSchema::kValued) {
+    return Error::make("job trace must start with header 'slot,type,count' at " +
+                       source.header_start().to_string());
+  }
+  std::vector<std::vector<std::int64_t>> table;
+  std::vector<std::int64_t> counts;
+  while (true) {
+    auto more = source.next_slot_into(counts);
+    if (!more.ok()) return more.error();
+    if (!more.value()) return table;
+    table.push_back(counts);
+  }
+}
+
+Result<ValuedJobTrace> drain_batches(StreamingJobTraceSource& source) {
+  ValuedJobTrace trace;
+  trace.schema = source.schema();
+  std::vector<ArrivalBatch> batches;
+  while (true) {
+    auto more = source.next_slot_batches_into(batches);
+    if (!more.ok()) return more.error();
+    if (!more.value()) return trace;
+    trace.slots.push_back(batches);
+  }
+}
+
+}  // namespace
 
 std::vector<std::vector<std::int64_t>> materialize_arrivals(
     const ArrivalProcess& process, std::int64_t horizon) {
@@ -37,30 +78,8 @@ std::string job_trace_to_csv(const std::vector<std::vector<std::int64_t>>& count
 
 Result<std::vector<std::vector<std::int64_t>>> job_trace_from_csv(
     std::string_view csv, std::size_t num_types) {
-  // Materializing wrapper over the one streaming parser: rows accumulate
-  // into the dense table as they are emitted, no intermediate row list.
-  std::vector<std::vector<std::int64_t>> table;
-  std::uint64_t rows_seen = 0;
-  Status st = parse_csv(
-      csv,
-      [&table, &rows_seen, num_types](const std::vector<std::string>& fields,
-                                      std::uint64_t row_index,
-                                      const CsvPosition& row_start) -> Status {
-        ++rows_seen;
-        if (row_index == 0) return check_job_trace_header(fields, row_start);
-        auto row = decode_job_trace_row(fields, num_types, row_index, row_start);
-        if (!row.ok()) return row.error();
-        auto s = static_cast<std::size_t>(row.value().slot);
-        if (table.size() <= s) {
-          table.resize(s + 1, std::vector<std::int64_t>(num_types, 0));
-        }
-        table[s][row.value().type] += row.value().count;
-        return {};
-      });
-  if (!st.ok()) return st.error();
-  if (rows_seen == 0) return Error::make("empty job trace");
-  if (table.empty()) return Error::make("job trace has no data rows");
-  return table;
+  StreamingJobTraceSource source(text_stream(csv), num_types, kWholeDocument);
+  return drain_counts(source);
 }
 
 Status write_job_trace(const std::string& path,
@@ -103,9 +122,8 @@ Status write_job_trace_streaming(const ArrivalProcess& process,
 
 Result<std::vector<std::vector<std::int64_t>>> read_job_trace(const std::string& path,
                                                               std::size_t num_types) {
-  auto content = read_file(path);
-  if (!content.ok()) return content.error();
-  return job_trace_from_csv(content.value(), num_types);
+  StreamingJobTraceSource source(path, num_types, kWholeDocument);
+  return drain_counts(source);
 }
 
 std::string valued_job_trace_to_csv(
@@ -133,53 +151,8 @@ std::string valued_job_trace_to_csv(
 
 Result<ValuedJobTrace> valued_job_trace_from_csv(std::string_view csv,
                                                  std::size_t num_types) {
-  ValuedJobTrace trace;
-  std::uint64_t rows_seen = 0;
-  std::uint64_t data_rows = 0;
-  Status st = parse_csv(
-      csv,
-      [&trace, &rows_seen, &data_rows, num_types](
-          const std::vector<std::string>& fields, std::uint64_t row_index,
-          const CsvPosition& row_start) -> Status {
-        ++rows_seen;
-        if (row_index == 0) {
-          auto schema = detect_job_trace_header(fields, row_start);
-          if (!schema.ok()) return schema.error();
-          trace.schema = schema.value();
-          return {};
-        }
-        ++data_rows;
-        ArrivalBatch batch;
-        std::int64_t slot = 0;
-        if (trace.schema == JobTraceSchema::kValued) {
-          auto row = decode_valued_job_trace_row(fields, num_types, row_index,
-                                                 row_start);
-          if (!row.ok()) return row.error();
-          slot = row.value().slot;
-          batch.type = row.value().type;
-          batch.count = row.value().count;
-          batch.value = row.value().value;
-          batch.decay_rate = row.value().decay;
-          batch.deadline = row.value().deadline < 0 ? kNoDeadline
-                                                    : row.value().deadline;
-        } else {
-          auto row = decode_job_trace_row(fields, num_types, row_index, row_start);
-          if (!row.ok()) return row.error();
-          slot = row.value().slot;
-          batch.type = row.value().type;
-          batch.count = row.value().count;
-          // value/decay_rate/deadline keep their "defer to the JobType"
-          // sentinels (workload/arrival_process.h).
-        }
-        auto s = static_cast<std::size_t>(slot);
-        if (trace.slots.size() <= s) trace.slots.resize(s + 1);
-        trace.slots[s].push_back(batch);
-        return {};
-      });
-  if (!st.ok()) return st.error();
-  if (rows_seen == 0) return Error::make("empty job trace");
-  if (data_rows == 0) return Error::make("job trace has no data rows");
-  return trace;
+  StreamingJobTraceSource source(text_stream(csv), num_types, kWholeDocument);
+  return drain_batches(source);
 }
 
 Status write_valued_job_trace(const std::string& path,
@@ -189,9 +162,8 @@ Status write_valued_job_trace(const std::string& path,
 
 Result<ValuedJobTrace> read_valued_job_trace(const std::string& path,
                                              std::size_t num_types) {
-  auto content = read_file(path);
-  if (!content.ok()) return content.error();
-  return valued_job_trace_from_csv(content.value(), num_types);
+  StreamingJobTraceSource source(path, num_types, kWholeDocument);
+  return drain_batches(source);
 }
 
 }  // namespace grefar

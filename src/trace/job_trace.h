@@ -2,7 +2,7 @@
 // driven by recorded (or externally supplied) workloads, exactly as the
 // paper drives its simulator with the Cosmos trace.
 //
-// Two schema versions share one reader family (trace_schema.h):
+// Two schema versions (JobTraceSchema, stream_source.h):
 //
 // v1 (counts only, header required):
 //   slot,type,count
@@ -17,13 +17,19 @@
 // valued readers accept either version — v1 rows become batches whose
 // annotations defer to the JobType defaults — so existing traces parse
 // unchanged everywhere.
+//
+// The readers are drains of StreamingJobTraceSource (stream_source.h) with
+// a reorder window covering the whole document: slot assembly, zero-fill,
+// duplicate handling and every diagnostic come from the one streaming
+// reader, so batch and served runs read a trace identically by
+// construction.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "trace/trace_schema.h"
+#include "trace/stream_source.h"
 #include "util/result.h"
 #include "workload/arrival_process.h"
 
@@ -37,13 +43,14 @@ std::vector<std::vector<std::int64_t>> materialize_arrivals(
 /// Serializes a dense count table to the trace CSV format.
 std::string job_trace_to_csv(const std::vector<std::vector<std::int64_t>>& counts);
 
-/// Parses the trace CSV format into a dense table with `num_types` columns.
-/// The table spans [0, max slot in file]. Fails on malformed rows or
-/// out-of-range type ids.
+/// Parses the v1 trace CSV format into a dense table with `num_types`
+/// columns. The table spans [0, max slot in file]. Fails on malformed rows,
+/// out-of-range type ids, or a v2 header.
 Result<std::vector<std::vector<std::int64_t>>> job_trace_from_csv(
     std::string_view csv, std::size_t num_types);
 
-/// Writes/reads a trace file on disk.
+/// Writes/reads a trace file on disk. The reader streams the file; it
+/// fails with "cannot open file: <path>" when the file cannot be opened.
 Status write_job_trace(const std::string& path,
                        const std::vector<std::vector<std::int64_t>>& counts);
 

@@ -1,15 +1,35 @@
 #include "trace/price_trace.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
-#include "trace/stream_csv.h"
-#include "trace/trace_schema.h"
+#include "trace/stream_source.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/strings.h"
 
 namespace grefar {
+namespace {
+
+// Rows in any slot order: a reorder window covering the whole document.
+constexpr StreamSourceOptions kWholeDocument{
+    .reorder_window = std::numeric_limits<std::int64_t>::max()};
+
+/// Drains the source into series[dc][t].
+Result<std::vector<std::vector<double>>> drain_series(
+    StreamingPriceTraceSource& source) {
+  std::vector<std::vector<double>> series(source.num_data_centers());
+  std::vector<double> prices;
+  while (true) {
+    auto more = source.next_slot_into(prices);
+    if (!more.ok()) return more.error();
+    if (!more.value()) return series;
+    for (std::size_t d = 0; d < series.size(); ++d) series[d].push_back(prices[d]);
+  }
+}
+
+}  // namespace
 
 std::vector<std::vector<double>> materialize_prices(const PriceModel& model,
                                                     std::int64_t horizon) {
@@ -38,43 +58,10 @@ std::string price_trace_to_csv(const std::vector<std::vector<double>>& series) {
 
 Result<std::vector<std::vector<double>>> price_trace_from_csv(std::string_view csv,
                                                               std::size_t num_dcs) {
-  // Materializing wrapper over the one streaming parser.
-  std::vector<std::vector<double>> series(num_dcs);
-  std::vector<std::vector<bool>> seen(num_dcs);
-  std::uint64_t rows_seen = 0;
-  Status st = parse_csv(
-      csv,
-      [&series, &seen, &rows_seen, num_dcs](
-          const std::vector<std::string>& fields, std::uint64_t row_index,
-          const CsvPosition& row_start) -> Status {
-        ++rows_seen;
-        if (row_index == 0) return check_price_trace_header(fields, row_start);
-        auto row = decode_price_trace_row(fields, num_dcs, row_index, row_start);
-        if (!row.ok()) return row.error();
-        auto d = row.value().dc;
-        auto s = static_cast<std::size_t>(row.value().slot);
-        if (series[d].size() <= s) {
-          series[d].resize(s + 1, 0.0);
-          seen[d].resize(s + 1, false);
-        }
-        series[d][s] = row.value().price;  // duplicates: last wins
-        seen[d][s] = true;
-        return {};
-      });
-  if (!st.ok()) return st.error();
-  if (rows_seen == 0) return Error::make("empty price trace");
-  for (std::size_t d = 0; d < num_dcs; ++d) {
-    if (series[d].empty()) {
-      return Error::make("price trace missing data for dc " + std::to_string(d));
-    }
-    for (std::size_t s = 0; s < seen[d].size(); ++s) {
-      if (!seen[d][s]) {
-        return Error::make("price trace has a gap at slot " + std::to_string(s) +
-                           " for dc " + std::to_string(d));
-      }
-    }
-  }
-  return series;
+  StreamingPriceTraceSource source(
+      std::make_unique<std::istringstream>(std::string(csv)), num_dcs,
+      kWholeDocument);
+  return drain_series(source);
 }
 
 Status write_price_trace(const std::string& path,
@@ -105,9 +92,8 @@ Status write_price_trace_streaming(const PriceModel& model,
 
 Result<std::vector<std::vector<double>>> read_price_trace(const std::string& path,
                                                           std::size_t num_dcs) {
-  auto content = read_file(path);
-  if (!content.ok()) return content.error();
-  return price_trace_from_csv(content.value(), num_dcs);
+  StreamingPriceTraceSource source(path, num_dcs, kWholeDocument);
+  return drain_series(source);
 }
 
 }  // namespace grefar

@@ -5,7 +5,10 @@
 //   slot,dc,price
 //   0,0,0.392
 //   ...
-// Every (slot, dc) must be present for slots [0, horizon).
+// Every (slot, dc) must be present for slots [0, horizon). The readers are
+// drains of StreamingPriceTraceSource (stream_source.h) with a reorder
+// window covering the whole document, so a gap fails with the streaming
+// source's message, naming the earliest slot that has one.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +28,8 @@ std::vector<std::vector<double>> materialize_prices(const PriceModel& model,
 std::string price_trace_to_csv(const std::vector<std::vector<double>>& series);
 
 /// Parses the price CSV format into series[dc][t] with `num_dcs` rows.
-/// Fails on malformed rows, out-of-range dc ids, gaps, or non-positive prices.
+/// Fails on malformed rows, out-of-range dc ids, gaps, or non-positive prices:
+/// every dc's series spans the same [0, max slot in file].
 Result<std::vector<std::vector<double>>> price_trace_from_csv(std::string_view csv,
                                                               std::size_t num_dcs);
 

@@ -10,9 +10,10 @@
 // materialized string, one byte at a time — the row stream is identical,
 // property-fuzzed in tests/fuzz/fuzz_stream_csv.cc); completed rows are
 // handed to a callback as they finish, so a trace file far larger than RAM
-// parses in O(one row) memory. The materializing trace readers
-// (trace/job_trace.h, trace/price_trace.h) call parse_csv directly; there
-// is deliberately no second CSV implementation to drift.
+// parses in O(one row) memory. The trace readers (trace/stream_source.h,
+// which the batch readers in trace/job_trace.h and trace/price_trace.h
+// drain) feed it a line at a time; there is deliberately no second CSV
+// implementation to drift.
 //
 // Error discipline: every failure carries the absolute byte offset plus
 // 1-based line/column of the offending byte ("unterminated quoted field

@@ -1,14 +1,160 @@
 #include "trace/stream_source.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <utility>
 
-#include "trace/trace_schema.h"
 #include "util/check.h"
+#include "util/strings.h"
 
 namespace grefar {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Row decoders
+
+const std::vector<std::string>& counts_header() {
+  static const std::vector<std::string> h{"slot", "type", "count"};
+  return h;
+}
+
+const std::vector<std::string>& valued_header() {
+  static const std::vector<std::string> h{"slot",  "type",  "count",
+                                          "value", "decay", "deadline"};
+  return h;
+}
+
+std::string row_tag(const char* kind, std::uint64_t row_index,
+                    const CsvPosition& row_start) {
+  return std::string(kind) + " trace row " + std::to_string(row_index) +
+         " at " + row_start.to_string();
+}
+
+/// Classifies a job-trace header row as v1 or v2; fails (naming both
+/// accepted headers and the byte position) on anything else.
+Result<JobTraceSchema> detect_job_trace_header(
+    const std::vector<std::string>& fields, const CsvPosition& row_start) {
+  if (fields == counts_header()) return JobTraceSchema::kCounts;
+  if (fields == valued_header()) return JobTraceSchema::kValued;
+  return Error::make(
+      "job trace must start with header 'slot,type,count' (v1) or "
+      "'slot,type,count,value,decay,deadline' (v2) at " +
+      row_start.to_string());
+}
+
+/// Decodes one job-trace data row into its slot and arrival batch. v2 is
+/// v1 plus the value, decay and deadline fields; a v1 row never parses
+/// them, and its batch keeps the "defer to the JobType" sentinels. Fails on
+/// wrong arity, unparsable numbers, negative slot/count, a type id outside
+/// [0, num_types), and (v2) non-finite or negative value/decay or a
+/// deadline below -1 — in that order.
+Result<std::pair<std::int64_t, ArrivalBatch>> decode_job_row(
+    const std::vector<std::string>& fields, JobTraceSchema schema,
+    std::size_t num_types, std::uint64_t row_index,
+    const CsvPosition& row_start) {
+  const auto fail = [&](const char* what) {
+    return Error::make(row_tag("job", row_index, row_start) + what);
+  };
+  const bool valued = schema == JobTraceSchema::kValued;
+  if (fields.size() != (valued ? 6u : 3u)) {
+    return fail(valued ? " needs 6 fields (v2 schema)" : " needs 3 fields");
+  }
+  auto slot = parse_int(fields[0]);
+  auto type = parse_int(fields[1]);
+  auto count = parse_int(fields[2]);
+  Result<double> value = 0.0;
+  Result<double> decay = 0.0;
+  Result<std::int64_t> deadline = std::int64_t{-1};
+  if (valued) {
+    value = parse_double(fields[3]);
+    decay = parse_double(fields[4]);
+    deadline = parse_int(fields[5]);
+  }
+  if (!slot.ok() || !type.ok() || !count.ok() || !value.ok() || !decay.ok() ||
+      !deadline.ok()) {
+    return fail(" is malformed");
+  }
+  if (slot.value() < 0 || count.value() < 0) return fail(" has negative value");
+  if (type.value() < 0 ||
+      static_cast<std::size_t>(type.value()) >= num_types) {
+    return fail(" has out-of-range type id");
+  }
+  ArrivalBatch batch;
+  batch.type = static_cast<std::size_t>(type.value());
+  batch.count = count.value();
+  if (valued) {
+    if (!std::isfinite(value.value()) || value.value() < 0.0) {
+      return fail(" has a non-finite or negative job value");
+    }
+    if (!std::isfinite(decay.value()) || decay.value() < 0.0) {
+      return fail(" has a non-finite or negative decay rate");
+    }
+    if (deadline.value() < -1) {
+      return fail(" has a deadline below -1 (-1 means no deadline)");
+    }
+    batch.value = value.value();
+    batch.decay_rate = decay.value();
+    batch.deadline = deadline.value() < 0 ? kNoDeadline : deadline.value();
+  }
+  return std::pair{slot.value(), batch};
+}
+
+/// Validates the mandatory "slot,dc,price" header row.
+Status check_price_trace_header(const std::vector<std::string>& fields,
+                                const CsvPosition& row_start) {
+  if (fields != std::vector<std::string>{"slot", "dc", "price"}) {
+    return Error::make(
+        "price trace must start with header 'slot,dc,price' at " +
+        row_start.to_string());
+  }
+  return {};
+}
+
+struct PriceRow {
+  std::int64_t slot = 0;
+  std::size_t dc = 0;
+  double price = 0.0;
+};
+
+/// Decodes one price-trace data row. Fails on wrong arity, unparsable
+/// numbers, negative slot, a dc id outside [0, num_dcs), or a non-finite or
+/// non-positive price.
+Result<PriceRow> decode_price_row(const std::vector<std::string>& fields,
+                                  std::size_t num_dcs, std::uint64_t row_index,
+                                  const CsvPosition& row_start) {
+  const auto fail = [&](const char* what) {
+    return Error::make(row_tag("price", row_index, row_start) + what);
+  };
+  if (fields.size() != 3) return fail(" needs 3 fields");
+  auto slot = parse_int(fields[0]);
+  auto dc = parse_int(fields[1]);
+  auto price = parse_double(fields[2]);
+  if (!slot.ok() || !dc.ok() || !price.ok()) return fail(" is malformed");
+  if (slot.value() < 0) return fail(" has negative slot");
+  if (dc.value() < 0 || static_cast<std::size_t>(dc.value()) >= num_dcs) {
+    return fail(" has out-of-range dc id");
+  }
+  // from_chars accepts "nan", "inf" and "infinity": a non-finite price
+  // would poison every energy sum downstream.
+  if (!std::isfinite(price.value())) return fail(" has non-finite price");
+  if (price.value() <= 0.0) return fail(" has non-positive price");
+  return PriceRow{slot.value(), static_cast<std::size_t>(dc.value()),
+                  price.value()};
+}
+
+/// A row for a slot the source has already emitted.
+Error behind_window(const char* kind, std::uint64_t row_index,
+                    const CsvPosition& row_start, std::int64_t slot,
+                    std::int64_t window) {
+  return Error::make(row_tag(kind, row_index, row_start) +
+                     " is outside the reorder window (slot " +
+                     std::to_string(slot) + " already emitted, window " +
+                     std::to_string(window) + ")");
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // TraceChunkReader
@@ -19,7 +165,7 @@ TraceChunkReader::TraceChunkReader(std::unique_ptr<std::istream> in,
                                    StreamCsvParser::RowCallback on_row)
     : in_(std::move(in)),
       what_(what),
-      parser_(std::move(on_row), options.limits) {
+      parser_(std::move(on_row)) {
   GREFAR_CHECK(in_ != nullptr);
   GREFAR_CHECK(options.reorder_window >= 0);
   GREFAR_CHECK(options.chunk_bytes > 0);
@@ -103,37 +249,18 @@ Status StreamingJobTraceSource::on_row(const std::vector<std::string>& fields,
                                        const CsvPosition& row_start) {
   ++rows_total_;
   if (row_index == 0) {
+    header_start_ = row_start;
     auto schema = detect_job_trace_header(fields, row_start);
     if (!schema.ok()) return schema.error();
     schema_ = schema.value();
     return {};
   }
-  std::int64_t slot = 0;
-  ArrivalBatch batch;
-  if (schema_ == JobTraceSchema::kValued) {
-    auto row = decode_valued_job_trace_row(fields, num_types_, row_index,
-                                           row_start);
-    if (!row.ok()) return row.error();
-    slot = row.value().slot;
-    batch.type = row.value().type;
-    batch.count = row.value().count;
-    batch.value = row.value().value;
-    batch.decay_rate = row.value().decay;
-    batch.deadline = row.value().deadline < 0 ? kNoDeadline : row.value().deadline;
-  } else {
-    auto row = decode_job_trace_row(fields, num_types_, row_index, row_start);
-    if (!row.ok()) return row.error();
-    slot = row.value().slot;
-    batch.type = row.value().type;
-    batch.count = row.value().count;
-    // Annotations keep their "defer to the JobType" sentinels.
-  }
+  auto row = decode_job_row(fields, schema_, num_types_, row_index, row_start);
+  if (!row.ok()) return row.error();
+  const auto& [slot, batch] = row.value();
   if (slot < next_) {
-    return Error::make(
-        "job trace row " + std::to_string(row_index) + " at " +
-        row_start.to_string() + " is outside the reorder window (slot " +
-        std::to_string(slot) + " already emitted, window " +
-        std::to_string(options_.reorder_window) + ")");
+    return behind_window("job", row_index, row_start, slot,
+                         options_.reorder_window);
   }
   max_seen_ = std::max(max_seen_, slot);
   auto [it, inserted] = pending_.try_emplace(slot);
@@ -146,8 +273,9 @@ Status StreamingJobTraceSource::on_row(const std::vector<std::string>& fields,
 Result<bool> StreamingJobTraceSource::advance_to_next_slot() {
   if (error_) return *error_;
   // Parse until slot `next_` is provably complete (a row beyond
-  // next_ + window has been seen) or the input ends.
-  while (!reader_.eof() && max_seen_ <= next_ + options_.reorder_window) {
+  // next_ + window has been seen) or the input ends. Written as a
+  // difference so a whole-document window cannot overflow.
+  while (!reader_.eof() && max_seen_ - next_ <= options_.reorder_window) {
     if (Status st = reader_.pump(); !st.ok()) {
       error_ = std::make_unique<Error>(st.error());
       return *error_;
@@ -173,8 +301,7 @@ Result<bool> StreamingJobTraceSource::next_slot_into(
   counts.assign(num_types_, 0);
   auto it = pending_.begin();
   if (it != pending_.end() && it->first == next_) {
-    // Densify: duplicate (slot, type) rows accumulate, matching the
-    // materializing reader bit-for-bit.
+    // Densify: duplicate (slot, type) rows accumulate.
     for (const ArrivalBatch& b : it->second) counts[b.type] += b.count;
     pending_.erase(it);
   }
@@ -228,15 +355,12 @@ Status StreamingPriceTraceSource::on_row(
     const CsvPosition& row_start) {
   ++rows_total_;
   if (row_index == 0) return check_price_trace_header(fields, row_start);
-  auto row = decode_price_trace_row(fields, num_dcs_, row_index, row_start);
+  auto row = decode_price_row(fields, num_dcs_, row_index, row_start);
   if (!row.ok()) return row.error();
   const std::int64_t slot = row.value().slot;
   if (slot < next_) {
-    return Error::make(
-        "price trace row " + std::to_string(row_index) + " at " +
-        row_start.to_string() + " is outside the reorder window (slot " +
-        std::to_string(slot) + " already emitted, window " +
-        std::to_string(options_.reorder_window) + ")");
+    return behind_window("price", row_index, row_start, slot,
+                         options_.reorder_window);
   }
   max_seen_ = std::max(max_seen_, slot);
   auto [it, inserted] = pending_.try_emplace(slot);
@@ -258,13 +382,14 @@ Status StreamingPriceTraceSource::on_row(
 Result<bool> StreamingPriceTraceSource::next_slot_into(
     std::vector<double>& prices) {
   if (error_) return *error_;
-  while (!reader_.eof() && max_seen_ <= next_ + options_.reorder_window) {
+  while (!reader_.eof() && max_seen_ - next_ <= options_.reorder_window) {
     if (Status st = reader_.pump(); !st.ok()) {
       error_ = std::make_unique<Error>(st.error());
       return *error_;
     }
   }
-  if (reader_.eof() && data_rows_ == 0 && num_dcs_ > 0) {
+  // A header-only trace is complete only when there are no DCs to price.
+  if (reader_.eof() && data_rows_ == 0 && (rows_total_ == 0 || num_dcs_ > 0)) {
     error_ = std::make_unique<Error>(
         rows_total_ == 0
             ? Error::make("empty price trace")

@@ -1,28 +1,34 @@
 // Streaming per-slot trace sources: pull arrivals / prices for one slot at a
-// time from a CSV stream without ever materializing the horizon.
+// time from a CSV stream without ever materializing the horizon. They are
+// the repo's one trace reader: the batch readers (job_trace.h,
+// price_trace.h) drain them with a reorder window covering the whole
+// document.
 //
-// Both sources wrap the one StreamCsvParser (stream_csv.h) + the shared
-// schema decoders (trace_schema.h) and keep an O(reorder_window) buffer:
-// input rows may appear out of slot order by at most `reorder_window` slots
-// (0 = slot-sorted input; rows for the same slot may always repeat). Slot t
-// is emitted once a row for a slot beyond t + window has been seen — or at
-// end of input — so peak memory is O(window + one read chunk), independent
-// of the trace length. A row for an already-emitted slot fails with its
-// byte offset instead of being silently dropped.
+// Both sources wrap the one StreamCsvParser (stream_csv.h), decode rows
+// with file-local decoders (stream_source.cc), and keep an
+// O(reorder_window) buffer: input rows may appear out of slot order by at
+// most `reorder_window` slots (0 = slot-sorted input; rows for the same
+// slot may always repeat). Slot t is emitted once a row for a slot beyond
+// t + window has been seen — or at end of input — so peak memory is
+// O(window + one read chunk), independent of the trace length. A row for
+// an already-emitted slot fails with its byte offset instead of being
+// silently dropped.
 //
 // Input is read `chunk_bytes` at a time but parsed one line at a time
 // (TraceChunkReader), and only as far as the pulled slot needs: at most
 // reorder_window + 2 slots are ever buffered, and a bad row surfaces from
 // the first pull that needs it, whatever the read size (DESIGN.md §14).
 //
-// Semantics match the materializing readers bit-for-bit (golden-equivalence
-// tested over every checked-in trace file):
-//   - job traces: either schema version (trace_schema.h), detected from the
+// Semantics:
+//   - job traces: either schema version (JobTraceSchema), detected from the
 //     header; counts for duplicate (slot,type) rows accumulate; slots
 //     absent from the file yield all-zero counts; the emitted range is
 //     [0, max slot in file]; a header-only file is "no data rows".
 //   - price traces: every (slot,dc) must be present for each emitted slot
-//     (duplicates: last wins); gaps and non-positive prices are errors.
+//     (duplicates: last wins); the earliest gap and non-positive prices are
+//     errors.
+// Every diagnostic names the row index and the row's byte position in the
+// stream ("job trace row 3 at byte 41 (line 4, col 1) is malformed").
 #pragma once
 
 #include <cstdint>
@@ -33,19 +39,25 @@
 #include <vector>
 
 #include "trace/stream_csv.h"
-#include "trace/trace_schema.h"
 #include "util/result.h"
 #include "workload/arrival_process.h"
 
 namespace grefar {
+
+/// Job-trace schema versions, distinguished by the header row:
+///   kCounts — v1, "slot,type,count": arrival counts only (every existing
+///             trace; value/decay/deadline default from the JobType).
+///   kValued — v2, "slot,type,count,value,decay,deadline": each batch
+///             additionally carries a base value (finite, >= 0), a decay
+///             rate (finite, >= 0; the JobType's curve kind applies), and a
+///             relative completion deadline in slots (-1 = no deadline).
+enum class JobTraceSchema { kCounts, kValued };
 
 struct StreamSourceOptions {
   /// Rows may arrive out of slot order by at most this many slots.
   std::int64_t reorder_window = 0;
   /// Bytes per read(2)-style pull from the underlying stream.
   std::size_t chunk_bytes = 64 * 1024;
-  /// Forwarded to the CSV parser (field/row/total resource limits).
-  CsvLimits limits;
 };
 
 /// The read side both sources share: reads the stream `chunk_bytes` per
@@ -79,9 +91,8 @@ class TraceChunkReader {
   bool eof_ = false;
 };
 
-/// Streams a job trace (either schema version, detected from the header —
-/// trace_schema.h) one slot at a time, as dense counts or as annotated
-/// arrival batches. Not copyable/movable: the parser callback captures
+/// Streams a job trace (either schema version, detected from the header)
+/// one slot at a time, as dense counts or as annotated arrival batches. Not copyable/movable: the parser callback captures
 /// `this`. The constructor parses just the header line, so schema() is
 /// valid immediately (read errors stay sticky and surface from the first
 /// next_slot call).
@@ -117,6 +128,9 @@ class StreamingJobTraceSource {
   JobTraceSchema schema() const { return schema_; }
   /// Convenience: true when the trace carries value/deadline annotations.
   bool valued() const { return schema_ == JobTraceSchema::kValued; }
+  /// Where the header row starts (valid with schema()): a reader that takes
+  /// one schema only names it when refusing the other.
+  const CsvPosition& header_start() const { return header_start_; }
 
   std::size_t num_types() const { return num_types_; }
   /// Slot the next successful next_slot_into() call will emit.
@@ -141,6 +155,7 @@ class StreamingJobTraceSource {
   /// batches; densification happens at emit time for next_slot_into).
   std::map<std::int64_t, std::vector<ArrivalBatch>> pending_;
   JobTraceSchema schema_ = JobTraceSchema::kCounts;
+  CsvPosition header_start_;
   EmitStyle emit_style_ = EmitStyle::kUnset;
   std::int64_t next_ = 0;
   std::int64_t max_seen_ = -1;

@@ -22,7 +22,7 @@ inline constexpr std::int64_t kTypeDefaultDeadline =
 
 /// One group of identical arrivals within a slot, optionally carrying
 /// per-batch value/decay/deadline annotations (trace schema v2; see
-/// trace/trace_schema.h). NaN value/decay and kTypeDefaultDeadline mean
+/// JobTraceSchema in trace/stream_source.h). NaN value/decay and kTypeDefaultDeadline mean
 /// "resolve from the JobType defaults" — a plain count trace round-trips
 /// through batches without inventing economics.
 struct ArrivalBatch {

@@ -64,7 +64,8 @@ struct JobType {
   /// job can absorb per slot; infinity (default) = fully parallelizable.
   double max_rate = std::numeric_limits<double>::infinity();
   /// Base value v_j realized on completion (arXiv 1404.4865). Per-batch
-  /// trace annotations override it (trace/trace_schema.h, schema v2).
+  /// trace annotations override it (schema v2, JobTraceSchema in
+  /// trace/stream_source.h).
   double value = 1.0;
   /// Value-decay curve over total delay; decay_rate is the curve's rate
   /// parameter (slope for kLinear, exponent for kExponential).

@@ -1,6 +1,7 @@
 // Fuzz harness for the CSV trace readers. The first input byte selects the
-// expected row width (1..8 columns); the remainder is the CSV text, fed to
-// both the job-trace (integer) and price-trace (floating-point) readers.
+// number of job types / data centers (1..8); the remainder is the CSV
+// text, fed to the v1 job-trace reader, the valued job-trace reader (both
+// schema versions, so the v2 row decoder too) and the price-trace reader.
 // Malformed rows surface as Result errors; grefar::ContractViolation is the
 // defined failure mode for contract-checked construction and is caught.
 // Sanitizer reports or any other escape are findings.
@@ -20,6 +21,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                              size - 1);
   try {
     (void)grefar::job_trace_from_csv(csv, width);
+  } catch (const grefar::ContractViolation&) {
+  }
+  try {
+    (void)grefar::valued_job_trace_from_csv(csv, width);
   } catch (const grefar::ContractViolation&) {
   }
   try {

@@ -349,22 +349,40 @@ TEST(ServiceLoop, ThrowingFlushInspectorSurfacesAsError) {
 
 // A slot log on a full device ends the run at the slot whose record spills
 // the sink's first 64 KiB chunk, in both modes, with an error naming the
-// slot and the path.
+// slot and the path. Records too small to fill a chunk fail when the loop
+// finishes its inspectors after the last slot, with an error naming the
+// path.
 TEST(ServiceLoop, FailedSlotLogWriteSurfacesAsError) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  const Fixture f(/*dcs=*/6, /*types=*/64, /*horizon=*/60);
+  const auto slot_log = [] {
+    return std::make_shared<obs::TracingInspector>(
+        std::make_shared<obs::TraceSink>(obs::TraceSink::Options{"/dev/full"}));
+  };
+  const Fixture large(/*dcs=*/6, /*types=*/64, /*horizon=*/60);
+  const Fixture small;  // make_serve_scenario(2, 6, 11), 30 slots
   for (bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "serial");
     ServiceLoopOptions options;
     options.pipelined = pipelined;
-    auto loop = f.make_loop(options);
-    loop->add_flush_inspector(std::make_shared<obs::TracingInspector>(
-        std::make_shared<obs::TraceSink>(obs::TraceSink::Options{"/dev/full"})));
+    auto loop = large.make_loop(options);
+    loop->add_flush_inspector(slot_log());
     auto stats = loop->run();
-    ASSERT_FALSE(stats.ok()) << "pipelined " << pipelined;
+    ASSERT_FALSE(stats.ok());
     const std::string& message = stats.error().message;
     EXPECT_EQ(message.rfind("flush inspector failed at slot ", 0), 0u) << message;
     EXPECT_NE(message.find("'/dev/full'"), std::string::npos) << message;
     EXPECT_LT(loop->slots_processed(), 60);
+
+    auto small_loop = small.make_loop(options);
+    small_loop->add_flush_inspector(slot_log());
+    auto small_stats = small_loop->run();
+    ASSERT_FALSE(small_stats.ok());
+    const std::string& tail_message = small_stats.error().message;
+    EXPECT_EQ(tail_message.rfind("flush inspector failed to finish after 30 slots: ", 0),
+              0u)
+        << tail_message;
+    EXPECT_NE(tail_message.find("'/dev/full'"), std::string::npos) << tail_message;
+    EXPECT_EQ(small_loop->slots_processed(), kHorizon);
   }
 }
 
@@ -514,18 +532,6 @@ TEST(ServiceLoop, IngestErrorSurfacesAtTheSlotThatNeedsTheRow) {
       }
     }
   }
-}
-
-TEST(ServiceLoop, MaxSlotsStopsEarly) {
-  Fixture f;
-  ServiceLoopOptions options;
-  options.max_slots = 7;
-  auto loop = f.make_loop(options);
-  auto stats = loop->run();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().slots, 7);
-  EXPECT_EQ(loop->slots_processed(), 7);
-  EXPECT_EQ(loop->metrics().slots(), 7u);
 }
 
 TEST(ServiceLoop, RunIsSingleShot) {

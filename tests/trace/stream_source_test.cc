@@ -94,10 +94,11 @@ std::vector<std::vector<std::int64_t>> densify(const ValuedJobTrace& trace,
 /// The streaming counts API accepts either schema version, so its
 /// materialized counterpart is the valued reader densified; the v1-only
 /// materializer must also agree except on v2 documents, which it rejects by
-/// design (unknown header).
+/// design (it names the v1 header).
 void expect_job_equivalence(const std::string& csv, std::size_t num_types) {
   auto valued = valued_job_trace_from_csv(csv, num_types);
   auto batch = job_trace_from_csv(csv, num_types);
+  const bool v2 = StreamingJobTraceSource(stream_of(csv), num_types).valued();
   for (std::size_t chunk : read_sizes()) {
     SCOPED_TRACE("chunk_bytes " + std::to_string(chunk));
     auto streamed = drain_jobs(csv, num_types, wide_window(chunk));
@@ -107,12 +108,14 @@ void expect_job_equivalence(const std::string& csv, std::size_t num_types) {
     } else {
       EXPECT_EQ(streamed.error().message, valued.error().message) << csv;
     }
-    if (valued.ok() && valued.value().schema == JobTraceSchema::kValued) {
+    if (v2) {
       EXPECT_FALSE(batch.ok()) << csv;
     } else {
       ASSERT_EQ(batch.ok(), streamed.ok()) << csv;
       if (batch.ok()) {
         EXPECT_EQ(streamed.value(), batch.value()) << csv;
+      } else {
+        EXPECT_EQ(streamed.error().message, batch.error().message) << csv;
       }
     }
   }
@@ -170,21 +173,19 @@ void expect_valued_equivalence(const std::string& csv, std::size_t num_types) {
   }
 }
 
-/// Gap errors are worded per slot by the streaming source and per DC by the
-/// batch reader, so price failures are compared across read sizes instead.
+/// The price golden-equivalence contract: the batch reader drains the
+/// streaming source, so the two agree on the data and on every failure
+/// message, gaps included, at every read size.
 void expect_price_equivalence(const std::string& csv, std::size_t num_dcs) {
   auto batch = price_trace_from_csv(csv, num_dcs);
-  std::string first_error;
   for (std::size_t chunk : read_sizes()) {
     SCOPED_TRACE("chunk_bytes " + std::to_string(chunk));
     auto streamed = drain_prices(csv, num_dcs, wide_window(chunk));
     ASSERT_EQ(streamed.ok(), batch.ok()) << csv;
     if (batch.ok()) {
       EXPECT_EQ(streamed.value(), batch.value()) << csv;
-    } else if (first_error.empty()) {
-      first_error = streamed.error().message;
     } else {
-      EXPECT_EQ(streamed.error().message, first_error) << csv;
+      EXPECT_EQ(streamed.error().message, batch.error().message) << csv;
     }
   }
 }
@@ -580,6 +581,8 @@ TEST(GoldenEquivalence, CuratedPriceDocs) {
            std::string("slot,dc,price\n0,1,0.5\n0,0,0.4\n1,1,0.7\n1,0,0.6\n"),
            std::string("slot,dc,price\n0,0,0.4\n0,0,0.45\n0,1,0.5\n"),  // dup
            std::string("slot,dc,price\n0,0,0.4\n"),          // gap for dc 1
+           std::string("slot,dc,price\n0,0,0.4\n0,1,0.5\n1,0,0.45\n1,1,0.7\n"
+                       "2,0,0.6\n"),                        // ragged: dc 1 ends early
            std::string("slot,dc,price\n0,0,0.4\n0,1,0\n"),   // non-positive
            std::string("slot,dc,price\n0,0,0.4\n0,1,nan\n"), // non-finite
            std::string("slot,dc,price\n0,0,0.4\n0,1,inf\n"),

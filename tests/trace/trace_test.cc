@@ -9,6 +9,7 @@
 
 #include "price/price_model.h"
 #include "util/check.h"
+#include "util/csv.h"
 #include "workload/arrival_process.h"
 
 namespace grefar {
@@ -38,6 +39,24 @@ TEST(JobTrace, SparseFormatOmitsZeros) {
 TEST(JobTrace, RejectsMissingHeader) {
   EXPECT_FALSE(job_trace_from_csv("0,0,1\n", 2).ok());
   EXPECT_FALSE(job_trace_from_csv("", 2).ok());
+}
+
+TEST(JobTrace, RejectsV2HeaderAtItsPosition) {
+  // The counts reader takes v1 only. A dropped '\r' puts the header at
+  // byte 1, and the refusal names that position.
+  auto parsed =
+      job_trace_from_csv("\rslot,type,count,value,decay,deadline\n0,0,1,1,0,-1\n", 2);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().message,
+            "job trace must start with header 'slot,type,count' at byte 1 "
+            "(line 1, col 2)");
+}
+
+TEST(JobTrace, MissingFileNamesThePath) {
+  auto parsed = read_job_trace("/nonexistent/grefar/jobs.csv", 2);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().message,
+            "cannot open file: /nonexistent/grefar/jobs.csv");
 }
 
 TEST(JobTrace, RejectsMalformedRows) {
@@ -207,6 +226,23 @@ TEST(PriceTrace, RejectsGaps) {
   // dc 0 has slots 0 and 2 but not 1.
   EXPECT_FALSE(
       price_trace_from_csv("slot,dc,price\n0,0,0.4\n2,0,0.5\n", 1).ok());
+}
+
+TEST(PriceTrace, RejectsRaggedDcSeries) {
+  // dc 0 has slots 0-2, dc 1 only 0-1: a table built from it would wrap
+  // dc 1's series and price slot 2 at slot 0's 0.5.
+  const std::string csv =
+      "slot,dc,price\n0,0,0.4\n0,1,0.5\n1,0,0.45\n1,1,0.7\n2,0,0.6\n";
+  auto parsed = price_trace_from_csv(csv, 2);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().message, "price trace has a gap at slot 2 for dc 1");
+
+  std::string path = ::testing::TempDir() + "/grefar_ragged_prices.csv";
+  ASSERT_TRUE(write_file(path, csv).ok());
+  auto read = read_price_trace(path, 2);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.error().message, "price trace has a gap at slot 2 for dc 1");
+  std::remove(path.c_str());
 }
 
 TEST(PriceTrace, RejectsMalformed) {

@@ -12,8 +12,8 @@ namespace {
 
 using Rows = std::vector<std::vector<std::string>>;
 
-// Reads a whole document into rows through parse_csv, the way the batch
-// trace readers do; the CsvReader.* cases below read through it.
+// Reads a whole document into rows through parse_csv; the CsvReader.*
+// cases below read through it.
 Result<Rows> read_rows(std::string_view text, CsvLimits limits = {}) {
   Rows rows;
   Status st = parse_csv(
