@@ -38,8 +38,8 @@ void BM_StreamCsvParse(benchmark::State& state) {
       synthetic_job_doc(state.range(0), static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     std::uint64_t rows = 0;
-    Status st = parse_csv(doc, [&rows](const std::vector<std::string>&,
-                                       std::uint64_t, const CsvPosition&) -> Status {
+    Status st = parse_csv(doc, [&rows](CsvRow, std::uint64_t,
+                                       const CsvPosition&) -> Status {
       ++rows;
       return {};
     });

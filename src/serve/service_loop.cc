@@ -123,22 +123,18 @@ struct ServiceLoop::FlushCopy {
   }
 };
 
-// The engine-side hook: copies each SlotRecord into a pooled FlushCopy and
-// hands it downstream. acquire/submit are mode-specific (queue ops when
-// pipelined, a single reused buffer when serial) — the copy itself runs
-// synchronously inside engine.step() on the solve thread either way, which
-// is what makes the off-thread flush safe.
+// The engine-side hook: hands each SlotRecord downstream, synchronously
+// inside engine.step() on the solve thread. `handoff` is mode-specific.
+// Pipelined, it copies the record into a pooled FlushCopy and queues it,
+// which is what makes the off-thread flush safe. Serial, it keeps the
+// engine's own record: inspection is the last work of step(), so the
+// pointed-to state is unchanged until the next step, and the loop flushes
+// it in between.
 class ServiceLoop::PipelineInspector final : public SlotInspector {
  public:
-  std::function<FlushCopy*()> acquire;
-  std::function<void(FlushCopy*)> submit;
+  std::function<void(const SlotRecord&)> handoff;
 
-  void inspect(const SlotRecord& record) override {
-    FlushCopy* copy = acquire();
-    GREFAR_CHECK_MSG(copy != nullptr, "serve flush buffer pool closed");
-    copy->copy_from(record);
-    submit(copy);
-  }
+  void inspect(const SlotRecord& record) override { handoff(record); }
 };
 
 ServiceLoop::ServiceLoop(std::shared_ptr<const ClusterConfig> config,
@@ -221,14 +217,13 @@ Status ServiceLoop::solve_slot(const SlotInput& in) {
   return {};
 }
 
-Status ServiceLoop::flush_record(const FlushCopy& copy) {
-  const SlotRecord rec = copy.record();
+Status ServiceLoop::flush_record(const SlotRecord& record) {
   for (const auto& inspector : flush_inspectors_) {
     try {
-      inspector->inspect(rec);
+      inspector->inspect(record);
     } catch (const std::exception& e) {
       return Error::make(std::string("flush inspector failed at slot ") +
-                         std::to_string(copy.slot) + ": " + e.what());
+                         std::to_string(record.slot) + ": " + e.what());
     }
   }
   return {};
@@ -263,10 +258,12 @@ double elapsed_ms(std::chrono::steady_clock::time_point a,
 
 Result<ServiceStats> ServiceLoop::run_serial() {
   SlotInput in;
-  FlushCopy copy;
-  FlushCopy* pending = nullptr;
-  inspector_->acquire = [&copy]() { return &copy; };
-  inspector_->submit = [&pending](FlushCopy* c) { pending = c; };
+  SlotRecord record;
+  bool pending = false;
+  inspector_->handoff = [&record, &pending](const SlotRecord& r) {
+    record = r;
+    pending = true;
+  };
 
   const auto wall_start = std::chrono::steady_clock::now();
   while (true) {
@@ -282,9 +279,9 @@ Result<ServiceStats> ServiceLoop::run_serial() {
     latency_p99_.add(ms);
     if (ms > latency_max_ms_) latency_max_ms_ = ms;
     ++slots_;
-    if (pending != nullptr) {
-      Status st = flush_record(*pending);
-      pending = nullptr;
+    if (pending) {
+      Status st = flush_record(record);
+      pending = false;
       if (!st.ok()) return st.error();
     }
   }
@@ -323,11 +320,13 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
 
   // Solve thread's flush handoff: acquire a recycled copy (blocking on the
   // flush stage = backpressure), fill it inside engine.step(), queue it.
-  inspector_->acquire = [&flush_free]() -> FlushCopy* {
-    FlushCopy* c = nullptr;
-    return flush_free.pop(c) ? c : nullptr;
+  inspector_->handoff = [&flush_free, &flush_ready](const SlotRecord& r) {
+    FlushCopy* copy = nullptr;
+    const bool acquired = flush_free.pop(copy);
+    GREFAR_CHECK_MSG(acquired, "serve flush buffer pool closed");
+    copy->copy_from(r);
+    flush_ready.push(copy);
   };
-  inspector_->submit = [&flush_ready](FlushCopy* c) { flush_ready.push(c); };
 
   std::mutex error_mutex;
   std::optional<Error> ingest_error;
@@ -362,7 +361,7 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
       FlushCopy* copy = nullptr;
       while (flush_ready.pop(copy)) {
         if (!flush_failed.load(std::memory_order_relaxed)) {
-          Status st = flush_record(*copy);
+          Status st = flush_record(copy->record());
           if (!st.ok()) {
             {
               std::lock_guard<std::mutex> lock(error_mutex);

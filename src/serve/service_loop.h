@@ -51,7 +51,8 @@ struct ServiceLoopOptions {
   std::size_t queue_depth = 4;
   /// False runs the same three stages serially on the caller thread —
   /// identical results, no overlap — the baseline bench/serve_latency
-  /// compares against.
+  /// compares against. Serial flushes read the engine's own SlotRecord
+  /// after each step; only the pipelined loop copies it.
   bool pipelined = true;
   /// Optional admission policy screening each ingested arrival batch before
   /// it enters the central queues (nullptr = admit everything). Consulted
@@ -96,8 +97,9 @@ class ServiceLoop {
   ServiceLoop& operator=(const ServiceLoop&) = delete;
 
   /// Registers an inspector to run in the flush stage, in registration
-  /// order, over a copied SlotRecord (safe off-thread: no pointers into
-  /// engine scratch). Call before run(). After the last slot, run() calls
+  /// order: pipelined over a copied SlotRecord (safe off-thread: no
+  /// pointers into engine scratch), serial over the engine's own record
+  /// between two steps. Call before run(). After the last slot, run() calls
   /// each inspector's finish() (a TracingInspector flushes its sink there).
   /// An inspector throw (e.g. the auditor's strict mode, a failed slot-log
   /// write) surfaces as run()'s error.
@@ -118,7 +120,7 @@ class ServiceLoop {
 
  private:
   struct FlushCopy;          // deep copy of one SlotRecord (service_loop.cc)
-  class PipelineInspector;   // engine hook that fills FlushCopy buffers
+  class PipelineInspector;   // engine hook that hands records to the flush
 
   /// Pulls the next slot from both sources into `in`. Returns false at
   /// clean end of stream.
@@ -130,9 +132,10 @@ class ServiceLoop {
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   Status solve_slot(const SlotInput& in);
 
-  /// Runs the flush inspectors over one copied record; returns their error
+  /// Runs the flush inspectors over one record (a pipelined loop's copy,
+  /// or the serial loop's view of the engine's own); returns their error
   /// (a throwing inspector is converted, not propagated).
-  Status flush_record(const FlushCopy& copy);
+  Status flush_record(const SlotRecord& record);
 
   /// Calls finish() on the flush inspectors once every record has gone
   /// through them; returns the first throw as an error.

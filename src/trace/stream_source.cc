@@ -1,9 +1,11 @@
 #include "trace/stream_source.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 #include <utility>
 
 #include "util/check.h"
@@ -15,16 +17,15 @@ namespace {
 // ---------------------------------------------------------------------------
 // Row decoders
 
-const std::vector<std::string>& counts_header() {
-  static const std::vector<std::string> h{"slot", "type", "count"};
-  return h;
-}
+constexpr std::array<std::string_view, 3> kCountsHeader{"slot", "type", "count"};
+constexpr std::array<std::string_view, 6> kValuedHeader{
+    "slot", "type", "count", "value", "decay", "deadline"};
+constexpr std::array<std::string_view, 3> kPriceHeader{"slot", "dc", "price"};
 
-const std::vector<std::string>& valued_header() {
-  static const std::vector<std::string> h{"slot",  "type",  "count",
-                                          "value", "decay", "deadline"};
-  return h;
-}
+/// The decoders' message for a slot at or beyond kMaxTraceSlots.
+constexpr const char* kSlotBeyondLimit =
+    " has slot beyond the trace limit (1048576 slots)";
+static_assert(kMaxTraceSlots == 1048576, "kSlotBeyondLimit spells the limit out");
 
 std::string row_tag(const char* kind, std::uint64_t row_index,
                     const CsvPosition& row_start) {
@@ -34,10 +35,10 @@ std::string row_tag(const char* kind, std::uint64_t row_index,
 
 /// Classifies a job-trace header row as v1 or v2; fails (naming both
 /// accepted headers and the byte position) on anything else.
-Result<JobTraceSchema> detect_job_trace_header(
-    const std::vector<std::string>& fields, const CsvPosition& row_start) {
-  if (fields == counts_header()) return JobTraceSchema::kCounts;
-  if (fields == valued_header()) return JobTraceSchema::kValued;
+Result<JobTraceSchema> detect_job_trace_header(CsvRow fields,
+                                               const CsvPosition& row_start) {
+  if (std::ranges::equal(fields, kCountsHeader)) return JobTraceSchema::kCounts;
+  if (std::ranges::equal(fields, kValuedHeader)) return JobTraceSchema::kValued;
   return Error::make(
       "job trace must start with header 'slot,type,count' (v1) or "
       "'slot,type,count,value,decay,deadline' (v2) at " +
@@ -47,13 +48,13 @@ Result<JobTraceSchema> detect_job_trace_header(
 /// Decodes one job-trace data row into its slot and arrival batch. v2 is
 /// v1 plus the value, decay and deadline fields; a v1 row never parses
 /// them, and its batch keeps the "defer to the JobType" sentinels. Fails on
-/// wrong arity, unparsable numbers, negative slot/count, a type id outside
-/// [0, num_types), and (v2) non-finite or negative value/decay or a
-/// deadline below -1 — in that order.
+/// wrong arity, unparsable numbers, negative slot/count, a slot at or
+/// beyond kMaxTraceSlots, a type id outside [0, num_types), and (v2)
+/// non-finite or negative value/decay or a deadline below -1 — in that
+/// order.
 Result<std::pair<std::int64_t, ArrivalBatch>> decode_job_row(
-    const std::vector<std::string>& fields, JobTraceSchema schema,
-    std::size_t num_types, std::uint64_t row_index,
-    const CsvPosition& row_start) {
+    CsvRow fields, JobTraceSchema schema, std::size_t num_types,
+    std::uint64_t row_index, const CsvPosition& row_start) {
   const auto fail = [&](const char* what) {
     return Error::make(row_tag("job", row_index, row_start) + what);
   };
@@ -77,6 +78,7 @@ Result<std::pair<std::int64_t, ArrivalBatch>> decode_job_row(
     return fail(" is malformed");
   }
   if (slot.value() < 0 || count.value() < 0) return fail(" has negative value");
+  if (slot.value() >= kMaxTraceSlots) return fail(kSlotBeyondLimit);
   if (type.value() < 0 ||
       static_cast<std::size_t>(type.value()) >= num_types) {
     return fail(" has out-of-range type id");
@@ -102,9 +104,8 @@ Result<std::pair<std::int64_t, ArrivalBatch>> decode_job_row(
 }
 
 /// Validates the mandatory "slot,dc,price" header row.
-Status check_price_trace_header(const std::vector<std::string>& fields,
-                                const CsvPosition& row_start) {
-  if (fields != std::vector<std::string>{"slot", "dc", "price"}) {
+Status check_price_trace_header(CsvRow fields, const CsvPosition& row_start) {
+  if (!std::ranges::equal(fields, kPriceHeader)) {
     return Error::make(
         "price trace must start with header 'slot,dc,price' at " +
         row_start.to_string());
@@ -119,10 +120,10 @@ struct PriceRow {
 };
 
 /// Decodes one price-trace data row. Fails on wrong arity, unparsable
-/// numbers, negative slot, a dc id outside [0, num_dcs), or a non-finite or
-/// non-positive price.
-Result<PriceRow> decode_price_row(const std::vector<std::string>& fields,
-                                  std::size_t num_dcs, std::uint64_t row_index,
+/// numbers, negative slot, a slot at or beyond kMaxTraceSlots, a dc id
+/// outside [0, num_dcs), or a non-finite or non-positive price.
+Result<PriceRow> decode_price_row(CsvRow fields, std::size_t num_dcs,
+                                  std::uint64_t row_index,
                                   const CsvPosition& row_start) {
   const auto fail = [&](const char* what) {
     return Error::make(row_tag("price", row_index, row_start) + what);
@@ -133,6 +134,7 @@ Result<PriceRow> decode_price_row(const std::vector<std::string>& fields,
   auto price = parse_double(fields[2]);
   if (!slot.ok() || !dc.ok() || !price.ok()) return fail(" is malformed");
   if (slot.value() < 0) return fail(" has negative slot");
+  if (slot.value() >= kMaxTraceSlots) return fail(kSlotBeyondLimit);
   if (dc.value() < 0 || static_cast<std::size_t>(dc.value()) >= num_dcs) {
     return fail(" has out-of-range dc id");
   }
@@ -218,8 +220,8 @@ StreamingJobTraceSource::StreamingJobTraceSource(
     : num_types_(num_types),
       options_(options),
       reader_(std::move(in), "job trace", options_,
-              [this](const std::vector<std::string>& fields,
-                     std::uint64_t row_index, const CsvPosition& row_start) {
+              [this](CsvRow fields, std::uint64_t row_index,
+                     const CsvPosition& row_start) {
                 return on_row(fields, row_index, row_start);
               }) {
   // Parse the header so schema() works immediately; any error found here
@@ -244,8 +246,7 @@ StreamingJobTraceSource::StreamingJobTraceSource(const std::string& path,
   }
 }
 
-Status StreamingJobTraceSource::on_row(const std::vector<std::string>& fields,
-                                       std::uint64_t row_index,
+Status StreamingJobTraceSource::on_row(CsvRow fields, std::uint64_t row_index,
                                        const CsvPosition& row_start) {
   ++rows_total_;
   if (row_index == 0) {
@@ -263,9 +264,12 @@ Status StreamingJobTraceSource::on_row(const std::vector<std::string>& fields,
                          options_.reorder_window);
   }
   max_seen_ = std::max(max_seen_, slot);
-  auto [it, inserted] = pending_.try_emplace(slot);
-  it->second.push_back(batch);
-  if (inserted) high_water_ = std::max(high_water_, pending_.size());
+  auto [batches, added] = pending_.find_or_add(slot);
+  if (added) {
+    batches->clear();
+    high_water_ = std::max(high_water_, pending_.size());
+  }
+  batches->push_back(batch);
   ++data_rows_;
   return {};
 }
@@ -299,11 +303,10 @@ Result<bool> StreamingJobTraceSource::next_slot_into(
   auto ready = advance_to_next_slot();
   if (!ready.ok() || !ready.value()) return ready;
   counts.assign(num_types_, 0);
-  auto it = pending_.begin();
-  if (it != pending_.end() && it->first == next_) {
+  if (const auto* slot_batches = pending_.front(next_)) {
     // Densify: duplicate (slot, type) rows accumulate.
-    for (const ArrivalBatch& b : it->second) counts[b.type] += b.count;
-    pending_.erase(it);
+    for (const ArrivalBatch& b : *slot_batches) counts[b.type] += b.count;
+    pending_.pop_front();
   }
   ++next_;
   return true;
@@ -316,11 +319,11 @@ Result<bool> StreamingJobTraceSource::next_slot_batches_into(
   emit_style_ = EmitStyle::kBatches;
   auto ready = advance_to_next_slot();
   if (!ready.ok() || !ready.value()) return ready;
-  batches.clear();
-  auto it = pending_.begin();
-  if (it != pending_.end() && it->first == next_) {
-    batches.assign(it->second.begin(), it->second.end());
-    pending_.erase(it);
+  if (auto* slot_batches = pending_.front(next_)) {
+    batches.swap(*slot_batches);  // the old storage is recycled
+    pending_.pop_front();
+  } else {
+    batches.clear();
   }
   ++next_;
   return true;
@@ -335,8 +338,8 @@ StreamingPriceTraceSource::StreamingPriceTraceSource(
     : num_dcs_(num_dcs),
       options_(options),
       reader_(std::move(in), "price trace", options_,
-              [this](const std::vector<std::string>& fields,
-                     std::uint64_t row_index, const CsvPosition& row_start) {
+              [this](CsvRow fields, std::uint64_t row_index,
+                     const CsvPosition& row_start) {
                 return on_row(fields, row_index, row_start);
               }) {}
 
@@ -350,9 +353,9 @@ StreamingPriceTraceSource::StreamingPriceTraceSource(
   }
 }
 
-Status StreamingPriceTraceSource::on_row(
-    const std::vector<std::string>& fields, std::uint64_t row_index,
-    const CsvPosition& row_start) {
+Status StreamingPriceTraceSource::on_row(CsvRow fields,
+                                         std::uint64_t row_index,
+                                         const CsvPosition& row_start) {
   ++rows_total_;
   if (row_index == 0) return check_price_trace_header(fields, row_start);
   auto row = decode_price_row(fields, num_dcs_, row_index, row_start);
@@ -363,17 +366,18 @@ Status StreamingPriceTraceSource::on_row(
                          options_.reorder_window);
   }
   max_seen_ = std::max(max_seen_, slot);
-  auto [it, inserted] = pending_.try_emplace(slot);
-  if (inserted) {
-    it->second.prices.assign(num_dcs_, 0.0);
-    it->second.seen.assign(num_dcs_, false);
+  auto [pending, added] = pending_.find_or_add(slot);
+  if (added) {
+    pending->prices.assign(num_dcs_, 0.0);
+    pending->seen.assign(num_dcs_, false);
+    pending->seen_count = 0;
     high_water_ = std::max(high_water_, pending_.size());
   }
   const std::size_t d = row.value().dc;
-  it->second.prices[d] = row.value().price;  // duplicates: last wins
-  if (!it->second.seen[d]) {
-    it->second.seen[d] = true;
-    ++it->second.seen_count;
+  pending->prices[d] = row.value().price;  // duplicates: last wins
+  if (!pending->seen[d]) {
+    pending->seen[d] = true;
+    ++pending->seen_count;
   }
   ++data_rows_;
   return {};
@@ -397,24 +401,19 @@ Result<bool> StreamingPriceTraceSource::next_slot_into(
     return *error_;
   }
   if (next_ > max_seen_) return false;  // clean end of stream
-  auto it = pending_.begin();
-  if (it == pending_.end() || it->first != next_ ||
-      it->second.seen_count != num_dcs_) {
+  PendingSlot* pending = pending_.front(next_);
+  if (pending == nullptr || pending->seen_count != num_dcs_) {
     std::size_t missing_dc = 0;
-    if (it != pending_.end() && it->first == next_) {
-      while (missing_dc < num_dcs_ && it->second.seen[missing_dc]) {
-        ++missing_dc;
-      }
+    if (pending != nullptr) {
+      while (missing_dc < num_dcs_ && pending->seen[missing_dc]) ++missing_dc;
     }
     error_ = std::make_unique<Error>(Error::make(
         "price trace has a gap at slot " + std::to_string(next_) +
         " for dc " + std::to_string(missing_dc)));
     return *error_;
   }
-  prices.assign(num_dcs_, 0.0);
-  std::copy(it->second.prices.begin(), it->second.prices.end(),
-            prices.begin());
-  pending_.erase(it);
+  prices.swap(pending->prices);  // the old storage is recycled
+  pending_.pop_front();
   ++next_;
   return true;
 }

@@ -5,19 +5,27 @@
 // document.
 //
 // Both sources wrap the one StreamCsvParser (stream_csv.h), decode rows
-// with file-local decoders (stream_source.cc), and keep an
-// O(reorder_window) buffer: input rows may appear out of slot order by at
-// most `reorder_window` slots (0 = slot-sorted input; rows for the same
-// slot may always repeat). Slot t is emitted once a row for a slot beyond
-// t + window has been seen — or at end of input — so peak memory is
-// O(window + one read chunk), independent of the trace length. A row for
-// an already-emitted slot fails with its byte offset instead of being
-// silently dropped.
+// with file-local decoders (stream_source.cc) straight from the parser's
+// field views (the numbers go through std::from_chars; nothing is copied
+// into strings), and keep an O(reorder_window) buffer: input rows may
+// appear out of slot order by at most `reorder_window` slots (0 =
+// slot-sorted input; rows for the same slot may always repeat). Slot t is
+// emitted once a row for a slot beyond t + window has been seen — or at
+// end of input — so peak memory is O(window + one read chunk), independent
+// of the trace length. A row for an already-emitted slot fails with its
+// byte offset instead of being silently dropped.
 //
 // Input is read `chunk_bytes` at a time but parsed one line at a time
 // (TraceChunkReader), and only as far as the pulled slot needs: at most
 // reorder_window + 2 slots are ever buffered, and a bad row surfaces from
 // the first pull that needs it, whatever the read size (DESIGN.md §14).
+//
+// Pending slots live in a PendingSlots store: one recycled buffer per
+// distinct slot that has rows, in slot order, never indexed by slot
+// number (a drain's window spans the whole document, and one far-off row
+// must not cost the span). An emitted slot's buffer is swapped into the
+// caller's vector and the caller's old vector goes back to the free list,
+// so a served run stops allocating once the buffers are warm.
 //
 // Semantics:
 //   - job traces: either schema version (JobTraceSchema), detected from the
@@ -27,15 +35,20 @@
 //   - price traces: every (slot,dc) must be present for each emitted slot
 //     (duplicates: last wins); the earliest gap and non-positive prices are
 //     errors.
+//   - both: a slot at or beyond kMaxTraceSlots is an error, so one far-off
+//     row cannot make a drain zero-fill millions of slots.
 // Every diagnostic names the row index and the row's byte position in the
 // stream ("job trace row 3 at byte 41 (line 4, col 1) is malformed").
 #pragma once
 
 #include <cstdint>
 #include <istream>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/stream_csv.h"
@@ -52,6 +65,11 @@ namespace grefar {
 ///             rate (finite, >= 0; the JobType's curve kind applies), and a
 ///             relative completion deadline in slots (-1 = no deadline).
 enum class JobTraceSchema { kCounts, kValued };
+
+/// Hard limit on trace slots, the row decoders' counterpart of CsvLimits: a
+/// row for slot >= kMaxTraceSlots fails naming its row and byte. 2^20 slots
+/// is ~120 years of hourly slots; no bench, config or test comes near it.
+inline constexpr std::int64_t kMaxTraceSlots = std::int64_t{1} << 20;
 
 struct StreamSourceOptions {
   /// Rows may arrive out of slot order by at most this many slots.
@@ -91,6 +109,60 @@ class TraceChunkReader {
   bool eof_ = false;
 };
 
+/// Buffers of pending slots, in slot order: one entry per distinct slot
+/// that has rows, its buffer taken from a free list and returned to it
+/// when the slot is emitted. The slot index is a map whose nodes come from
+/// a pool that keeps freed nodes, so any row order costs O(log pending)
+/// and a steady stream (rows slot-sorted: each lookup hits the newest
+/// entry) recycles the same few nodes and buffers and allocates nothing.
+template <typename Buffer>
+class PendingSlots {
+ public:
+  /// The buffer of `slot`, and whether it was just taken from the free list
+  /// (its content is then stale: the caller resets it). The pointer is
+  /// valid until the next call that adds a slot.
+  std::pair<Buffer*, bool> find_or_add(std::int64_t slot) {
+    if (!order_.empty()) {
+      const auto newest = std::prev(order_.end());
+      if (newest->first == slot) return {&buffers_[newest->second], false};
+    }
+    // Hinted at the end: a new slot past the newest is added in O(1).
+    const std::size_t pending = order_.size();
+    const auto it = order_.try_emplace(order_.end(), slot, 0);
+    if (order_.size() == pending) return {&buffers_[it->second], false};
+    if (free_.empty()) {
+      it->second = buffers_.size();
+      buffers_.emplace_back();
+    } else {
+      it->second = free_.back();
+      free_.pop_back();
+    }
+    return {&buffers_[it->second], true};
+  }
+
+  /// The buffer of the lowest pending slot when that slot is `slot`, else
+  /// nullptr.
+  Buffer* front(std::int64_t slot) {
+    if (order_.empty() || order_.begin()->first != slot) return nullptr;
+    return &buffers_[order_.begin()->second];
+  }
+
+  /// Returns the lowest pending slot's buffer to the free list.
+  void pop_front() {
+    free_.push_back(order_.begin()->second);
+    order_.erase(order_.begin());
+  }
+
+  /// Pending slots.
+  std::size_t size() const { return order_.size(); }
+
+ private:
+  std::pmr::unsynchronized_pool_resource nodes_;
+  std::pmr::map<std::int64_t, std::size_t> order_{&nodes_};  // slot -> buffer
+  std::vector<Buffer> buffers_;    // every buffer ever made
+  std::vector<std::size_t> free_;  // indices of the unused ones
+};
+
 /// Streams a job trace (either schema version, detected from the header)
 /// one slot at a time, as dense counts or as annotated arrival batches. Not copyable/movable: the parser callback captures
 /// `this`. The constructor parses just the header line, so schema() is
@@ -112,13 +184,14 @@ class StreamingJobTraceSource {
   /// Emits the next slot's counts (sized num_types) into `counts`.
   /// Returns true on a slot, false on clean end of stream; errors are
   /// sticky. No allocation on the steady-state path once `counts` and the
-  /// reorder buffer have reached capacity. Works for either schema (value
+  /// pending buffers have reached capacity. Works for either schema (value
   /// annotations are simply dropped).
   Result<bool> next_slot_into(std::vector<std::int64_t>& counts);
 
   /// Emits the next slot's arrival batches (file order; one per data row)
   /// into `batches` — empty for slots absent from the file. v1 rows yield
-  /// batches whose annotations defer to the JobType defaults. Same
+  /// batches whose annotations defer to the JobType defaults. The slot's
+  /// buffer is swapped in and `batches`' old storage recycled. Same
   /// true/false/sticky-error contract as next_slot_into; the two emit
   /// styles may not be mixed on one source (contract-checked).
   Result<bool> next_slot_batches_into(std::vector<ArrivalBatch>& batches);
@@ -142,8 +215,8 @@ class StreamingJobTraceSource {
  private:
   enum class EmitStyle { kUnset, kCounts, kBatches };
 
-  Status on_row(const std::vector<std::string>& fields,
-                std::uint64_t row_index, const CsvPosition& row_start);
+  Status on_row(CsvRow fields, std::uint64_t row_index,
+                const CsvPosition& row_start);
   /// Shared pull loop: pumps until slot next_ is provably complete, then
   /// reports ready (true), clean end (false), or the sticky error.
   Result<bool> advance_to_next_slot();
@@ -153,7 +226,7 @@ class StreamingJobTraceSource {
   TraceChunkReader reader_;
   /// Buffered rows per pending slot, in file order (both schemas store
   /// batches; densification happens at emit time for next_slot_into).
-  std::map<std::int64_t, std::vector<ArrivalBatch>> pending_;
+  PendingSlots<std::vector<ArrivalBatch>> pending_;
   JobTraceSchema schema_ = JobTraceSchema::kCounts;
   CsvPosition header_start_;
   EmitStyle emit_style_ = EmitStyle::kUnset;
@@ -178,7 +251,8 @@ class StreamingPriceTraceSource {
   StreamingPriceTraceSource(const StreamingPriceTraceSource&) = delete;
   StreamingPriceTraceSource& operator=(const StreamingPriceTraceSource&) = delete;
 
-  /// Emits the next slot's prices (sized num_dcs) into `prices`.
+  /// Emits the next slot's prices (sized num_dcs) into `prices`, by swap
+  /// as next_slot_batches_into does.
   Result<bool> next_slot_into(std::vector<double>& prices);
 
   std::size_t num_data_centers() const { return num_dcs_; }
@@ -192,13 +266,13 @@ class StreamingPriceTraceSource {
     std::size_t seen_count = 0;
   };
 
-  Status on_row(const std::vector<std::string>& fields,
-                std::uint64_t row_index, const CsvPosition& row_start);
+  Status on_row(CsvRow fields, std::uint64_t row_index,
+                const CsvPosition& row_start);
 
   std::size_t num_dcs_;
   StreamSourceOptions options_;
   TraceChunkReader reader_;
-  std::map<std::int64_t, PendingSlot> pending_;
+  PendingSlots<PendingSlot> pending_;
   std::int64_t next_ = 0;
   std::int64_t max_seen_ = -1;
   std::uint64_t rows_total_ = 0;

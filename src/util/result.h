@@ -33,15 +33,15 @@ class [[nodiscard]] Result {
   explicit operator bool() const { return ok(); }
 
   const T& value() const& {
-    GREFAR_CHECK_MSG(ok(), "Result::value() on error: " << error_->message);
+    if (!ok()) value_failed();
     return *value_;
   }
   T& value() & {
-    GREFAR_CHECK_MSG(ok(), "Result::value() on error: " << error_->message);
+    if (!ok()) value_failed();
     return *value_;
   }
   T&& value() && {
-    GREFAR_CHECK_MSG(ok(), "Result::value() on error: " << error_->message);
+    if (!ok()) value_failed();
     return std::move(*value_);
   }
 
@@ -53,6 +53,13 @@ class [[nodiscard]] Result {
   }
 
  private:
+  // Out of line, so value() stays small enough to inline on hot paths
+  // (the trace decoders call it for every field).
+  [[noreturn, gnu::cold, gnu::noinline]] void value_failed() const {
+    internal::contract_fail("ok()", __FILE__, __LINE__,
+                            "Result::value() on error: " + error_->message);
+  }
+
   std::optional<T> value_;
   std::optional<Error> error_;
 };

@@ -1,6 +1,5 @@
 #include "util/strings.h"
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 
@@ -20,11 +19,19 @@ std::vector<std::string> split(std::string_view s, char sep) {
   }
 }
 
+namespace {
+
+/// std::isspace in the "C" locale (" \t\n\v\f\r"), inline: trim runs on
+/// every number a trace row holds.
+bool is_ascii_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && is_ascii_space(s[b])) ++b;
+  while (e > b && is_ascii_space(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 

@@ -17,16 +17,21 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/counting_new.h"
 #include "core/grefar.h"
 #include "obs/trace_sink.h"
 #include "obs/tracing_inspector.h"
 #include "scenario/paper_scenario.h"
+#include "scenario/serve_scenario.h"
 #include "sweep/artifact_cache.h"
 #include "sweep/sweep_engine.h"
+#include "trace/stream_source.h"
 #include "util/json.h"
+#include "util/strings.h"
 
 namespace grefar {
 namespace {
@@ -221,6 +226,101 @@ TEST(AllocRegression, TracedSlotLogAllocatesNothingInSteadyState) {
   EXPECT_EQ(sink->records_written(),
             static_cast<std::uint64_t>(kWarmupSlots + kMeasuredSlots));
   std::remove(path.c_str());
+}
+
+/// Slot shapes of the served-shape traces below: slot t repeats the
+/// arrivals and prices of slot t % kTracePatterns, so by the end of the
+/// warm-up every recycled slot buffer has met the largest slot it will
+/// hold, and every read boundary has been crossed by a row.
+constexpr std::int64_t kTracePatterns = 24;
+constexpr std::int64_t kTraceWarmupSlots = 8 * kTracePatterns;
+constexpr std::int64_t kTraceMeasuredSlots = 8 * kTracePatterns;
+
+struct ServedTraceText {
+  std::string v1;
+  std::string v2;
+  std::string prices;
+};
+
+/// The serve scenario's traces (8 DCs x 96 types, as perfbench serves), in
+/// both job schemas, as text.
+ServedTraceText served_trace_text() {
+  const PaperScenario s = make_serve_scenario(8, 96, /*seed=*/1);
+  std::ostringstream v1, v2, prices;
+  v1 << "slot,type,count\n";
+  v2 << "slot,type,count,value,decay,deadline\n";
+  prices << "slot,dc,price\n";
+  std::vector<std::int64_t> counts;
+  for (std::int64_t t = 0; t <= kTraceWarmupSlots + kTraceMeasuredSlots; ++t) {
+    const std::int64_t shape = t % kTracePatterns;
+    s.arrivals->arrivals_into(shape, counts);
+    for (std::size_t j = 0; j < counts.size(); ++j) {
+      if (counts[j] == 0) continue;
+      v1 << t << ',' << j << ',' << counts[j] << '\n';
+      v2 << t << ',' << j << ',' << counts[j] << ','
+         << format_fixed(0.5 + 0.03125 * static_cast<double>(j), 6) << ','
+         << format_fixed(0.015625 * static_cast<double>(j % 7), 6) << ','
+         << (j % 3 == 0 ? -1 : 2 + static_cast<int>(j % 9)) << '\n';
+    }
+    for (std::size_t dc = 0; dc < s.config.num_data_centers(); ++dc) {
+      prices << t << ',' << dc << ',' << format_fixed(s.prices->price(dc, shape), 6)
+             << '\n';
+    }
+  }
+  return {v1.str(), v2.str(), prices.str()};
+}
+
+/// Allocations made by kTraceMeasuredSlots calls of `pull` (true = a slot
+/// was emitted) after kTraceWarmupSlots warm-up calls.
+template <typename Pull>
+std::uint64_t steady_state_allocations(Pull pull) {
+  for (std::int64_t t = 0; t < kTraceWarmupSlots; ++t) {
+    if (!pull()) {
+      ADD_FAILURE() << "warm-up pull " << t << " emitted no slot";
+      return 0;
+    }
+  }
+  bool emitted = true;
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  for (std::int64_t t = 0; t < kTraceMeasuredSlots; ++t) emitted = pull() && emitted;
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_TRUE(emitted) << "a measured pull emitted no slot";
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+// Served ingest reuses its slot buffers: once they are warm, pulling a
+// slot from either job schema or from the price trace allocates nothing.
+TEST(AllocRegression, StreamingTraceSourcesAllocateNothingPerSlot) {
+  const ServedTraceText text = served_trace_text();
+
+  StreamingJobTraceSource v1(std::make_unique<std::istringstream>(text.v1), 96);
+  std::vector<std::int64_t> counts;
+  EXPECT_EQ(steady_state_allocations([&] {
+              auto more = v1.next_slot_into(counts);
+              return more.ok() && more.value();
+            }),
+            0u)
+      << "next_slot_into on a v1 trace";
+
+  StreamingJobTraceSource v2(std::make_unique<std::istringstream>(text.v2), 96);
+  ASSERT_TRUE(v2.valued());
+  std::vector<ArrivalBatch> batches;
+  EXPECT_EQ(steady_state_allocations([&] {
+              auto more = v2.next_slot_batches_into(batches);
+              return more.ok() && more.value();
+            }),
+            0u)
+      << "next_slot_batches_into on a v2 trace";
+
+  StreamingPriceTraceSource prices(std::make_unique<std::istringstream>(text.prices), 8);
+  std::vector<double> price_row;
+  EXPECT_EQ(steady_state_allocations([&] {
+              auto more = prices.next_slot_into(price_row);
+              return more.ok() && more.value();
+            }),
+            0u)
+      << "the price source's next_slot_into";
 }
 
 /// Steady-state allocations per sweep leg on a reused SweepEngine: run the

@@ -36,9 +36,9 @@ Outcome parse(std::string_view text, std::size_t chunk,
               const grefar::CsvLimits& limits) {
   Outcome out;
   grefar::StreamCsvParser parser(
-      [&out](const std::vector<std::string>& fields, std::uint64_t,
+      [&out](grefar::CsvRow fields, std::uint64_t,
              const grefar::CsvPosition& row_start) -> grefar::Status {
-        out.rows.push_back(fields);
+        out.rows.emplace_back(fields.begin(), fields.end());
         out.row_bytes.push_back(row_start.byte);
         return {};
       },

@@ -24,10 +24,10 @@ ParseOutcome parse_chunked(const std::string& text, std::size_t chunk,
                            CsvLimits limits = {}) {
   ParseOutcome out;
   StreamCsvParser parser(
-      [&out](const std::vector<std::string>& fields, std::uint64_t row_index,
+      [&out](CsvRow fields, std::uint64_t row_index,
              const CsvPosition& row_start) -> Status {
         EXPECT_EQ(row_index, out.rows.size());
-        out.rows.push_back(fields);
+        out.rows.emplace_back(fields.begin(), fields.end());
         out.row_starts.push_back(row_start.byte);
         return {};
       },
@@ -75,6 +75,32 @@ TEST(StreamCsv, ChunkSplitInvariance) {
   }
 }
 
+TEST(StreamCsv, RowsOutliveTheChunksTheyWereFedFrom) {
+  // A field is a view into the chunk only while that chunk is fed: a row
+  // that straddles chunks must not read the caller's reused read buffer.
+  const std::string text = "ab,cd,ef\n\"q\"\"x\",y\r\nlong-field,z\nlast,row";
+  const auto whole = parse_chunked(text, 0);
+  ASSERT_TRUE(whole.ok);
+  for (std::size_t chunk : {1u, 2u, 4u, 7u}) {
+    Rows rows;
+    StreamCsvParser parser(
+        [&rows](CsvRow fields, std::uint64_t, const CsvPosition&) -> Status {
+          rows.emplace_back(fields.begin(), fields.end());
+          return {};
+        });
+    std::string buffer(chunk, '\0');
+    Status st;
+    for (std::size_t i = 0; st.ok() && i < text.size(); i += chunk) {
+      const std::size_t n = text.copy(buffer.data(), chunk, i);
+      st = parser.feed(std::string_view(buffer.data(), n));
+      buffer.assign(chunk, '#');  // the caller reuses its buffer
+    }
+    if (st.ok()) st = parser.finish();
+    ASSERT_TRUE(st.ok()) << "chunk=" << chunk;
+    EXPECT_EQ(rows, whole.rows) << "chunk=" << chunk;
+  }
+}
+
 TEST(StreamCsv, ErrorsAreChunkInvariantToo) {
   const std::string text = "ok,row\n\"unterminated";
   auto whole = parse_chunked(text, 0);
@@ -109,7 +135,7 @@ TEST(StreamCsv, UnterminatedQuoteReportsOpeningOffset) {
 TEST(StreamCsv, PositionsTrackLinesAndColumns) {
   std::vector<CsvPosition> starts;
   Status st = parse_csv("ab,c\nde\n",
-                        [&starts](const std::vector<std::string>&, std::uint64_t,
+                        [&starts](CsvRow, std::uint64_t,
                                   const CsvPosition& row_start) -> Status {
                           starts.push_back(row_start);
                           return {};
@@ -152,7 +178,7 @@ TEST(StreamCsv, MaxRowsLimit) {
 }
 
 TEST(StreamCsv, ErrorsAreSticky) {
-  StreamCsvParser parser([](const std::vector<std::string>&, std::uint64_t,
+  StreamCsvParser parser([](CsvRow, std::uint64_t,
                             const CsvPosition&) -> Status { return {}; });
   ASSERT_TRUE(parser.feed("\"open").ok());
   ASSERT_FALSE(parser.finish().ok());
@@ -165,7 +191,7 @@ TEST(StreamCsv, ErrorsAreSticky) {
 }
 
 TEST(StreamCsv, CallbackErrorPoisonsParser) {
-  StreamCsvParser parser([](const std::vector<std::string>&, std::uint64_t,
+  StreamCsvParser parser([](CsvRow, std::uint64_t,
                             const CsvPosition&) -> Status {
     return Error::make("schema says no");
   });
@@ -177,7 +203,7 @@ TEST(StreamCsv, CallbackErrorPoisonsParser) {
 }
 
 TEST(StreamCsv, FinishIsIdempotentAndFeedAfterFinishFails) {
-  StreamCsvParser parser([](const std::vector<std::string>&, std::uint64_t,
+  StreamCsvParser parser([](CsvRow, std::uint64_t,
                             const CsvPosition&) -> Status { return {}; });
   ASSERT_TRUE(parser.feed("a\n").ok());
   ASSERT_TRUE(parser.finish().ok());

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
@@ -490,6 +491,19 @@ TEST(StreamingJobSource, MixingEmitStylesIsContractViolation) {
                ContractViolation);
 }
 
+/// `header` plus data rows `row(0), row(1), ...` past byte 1000, shifted by
+/// leading blanks (which the number parse trims) until a number straddles
+/// bytes 999|1000: reads of 1, 7 and 1000 bytes then all split fields.
+std::string straddling_doc(const std::string& header,
+                           const std::function<std::string(int)>& row) {
+  const auto in_number = [](char c) { return c >= '0' && c <= '9'; };
+  for (std::size_t pad = 0;; ++pad) {
+    std::string doc = header + std::string(pad, ' ');
+    for (int t = 0; doc.size() < 1100; ++t) doc += row(t);
+    if (in_number(doc[999]) && in_number(doc[1000])) return doc;
+  }
+}
+
 TEST(GoldenEquivalence, CuratedValuedDocs) {
   const std::size_t num_types = 3;
   for (const std::string& csv : {
@@ -508,6 +522,27 @@ TEST(GoldenEquivalence, CuratedValuedDocs) {
            std::string("slot,type,count,value,decay,deadline\n0,0,1,1.0,0.0,-2\n"),
            std::string("slot,type,count,value,decay,deadline\n0,9,1,1.0,0.0,-1\n"),
            std::string("slot,type,count,value,decay,deadline\n"),
+           // The parser's slow paths: padded numbers (trimmed), a '\r' in
+           // mid-field (dropped), quoted numbers, "" inside quotes.
+           std::string("slot,type,count,value,decay,deadline\n"
+                       " 0 ,1, 2,\t1.5 ,0.25, 3 \n1,0,1,2.0,0.0,-1\n"),
+           std::string("slot,type,count,value,decay,deadline\r\n"
+                       "0,1,2,1.\r5,0.25,3\r\n1,2\r,1,2.0,0.0,-1\r\n"),
+           std::string("slot,type,count,value,decay,deadline\n"
+                       "\"0\",\"1\",\"2\",\"1.5\",\"0.25\",\"-1\"\n"),
+           std::string("slot,type,count,value,decay,deadline\n0,1,2,\"1\"\"5\",0.25,3\n"),
+           // Spellings from_chars rejects or the decoder refuses.
+           std::string("slot,type,count,value,decay,deadline\n0,0,+5,1.0,0.0,-1\n"),
+           std::string("slot,type,count,value,decay,deadline\n0,0,1,+1.0,0.0,-1\n"),
+           std::string("slot,type,count,value,decay,deadline\n0,0,1,nan,0.0,-1\n"),
+           std::string("slot,type,count,value,decay,deadline\n0,0,1,1.0,inf,-1\n"),
+           std::string("slot,type,count,value,decay,deadline\n0,0,1,1.0,0.0,nan\n"),
+           straddling_doc("slot,type,count,value,decay,deadline\n",
+                          [](int t) {
+                            return std::to_string(t) + "," + std::to_string(t % 3) +
+                                   "," + std::to_string(100 + t) + ",1.250000," +
+                                   "0.125000," + (t % 2 == 0 ? "-1" : "12") + "\n";
+                          }),
        }) {
     expect_valued_equivalence(csv, num_types);
   }
@@ -569,9 +604,41 @@ TEST(GoldenEquivalence, CuratedJobDocs) {
            std::string("slot,type,count\n-1,0,1\n"),
            std::string("slot,type,count\n"),
            std::string(""),
+           // The parser's slow paths: padded numbers (trimmed), a '\r' in
+           // mid-field (dropped), quoted numbers, "" inside quotes.
+           std::string("slot,type,count\n 0, 1 ,2 \n1,\t2,3\n"),
+           std::string("slot,type,count\r\n0,1\r,2\r\n1,2,3\r\n"),
+           std::string("slot,type,count\n\"0\",\"1\",\"2\"\n1,\"2\",3\n"),
+           std::string("slot,type,count\n0,1,\"2\"\"\"\n"),
+           // Spellings from_chars rejects.
+           std::string("slot,type,count\n0,0,+5\n"),
+           std::string("slot,type,count\nnan,0,1\n"),
+           std::string("slot,type,count\n0,inf,1\n"),
+           straddling_doc("slot,type,count\n",
+                          [](int t) {
+                            return std::to_string(t) + "," + std::to_string(t % 3) +
+                                   "," + std::to_string(100 + t) + "\n";
+                          }),
        }) {
     expect_job_equivalence(csv, num_types);
   }
+}
+
+TEST(GoldenEquivalence, SlowPathSpellingsDecodeLikePlainOnes) {
+  // Padded, CRLF, mid-field '\r' and quoted spellings of one document
+  // decode to its plain spelling's values; '+5' is refused as it was.
+  const auto plain = job_trace_from_csv("slot,type,count\n0,1,2\n1,2,3\n", 3);
+  ASSERT_TRUE(plain.ok());
+  for (const char* csv : {"slot,type,count\n 0, 1 ,2 \n1,\t2,3\n",
+                          "slot,type,count\r\n0,1\r,2\r\n1,2,3\r\n",
+                          "slot,type,count\n\"0\",\"1\",\"2\"\n1,\"2\",3\n"}) {
+    auto parsed = job_trace_from_csv(csv, 3);
+    ASSERT_TRUE(parsed.ok()) << csv << parsed.error().message;
+    EXPECT_EQ(parsed.value(), plain.value()) << csv;
+  }
+  auto plus = job_trace_from_csv("slot,type,count\n0,1,+2\n", 3);
+  ASSERT_FALSE(plus.ok());
+  EXPECT_EQ(plus.error().message, "job trace row 1 at byte 16 (line 2, col 1) is malformed");
 }
 
 TEST(GoldenEquivalence, CuratedPriceDocs) {
@@ -590,6 +657,19 @@ TEST(GoldenEquivalence, CuratedPriceDocs) {
            std::string("slot,dc,price\n0,5,0.4\n"),          // dc out of range
            std::string("slot,dc,price\n"),
            std::string(""),
+           // The parser's slow paths: padded numbers (trimmed), a '\r' in
+           // mid-field (dropped), quoted numbers, "" inside quotes.
+           std::string("slot,dc,price\n 0 ,0, 0.4\n0,\t1,0.5 \n"),
+           std::string("slot,dc,price\r\n0,0,0.\r4\r\n0,1\r,0.5\r\n"),
+           std::string("slot,dc,price\n\"0\",\"0\",\"0.4\"\n0,\"1\",0.5\n"),
+           std::string("slot,dc,price\n0,0,0.4\n0,1,\"0.\"\"5\"\n"),
+           std::string("slot,dc,price\n0,0,+0.4\n0,1,0.5\n"),  // '+' rejected
+           straddling_doc("slot,dc,price\n",
+                          [](int t) {
+                            const std::string slot = std::to_string(t);
+                            return slot + ",0,0.4" + std::to_string(100 + t) + "\n" +
+                                   slot + ",1,0.5" + std::to_string(200 + t) + "\n";
+                          }),
        }) {
     expect_price_equivalence(csv, num_dcs);
   }

@@ -5,9 +5,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <sstream>
 #include <string>
 
 #include "price/price_model.h"
+#include "trace/stream_source.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "workload/arrival_process.h"
@@ -66,6 +69,36 @@ TEST(JobTrace, RejectsMalformedRows) {
   EXPECT_FALSE(job_trace_from_csv("slot,type,count\n-1,0,1\n", 2).ok());
   EXPECT_FALSE(job_trace_from_csv("slot,type,count\n0,0,-2\n", 2).ok());
   EXPECT_FALSE(job_trace_from_csv("slot,type,count\n", 2).ok());
+}
+
+TEST(JobTrace, RejectsSlotBeyondLimit) {
+  // One far-off row fails naming its row and byte, in both schema readers,
+  // instead of making the drain zero-fill every slot before it.
+  const std::string far = std::to_string(kMaxTraceSlots);
+  auto counts = job_trace_from_csv("slot,type,count\n0,0,1\n" + far + ",0,1\n", 1);
+  ASSERT_FALSE(counts.ok());
+  EXPECT_EQ(counts.error().message,
+            "job trace row 2 at byte 22 (line 3, col 1) has slot beyond the "
+            "trace limit (1048576 slots)");
+  auto valued = valued_job_trace_from_csv(
+      "slot,type,count,value,decay,deadline\n0,0,1,1.0,0.0,-1\n" + far +
+          ",0,1,1.0,0.0,-1\n",
+      1);
+  ASSERT_FALSE(valued.ok());
+  EXPECT_EQ(valued.error().message,
+            "job trace row 2 at byte 54 (line 3, col 1) has slot beyond the "
+            "trace limit (1048576 slots)");
+  // The last slot under the limit is a slot like any other: a window-0
+  // source pulls slot 0 past it without materializing the span between.
+  StreamingJobTraceSource source(
+      std::make_unique<std::istringstream>(
+          "slot,type,count\n0,0,1\n" + std::to_string(kMaxTraceSlots - 1) + ",0,1\n"),
+      1);
+  std::vector<std::int64_t> slot0;
+  auto more = source.next_slot_into(slot0);
+  ASSERT_TRUE(more.ok()) << more.error().message;
+  EXPECT_TRUE(more.value());
+  EXPECT_EQ(slot0, std::vector<std::int64_t>{1});
 }
 
 TEST(JobTrace, AccumulatesDuplicateEntries) {
@@ -243,6 +276,15 @@ TEST(PriceTrace, RejectsRaggedDcSeries) {
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.error().message, "price trace has a gap at slot 2 for dc 1");
   std::remove(path.c_str());
+}
+
+TEST(PriceTrace, RejectsSlotBeyondLimit) {
+  auto parsed = price_trace_from_csv(
+      "slot,dc,price\n0,0,0.5\n" + std::to_string(kMaxTraceSlots) + ",0,0.5\n", 1);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().message,
+            "price trace row 2 at byte 22 (line 3, col 1) has slot beyond the "
+            "trace limit (1048576 slots)");
 }
 
 TEST(PriceTrace, RejectsMalformed) {

@@ -18,9 +18,8 @@ Result<Rows> read_rows(std::string_view text, CsvLimits limits = {}) {
   Rows rows;
   Status st = parse_csv(
       text,
-      [&rows](const std::vector<std::string>& fields, std::uint64_t,
-              const CsvPosition&) -> Status {
-        rows.push_back(fields);
+      [&rows](CsvRow fields, std::uint64_t, const CsvPosition&) -> Status {
+        rows.emplace_back(fields.begin(), fields.end());
         return {};
       },
       limits);
