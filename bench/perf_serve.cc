@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the serve-mode substrate: streaming
 // CSV parse throughput, per-slot streaming trace pulls, and the full
-// ServiceLoop (serial vs pipelined) over an on-disk trace.
+// ServiceLoop over an on-disk trace.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -93,20 +93,19 @@ struct ServeFixture {
   }
 };
 
-void run_service_loop(benchmark::State& state, bool pipelined) {
+// No flush inspector is registered, so serial and pipelined run the same
+// loop: ingest and solve on this thread, with no flush stage.
+void BM_ServiceLoop(benchmark::State& state) {
   static ServeFixture fixture(/*dcs=*/6, /*types=*/64, /*horizon=*/128);
   for (auto _ : state) {
     auto scheduler = std::make_shared<GreFarScheduler>(
         fixture.config, paper_grefar_params(4.0, 0.5));
-    ServiceLoopOptions options;
-    options.pipelined = pipelined;
     ServiceLoop loop(fixture.config, fixture.scenario.availability,
                      std::move(scheduler),
                      std::make_unique<StreamingJobTraceSource>(
                          fixture.jobs_path, fixture.config->num_job_types()),
                      std::make_unique<StreamingPriceTraceSource>(
-                         fixture.prices_path, fixture.config->num_data_centers()),
-                     options);
+                         fixture.prices_path, fixture.config->num_data_centers()));
     auto stats = loop.run();
     if (!stats.ok()) state.SkipWithError(stats.error().message.c_str());
     benchmark::DoNotOptimize(stats);
@@ -115,15 +114,7 @@ void run_service_loop(benchmark::State& state, bool pipelined) {
                           fixture.horizon);
 }
 
-void BM_ServiceLoopSerial(benchmark::State& state) {
-  run_service_loop(state, /*pipelined=*/false);
-}
-BENCHMARK(BM_ServiceLoopSerial)->Unit(benchmark::kMillisecond);
-
-void BM_ServiceLoopPipelined(benchmark::State& state) {
-  run_service_loop(state, /*pipelined=*/true);
-}
-BENCHMARK(BM_ServiceLoopPipelined)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceLoop)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace grefar

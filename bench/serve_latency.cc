@@ -1,13 +1,14 @@
 // Serve-mode latency/throughput bench (DESIGN.md §14): generates an
 // ingest-bound scenario trace on disk (streamed, so generation itself stays
 // O(1) in memory), then replays it through the ServiceLoop twice — serial
-// ingest→solve→flush vs the three-stage pipeline — and reports slots/sec,
-// p50/p99/max solve-stage latency, backpressure counters, getrusage peak
-// RSS and the slot-log flush time per slot. The two legs must agree bitwise
-// on every per-slot metric (the pipeline determinism contract); the process
-// exits nonzero otherwise, or when the optional --max-rss-mb / --p99-slo-ms
-// gates are violated — which is how the CI serve smoke asserts bounded
-// memory and the latency SLO on a trace ~10x the ingest buffer.
+// ingest→solve→flush vs the two-stage loop that flushes on its own thread —
+// and reports slots/sec, p50/p99/max solve-stage latency, backpressure
+// counters, getrusage peak RSS and the slot-log flush time per slot. The two
+// legs must agree bitwise on every per-slot metric (the determinism
+// contract); the process exits nonzero otherwise, or when the optional
+// --max-rss-mb / --p99-slo-ms gates are violated — which is how the CI serve
+// smoke asserts bounded memory and the latency SLO on a trace ~10x the
+// ingest buffer.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -90,12 +91,9 @@ void print_leg(const char* label, const Leg& leg) {
             << " slots/s), latency p50 " << leg.stats.latency_p50_ms
             << " ms, p99 " << leg.stats.latency_p99_ms << " ms, max "
             << leg.stats.latency_max_ms << " ms\n"
-            << "  ingest stalls " << leg.stats.ingest_stalls << " (waited "
-            << per_slot_us(leg.stats.ingest_wait_ms, leg.stats.slots) << " us/slot)"
-            << ", backpressure blocks " << leg.stats.backpressure_blocks
-            << ", queue high-water input " << leg.stats.input_queue_high_water
-            << " / flush " << leg.stats.flush_queue_high_water << ", peak RSS "
-            << peak_rss_mb() << " MB\n";
+            << "  backpressure blocks " << leg.stats.backpressure_blocks
+            << ", flush queue high-water " << leg.stats.flush_queue_high_water
+            << ", peak RSS " << peak_rss_mb() << " MB\n";
   if (leg.flush_ms >= 0.0) {
     std::cout << "  slot-log flush " << per_slot_us(leg.flush_ms, leg.stats.slots)
               << " us/slot\n";
@@ -114,7 +112,7 @@ int main(int argc, char** argv) {
   cli.add_option("mode", "both", "both | serial | pipelined");
   cli.add_option("dcs", "8", "data centers in the serve scenario");
   cli.add_option("types", "96", "job types in the serve scenario");
-  cli.add_option("queue-depth", "4", "pipeline queue depth (buffered slots)");
+  cli.add_option("queue-depth", "4", "flush queue depth (buffered slot records)");
   cli.add_option("V", "4.0", "GreFar cost-delay parameter");
   cli.add_option("beta", "0.5", "GreFar energy-fairness parameter");
   cli.add_option("trace-dir", "",
@@ -130,9 +128,9 @@ int main(int argc, char** argv) {
                  "fail if pipelined p99 slot latency exceeds this (0 = no gate)");
   cli.add_option("min-speedup", "0",
                  "fail if pipelined/serial throughput falls below this "
-                 "(0 = no gate; needs >= 3 cores to be meaningful — the "
-                 "three stages are CPU-bound, so on fewer cores they can "
-                 "only time-slice)");
+                 "(0 = no gate; needs >= 2 cores to be meaningful — the "
+                 "two stages are CPU-bound, so on one core they can only "
+                 "time-slice)");
   parse_or_exit(cli, argc, argv);
 
   const auto horizon = cli.get_int("horizon");
@@ -252,8 +250,8 @@ int main(int argc, char** argv) {
     std::cout << "speedup: " << speedup
               << "x pipelined vs serial (bitwise-identical metrics) on "
               << cores << " cores\n";
-    if (cores < 3) {
-      std::cout << "note: < 3 cores — the stages time-slice instead of "
+    if (cores < 2) {
+      std::cout << "note: 1 core — the stages time-slice instead of "
                    "overlapping, so no throughput win is expected here\n";
     }
     const double min_speedup = cli.get_double("min-speedup");

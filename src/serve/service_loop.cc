@@ -4,13 +4,12 @@
 #include <chrono>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "obs/counters.h"
 #include "obs/task_registries.h"
-#include "parallel/thread_pool.h"
 #include "serve/spsc_queue.h"
 #include "util/check.h"
 
@@ -160,14 +159,12 @@ ServiceLoop::ServiceLoop(std::shared_ptr<const ClusterConfig> config,
                          << " DCs, config expects "
                          << config_->data_centers.size());
   valued_ = jobs_->valued();
-  inspector_ = std::make_shared<PipelineInspector>();
   // No price or arrival model: every slot's input is pushed by step(in).
   engine_ = std::make_unique<SimulationEngine>(
       config_, nullptr, std::move(availability), nullptr, std::move(scheduler));
   if (options_.admission != nullptr) {
     engine_->set_admission_policy(options_.admission);
   }
-  engine_->set_inspector(inspector_);
 }
 
 ServiceLoop::~ServiceLoop() = default;
@@ -241,12 +238,6 @@ Status ServiceLoop::finish_flush_inspectors() {
   return {};
 }
 
-Result<ServiceStats> ServiceLoop::run() {
-  GREFAR_CHECK_MSG(!ran_, "ServiceLoop::run() is single-shot");
-  ran_ = true;
-  return options_.pipelined ? run_pipelined() : run_serial();
-}
-
 namespace {
 
 double elapsed_ms(std::chrono::steady_clock::time_point a,
@@ -254,167 +245,132 @@ double elapsed_ms(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+/// Calls `f` when the scope ends, also when a throw unwinds it.
+template <typename F>
+class OnScopeExit {
+ public:
+  explicit OnScopeExit(F f) : f_(std::move(f)) {}
+  ~OnScopeExit() { f_(); }
+  OnScopeExit(const OnScopeExit&) = delete;
+  OnScopeExit& operator=(const OnScopeExit&) = delete;
+
+ private:
+  F f_;
+};
+
 }  // namespace
 
-Result<ServiceStats> ServiceLoop::run_serial() {
-  SlotInput in;
+Result<ServiceStats> ServiceLoop::run() {
+  GREFAR_CHECK_MSG(!ran_, "ServiceLoop::run() is single-shot");
+  ran_ = true;
+  // Without a flush inspector nothing reads a slot record: the engine gets
+  // no inspector (and skips its record bookkeeping) and no thread starts.
+  const bool flushing = !flush_inspectors_.empty();
+  const bool threaded = flushing && options_.pipelined;
+
+  // Pipelined handoff: a recycled FlushCopy per slot (one being filled, one
+  // being flushed, queue_depth queued), acquired blocking on the flush
+  // stage (backpressure), filled inside engine.step() and queued.
+  const std::size_t depth = options_.queue_depth;
+  std::vector<std::unique_ptr<FlushCopy>> flush_pool;
+  BoundedSpscQueue<FlushCopy*> flush_free(depth + 2);
+  BoundedSpscQueue<FlushCopy*> flush_ready(depth);
+  // Serial handoff: the engine's own record, flushed after the step.
   SlotRecord record;
   bool pending = false;
-  inspector_->handoff = [&record, &pending](const SlotRecord& r) {
-    record = r;
-    pending = true;
-  };
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  while (true) {
-    auto more = ingest_one(in);
-    if (!more.ok()) return more.error();
-    if (!more.value()) break;
-    const auto t0 = std::chrono::steady_clock::now();
-    Status solved = solve_slot(in);
-    if (!solved.ok()) return solved.error();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = elapsed_ms(t0, t1);
-    latency_p50_.add(ms);
-    latency_p99_.add(ms);
-    if (ms > latency_max_ms_) latency_max_ms_ = ms;
-    ++slots_;
-    if (pending) {
-      Status st = flush_record(record);
-      pending = false;
-      if (!st.ok()) return st.error();
+  auto inspector = std::make_shared<PipelineInspector>();
+  if (threaded) {
+    for (std::size_t i = 0; i < depth + 2; ++i) {
+      flush_pool.push_back(std::make_unique<FlushCopy>());
+      flush_free.push(flush_pool.back().get());
     }
+    inspector->handoff = [&flush_free, &flush_ready](const SlotRecord& r) {
+      FlushCopy* copy = nullptr;
+      const bool acquired = flush_free.pop(copy);
+      GREFAR_CHECK_MSG(acquired, "serve flush buffer pool closed");
+      copy->copy_from(r);
+      flush_ready.push(copy);
+    };
+  } else {
+    inspector->handoff = [&record, &pending](const SlotRecord& r) {
+      record = r;
+      pending = true;
+    };
   }
-  const auto wall_end = std::chrono::steady_clock::now();
-  if (Status st = finish_flush_inspectors(); !st.ok()) return st.error();
+  if (flushing) engine_->set_inspector(inspector);
 
-  ServiceStats stats;
-  stats.slots = slots_;
-  stats.wall_seconds = elapsed_ms(wall_start, wall_end) / 1e3;
-  stats.slots_per_second =
-      stats.wall_seconds > 0.0 ? static_cast<double>(slots_) / stats.wall_seconds
-                               : 0.0;
-  stats.latency_p50_ms = latency_p50_.value();
-  stats.latency_p99_ms = latency_p99_.value();
-  stats.latency_max_ms = latency_max_ms_;
-  obs::count("serve.slots", static_cast<std::uint64_t>(slots_));
-  return stats;
-}
-
-Result<ServiceStats> ServiceLoop::run_pipelined() {
-  const std::size_t depth = options_.queue_depth;
-  const std::size_t pool_size = depth + 2;  // one in flight at each stage
-
-  std::vector<std::unique_ptr<SlotInput>> input_pool;
-  std::vector<std::unique_ptr<FlushCopy>> flush_pool;
-  BoundedSpscQueue<SlotInput*> input_free(pool_size);
-  BoundedSpscQueue<SlotInput*> input_ready(depth);
-  BoundedSpscQueue<FlushCopy*> flush_free(pool_size);
-  BoundedSpscQueue<FlushCopy*> flush_ready(depth);
-  for (std::size_t i = 0; i < pool_size; ++i) {
-    input_pool.push_back(std::make_unique<SlotInput>());
-    flush_pool.push_back(std::make_unique<FlushCopy>());
-    input_free.push(input_pool.back().get());
-    flush_free.push(flush_pool.back().get());
-  }
-
-  // Solve thread's flush handoff: acquire a recycled copy (blocking on the
-  // flush stage = backpressure), fill it inside engine.step(), queue it.
-  inspector_->handoff = [&flush_free, &flush_ready](const SlotRecord& r) {
-    FlushCopy* copy = nullptr;
-    const bool acquired = flush_free.pop(copy);
-    GREFAR_CHECK_MSG(acquired, "serve flush buffer pool closed");
-    copy->copy_from(r);
-    flush_ready.push(copy);
-  };
-
-  std::mutex error_mutex;
+  // Each error is written by one thread and read here after the join.
   std::optional<Error> ingest_error;
-  std::optional<Error> solve_error;  // solve thread only: no lock needed
+  std::optional<Error> solve_error;
   std::optional<Error> flush_error;
   std::atomic<bool> flush_failed{false};
 
-  obs::TaskRegistries regs(2);
-  double ingest_wait_ms = 0.0;
-  const auto wall_start = std::chrono::steady_clock::now();
-  {
-    ThreadPool pool(2);
-
-    pool.submit([&, this] {
+  obs::TaskRegistries regs(1);
+  std::thread flusher;
+  // Closing both queues wakes a blocked side; the flush thread drains what
+  // is queued and exits. Runs when the loop ends, after an error too, and
+  // again (a no-op) on every exit from run(), so a throw escaping the loop
+  // cannot destroy a joinable thread.
+  const auto stop_flush = [&flush_ready, &flush_free, &flusher] {
+    flush_ready.close();
+    flush_free.close();
+    if (flusher.joinable()) flusher.join();
+  };
+  const OnScopeExit stop_on_exit(stop_flush);
+  if (threaded) {
+    flusher = std::thread([&, this] {
       obs::CountersScope counters(regs.counters(0));
-      SlotInput* in = nullptr;
-      while (input_free.pop(in)) {
-        auto more = ingest_one(*in);
-        if (!more.ok()) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          ingest_error = more.error();
-          break;
-        }
-        if (!more.value()) break;
-        if (!input_ready.push(in)) break;
-      }
-      input_ready.close();
-    });
-
-    pool.submit([&, this] {
-      obs::CountersScope counters(regs.counters(1));
       FlushCopy* copy = nullptr;
       while (flush_ready.pop(copy)) {
         if (!flush_failed.load(std::memory_order_relaxed)) {
           Status st = flush_record(copy->record());
           if (!st.ok()) {
-            {
-              std::lock_guard<std::mutex> lock(error_mutex);
-              flush_error = st.error();
-            }
+            flush_error = st.error();
             flush_failed.store(true, std::memory_order_relaxed);
           }
         }
         flush_free.push(copy);
       }
     });
+  }
 
-    while (!flush_failed.load(std::memory_order_relaxed)) {
-      SlotInput* in = nullptr;
-      const auto wait_start = std::chrono::steady_clock::now();
-      if (!input_ready.pop(in)) break;  // ingest done (or failed)
-      const auto t0 = std::chrono::steady_clock::now();
-      ingest_wait_ms += elapsed_ms(wait_start, t0);
-      Status solved = solve_slot(*in);
-      if (!solved.ok()) {
-        solve_error = solved.error();
+  SlotInput in;
+  const auto wall_start = std::chrono::steady_clock::now();
+  while (!flush_failed.load(std::memory_order_relaxed)) {
+    auto more = ingest_one(in);
+    if (!more.ok()) {
+      ingest_error = more.error();
+      break;
+    }
+    if (!more.value()) break;
+    const auto t0 = std::chrono::steady_clock::now();
+    if (Status solved = solve_slot(in); !solved.ok()) {
+      solve_error = solved.error();
+      break;
+    }
+    const double ms = elapsed_ms(t0, std::chrono::steady_clock::now());
+    latency_p50_.add(ms);
+    latency_p99_.add(ms);
+    if (ms > latency_max_ms_) latency_max_ms_ = ms;
+    ++slots_;
+    if (pending) {
+      pending = false;
+      if (Status st = flush_record(record); !st.ok()) {
+        flush_error = st.error();
         break;
       }
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ms = elapsed_ms(t0, t1);
-      latency_p50_.add(ms);
-      latency_p99_.add(ms);
-      if (ms > latency_max_ms_) latency_max_ms_ = ms;
-      ++slots_;
-      input_free.push(in);
     }
+  }
 
-    // Shutdown, also after an error: unblock the ingest thread (waiting on
-    // a free input or a full ready queue) and let the flush thread drain
-    // what is queued. Every queue is closed so no worker can block on one.
-    input_free.close();
-    input_ready.close();
-    flush_ready.close();
-    flush_free.close();
-    pool.wait_idle();
-  }  // ThreadPool joins
+  stop_flush();
   const auto wall_end = std::chrono::steady_clock::now();
   regs.merge_ordered();
 
-  {
-    // Earliest slot first, as the serial loop would report: flush trails
-    // the solve stage, which trails ingest.
-    std::lock_guard<std::mutex> lock(error_mutex);
-    if (flush_error.has_value()) return *flush_error;
-    if (solve_error.has_value()) return *solve_error;
-    if (ingest_error.has_value()) return *ingest_error;
-  }
-  // The flush thread has joined: every record went through the inspectors.
+  // Earliest slot first: flush trails the solve stage, which trails ingest.
+  if (flush_error.has_value()) return *flush_error;
+  if (solve_error.has_value()) return *solve_error;
+  if (ingest_error.has_value()) return *ingest_error;
+  // Every record went through the inspectors.
   if (Status st = finish_flush_inspectors(); !st.ok()) return st.error();
 
   ServiceStats stats;
@@ -426,18 +382,11 @@ Result<ServiceStats> ServiceLoop::run_pipelined() {
   stats.latency_p50_ms = latency_p50_.value();
   stats.latency_p99_ms = latency_p99_.value();
   stats.latency_max_ms = latency_max_ms_;
-  stats.ingest_stalls = input_ready.stats().consumer_waits;
-  stats.ingest_wait_ms = ingest_wait_ms;
   stats.backpressure_blocks =
-      input_ready.stats().producer_blocks + flush_ready.stats().producer_blocks +
-      flush_free.stats().consumer_waits + input_free.stats().consumer_waits;
-  stats.input_queue_high_water = input_ready.stats().high_water;
+      flush_ready.stats().producer_blocks + flush_free.stats().consumer_waits;
   stats.flush_queue_high_water = flush_ready.stats().high_water;
   obs::count("serve.slots", static_cast<std::uint64_t>(slots_));
-  obs::count("serve.ingest_stalls", stats.ingest_stalls);
   obs::count("serve.backpressure_blocks", stats.backpressure_blocks);
-  obs::gauge_max("serve.input_queue_high_water",
-                 static_cast<double>(stats.input_queue_high_water));
   obs::gauge_max("serve.flush_queue_high_water",
                  static_cast<double>(stats.flush_queue_high_water));
   return stats;

@@ -1,33 +1,41 @@
-// ServiceLoop: the long-lived serve mode — a three-stage pipeline that
-// ingests slot t+1 while the engine solves slot t while the flush
-// inspectors (TraceSink tracer, invariant auditor, ...) consume slot t-1.
+// ServiceLoop: the long-lived serve mode — two stages driven by one loop.
+// The caller thread ingests slot t, solves it, and hands its record to the
+// flush inspectors (TraceSink tracer, invariant auditor, ...); pipelined,
+// the flush of slot t runs on one worker thread while slot t+1 is ingested
+// and solved.
 //
-//   [ingest thread]  --input queue-->  [solve: caller thread]
-//        StreamingJobTraceSource            engine.step(SlotInput)
-//        StreamingPriceTraceSource              |
-//        (fill a pooled SlotInput)              |
-//   [flush thread]  <--flush queue--        copied SlotRecord
-//        flush inspectors, in attach order
+//   [solve: caller thread]                    [flush thread]
+//     StreamingJobTraceSource,
+//     StreamingPriceTraceSource -> SlotInput
+//     engine.step(SlotInput)  --flush queue-->  flush inspectors,
+//                              (FlushCopy)      in attach order
 //
-// Ingest parses each slot straight into a pooled engine SlotInput (counts
-// for v1 traces, annotated batches for v2) and the solve stage pushes it
-// into the engine's one per-slot entry — the same step(in) a batch run
-// drives from its models. Stages are connected by bounded SPSC queues
-// (serve/spsc_queue.h) with blocking backpressure, and slot buffers are
-// pooled and recycled through the queues, so steady-state memory is
-// O(queue_depth) regardless of trace length and the hot loop allocates
-// nothing once capacities are warm.
+// Ingest parses each slot straight into the loop's one engine SlotInput
+// (counts for v1 traces, annotated batches for v2) and the solve stage
+// pushes it into the engine's one per-slot entry — the same step(in) a
+// batch run drives from its models. GreFar decides once per slot from that
+// slot's inputs, so the only serve work that can overlap a solve is parsing
+// the next slot and flushing an earlier one; parsing stays on the solve
+// thread, which keeps one loop and one worker (DESIGN.md §14 has the
+// measured trade). The flush handoff is the only difference between the
+// modes: serial flushes the engine's own record between two steps;
+// pipelined copies it into a pooled FlushCopy and sends it through a
+// bounded SPSC queue (serve/spsc_queue.h) with blocking backpressure, so
+// steady-state memory is O(queue_depth) regardless of trace length and the
+// hot loop allocates nothing once capacities are warm. With no flush
+// inspector nothing reads a slot record, so the loop attaches no engine
+// inspector and starts no flush thread.
 //
 // Determinism (DESIGN.md §14): the engine only ever steps on the caller
 // thread, in slot order, on inputs that are pure functions of the trace
-// bytes — the worker threads move bytes and copies around but never touch
-// engine state. So decisions, energy and fairness series are bit-identical
-// to a batch replay of the materialized trace at any queue depth, pipelined
-// or serial; the flush queue is FIFO, so inspectors also observe slots in
-// order. Counters follow the TaskRegistries ordered-merge discipline.
+// bytes — the flush thread reads copies and never touches engine state. So
+// decisions, energy and fairness series are bit-identical to a batch replay
+// of the materialized trace at any queue depth, pipelined or serial; the
+// flush queue is FIFO, so inspectors also observe slots in order. Counters
+// follow the TaskRegistries ordered-merge discipline.
 //
 // Slot latency (solve-stage residence: engine step + flush handoff,
-// excluding time blocked waiting for input) is tracked with
+// excluding ingest and the serial loop's inline flush) is tracked with
 // P2Quantile estimators and reported as p50/p99 — the serve-mode SLO metric.
 #pragma once
 
@@ -46,13 +54,14 @@
 namespace grefar {
 
 struct ServiceLoopOptions {
-  /// Capacity of each inter-stage queue (>= 1). Total buffered slots are
-  /// O(queue_depth); deeper queues absorb burstier stage-time variance.
+  /// Capacity of the flush queue (>= 1): pipelined, at most queue_depth + 2
+  /// slot records are buffered; a deeper queue absorbs burstier flush-time
+  /// variance.
   std::size_t queue_depth = 4;
-  /// False runs the same three stages serially on the caller thread —
-  /// identical results, no overlap — the baseline bench/serve_latency
-  /// compares against. Serial flushes read the engine's own SlotRecord
-  /// after each step; only the pipelined loop copies it.
+  /// False flushes on the caller thread — identical results, no overlap —
+  /// the baseline bench/serve_latency compares against. Serial flushes read
+  /// the engine's own SlotRecord after each step; only the pipelined loop
+  /// copies it.
   bool pipelined = true;
   /// Optional admission policy screening each ingested arrival batch before
   /// it enters the central queues (nullptr = admit everything). Consulted
@@ -69,14 +78,14 @@ struct ServiceStats {
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
   double latency_max_ms = 0.0;
-  /// Times the solve stage waited for ingest (input queue empty).
+  /// Always 0: ingest runs inline on the solve thread, so nothing waits for
+  /// it and nothing queues its slots. Kept, with input_queue_high_water,
+  /// for the benchmark's layer report (ROADMAP item 6).
   std::uint64_t ingest_stalls = 0;
-  /// Total time the solve stage spent blocked on the input queue, ms (0 in
-  /// serial mode, which has no queue: there ingest runs inline).
-  double ingest_wait_ms = 0.0;
-  /// Times any stage blocked on a full queue or an exhausted buffer pool.
+  /// Times the solve stage blocked on a full flush queue or an exhausted
+  /// FlushCopy pool (0 in serial mode, which has no queue).
   std::uint64_t backpressure_blocks = 0;
-  std::size_t input_queue_high_water = 0;
+  std::size_t input_queue_high_water = 0;  // always 0, see ingest_stalls
   std::size_t flush_queue_high_water = 0;
 };
 
@@ -97,8 +106,8 @@ class ServiceLoop {
   ServiceLoop& operator=(const ServiceLoop&) = delete;
 
   /// Registers an inspector to run in the flush stage, in registration
-  /// order: pipelined over a copied SlotRecord (safe off-thread: no
-  /// pointers into engine scratch), serial over the engine's own record
+  /// order: pipelined over a copied SlotRecord on the flush thread (safe:
+  /// no pointers into engine scratch), serial over the engine's own record
   /// between two steps. Call before run(). After the last slot, run() calls
   /// each inspector's finish() (a TracingInspector flushes its sink there).
   /// An inspector throw (e.g. the auditor's strict mode, a failed slot-log
@@ -108,9 +117,9 @@ class ServiceLoop {
   /// Runs the loop to completion (the end of the shorter trace, or the
   /// first error).
   /// An ingest, solve-stage (engine or scheduler throw) or flush error ends
-  /// the run in both modes and is returned naming its slot; the worker
-  /// threads are shut down first. Single-shot: a ServiceLoop instance runs
-  /// once.
+  /// the run in both modes and is returned naming its slot; the flush
+  /// thread drains and joins first. Single-shot: a ServiceLoop instance
+  /// runs once.
   Result<ServiceStats> run();
 
   /// The engine's accumulated metrics (valid after run(); bit-identical to
@@ -141,9 +150,6 @@ class ServiceLoop {
   /// through them; returns the first throw as an error.
   Status finish_flush_inspectors();
 
-  Result<ServiceStats> run_serial();
-  Result<ServiceStats> run_pipelined();
-
   std::shared_ptr<const ClusterConfig> config_;
   std::unique_ptr<StreamingJobTraceSource> jobs_;
   std::unique_ptr<StreamingPriceTraceSource> prices_;
@@ -153,7 +159,6 @@ class ServiceLoop {
   /// counts (v1) — so v1 serve runs expand counts exactly as a batch run.
   bool valued_ = false;
   std::unique_ptr<SimulationEngine> engine_;
-  std::shared_ptr<PipelineInspector> inspector_;
   std::vector<std::shared_ptr<SlotInspector>> flush_inspectors_;
   P2Quantile latency_p50_{0.50};
   P2Quantile latency_p99_{0.99};

@@ -3,16 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <istream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <streambuf>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "check/invariant_auditor.h"
@@ -160,6 +156,21 @@ TEST(ServiceLoop, BitIdenticalToBatchAtEveryQueueDepth) {
             << "depth=" << depth << " pipelined=" << pipelined << " t=" << t;
       }
     }
+  }
+
+  // With no flush inspector nothing reads a slot record: the engine runs
+  // uninspected and nothing is queued, and the metrics stay bitwise equal.
+  for (bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined, no flush inspector"
+                           : "serial, no flush inspector");
+    ServiceLoopOptions options;
+    options.pipelined = pipelined;
+    auto loop = f.make_loop(options);
+    auto stats = loop->run();
+    ASSERT_TRUE(stats.ok()) << stats.error().message;
+    EXPECT_EQ(stats.value().slots, kHorizon);
+    EXPECT_EQ(stats.value().flush_queue_high_water, 0u);
+    expect_bitwise_equal(loop->metrics(), batch.engine->metrics());
   }
 }
 
@@ -539,68 +550,6 @@ TEST(ServiceLoop, RunIsSingleShot) {
   auto loop = f.make_loop({});
   ASSERT_TRUE(loop->run().ok());
   EXPECT_THROW((void)loop->run(), ContractViolation);
-}
-
-/// Hands out `text` a few bytes per underflow, sleeping before each: an
-/// ingest stage slow enough that the solve stage must wait for it.
-class SlowStreamBuf final : public std::streambuf {
- public:
-  explicit SlowStreamBuf(std::string text) : text_(std::move(text)) {}
-
- protected:
-  int_type underflow() override {
-    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-    if (pos_ >= text_.size()) return traits_type::eof();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    char* begin = text_.data() + pos_;
-    const std::size_t n = std::min<std::size_t>(16, text_.size() - pos_);
-    pos_ += n;
-    setg(begin, begin, begin + n);
-    return traits_type::to_int_type(*begin);
-  }
-
- private:
-  std::string text_;
-  std::size_t pos_ = 0;
-};
-
-class SlowStream final : public std::istream {
- public:
-  explicit SlowStream(std::string text) : std::istream(nullptr), buf_(std::move(text)) {
-    rdbuf(&buf_);
-  }
-
- private:
-  SlowStreamBuf buf_;
-};
-
-TEST(ServiceLoop, IngestWaitIsTimedInPipelinedMode) {
-  Fixture f;
-  StreamSourceOptions slow_reads;
-  slow_reads.chunk_bytes = 16;  // one sleep per read, spread over the run
-  for (bool pipelined : {false, true}) {
-    auto jobs = std::make_unique<StreamingJobTraceSource>(
-        std::make_unique<SlowStream>(f.jobs_csv), f.config->num_job_types(),
-        slow_reads);
-    auto prices = std::make_unique<StreamingPriceTraceSource>(
-        std::make_unique<std::istringstream>(f.prices_csv),
-        f.config->num_data_centers());
-    ServiceLoopOptions options;
-    options.pipelined = pipelined;
-    ServiceLoop loop(f.config, f.scenario.availability, f.make_scheduler(),
-                     std::move(jobs), std::move(prices), options);
-    auto stats = loop.run();
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats.value().slots, kHorizon);
-    if (!pipelined) {
-      // Serial mode has no input queue; its ingest runs inline.
-      EXPECT_EQ(stats.value().ingest_wait_ms, 0.0);
-      continue;
-    }
-    EXPECT_GT(stats.value().ingest_stalls, 0u);
-    EXPECT_GT(stats.value().ingest_wait_ms, 0.0);
-    EXPECT_LE(stats.value().ingest_wait_ms, stats.value().wall_seconds * 1e3);
-  }
 }
 
 TEST(ServiceLoop, StatsReportLatencyAndThroughput) {
