@@ -157,6 +157,16 @@ void exit_usage(const CliParser& cli, const std::string& message) {
   std::exit(1);
 }
 
+std::int64_t int_at_least(const CliParser& cli, const std::string& name,
+                          std::int64_t min) {
+  const std::int64_t value = cli.get_int(name);
+  if (value < min) {
+    exit_usage(cli, "--" + name + " must be at least " + std::to_string(min) +
+                        " (got " + std::to_string(value) + ")");
+  }
+  return value;
+}
+
 std::string render_chart(const std::string& title, const std::string& y_label,
                          std::vector<TimeSeries> series, std::int64_t horizon) {
   AsciiChart chart(72, 16);

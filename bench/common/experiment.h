@@ -133,6 +133,11 @@ void parse_or_exit(CliParser& cli, int argc, char** argv);
 /// Prints "error: <message>" and the usage text to stderr, then exits 1.
 [[noreturn]] void exit_usage(const CliParser& cli, const std::string& message);
 
+/// The integer option `name`; a value below `min` exits through exit_usage
+/// naming the option, before a caller can cast it to an unsigned size.
+std::int64_t int_at_least(const CliParser& cli, const std::string& name,
+                          std::int64_t min);
+
 /// Renders `series` (already running-averaged if desired) as an ASCII chart.
 std::string render_chart(const std::string& title, const std::string& y_label,
                          std::vector<TimeSeries> series, std::int64_t horizon);

@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
   for (double b : cli.get_double_list("branching")) {
     opt.branching.push_back(static_cast<std::size_t>(b));
   }
-  opt.account_level = static_cast<std::size_t>(cli.get_int("account-level"));
-  opt.draws_per_slot = static_cast<std::size_t>(cli.get_int("draws"));
+  opt.account_level = static_cast<std::size_t>(int_at_least(cli, "account-level", 0));
+  opt.draws_per_slot = static_cast<std::size_t>(int_at_least(cli, "draws", 0));
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   // This binary exists to audit at scale, so "auto" means throw even in
   // Release; --audit=off runs the production leg alone, unaudited (timing

@@ -133,10 +133,11 @@ int main(int argc, char** argv) {
                  "time-slice)");
   parse_or_exit(cli, argc, argv);
 
-  const auto horizon = cli.get_int("horizon");
+  const auto horizon = int_at_least(cli, "horizon", 1);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto num_dcs = static_cast<std::size_t>(cli.get_int("dcs"));
-  const auto num_types = static_cast<std::size_t>(cli.get_int("types"));
+  const auto num_dcs = static_cast<std::size_t>(int_at_least(cli, "dcs", 1));
+  const auto num_types = static_cast<std::size_t>(int_at_least(cli, "types", 1));
+  const auto queue_depth = static_cast<std::size_t>(int_at_least(cli, "queue-depth", 1));
   const std::string mode = cli.get_string("mode");
   if (mode != "both" && mode != "serial" && mode != "pipelined") {
     std::cerr << "unknown --mode '" << mode << "'\n";
@@ -185,7 +186,6 @@ int main(int argc, char** argv) {
             << " KiB), generated in " << gen_ms << " ms\n";
 
   GreFarParams params = paper_grefar_params(cli.get_double("V"), cli.get_double("beta"));
-  const auto queue_depth = static_cast<std::size_t>(cli.get_int("queue-depth"));
 
   const bool slot_log = cli.get_string("slot-log") == "on";
 

@@ -118,12 +118,13 @@ int main(int argc, char** argv) {
   parse_or_exit(cli, argc, argv);
   const auto horizon = cli.get_int("horizon");
   const auto base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto num_seeds = static_cast<std::size_t>(cli.get_int("seeds"));
-  const auto v_count = static_cast<std::size_t>(cli.get_int("v-count"));
-  const auto chunk = static_cast<std::size_t>(cli.get_int("chunk"));
+  const auto num_seeds = static_cast<std::size_t>(int_at_least(cli, "seeds", 1));
+  const auto v_count = static_cast<std::size_t>(int_at_least(cli, "v-count", 1));
+  const auto chunk = static_cast<std::size_t>(int_at_least(cli, "chunk", 1));
   const double min_speedup = cli.get_double("min-speedup");
-  const auto audit_stride = static_cast<std::size_t>(cli.get_int("audit-stride"));
-  const auto reps = std::max<std::size_t>(1, static_cast<std::size_t>(cli.get_int("reps")));
+  const auto audit_stride =
+      static_cast<std::size_t>(int_at_least(cli, "audit-stride", 1));
+  const auto reps = static_cast<std::size_t>(int_at_least(cli, "reps", 1));
   const auto json_out = cli.get_string("json-out");
   const auto jobs = jobs_from_cli(cli);
   const auto audit = audit_from_cli(cli);

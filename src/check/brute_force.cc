@@ -1,4 +1,4 @@
-#include "solver/brute_force.h"
+#include "check/brute_force.h"
 
 #include <cmath>
 #include <limits>
@@ -6,6 +6,25 @@
 #include "util/check.h"
 
 namespace grefar {
+
+bool is_feasible(const CappedBoxPolytope& polytope, const std::vector<double>& x,
+                 double tol) {
+  const std::vector<double>& ub = polytope.ub_;
+  GREFAR_CHECK(x.size() == ub.size());
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    if (x[j] < -tol || x[j] > ub[j] + tol) return false;
+  }
+  for (const auto& g : polytope.groups_) {
+    double sum = 0.0;
+    if (g.contiguous) {
+      for (std::size_t j = g.begin; j < g.end; ++j) sum += x[j];
+    } else {
+      for (std::size_t j : g.indices) sum += x[j];
+    }
+    if (sum > g.cap + tol) return false;
+  }
+  return true;
+}
 
 BruteForceResult minimize_brute_force(
     const std::function<double(const std::vector<double>&)>& f,
@@ -23,7 +42,7 @@ BruteForceResult minimize_brute_force(
 
   std::function<void(std::size_t)> recurse = [&](std::size_t dim) {
     if (dim == n) {
-      if (!polytope.contains(x, 1e-9)) return;
+      if (!is_feasible(polytope, x, 1e-9)) return;
       ++best.evaluated;
       double v = f(x);
       if (v < best.objective) {

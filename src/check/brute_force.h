@@ -1,6 +1,7 @@
-// Brute-force grid minimizer over a CappedBoxPolytope. Test-only oracle:
-// exhaustively evaluates a regular grid (feasible points only) to
-// cross-check the greedy / Frank-Wolfe / PGD solvers on small instances.
+// Test-only oracles over a CappedBoxPolytope: a feasibility predicate, and a
+// brute-force grid minimizer that exhaustively evaluates a regular grid
+// (feasible points only) to cross-check the greedy / Frank-Wolfe / PGD
+// solvers on small instances.
 #pragma once
 
 #include <functional>
@@ -9,6 +10,10 @@
 #include "solver/capped_box.h"
 
 namespace grefar {
+
+/// True if x satisfies all bounds and caps of `polytope` within `tol`.
+bool is_feasible(const CappedBoxPolytope& polytope, const std::vector<double>& x,
+                 double tol = 1e-9);
 
 struct BruteForceResult {
   std::vector<double> x;

@@ -15,10 +15,11 @@ std::vector<double> solve_per_slot_frank_wolfe(const PerSlotProblem& problem) {
 }
 
 std::vector<double> solve_per_slot_pgd(const PerSlotProblem& problem) {
-  std::vector<double> warm = solve_per_slot_greedy(problem);
-  auto result = minimize_projected_gradient(problem, problem.polytope(),
-                                            std::move(warm));
-  return std::move(result.x);
+  const std::vector<double> warm = solve_per_slot_greedy(problem);
+  std::vector<double> u;
+  PgdWorkspace ws;
+  minimize_projected_gradient(problem, problem.polytope(), warm, u, ws);
+  return u;
 }
 
 LinearProgram build_per_slot_lp(const PerSlotProblem& problem) {

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "solver/brute_force.h"
+#include "check/brute_force.h"
 #include "util/check.h"
 
 namespace grefar {
@@ -48,7 +48,7 @@ std::vector<InvariantViolation> crosscheck_solution(
       return violations;
     }
   }
-  if (!problem.polytope().contains(u, options.feasibility_tol)) {
+  if (!is_feasible(problem.polytope(), u, options.feasibility_tol)) {
     // Pin down which bound broke for the record.
     const auto& ub = problem.polytope().upper_bounds();
     for (std::size_t v = 0; v < u.size(); ++v) {

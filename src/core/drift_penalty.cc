@@ -8,12 +8,6 @@
 
 namespace grefar {
 
-PerSlotProblem::PerSlotProblem(const ClusterConfig& config, const SlotObservation& obs,
-                               const GreFarParams& params)
-    : PerSlotProblem(config, params) {
-  reset(obs);
-}
-
 PerSlotProblem::PerSlotProblem(const ClusterConfig& config, const GreFarParams& params)
     : config_(&config),
       obs_(nullptr),

@@ -75,13 +75,10 @@ struct GreFarParams {
 /// instance is single-threaded (concurrent runs each own their problem).
 class PerSlotProblem final : public ConvexObjective {
  public:
-  PerSlotProblem(const ClusterConfig& config, const SlotObservation& obs,
-                 const GreFarParams& params);
-
-  /// Deferred variant: bakes the config-derived state but performs no
-  /// initial reset — the caller must reset() before any other use. Lets a
-  /// scheduler that builds its problem on the first slot pay for and count
-  /// exactly one reset there, the same as every later slot.
+  /// Bakes the config-derived state but performs no initial reset — the
+  /// caller must reset() before any other use. A scheduler that builds its
+  /// problem on the first slot thus pays for and counts exactly one reset
+  /// there, the same as every later slot.
   PerSlotProblem(const ClusterConfig& config, const GreFarParams& params);
 
   /// Re-targets the problem at a new observation of the *same* cluster and

@@ -47,6 +47,11 @@ FrameData gather_frame(const ClusterConfig& config, const PriceModel& prices,
   return data;
 }
 
+/// Builds the LP for one frame. Variable layout, with F = T slots and offsets
+/// in this order:
+///   r_{i,j,t}: ((t*N + i)*J + j)
+///   u_{i,j,t}: N*J*F + ((t*N + i)*J + j)
+///   w_{i,k,t}: 2*N*J*F + ((t*N + i)*K + k)
 LinearProgram build_frame_lp_from_data(const ClusterConfig& config,
                                        const FrameData& data,
                                        const LookaheadParams& params) {
@@ -130,17 +135,6 @@ LinearProgram build_frame_lp_from_data(const ClusterConfig& config,
 
 }  // namespace
 
-LinearProgram build_frame_lp(const ClusterConfig& config, const PriceModel& prices,
-                             const AvailabilityModel& availability,
-                             const ArrivalProcess& arrivals, std::int64_t frame_start,
-                             const LookaheadParams& params) {
-  GREFAR_CHECK(params.T > 0);
-  return build_frame_lp_from_data(
-      config, gather_frame(config, prices, availability, arrivals, frame_start,
-                           params.T),
-      params);
-}
-
 LookaheadResult solve_lookahead(const ClusterConfig& config, const PriceModel& prices,
                                 const AvailabilityModel& availability,
                                 const ArrivalProcess& arrivals,
@@ -184,7 +178,7 @@ LookaheadResult solve_lookahead(const ClusterConfig& config, const PriceModel& p
 namespace {
 
 /// Objective pieces for the fairness-aware frame problem, in the variable
-/// layout of build_frame_lp. Reads only pre-materialized frame data (total
+/// layout of build_frame_lp_from_data. Reads only pre-materialized frame data (total
 /// slot resource), so it is safe to evaluate on a worker thread.
 struct FrameObjective {
   const ClusterConfig* config;

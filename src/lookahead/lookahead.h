@@ -58,16 +58,6 @@ LookaheadResult solve_lookahead(const ClusterConfig& config, const PriceModel& p
                                 const ArrivalProcess& arrivals,
                                 const LookaheadParams& params);
 
-/// Builds the LP for one frame starting at slot `frame_start` (exposed for
-/// tests). Variable layout, with F = T slots and offsets in this order:
-///   r_{i,j,t}: ((t*N + i)*J + j)
-///   u_{i,j,t}: N*J*F + ((t*N + i)*J + j)
-///   w_{i,k,t}: 2*N*J*F + ((t*N + i)*K + k)
-LinearProgram build_frame_lp(const ClusterConfig& config, const PriceModel& prices,
-                             const AvailabilityModel& availability,
-                             const ArrivalProcess& arrivals, std::int64_t frame_start,
-                             const LookaheadParams& params);
-
 /// The T-step lookahead policy for the *full* energy-fairness cost
 /// g = e - beta*f (beta > 0 makes the frame problem a convex QP). Solved by
 /// Frank-Wolfe over the frame polytope, using the frame LP (with the

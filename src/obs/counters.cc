@@ -1,7 +1,5 @@
 #include "obs/counters.h"
 
-#include <limits>
-
 namespace grefar::obs {
 
 void CounterRegistry::count(std::string_view name, std::uint64_t n) {
@@ -27,19 +25,9 @@ void CounterRegistry::merge(const CounterRegistry& other) {
   for (const auto& [name, v] : other.gauges_) gauge_max(name, v);
 }
 
-void CounterRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-}
-
 std::uint64_t CounterRegistry::counter(std::string_view name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
-}
-
-double CounterRegistry::gauge(std::string_view name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? -std::numeric_limits<double>::infinity() : it->second;
 }
 
 JsonValue CounterRegistry::dump() const {

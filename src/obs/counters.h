@@ -43,11 +43,9 @@ class CounterRegistry {
   void merge(const CounterRegistry& other);
 
   bool empty() const { return counters_.empty() && gauges_.empty(); }
-  void clear();
 
-  /// Value of a counter/gauge (0 / -inf when absent) — for tests and tools.
+  /// Value of a counter (0 when absent).
   std::uint64_t counter(std::string_view name) const;
-  double gauge(std::string_view name) const;
 
   const std::map<std::string, std::uint64_t, std::less<>>& counters() const {
     return counters_;

@@ -42,17 +42,6 @@ std::string ProfileRegistry::summary_table() const {
   return table.render();
 }
 
-JsonValue ProfileRegistry::dump() const {
-  JsonObject root;
-  for (const auto& [name, phase] : phases_) {
-    JsonObject entry;
-    entry.emplace("calls", static_cast<double>(phase.calls));
-    entry.emplace("total_ms", phase.total_ns / 1e6);
-    root.emplace(name, std::move(entry));
-  }
-  return root;
-}
-
 ProfileScope::ProfileScope(ProfileRegistry* registry)
     : previous_(detail::t_active_profile) {
   detail::t_active_profile = registry;

@@ -17,8 +17,6 @@
 #include <string>
 #include <string_view>
 
-#include "util/json.h"
-
 namespace grefar::obs {
 
 class ProfileRegistry {
@@ -38,9 +36,6 @@ class ProfileRegistry {
   /// Aligned table (phase | calls | total ms | mean us), phases sorted by
   /// total time descending — rendered via stats/summary_table.
   std::string summary_table() const;
-
-  /// {"phase": {"calls": n, "total_ms": t}, ...}
-  JsonValue dump() const;
 
  private:
   std::map<std::string, Phase, std::less<>> phases_;

@@ -12,13 +12,13 @@
 //
 // Usage (see parallel/sim_runner.cc):
 //
-//   obs::TaskRegistries regs(tasks.size());
-//   pool.submit([..., i] {
-//     obs::CountersScope counters(regs.counters(i));
-//     obs::ProfileScope profile(regs.profile(i));
-//     tasks[i]();
+//   obs::TaskRegistries regs(workers);
+//   pool.submit_batch(count, chunk, [&](std::size_t task, std::size_t begin,
+//                                       std::size_t end) {
+//     obs::CountersScope counters(regs.counters(task));
+//     obs::ProfileScope profile(regs.profile(task));
+//     for (std::size_t i = begin; i < end; ++i) fn(task, i);
 //   });
-//   pool.wait_idle();
 //   regs.merge_ordered();  // caller thread, after every task finished
 //
 // When the calling thread has no registry of a kind active, the matching

@@ -86,16 +86,6 @@ std::size_t ThreadPool::submit_batch(
   return num_tasks;
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
-}
-
-std::size_t ThreadPool::completed_tasks() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return completed_;
-}
-
 std::size_t ThreadPool::default_concurrency() {
 #if defined(__linux__)
   // Honor cgroup cpusets / taskset masks: in containerized CI the affinity
@@ -120,15 +110,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ and fully drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++running_;
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --running_;
-      ++completed_;
-      if (queue_.empty() && running_ == 0) all_done_.notify_all();
-    }
   }
 }
 

@@ -10,9 +10,7 @@
 // Lifecycle guarantees:
 //   * every submitted task runs exactly once (none lost, none duplicated);
 //   * the destructor drains the queue — it blocks until all tasks, including
-//     ones still queued, have finished, then joins the workers;
-//   * wait_idle() blocks until the queue is empty and no task is running,
-//     without shutting the pool down.
+//     ones still queued, have finished, then joins the workers.
 #pragma once
 
 #include <condition_variable>
@@ -50,7 +48,7 @@ class ThreadPool {
   /// worker-local arenas rather than a range id.
   ///
   /// Blocks until every range ran (other concurrently submitted work may
-  /// still be in flight — this is not wait_idle). `body` must not throw;
+  /// still be in flight). `body` must not throw;
   /// callers capture per-index failures themselves (see SimRunner). Returns
   /// the number of loop tasks spawned.
   std::size_t submit_batch(
@@ -58,13 +56,7 @@ class ThreadPool {
       const std::function<void(std::size_t task, std::size_t begin,
                                std::size_t end)>& body);
 
-  /// Blocks until every submitted task has completed.
-  void wait_idle();
-
   std::size_t num_threads() const { return workers_.size(); }
-
-  /// Total tasks that have finished running (for tests / introspection).
-  std::size_t completed_tasks() const;
 
   /// Usable CPUs: the sched_getaffinity CPU count where available (so cgroup
   /// / taskset limits in containerized CI are honored instead of
@@ -75,12 +67,9 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  mutable std::mutex mutex_;
-  std::condition_variable task_ready_;   // signals workers
-  std::condition_variable all_done_;     // signals wait_idle / destructor
+  std::mutex mutex_;
+  std::condition_variable task_ready_;  // signals workers
   std::deque<std::function<void()>> queue_;
-  std::size_t running_ = 0;    // tasks currently executing
-  std::size_t completed_ = 0;  // tasks finished since construction
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

@@ -1,9 +1,6 @@
 #include "scenario/config_io.h"
 
-#include <cmath>
 #include <set>
-
-#include "util/csv.h"
 
 namespace grefar {
 
@@ -189,69 +186,6 @@ Result<ClusterConfig> cluster_config_from_json(const JsonValue& json) {
   return config;
 }
 
-JsonValue cluster_config_to_json(const ClusterConfig& config) {
-  JsonObject root;
-  JsonArray server_types;
-  for (const auto& st : config.server_types) {
-    JsonObject entry;
-    entry["name"] = st.name;
-    entry["speed"] = st.speed;
-    entry["busy_power"] = st.busy_power;
-    server_types.emplace_back(std::move(entry));
-  }
-  root["server_types"] = std::move(server_types);
-
-  JsonArray data_centers;
-  for (const auto& dc : config.data_centers) {
-    JsonObject entry;
-    entry["name"] = dc.name;
-    JsonArray installed;
-    for (auto count : dc.installed) installed.emplace_back(count);
-    entry["installed"] = std::move(installed);
-    data_centers.emplace_back(std::move(entry));
-  }
-  root["data_centers"] = std::move(data_centers);
-
-  JsonArray accounts;
-  for (const auto& account : config.accounts) {
-    JsonObject entry;
-    entry["name"] = account.name;
-    entry["gamma"] = account.gamma;
-    accounts.emplace_back(std::move(entry));
-  }
-  root["accounts"] = std::move(accounts);
-
-  JsonArray job_types;
-  for (const auto& jt : config.job_types) {
-    JsonObject entry;
-    entry["name"] = jt.name;
-    entry["work"] = jt.work;
-    entry["account"] = static_cast<std::int64_t>(jt.account);
-    if (std::isfinite(jt.max_rate)) entry["max_rate"] = jt.max_rate;
-    JsonArray eligible;
-    for (auto dc : jt.eligible_dcs) eligible.emplace_back(static_cast<std::int64_t>(dc));
-    entry["eligible_dcs"] = std::move(eligible);
-    job_types.emplace_back(std::move(entry));
-  }
-  root["job_types"] = std::move(job_types);
-
-  if (!config.tariffs.empty()) {
-    JsonArray tariffs;
-    for (const auto& tariff : config.tariffs) {
-      JsonArray tiers;
-      for (const auto& tier : tariff.tiers()) {
-        JsonObject entry;
-        if (std::isfinite(tier.upto)) entry["upto"] = tier.upto;
-        entry["rate"] = tier.rate;
-        tiers.emplace_back(std::move(entry));
-      }
-      tariffs.emplace_back(std::move(tiers));
-    }
-    root["tariffs"] = std::move(tariffs);
-  }
-  return root;
-}
-
 Result<GreFarParams> grefar_params_from_json(const JsonValue& json) {
   if (auto st = check_keys(json,
                            {"V", "beta", "r_max", "h_max", "clamp_to_queue",
@@ -272,17 +206,6 @@ Result<GreFarParams> grefar_params_from_json(const JsonValue& json) {
     return Error::make("grefar: V/beta/r_max/h_max must be >= 0");
   }
   return params;
-}
-
-JsonValue grefar_params_to_json(const GreFarParams& params) {
-  JsonObject obj;
-  obj["V"] = params.V;
-  obj["beta"] = params.beta;
-  obj["r_max"] = params.r_max;
-  obj["h_max"] = params.h_max;
-  obj["clamp_to_queue"] = params.clamp_to_queue;
-  obj["process_after_routing"] = params.process_after_routing;
-  return obj;
 }
 
 Result<ExperimentConfig> experiment_config_from_json(const JsonValue& json) {
@@ -308,13 +231,6 @@ Result<ExperimentConfig> load_experiment_config(const std::string& path) {
   auto json = parse_json_file(path);
   if (!json.ok()) return json.error();
   return experiment_config_from_json(json.value());
-}
-
-Status save_experiment_config(const std::string& path, const ExperimentConfig& config) {
-  JsonObject root;
-  root["cluster"] = cluster_config_to_json(config.cluster);
-  root["grefar"] = grefar_params_to_json(config.grefar);
-  return write_file(path, JsonValue(std::move(root)).dump(2) + "\n");
 }
 
 }  // namespace grefar

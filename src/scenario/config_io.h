@@ -1,4 +1,4 @@
-// JSON (de)serialization for cluster and scheduler configuration.
+// JSON parsing for cluster and scheduler configuration.
 //
 // Lets deployments and experiments be described as data instead of code:
 //
@@ -27,15 +27,9 @@ namespace grefar {
 /// Parses a ClusterConfig from its JSON object form; validates the result.
 Result<ClusterConfig> cluster_config_from_json(const JsonValue& json);
 
-/// Serializes a ClusterConfig to its JSON object form (round-trips).
-JsonValue cluster_config_to_json(const ClusterConfig& config);
-
 /// Parses GreFarParams from a JSON object ({"V": 7.5, "beta": 100, ...});
 /// missing fields keep their defaults, unknown fields fail.
 Result<GreFarParams> grefar_params_from_json(const JsonValue& json);
-
-/// Serializes GreFarParams.
-JsonValue grefar_params_to_json(const GreFarParams& params);
 
 /// Reads a document holding {"cluster": ..., "grefar": ...}. The "grefar"
 /// key is optional (defaults apply).
@@ -45,8 +39,5 @@ struct ExperimentConfig {
 };
 Result<ExperimentConfig> experiment_config_from_json(const JsonValue& json);
 Result<ExperimentConfig> load_experiment_config(const std::string& path);
-
-/// Writes {"cluster": ..., "grefar": ...} pretty-printed to `path`.
-Status save_experiment_config(const std::string& path, const ExperimentConfig& config);
 
 }  // namespace grefar

@@ -45,10 +45,6 @@ PaperScenario make_paper_scenario(std::uint64_t seed);
 /// GreFar parameters as used in §VI (generous r_max/h_max; clamped queues).
 GreFarParams paper_grefar_params(double V, double beta);
 
-/// A small 2-DC / 2-type / 2-account scenario with light deterministic-ish
-/// load — cheap enough for property tests and the Theorem-1 LP comparison.
-PaperScenario make_small_scenario(std::uint64_t seed);
-
 /// Whether scenario engines carry the per-slot InvariantAuditor
 /// (check/invariant_auditor.h).
 ///   * kAuto  — kThrow in Debug builds (NDEBUG undefined), kOff otherwise:

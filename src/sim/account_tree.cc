@@ -162,26 +162,4 @@ std::vector<Account> AccountTree::accounts_at_level(std::size_t level) const {
   return accounts;
 }
 
-void AccountTree::aggregate_to_level(const std::vector<double>& leaf_values,
-                                     std::size_t level,
-                                     std::vector<double>& out) const {
-  const std::size_t leaf_level = weights_.size() - 1;
-  GREFAR_CHECK_MSG(level <= leaf_level, "bad account-tree level " << level);
-  GREFAR_CHECK_MSG(leaf_values.size() == num_leaves(),
-                   "leaf_values has " << leaf_values.size() << " entries, tree has "
-                                      << num_leaves() << " leaves");
-  // Fold one level at a time so every intermediate level's sums are the
-  // exact parent-order accumulation (deterministic at any call pattern).
-  std::vector<double> current = leaf_values;
-  std::vector<double> next;
-  for (std::size_t l = leaf_level; l > level; --l) {
-    next.assign(weights_[l - 1].size(), 0.0);
-    for (std::size_t i = 0; i < current.size(); ++i) {
-      next[parents_[l][i]] += current[i];
-    }
-    current.swap(next);
-  }
-  out = std::move(current);
-}
-
 }  // namespace grefar

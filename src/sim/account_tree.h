@@ -10,8 +10,7 @@
 // aggregating level-l shares up to level l-1 reproduces the level-(l-1)
 // shares. GreFar can therefore be solved at a chosen level (accounts_at_level
 // feeds ClusterConfig directly) while metering still happens at the leaves,
-// and aggregate_to_level() folds per-leaf served work up to the solver's
-// level for scoring.
+// and ancestor_of_leaf() maps a leaf to its account at the solver's level.
 #pragma once
 
 #include <cstdint>
@@ -62,12 +61,6 @@ class AccountTree {
   /// The level's nodes as ClusterConfig accounts ("L<level>:<index>", gamma
   /// from gamma_at_level).
   std::vector<Account> accounts_at_level(std::size_t level) const;
-
-  /// Sums per-leaf values over subtrees: out[n] = sum of leaf_values over
-  /// leaves whose level-`level` ancestor is n.
-  GREFAR_HOT_PATH GREFAR_DETERMINISTIC
-  void aggregate_to_level(const std::vector<double>& leaf_values,
-                          std::size_t level, std::vector<double>& out) const;
 
  private:
   void validate() const;

@@ -22,7 +22,6 @@ void EnergyCostCurve::rebuild(const std::vector<ServerType>& server_types,
                               const std::int64_t* available, std::size_t count) {
   GREFAR_CHECK(!server_types.empty());
   GREFAR_CHECK(count == server_types.size());
-  num_types_ = server_types.size();
   segments_.clear();
   capacity_ = 0.0;
   for (std::size_t k = 0; k < server_types.size(); ++k) {
@@ -51,19 +50,6 @@ double EnergyCostCurve::energy_for_work(double work) const {
   }
   return energy;
 }
-
-double EnergyCostCurve::marginal_energy(double work) const {
-  GREFAR_CHECK_MSG(work >= -1e-9, "negative work " << work);
-  if (segments_.empty()) return 0.0;
-  double level = std::max(work, 0.0);
-  double cum = 0.0;
-  for (const auto& seg : segments_) {
-    cum += seg.capacity;
-    if (level < cum) return seg.energy_per_work;
-  }
-  return segments_.back().energy_per_work;
-}
-
 
 double EnergyCostCurve::smoothed_marginal(double work, double band) const {
   GREFAR_CHECK(work >= -1e-9);
@@ -132,18 +118,6 @@ double EnergyCostCurve::smoothed_energy(double work, double band) const {
     }
   }
   return energy;
-}
-
-std::vector<double> EnergyCostCurve::busy_servers(double work) const {
-  std::vector<double> b(num_types_, 0.0);
-  double remaining = std::min(std::max(work, 0.0), capacity_);
-  for (const auto& seg : segments_) {
-    if (remaining <= 0.0) break;
-    double served = std::min(remaining, seg.capacity);
-    b[seg.type] = served / seg.speed;  // server-slots occupied on type k
-    remaining -= served;
-  }
-  return b;
 }
 
 }  // namespace grefar

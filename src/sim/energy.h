@@ -51,20 +51,13 @@ class EnergyCostCurve {
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   double energy_for_work(double work) const;
 
-  /// Marginal energy of one more unit of work at load `work`
-  /// (right-derivative; returns the last segment's slope beyond capacity).
-  GREFAR_HOT_PATH GREFAR_DETERMINISTIC
-  double marginal_energy(double work) const;
-
-  /// The busy-server vector b_k achieving energy_for_work(work).
-  std::vector<double> busy_servers(double work) const;
-
-  /// Smoothed counterparts of energy_for_work / marginal_energy: the slope
-  /// is blended linearly across a band of half-width `band` (work units)
-  /// around each inter-segment kink, making C(W) continuously
-  /// differentiable. First-order solvers (Frank-Wolfe, PGD) need this to
-  /// converge; |smoothed - exact| <= band * (slope jump) / 4 per kink.
-  /// The exact curve remains the one used for cost accounting.
+  /// Smoothed energy_for_work and its slope: the slope is blended linearly
+  /// across a band of half-width `band` (work units) around each
+  /// inter-segment kink, making C(W) continuously differentiable.
+  /// First-order solvers (Frank-Wolfe, PGD) need this to converge;
+  /// |smoothed - exact| <= band * (slope jump) / 4 per kink. The exact curve
+  /// remains the one used for cost accounting. At band 0 the slope is the
+  /// exact right-derivative (the last segment's slope beyond capacity).
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   double smoothed_energy(double work, double band) const;
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
@@ -83,8 +76,6 @@ class EnergyCostCurve {
   const std::vector<Segment>& segments() const { return segments_; }
 
  private:
-
-  std::size_t num_types_ = 0;
   std::vector<Segment> segments_;  // ascending energy_per_work
   double capacity_ = 0.0;
 };

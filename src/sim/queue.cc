@@ -27,14 +27,6 @@ void FifoJobQueue::make_room(std::size_t extra) {
   jobs_.reserve(capacity);
 }
 
-void FifoJobQueue::push(Job job) {
-  GREFAR_CHECK_MSG(job.remaining > kFinishedWork, "cannot enqueue a finished job");
-  remaining_work_ += job.remaining;
-  total_value_ += job.value;
-  if (job.deadline_slot < min_deadline_slot_) min_deadline_slot_ = job.deadline_slot;
-  jobs_.push_back(std::move(job));
-}
-
 void FifoJobQueue::push_copies(const Job& proto, std::int64_t count) {
   GREFAR_CHECK_MSG(count >= 0, "negative job count " << count);
   if (count == 0) return;
@@ -58,8 +50,8 @@ std::int64_t FifoJobQueue::transfer_front(FifoJobQueue& dst, std::int64_t n,
   if (k == 0) return 0;
   const std::size_t end = head_ + k;
   dst.make_room(k);
-  // The per-job sequence of pop_front() on this queue and push() on dst:
-  // the two sets of sums are independent, so one pass does both.
+  // The per-job sequence of dequeuing here and enqueuing on dst: the two
+  // sets of sums are independent, so one pass does both.
   for (std::size_t r = head_; r < end; ++r) {
     const Job& job = jobs_[r];
     GREFAR_CHECK_MSG(job.remaining > kFinishedWork, "cannot enqueue a finished job");
@@ -86,18 +78,6 @@ std::int64_t FifoJobQueue::transfer_front(FifoJobQueue& dst, std::int64_t n,
   return static_cast<std::int64_t>(k);
 }
 
-Job FifoJobQueue::pop_front() {
-  GREFAR_CHECK_MSG(head_ < jobs_.size(), "pop_front on empty queue");
-  Job job = std::move(jobs_[head_]);
-  ++head_;
-  remaining_work_ -= job.remaining;
-  if (remaining_work_ < 0.0) remaining_work_ = 0.0;  // numeric dust
-  total_value_ -= job.value;
-  if (empty() || total_value_ < 0.0) total_value_ = 0.0;
-  compact_if_stale();
-  return job;
-}
-
 void FifoJobQueue::compact_if_stale() {
   if (head_ == jobs_.size()) {
     jobs_.clear();
@@ -109,13 +89,6 @@ void FifoJobQueue::compact_if_stale() {
                 jobs_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
-}
-
-std::vector<Completion> FifoJobQueue::serve(double work, std::int64_t slot,
-                                            double* consumed, double per_job_cap) {
-  std::vector<Completion> completions;
-  serve_into(work, slot, consumed, completions, per_job_cap);
-  return completions;
 }
 
 void FifoJobQueue::serve_into(double work, std::int64_t slot, double* consumed,

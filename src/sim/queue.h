@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "util/annotations.h"
@@ -35,22 +36,19 @@ class FifoJobQueue {
   /// convert between work units and job counts.
   explicit FifoJobQueue(double job_work);
 
-  /// Enqueues an arriving/routed job (its remaining work must exceed
-  /// kFinishedWork, or the job would already count as finished).
-  /// The one-job reference for push_copies/transfer_front.
-  void push(Job job);
-
   /// Appends `count` >= 0 copies of `proto` with ids proto.id, proto.id + 1,
-  /// ..., proto.id + count - 1 (one admitted arrival batch). Bitwise equal to
-  /// `count` push() calls: the work and value sums take one add per job, in
-  /// order. proto.remaining must exceed kFinishedWork when count > 0.
+  /// ..., proto.id + count - 1 (one admitted arrival batch). The work and
+  /// value sums take one add per job, in order, as enqueuing the jobs one at
+  /// a time would. proto.remaining must exceed kFinishedWork when count > 0,
+  /// or the jobs would already count as finished.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void push_copies(const Job& proto, std::int64_t count);
 
   /// Moves up to `n` >= 0 head jobs, FIFO order, to the back of `dst`
   /// (another queue), stamping dc_entry_slot = `slot` on each; returns how
-  /// many moved. Bitwise equal to that many pop_front() + dst.push() pairs,
-  /// dust clamps included, without copying each job twice.
+  /// many moved. Bitwise equal to dequeuing each job from this queue and
+  /// enqueuing it on `dst` one at a time, dust clamps included, without
+  /// copying each job twice.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   std::int64_t transfer_front(FifoJobQueue& dst, std::int64_t n, std::int64_t slot);
 
@@ -65,22 +63,13 @@ class FifoJobQueue {
     min_deadline_slot_ = kNoDeadlineSlot;
   }
 
-  /// Pops the frontmost whole job; the one-job reference for
-  /// transfer_front. Contract-checked non-empty.
-  GREFAR_DETERMINISTIC
-  Job pop_front();
-
-  /// Applies up to `work` units of fluid FIFO service at `slot`; returns
-  /// the completions and sets `consumed` to the work actually used.
-  /// `per_job_cap` bounds the work any single job receives this slot (the
-  /// parallelism constraint, JobType::max_rate); when the head job hits its
-  /// cap, the remaining budget flows to the next job in FIFO order.
-  std::vector<Completion> serve(
-      double work, std::int64_t slot, double* consumed,
-      double per_job_cap = std::numeric_limits<double>::infinity());
-
-  /// Like serve(), but *appends* completions to a caller-owned buffer so the
-  /// simulator can reuse one vector across queues and slots.
+  /// Applies up to `work` units of fluid FIFO service at `slot`, *appends*
+  /// the completions to a caller-owned buffer (the simulator reuses one
+  /// vector across queues and slots) and sets `consumed` to the work
+  /// actually used. `per_job_cap` bounds the work any single job receives
+  /// this slot (the parallelism constraint, JobType::max_rate); when the
+  /// head job hits its cap, the remaining budget flows to the next job in
+  /// FIFO order.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void serve_into(double work, std::int64_t slot, double* consumed,
                   std::vector<Completion>& completions,
@@ -96,6 +85,9 @@ class FifoJobQueue {
 
   bool empty() const { return head_ == jobs_.size(); }
   std::size_t job_count() const { return jobs_.size() - head_; }
+
+  /// The queued jobs, head first. Invalidated by any change to the queue.
+  std::span<const Job> jobs() const { return {jobs_.data() + head_, job_count()}; }
 
   /// Queue length in (fractional) jobs: total remaining work / d_j.
   double length_jobs() const { return remaining_work_ / job_work_; }

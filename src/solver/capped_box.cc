@@ -74,33 +74,10 @@ void CappedBoxPolytope::rebuild_contiguous(std::size_t n_groups,
   }
 }
 
-void CappedBoxPolytope::set_upper_bound(std::size_t j, double ub) {
-  GREFAR_CHECK(j < ub_.size());
-  GREFAR_CHECK_MSG(ub >= 0.0, "upper bound must be >= 0");
-  ub_[j] = ub;
-}
-
 void CappedBoxPolytope::set_group_cap(std::size_t g, double cap) {
   GREFAR_CHECK(g < groups_.size());
   GREFAR_CHECK_MSG(cap >= 0.0, "group cap must be >= 0");
   groups_[g].cap = cap;
-}
-
-bool CappedBoxPolytope::contains(const std::vector<double>& x, double tol) const {
-  GREFAR_CHECK(x.size() == ub_.size());
-  for (std::size_t j = 0; j < x.size(); ++j) {
-    if (x[j] < -tol || x[j] > ub_[j] + tol) return false;
-  }
-  for (const auto& g : groups_) {
-    double sum = 0.0;
-    if (g.contiguous) {
-      for (std::size_t j = g.begin; j < g.end; ++j) sum += x[j];
-    } else {
-      for (std::size_t j : g.indices) sum += x[j];
-    }
-    if (sum > g.cap + tol) return false;
-  }
-  return true;
 }
 
 void CappedBoxPolytope::project_group(const Group& g, std::vector<double>& x) const {

@@ -40,17 +40,12 @@ class CappedBoxPolytope {
   /// In-place updates for callers that rebuild the same-shaped polytope
   /// every slot (the per-slot GreFar problem): bounds and caps change with
   /// the observation, the group structure does not.
-  void set_upper_bound(std::size_t j, double ub);
   void set_group_cap(std::size_t g, double cap);
 
   /// Mutable flat bound array for callers that rewrite *every* bound each
   /// slot (the per-slot problem's fused reset). The caller is responsible
-  /// for keeping entries >= 0; set_upper_bound() remains the checked path
-  /// for one-off edits.
+  /// for keeping entries >= 0.
   double* mutable_upper_bounds() { return ub_.data(); }
-
-  /// True if x satisfies all bounds and caps within `tol`.
-  bool contains(const std::vector<double>& x, double tol = 1e-9) const;
 
   /// Euclidean projection of y onto the polytope. Decomposes per group:
   /// clamp to the box, and when a cap binds, solve sum(clamp(y - lambda,
@@ -74,6 +69,11 @@ class CappedBoxPolytope {
                             std::vector<double>& out) const;
 
  private:
+  /// The solver oracles' feasibility predicate (check/brute_force.h) reads
+  /// the group structure.
+  friend bool is_feasible(const CappedBoxPolytope& polytope,
+                          const std::vector<double>& x, double tol);
+
   struct Group {
     std::vector<std::size_t> indices;
     double cap;

@@ -34,20 +34,6 @@ constexpr int kMaxBacktracks = 50;
 
 }  // namespace
 
-PgdResult minimize_projected_gradient(const ConvexObjective& objective,
-                                      const CappedBoxPolytope& polytope,
-                                      std::vector<double> x0,
-                                      const PgdOptions& options) {
-  PgdWorkspace ws;
-  PgdResult result;
-  const PgdStats stats =
-      minimize_projected_gradient(objective, polytope, x0, result.x, ws, options);
-  result.objective = stats.objective;
-  result.iterations = stats.iterations;
-  result.converged = stats.converged;
-  return result;
-}
-
 PgdStats minimize_projected_gradient(const ConvexObjective& objective,
                                      const CappedBoxPolytope& polytope,
                                      const std::vector<double>& x0,

@@ -50,13 +50,6 @@ struct PgdStats {
   PgdStop stop = PgdStop::kIterationCap;
 };
 
-struct PgdResult {
-  std::vector<double> x;
-  double objective = 0.0;
-  int iterations = 0;
-  bool converged = false;
-};
-
 /// Buffers one solve needs besides the solution. A caller that solves every
 /// slot keeps one workspace, so steady-state solves do not allocate.
 struct PgdWorkspace {
@@ -69,15 +62,8 @@ struct PgdWorkspace {
 };
 
 /// Minimizes `objective` over `polytope`, starting from the projection of
-/// `x0` (pass empty x0 to start from the origin projection).
-GREFAR_DETERMINISTIC
-PgdResult minimize_projected_gradient(const ConvexObjective& objective,
-                                      const CappedBoxPolytope& polytope,
-                                      std::vector<double> x0 = {},
-                                      const PgdOptions& options = {});
-
-/// Allocation-free variant: writes the solution into `x` and reuses `ws`.
-/// `x0` may alias `x`. Bitwise equal to the returning overload.
+/// `x0` (pass empty x0 to start from the origin projection). Writes the
+/// solution into `x` and reuses `ws`; `x0` may alias `x`.
 GREFAR_HOT_PATH GREFAR_DETERMINISTIC
 PgdStats minimize_projected_gradient(const ConvexObjective& objective,
                                      const CappedBoxPolytope& polytope,

@@ -27,10 +27,6 @@ void IntegerHistogram::reset() {
   max_ = -1;
 }
 
-double IntegerHistogram::mean() const {
-  return count_ > 0 ? static_cast<double>(sum_) / static_cast<double>(count_) : 0.0;
-}
-
 std::int64_t IntegerHistogram::value_at_rank(std::int64_t r) const {
   std::int64_t seen = 0;
   for (std::int64_t v = min_; v < max_; ++v) {

@@ -45,8 +45,6 @@ class IntegerHistogram {
   /// Smallest / largest sample; 0 when empty.
   std::int64_t min() const { return count_ > 0 ? min_ : 0; }
   std::int64_t max() const { return count_ > 0 ? max_ : 0; }
-  /// sum / count; 0 when empty.
-  double mean() const;
 
   /// Type-7 quantile (linear interpolation between the order statistics at
   /// ranks floor(h) and floor(h) + 1, h = q (n - 1)), q in [0, 1]. NaN when

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/check.h"
-
 namespace grefar {
 
 void RunningStats::add(double x) {
@@ -22,35 +20,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double n1 = static_cast<double>(count_);
-  double n2 = static_cast<double>(other.count_);
-  double delta = other.mean_ - mean_;
-  double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-Ewma::Ewma(double alpha) : alpha_(alpha) {
-  GREFAR_CHECK_MSG(alpha > 0.0 && alpha <= 1.0, "EWMA alpha must be in (0,1]");
-}
-
-void Ewma::add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
 
 }  // namespace grefar

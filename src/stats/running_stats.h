@@ -1,4 +1,4 @@
-// Streaming statistics: Welford mean/variance, min/max, and EWMA.
+// Streaming statistics: Welford mean/variance, min/max.
 #pragma once
 
 #include <cstdint>
@@ -23,31 +23,12 @@ class RunningStats {
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double sum() const { return count_ > 0 ? mean_ * static_cast<double>(count_) : 0.0; }
 
-  /// Merges another accumulator into this one (parallel-combinable).
-  GREFAR_HOT_PATH GREFAR_DETERMINISTIC void merge(const RunningStats& other);
-
  private:
   std::int64_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Exponentially-weighted moving average with smoothing factor alpha in (0,1].
-class Ewma {
- public:
-  explicit Ewma(double alpha);
-
-  GREFAR_HOT_PATH GREFAR_DETERMINISTIC void add(double x);
-  /// Current EWMA value; 0 before the first sample.
-  double value() const { return initialized_ ? value_ : 0.0; }
-  bool initialized() const { return initialized_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
 };
 
 }  // namespace grefar

@@ -31,25 +31,10 @@ double TimeSeries::mean() const {
   return sum() / static_cast<double>(values_.size());
 }
 
-double TimeSeries::tail_mean(std::size_t n) const {
-  if (values_.empty()) return 0.0;
-  std::size_t start = values_.size() > n ? values_.size() - n : 0;
-  double s = 0.0;
-  for (std::size_t i = start; i < values_.size(); ++i) s += values_[i];
-  return s / static_cast<double>(values_.size() - start);
-}
-
 double TimeSeries::sum() const {
   double s = 0.0;
   for (double v : values_) s += v;
   return s;
-}
-
-TimeSeries TimeSeries::downsample(std::size_t stride) const {
-  GREFAR_CHECK(stride > 0);
-  TimeSeries out(name_);
-  for (std::size_t i = 0; i < values_.size(); i += stride) out.add(values_[i]);
-  return out;
 }
 
 TimeSeries TimeSeries::prefix_ratio(const TimeSeries& numerator,

@@ -35,14 +35,8 @@ class TimeSeries {
   /// Mean over the whole series (0 when empty).
   double mean() const;
 
-  /// Mean over the trailing `n` samples (or all if fewer).
-  double tail_mean(std::size_t n) const;
-
   /// Sum over the whole series.
   double sum() const;
-
-  /// Keeps every `stride`-th sample (for compact CSV output).
-  TimeSeries downsample(std::size_t stride) const;
 
   /// Element-wise running ratio: mean of numerator to `t` over mean of
   /// denominator to `t`. Used for time-averaged delay (total delay incurred /

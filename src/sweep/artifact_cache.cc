@@ -71,35 +71,13 @@ std::shared_ptr<const ScenarioArtifacts> ArtifactCache::get_or_build(
   std::unique_lock<std::mutex> lock(mutex_);
   auto it = map_.find(key);
   if (it != map_.end()) {
-    ++hits_;
     obs::count("sweep.artifact_hits");
     return it->second;
   }
-  ++misses_;
   obs::count("sweep.artifact_misses");
   auto artifacts = std::make_shared<const ScenarioArtifacts>(builder());
   map_.emplace(key, artifacts);
   return artifacts;
-}
-
-std::size_t ArtifactCache::size() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return map_.size();
-}
-
-std::uint64_t ArtifactCache::hits() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t ArtifactCache::misses() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-void ArtifactCache::clear() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  map_.clear();
 }
 
 }  // namespace sweep

@@ -69,16 +69,9 @@ class ArtifactCache {
   std::shared_ptr<const ScenarioArtifacts> get_or_build(const std::string& key,
                                                         const Builder& builder);
 
-  std::size_t size() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  void clear();
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::unordered_map<std::string, std::shared_ptr<const ScenarioArtifacts>> map_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace sweep

@@ -88,7 +88,6 @@ class SweepEngine {
           pre_run = nullptr);
 
   const SweepOptions& options() const { return options_; }
-  ArtifactCache& artifacts() { return cache_; }
   const SweepRunStats& last_stats() const { return stats_; }
 
  private:

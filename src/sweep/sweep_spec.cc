@@ -23,14 +23,6 @@ double SweepPoint::value(std::size_t axis) const {
   return a.values[index(axis)];
 }
 
-const std::string& SweepPoint::label(std::size_t axis) const {
-  GREFAR_CHECK(spec != nullptr && axis < spec->axes.size());
-  const SweepAxis& a = spec->axes[axis];
-  GREFAR_CHECK_MSG(index(axis) < a.labels.size(),
-                   "sweep axis '" << a.name << "' has no labels");
-  return a.labels[index(axis)];
-}
-
 std::size_t SweepSpec::num_legs() const {
   std::size_t n = 1;
   for (const SweepAxis& a : axes) n *= a.size();

@@ -48,7 +48,6 @@ struct SweepPoint {
 
   std::size_t index(std::size_t axis) const { return coords.at(axis); }
   double value(std::size_t axis) const;
-  const std::string& label(std::size_t axis) const;
 };
 
 /// The two-field spelling `GreFarLegSpec{params, {}}` of a GreFar leg,

@@ -18,10 +18,6 @@ namespace {
 constexpr StreamSourceOptions kWholeDocument{
     .reorder_window = std::numeric_limits<std::int64_t>::max()};
 
-std::unique_ptr<std::istream> text_stream(std::string_view csv) {
-  return std::make_unique<std::istringstream>(std::string(csv));
-}
-
 Result<std::vector<std::vector<std::int64_t>>> drain_counts(
     StreamingJobTraceSource& source) {
   // The counts table has no room for annotations: v1 only.
@@ -74,12 +70,6 @@ std::string job_trace_to_csv(const std::vector<std::vector<std::int64_t>>& count
     }
   }
   return os.str();
-}
-
-Result<std::vector<std::vector<std::int64_t>>> job_trace_from_csv(
-    std::string_view csv, std::size_t num_types) {
-  StreamingJobTraceSource source(text_stream(csv), num_types, kWholeDocument);
-  return drain_counts(source);
 }
 
 Status write_job_trace(const std::string& path,
@@ -147,12 +137,6 @@ std::string valued_job_trace_to_csv(
     }
   }
   return os.str();
-}
-
-Result<ValuedJobTrace> valued_job_trace_from_csv(std::string_view csv,
-                                                 std::size_t num_types) {
-  StreamingJobTraceSource source(text_stream(csv), num_types, kWholeDocument);
-  return drain_batches(source);
 }
 
 Status write_valued_job_trace(const std::string& path,

@@ -43,14 +43,7 @@ std::vector<std::vector<std::int64_t>> materialize_arrivals(
 /// Serializes a dense count table to the trace CSV format.
 std::string job_trace_to_csv(const std::vector<std::vector<std::int64_t>>& counts);
 
-/// Parses the v1 trace CSV format into a dense table with `num_types`
-/// columns. The table spans [0, max slot in file]. Fails on malformed rows,
-/// out-of-range type ids, or a v2 header.
-Result<std::vector<std::vector<std::int64_t>>> job_trace_from_csv(
-    std::string_view csv, std::size_t num_types);
-
-/// Writes/reads a trace file on disk. The reader streams the file; it
-/// fails with "cannot open file: <path>" when the file cannot be opened.
+/// Writes a dense count table to a trace file.
 Status write_job_trace(const std::string& path,
                        const std::vector<std::vector<std::int64_t>>& counts);
 
@@ -62,6 +55,11 @@ Status write_job_trace(const std::string& path,
 Status write_job_trace_streaming(const ArrivalProcess& process,
                                  std::int64_t horizon,
                                  const std::string& path);
+
+/// Reads a v1 trace file into a dense table with `num_types` columns,
+/// streaming the file. The table spans [0, max slot in file]. Fails on
+/// malformed rows, out-of-range type ids, a v2 header, or with
+/// "cannot open file: <path>" when the file cannot be opened.
 Result<std::vector<std::vector<std::int64_t>>> read_job_trace(const std::string& path,
                                                               std::size_t num_types);
 
@@ -79,14 +77,13 @@ struct ValuedJobTrace {
 std::string valued_job_trace_to_csv(
     const std::vector<std::vector<ArrivalBatch>>& slots);
 
-/// Parses either schema version into batch form (see the header comment):
-/// v1 rows yield batches with deferred annotations, v2 rows carry their own.
-Result<ValuedJobTrace> valued_job_trace_from_csv(std::string_view csv,
-                                                 std::size_t num_types);
-
-/// File variants of the valued writer/reader.
+/// File variant of the valued writer.
 Status write_valued_job_trace(const std::string& path,
                               const std::vector<std::vector<ArrivalBatch>>& slots);
+
+/// Reads a trace file of either schema version into batch form (see the
+/// header comment): v1 rows yield batches with deferred annotations, v2 rows
+/// carry their own.
 Result<ValuedJobTrace> read_valued_job_trace(const std::string& path,
                                              std::size_t num_types);
 

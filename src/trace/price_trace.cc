@@ -56,14 +56,6 @@ std::string price_trace_to_csv(const std::vector<std::vector<double>>& series) {
   return os.str();
 }
 
-Result<std::vector<std::vector<double>>> price_trace_from_csv(std::string_view csv,
-                                                              std::size_t num_dcs) {
-  StreamingPriceTraceSource source(
-      std::make_unique<std::istringstream>(std::string(csv)), num_dcs,
-      kWholeDocument);
-  return drain_series(source);
-}
-
 Status write_price_trace(const std::string& path,
                          const std::vector<std::vector<double>>& series) {
   return write_file(path, price_trace_to_csv(series));

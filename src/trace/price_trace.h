@@ -27,12 +27,6 @@ std::vector<std::vector<double>> materialize_prices(const PriceModel& model,
 /// Serializes series[dc][t] to the price CSV format.
 std::string price_trace_to_csv(const std::vector<std::vector<double>>& series);
 
-/// Parses the price CSV format into series[dc][t] with `num_dcs` rows.
-/// Fails on malformed rows, out-of-range dc ids, gaps, or non-positive prices:
-/// every dc's series spans the same [0, max slot in file].
-Result<std::vector<std::vector<double>>> price_trace_from_csv(std::string_view csv,
-                                                              std::size_t num_dcs);
-
 Status write_price_trace(const std::string& path,
                          const std::vector<std::vector<double>>& series);
 
@@ -41,6 +35,11 @@ Status write_price_trace(const std::string& path,
 Status write_price_trace_streaming(const PriceModel& model,
                                    std::int64_t horizon,
                                    const std::string& path);
+
+/// Reads a price trace file into series[dc][t] with `num_dcs` rows,
+/// streaming the file. Fails on malformed rows, out-of-range dc ids, gaps, or
+/// non-positive prices: every dc's series spans the same [0, max slot in
+/// file].
 Result<std::vector<std::vector<double>>> read_price_trace(const std::string& path,
                                                           std::size_t num_dcs);
 

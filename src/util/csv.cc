@@ -4,8 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "util/strings.h"
-
 namespace grefar {
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
@@ -14,13 +12,6 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
     out_ << escape(fields[i]);
   }
   out_ << '\n';
-}
-
-void CsvWriter::write_row(const std::vector<double>& fields, int precision) {
-  std::vector<std::string> text;
-  text.reserve(fields.size());
-  for (double f : fields) text.push_back(format_fixed(f, precision));
-  write_row(text);
 }
 
 std::string CsvWriter::escape(const std::string& field) {

@@ -22,9 +22,6 @@ class CsvWriter {
   /// Writes one row; flushes a trailing '\n'.
   void write_row(const std::vector<std::string>& fields);
 
-  /// Convenience: writes a row of doubles formatted with `precision`.
-  void write_row(const std::vector<double>& fields, int precision = 6);
-
  private:
   static std::string escape(const std::string& field);
 

@@ -33,14 +33,6 @@ const JsonObject& JsonValue::as_object() const {
   GREFAR_CHECK(is_object());
   return std::get<JsonObject>(data_);
 }
-JsonArray& JsonValue::as_array() {
-  GREFAR_CHECK(is_array());
-  return std::get<JsonArray>(data_);
-}
-JsonObject& JsonValue::as_object() {
-  GREFAR_CHECK(is_object());
-  return std::get<JsonObject>(data_);
-}
 
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (!is_object()) return nullptr;
@@ -53,18 +45,9 @@ double JsonValue::number_or(const std::string& key, double fallback) const {
   const JsonValue* v = find(key);
   return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
 }
-std::int64_t JsonValue::int_or(const std::string& key, std::int64_t fallback) const {
-  const JsonValue* v = find(key);
-  return (v != nullptr && v->is_number()) ? static_cast<std::int64_t>(v->as_number())
-                                          : fallback;
-}
 bool JsonValue::bool_or(const std::string& key, bool fallback) const {
   const JsonValue* v = find(key);
   return (v != nullptr && v->is_bool()) ? v->as_bool() : fallback;
-}
-std::string JsonValue::string_or(const std::string& key, const std::string& fallback) const {
-  const JsonValue* v = find(key);
-  return (v != nullptr && v->is_string()) ? v->as_string() : fallback;
 }
 
 namespace {

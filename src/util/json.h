@@ -52,17 +52,13 @@ class JsonValue {
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;
-  JsonArray& as_array();
-  JsonObject& as_object();
 
   /// Object lookup; returns nullptr when missing or not an object.
   const JsonValue* find(const std::string& key) const;
 
   /// Convenience typed lookups with defaults, for config parsing.
   double number_or(const std::string& key, double fallback) const;
-  std::int64_t int_or(const std::string& key, std::int64_t fallback) const;
   bool bool_or(const std::string& key, bool fallback) const;
-  std::string string_or(const std::string& key, const std::string& fallback) const;
 
   /// Serializes; indent < 0 means compact single-line output.
   std::string dump(int indent = -1) const;

@@ -80,11 +80,6 @@ double Rng::normal(double mean, double sd) {
   return mean + sd * normal();
 }
 
-double Rng::exponential(double lambda) {
-  GREFAR_CHECK(lambda > 0.0);
-  return -std::log(1.0 - uniform()) / lambda;
-}
-
 std::int64_t Rng::poisson(double lambda) {
   GREFAR_CHECK(lambda >= 0.0);
   if (lambda == 0.0) return 0;
@@ -103,30 +98,9 @@ std::int64_t Rng::poisson(double lambda) {
   return k;
 }
 
-double Rng::pareto(double x_m, double alpha) {
-  GREFAR_CHECK(x_m > 0.0 && alpha > 0.0);
-  return x_m / std::pow(1.0 - uniform(), 1.0 / alpha);
-}
-
 bool Rng::bernoulli(double p) {
   GREFAR_CHECK(p >= 0.0 && p <= 1.0);
   return uniform() < p;
-}
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    GREFAR_CHECK_MSG(w >= 0.0, "negative weight " << w);
-    total += w;
-  }
-  GREFAR_CHECK_MSG(total > 0.0, "weighted_index needs a positive weight");
-  double target = uniform() * total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (target < acc) return i;
-  }
-  return weights.size() - 1;  // numeric edge: target == total
 }
 
 Rng Rng::fork(std::uint64_t stream) const {

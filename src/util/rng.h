@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace grefar {
 
@@ -26,8 +25,8 @@ class SplitMix64 {
 
 /// Rng: xoshiro256** — fast, high-quality PRNG with portable samplers.
 ///
-/// Samplers implemented here (uniform, normal via Box-Muller, exponential,
-/// Poisson, Pareto) are bit-stable across platforms.
+/// Samplers implemented here (uniform, normal via Box-Muller, Poisson,
+/// Bernoulli) are bit-stable across platforms.
 class Rng {
  public:
   /// Seeds the four-word state from `seed` via SplitMix64.
@@ -51,23 +50,13 @@ class Rng {
   /// Normal with the given mean and standard deviation (sd >= 0).
   double normal(double mean, double sd);
 
-  /// Exponential with rate `lambda` > 0 (mean 1/lambda).
-  double exponential(double lambda);
-
   /// Poisson with mean `lambda` >= 0. Uses Knuth's method for small lambda
   /// and a normal approximation (rounded, clamped at 0) for lambda > 64 —
   /// adequate for workload synthesis and documented in tests.
   std::int64_t poisson(double lambda);
 
-  /// Pareto with scale x_m > 0 and shape alpha > 0 (heavy-tailed job sizes).
-  double pareto(double x_m, double alpha);
-
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p);
-
-  /// Samples an index in [0, weights.size()) proportionally to non-negative
-  /// weights; requires at least one strictly positive weight.
-  std::size_t weighted_index(const std::vector<double>& weights);
 
   /// Forks an independent, deterministically-derived child generator;
   /// `stream` distinguishes siblings forked from the same parent state.

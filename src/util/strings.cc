@@ -81,13 +81,4 @@ std::string pad_right(std::string s, std::size_t w) {
   return s;
 }
 
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += sep;
-    out += items[i];
-  }
-  return out;
-}
-
 }  // namespace grefar

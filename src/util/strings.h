@@ -31,7 +31,4 @@ std::string format_fixed(double v, int precision);
 std::string pad_left(std::string s, std::size_t w);
 std::string pad_right(std::string s, std::size_t w);
 
-/// Joins items with `sep`.
-std::string join(const std::vector<std::string>& items, std::string_view sep);
-
 }  // namespace grefar

@@ -35,7 +35,6 @@ void CosmosLikeArrivals::extend(std::int64_t t) const {
     bool weekend = day >= 5;
 
     std::vector<std::int64_t> counts(params_.size());
-    std::vector<double> rates(params_.size());
     for (std::size_t j = 0; j < params_.size(); ++j) {
       const auto& p = params_[j];
       // Markov burst chain.
@@ -50,10 +49,8 @@ void CosmosLikeArrivals::extend(std::int64_t t) const {
       double burst = burst_active_[j] ? p.burst_multiplier : p.idle_multiplier;
       double wknd = weekend ? p.weekend_multiplier : 1.0;
       double rate = p.base_rate * diurnal * burst * wknd;
-      rates[j] = rate;
       counts[j] = std::min<std::int64_t>(p.a_max, rng_.poisson(rate));
     }
-    rate_cache_.push_back(std::move(rates));
     count_cache_.push_back(std::move(counts));
   }
 }
@@ -75,13 +72,6 @@ void CosmosLikeArrivals::arrivals_into(std::int64_t t,
 std::int64_t CosmosLikeArrivals::max_arrivals(JobTypeId j) const {
   GREFAR_CHECK(j < params_.size());
   return params_[j].a_max;
-}
-
-double CosmosLikeArrivals::rate(JobTypeId j, std::int64_t t) const {
-  GREFAR_CHECK(j < params_.size());
-  GREFAR_CHECK(t >= 0);
-  extend(t);
-  return rate_cache_[static_cast<std::size_t>(t)][j];
 }
 
 }  // namespace grefar

@@ -41,17 +41,12 @@ class CosmosLikeArrivals final : public ArrivalProcess {
   std::size_t num_job_types() const override { return params_.size(); }
   std::int64_t max_arrivals(JobTypeId j) const override;
 
-  /// The deterministic rate envelope (before Poisson sampling) — exposed for
-  /// tests and for plotting the workload shape.
-  double rate(JobTypeId j, std::int64_t t) const;
-
  private:
   void extend(std::int64_t t) const;
 
   std::vector<CosmosTypeParams> params_;
   std::uint64_t seed_;
   mutable std::vector<std::vector<std::int64_t>> count_cache_;  // [t][j]
-  mutable std::vector<std::vector<double>> rate_cache_;         // [t][j]
   mutable std::vector<bool> burst_active_;
   mutable Rng rng_;
 };

@@ -1,4 +1,4 @@
-#include "solver/brute_force.h"
+#include "check/brute_force.h"
 
 #include <gtest/gtest.h>
 

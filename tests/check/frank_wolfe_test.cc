@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "solver/brute_force.h"
+#include "check/brute_force.h"
 #include "solver/projected_gradient.h"
 #include "util/rng.h"
 
@@ -87,7 +87,9 @@ TEST(FrankWolfe, AgreesWithPgdOnRandomQuadratics) {
     CappedBoxPolytope p({2.0, 1.0, 1.5});
     p.add_group({0, 1, 2}, rng.uniform(1.0, 4.0));
     auto fw = minimize_frank_wolfe(obj, p);
-    auto pgd = minimize_projected_gradient(obj, p);
+    std::vector<double> x;
+    PgdWorkspace ws;
+    const PgdStats pgd = minimize_projected_gradient(obj, p, {}, x, ws);
     EXPECT_NEAR(fw.objective, pgd.objective, 2e-3) << "trial " << trial;
   }
 }

@@ -8,6 +8,7 @@
 #include "core/grefar.h"
 #include "scenario/paper_scenario.h"
 #include "sim/engine.h"
+#include "support/fixtures.h"
 #include "util/check.h"
 
 namespace grefar {

@@ -9,6 +9,7 @@
 
 #include "check/per_slot_oracles.h"
 #include "core/per_slot_solvers.h"
+#include "support/fixtures.h"
 #include "util/rng.h"
 
 namespace grefar {
@@ -68,7 +69,8 @@ TEST(SolverCrosscheck, ExactSolversPassOnRandomSmallInstances) {
   Rng rng(42);
   for (int trial = 0; trial < 8; ++trial) {
     auto obs = random_obs(config, rng);
-    PerSlotProblem problem(config, obs, params(rng.uniform(0.5, 10.0), 0.0));
+    PerSlotProblem problem =
+        observed_problem(config, obs, params(rng.uniform(0.5, 10.0), 0.0));
     const std::pair<std::string, std::vector<double>> solutions[] = {
         {"greedy", production_solve(problem)}, {"lp", solve_per_slot_lp(problem)}};
     for (const auto& [name, u] : solutions) {
@@ -87,7 +89,7 @@ TEST(SolverCrosscheck, FirstOrderSolversPassWithinConvergenceTolerance) {
   Rng rng(7);
   for (int trial = 0; trial < 4; ++trial) {
     auto obs = random_obs(config, rng);
-    PerSlotProblem problem(config, obs, params(2.0, 50.0));
+    PerSlotProblem problem = observed_problem(config, obs, params(2.0, 50.0));
     const std::pair<std::string, std::vector<double>> solutions[] = {
         {"spg", production_solve(problem)},
         {"frank-wolfe", solve_per_slot_frank_wolfe(problem)}};
@@ -113,7 +115,7 @@ TEST(SolverCrosscheck, BrokenSolverIsCaughtWithDescriptiveRecord) {
       if (config.job_types[j].eligible(i)) obs.dc_queue(i, j) = 30.0;
     }
   }
-  PerSlotProblem problem(config, obs, params(0.1, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(0.1, 0.0));
   const std::vector<double> lazy(problem.num_vars(), 0.0);
   auto violations = crosscheck_solution(problem, lazy, "broken-lazy");
   ASSERT_EQ(violations.size(), 1u);
@@ -127,7 +129,7 @@ TEST(SolverCrosscheck, InfeasibleSolutionIsCaught) {
   auto config = small_config();
   Rng rng(5);
   auto obs = random_obs(config, rng);
-  PerSlotProblem problem(config, obs, params(1.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1.0, 0.0));
 
   std::vector<double> outside(problem.num_vars(), 0.0);
   outside[0] = 1e9;  // far beyond ub and the capacity cap

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/fixtures.h"
 #include "util/check.h"
 
 namespace grefar {
@@ -48,7 +49,7 @@ GreFarParams params(double V, double beta, bool clamp = true) {
 TEST(PerSlotProblem, ShapesAndIndexing) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem problem(config, obs, params(1.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1.0, 0.0));
   EXPECT_EQ(problem.num_vars(), 4u);
   EXPECT_EQ(problem.index(0, 0), 0u);
   EXPECT_EQ(problem.index(1, 1), 3u);
@@ -57,7 +58,7 @@ TEST(PerSlotProblem, ShapesAndIndexing) {
 TEST(PerSlotProblem, TotalResourceSumsCapacities) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem problem(config, obs, params(1.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1.0, 0.0));
   // dc1: 4*1 + 4*0.5 = 6; dc2: 2*1 + 8*0.5 = 6.
   EXPECT_DOUBLE_EQ(problem.total_resource(), 12.0);
   EXPECT_DOUBLE_EQ(problem.curve(0).capacity(), 6.0);
@@ -66,7 +67,7 @@ TEST(PerSlotProblem, TotalResourceSumsCapacities) {
 TEST(PerSlotProblem, QueueValuesArePerWorkUnit) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem problem(config, obs, params(1.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1.0, 0.0));
   const double* qv = problem.view().queue_value;  // no hint: all J columns
   EXPECT_DOUBLE_EQ(qv[problem.index(0, 0)], 2.0);       // q/d = 2/1
   EXPECT_DOUBLE_EQ(qv[problem.index(0, 1)], 2.0);       // 4/2
@@ -77,7 +78,8 @@ TEST(PerSlotProblem, QueueValuesArePerWorkUnit) {
 TEST(PerSlotProblem, ClampedUpperBoundsTrackQueues) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem problem(config, obs, params(1.0, 0.0, /*clamp=*/true));
+  PerSlotProblem problem =
+      observed_problem(config, obs, params(1.0, 0.0, /*clamp=*/true));
   const auto& ub = problem.polytope().upper_bounds();
   EXPECT_DOUBLE_EQ(ub[problem.index(0, 0)], 2.0);   // q * d = 2*1
   EXPECT_DOUBLE_EQ(ub[problem.index(0, 1)], 8.0);   // 4*2
@@ -87,7 +89,8 @@ TEST(PerSlotProblem, ClampedUpperBoundsTrackQueues) {
 TEST(PerSlotProblem, UnclampedUpperBoundsUseHMax) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem problem(config, obs, params(1.0, 0.0, /*clamp=*/false));
+  PerSlotProblem problem =
+      observed_problem(config, obs, params(1.0, 0.0, /*clamp=*/false));
   const auto& ub = problem.polytope().upper_bounds();
   EXPECT_DOUBLE_EQ(ub[problem.index(0, 0)], 100.0);
   EXPECT_DOUBLE_EQ(ub[problem.index(0, 1)], 200.0);  // h_max * d
@@ -97,14 +100,14 @@ TEST(PerSlotProblem, UnclampedUpperBoundsUseHMax) {
 TEST(PerSlotProblem, ValueAtZeroIsZero) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem problem(config, obs, params(2.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(2.0, 0.0));
   EXPECT_DOUBLE_EQ(problem.value(std::vector<double>(4, 0.0)), 0.0);
 }
 
 TEST(PerSlotProblem, ValueMatchesManualComputation) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem problem(config, obs, params(2.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(2.0, 0.0));
   // u = (1, 0, 0, 0): dc1 serves 1 work on cheapest server (eff: 0.3/0.5=0.6).
   std::vector<double> u{1.0, 0.0, 0.0, 0.0};
   double expected = 2.0 * 0.4 * 0.6 - 2.0 * 1.0;  // V*phi*C(1) - (q/d)*u
@@ -114,8 +117,8 @@ TEST(PerSlotProblem, ValueMatchesManualComputation) {
 TEST(PerSlotProblem, FairnessTermPenalizesImbalance) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem with_fair(config, obs, params(1.0, 10.0));
-  PerSlotProblem no_fair(config, obs, params(1.0, 0.0));
+  PerSlotProblem with_fair = observed_problem(config, obs, params(1.0, 10.0));
+  PerSlotProblem no_fair = observed_problem(config, obs, params(1.0, 0.0));
   std::vector<double> u{2.0, 0.0, 1.0, 0.0};  // all work for account a
   // -V*beta*f > 0 penalty added.
   EXPECT_GT(with_fair.value(u), no_fair.value(u));
@@ -124,7 +127,7 @@ TEST(PerSlotProblem, FairnessTermPenalizesImbalance) {
 TEST(PerSlotProblem, GradientMatchesFiniteDifferenceSmoothRegion) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem problem(config, obs, params(1.5, 25.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1.5, 25.0));
   // Pick an interior point away from the energy curve kinks.
   std::vector<double> u{0.5, 1.0, 0.8, 0.0};
   std::vector<double> grad;
@@ -143,7 +146,7 @@ TEST(PerSlotProblem, GradientMatchesFiniteDifferenceSmoothRegion) {
 TEST(PerSlotProblem, ObjectiveIsConvexAlongRandomSegments) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem problem(config, obs, params(1.0, 50.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1.0, 50.0));
   std::vector<double> a{0.0, 0.0, 0.0, 0.0};
   std::vector<double> b{2.0, 4.0, 3.0, 0.0};
   auto at = [&](double t) {
@@ -163,16 +166,16 @@ TEST(PerSlotProblem, RejectsBadParams) {
   auto config = test_config();
   auto obs = test_obs(config);
   auto bad = params(-1.0, 0.0);
-  EXPECT_THROW(PerSlotProblem(config, obs, bad), ContractViolation);
+  EXPECT_THROW(observed_problem(config, obs, bad), ContractViolation);
   bad = params(1.0, -2.0);
-  EXPECT_THROW(PerSlotProblem(config, obs, bad), ContractViolation);
+  EXPECT_THROW(observed_problem(config, obs, bad), ContractViolation);
 }
 
 TEST(PerSlotProblem, ParallelismConstraintCapsUpperBounds) {
   auto config = test_config();
   config.job_types[0].max_rate = 0.5;  // each job absorbs <= 0.5 work/slot
   auto obs = test_obs(config);         // q(0,0) = 2 jobs
-  PerSlotProblem problem(config, obs, params(1.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1.0, 0.0));
   const auto& ub = problem.polytope().upper_bounds();
   // Without the cap the clamped ub is q*d = 2; with it: 0.5 * ceil(2) = 1.
   EXPECT_DOUBLE_EQ(ub[problem.index(0, 0)], 1.0);
@@ -185,7 +188,7 @@ TEST(PerSlotProblem, ParallelismConstraintRoundsQueueUp) {
   config.job_types[0].max_rate = 1.0;
   auto obs = test_obs(config);
   obs.dc_queue(0, 0) = 0.4;  // a partially-served job still counts as one
-  PerSlotProblem problem(config, obs, params(1.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1.0, 0.0));
   const auto& ub = problem.polytope().upper_bounds();
   // clamp gives 0.4 * d = 0.4; rate cap gives 1.0 * ceil(0.4) = 1 -> min 0.4.
   EXPECT_DOUBLE_EQ(ub[problem.index(0, 0)], 0.4);
@@ -194,7 +197,7 @@ TEST(PerSlotProblem, ParallelismConstraintRoundsQueueUp) {
 TEST(PerSlotProblem, WrongVectorSizeIsContractViolation) {
   auto config = test_config();
   auto obs = test_obs(config);
-  PerSlotProblem problem(config, obs, params(1.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1.0, 0.0));
   EXPECT_THROW(problem.value({1.0}), ContractViolation);
   std::vector<double> grad;
   EXPECT_THROW(problem.gradient({1.0}, grad), ContractViolation);

@@ -7,6 +7,7 @@
 #include "core/per_slot_solvers.h"
 #include "obs/trace_scope.h"
 #include "sim/engine.h"
+#include "support/fixtures.h"
 #include "util/check.h"
 
 namespace grefar {
@@ -179,7 +180,7 @@ void expect_processing_from(double beta, Solve solve) {
     for (std::size_t i = 0; i < 2; ++i) {
       for (std::size_t j = 0; j < 4; ++j) routed.dc_queue(i, j) += action.route(i, j);
     }
-    PerSlotProblem problem(config, routed, params);
+    PerSlotProblem problem = observed_problem(config, routed, params);
     const std::vector<double> u = solve(problem);
     for (std::size_t i = 0; i < 2; ++i) {
       for (std::size_t j = 0; j < 4; ++j) {

@@ -13,6 +13,7 @@
 
 #include "check/per_slot_oracles.h"
 #include "core/per_slot_solvers.h"
+#include "support/fixtures.h"
 #include "util/rng.h"
 
 namespace grefar {
@@ -95,7 +96,7 @@ GreFarParams large_params(double beta) {
 TEST(LargeInstance, GreedyMatchesLpAtBetaZero) {
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     auto inst = make_instance(100, 64, 3, seed);
-    PerSlotProblem problem(inst.config, inst.obs, large_params(0.0));
+    PerSlotProblem problem = observed_problem(inst.config, inst.obs, large_params(0.0));
     auto greedy = solve_per_slot_greedy(problem);
     auto lp = solve_per_slot_lp(problem);
     const double scale = 1.0 + std::abs(problem.value(lp));
@@ -106,7 +107,7 @@ TEST(LargeInstance, GreedyMatchesLpAtBetaZero) {
 
 TEST(LargeInstance, PgdWithinToleranceOfLpAtBetaZero) {
   auto inst = make_instance(100, 64, 3, 21);
-  PerSlotProblem problem(inst.config, inst.obs, large_params(0.0));
+  PerSlotProblem problem = observed_problem(inst.config, inst.obs, large_params(0.0));
   const double lp_value = problem.value(solve_per_slot_lp(problem));
   const double pgd_value = problem.value(solve_per_slot_pgd(problem));
   const double scale = 1.0 + std::abs(lp_value);
@@ -118,7 +119,7 @@ TEST(LargeInstance, PgdWithinToleranceOfLpAtBetaZero) {
 
 TEST(LargeInstance, FrankWolfeWithinToleranceOfLpAtBetaZero) {
   auto inst = make_instance(100, 64, 3, 22);
-  PerSlotProblem problem(inst.config, inst.obs, large_params(0.0));
+  PerSlotProblem problem = observed_problem(inst.config, inst.obs, large_params(0.0));
   const double lp_value = problem.value(solve_per_slot_lp(problem));
   const double fw_value = problem.value(solve_per_slot_frank_wolfe(problem));
   const double scale = 1.0 + std::abs(lp_value);

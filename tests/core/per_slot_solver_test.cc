@@ -12,16 +12,17 @@
 #include <optional>
 #include <string>
 
+#include "check/brute_force.h"
 #include "check/per_slot_oracles.h"
-#include "common/hint_stripper.h"
 #include "check/pgd_oracle.h"
+#include "common/hint_stripper.h"
 #include "core/grefar.h"
 #include "obs/counters.h"
 #include "scenario/paper_scenario.h"
 #include "scenario/serve_scenario.h"
 #include "sim/engine.h"
 #include "sim/fairness.h"
-#include "solver/brute_force.h"
+#include "support/fixtures.h"
 #include "util/rng.h"
 
 namespace grefar {
@@ -73,7 +74,7 @@ TEST(GreedySolver, EmptyQueuesProcessNothing) {
   Rng rng(1);
   auto obs = random_obs(config, rng);
   obs.dc_queue.fill(0.0);
-  PerSlotProblem problem(config, obs, params(1.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1.0, 0.0));
   auto u = solve_per_slot_greedy(problem);
   for (double v : u) EXPECT_DOUBLE_EQ(v, 0.0);
 }
@@ -83,7 +84,7 @@ TEST(GreedySolver, HighVSuppressesProcessing) {
   auto config = test_config();
   Rng rng(2);
   auto obs = random_obs(config, rng);
-  PerSlotProblem problem(config, obs, params(1e9, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(1e9, 0.0));
   auto u = solve_per_slot_greedy(problem);
   for (double v : u) EXPECT_DOUBLE_EQ(v, 0.0);
 }
@@ -95,7 +96,7 @@ TEST(GreedySolver, ZeroVProcessesEverythingQueued) {
   Rng rng(3);
   auto obs = random_obs(config, rng);
   obs.availability.fill(100);
-  PerSlotProblem problem(config, obs, params(0.0, 0.0));
+  PerSlotProblem problem = observed_problem(config, obs, params(0.0, 0.0));
   auto u = solve_per_slot_greedy(problem);
   for (std::size_t i = 0; i < 2; ++i) {
     for (std::size_t j = 0; j < 2; ++j) {
@@ -125,11 +126,11 @@ TEST(GreedySolver, ThresholdBehaviourOnSingleQueue) {
 
   // Threshold: q > V * 0.5. With V = 4 -> threshold 2.
   obs.dc_queue(0, 0) = 1.9;
-  PerSlotProblem below(c, obs, params(4.0, 0.0));
+  PerSlotProblem below = observed_problem(c, obs, params(4.0, 0.0));
   EXPECT_DOUBLE_EQ(solve_per_slot_greedy(below)[0], 0.0);
 
   obs.dc_queue(0, 0) = 2.1;
-  PerSlotProblem above(c, obs, params(4.0, 0.0));
+  PerSlotProblem above = observed_problem(c, obs, params(4.0, 0.0));
   EXPECT_NEAR(solve_per_slot_greedy(above)[0], 2.1, 1e-9);
 }
 
@@ -138,9 +139,9 @@ TEST(GreedySolver, RespectsCapacity) {
   Rng rng(4);
   for (int trial = 0; trial < 20; ++trial) {
     auto obs = random_obs(config, rng);
-    PerSlotProblem problem(config, obs, params(0.1, 0.0));
+    PerSlotProblem problem = observed_problem(config, obs, params(0.1, 0.0));
     auto u = solve_per_slot_greedy(problem);
-    EXPECT_TRUE(problem.polytope().contains(u, 1e-9)) << "trial " << trial;
+    EXPECT_TRUE(is_feasible(problem.polytope(), u, 1e-9)) << "trial " << trial;
   }
 }
 
@@ -150,7 +151,7 @@ TEST(GreedyVsLp, ObjectivesAgreeOnRandomInstances) {
   for (int trial = 0; trial < 40; ++trial) {
     auto obs = random_obs(config, rng);
     double V = rng.uniform(0.0, 10.0);
-    PerSlotProblem problem(config, obs, params(V, 0.0));
+    PerSlotProblem problem = observed_problem(config, obs, params(V, 0.0));
     auto greedy = solve_per_slot_greedy(problem);
     auto lp = solve_per_slot_lp(problem);
     EXPECT_NEAR(problem.value(greedy), problem.value(lp), 1e-6)
@@ -163,7 +164,8 @@ TEST(GreedyVsFrankWolfe, AgreeWhenBetaZero) {
   Rng rng(6);
   for (int trial = 0; trial < 15; ++trial) {
     auto obs = random_obs(config, rng);
-    PerSlotProblem problem(config, obs, params(rng.uniform(0.5, 5.0), 0.0));
+    PerSlotProblem problem =
+        observed_problem(config, obs, params(rng.uniform(0.5, 5.0), 0.0));
     auto greedy = solve_per_slot_greedy(problem);
     auto fw = solve_per_slot_frank_wolfe(problem);
     // Greedy is exact for the *kinked* objective; FW minimizes the smoothed
@@ -180,7 +182,8 @@ TEST(FrankWolfeVsPgd, AgreeWithFairness) {
   for (int trial = 0; trial < 15; ++trial) {
     auto obs = random_obs(config, rng);
     double beta = rng.uniform(1.0, 100.0);
-    PerSlotProblem problem(config, obs, params(rng.uniform(0.5, 5.0), beta));
+    PerSlotProblem problem =
+        observed_problem(config, obs, params(rng.uniform(0.5, 5.0), beta));
     auto fw = solve_per_slot_frank_wolfe(problem);
     auto pgd = solve_per_slot_pgd(problem);
     double scale = std::max(1.0, std::abs(problem.value(fw)));
@@ -234,7 +237,7 @@ TEST(FairnessSolvers, MatchBruteForceOnTinyInstance) {
   obs.dc_queue(0, 0) = 4.0;
   obs.dc_queue(0, 1) = 1.0;
 
-  PerSlotProblem problem(c, obs, params(2.0, 30.0));
+  PerSlotProblem problem = observed_problem(c, obs, params(2.0, 30.0));
   auto fw = solve_per_slot_frank_wolfe(problem);
   auto brute = minimize_brute_force(
       [&](const std::vector<double>& x) { return problem.value(x); },
@@ -262,7 +265,7 @@ TEST(FairnessSolvers, BetaPullsAllocationTowardGamma) {
   obs.dc_queue(0, 1) = 8.0;
 
   GreFarParams p = params(1.0, 100.0);
-  PerSlotProblem fair(c, obs, p);
+  PerSlotProblem fair = observed_problem(c, obs, p);
   PerSlotScratch scratch;
   std::vector<double> spg;
   solve_per_slot_into(fair, spg, scratch);
@@ -281,7 +284,7 @@ TEST(PerSlotDispatch, AllSolversRun) {
   Rng rng(8);
   auto obs = random_obs(config, rng);
   for (double beta : {0.0, 1.0}) {
-    PerSlotProblem problem(config, obs, params(1.0, beta));
+    PerSlotProblem problem = observed_problem(config, obs, params(1.0, beta));
     PerSlotScratch scratch;
     std::vector<double> production;
     solve_per_slot_into(problem, production, scratch);
@@ -292,7 +295,7 @@ TEST(PerSlotDispatch, AllSolversRun) {
         {"pgd", solve_per_slot_pgd(problem)}};
     for (const auto& [name, u] : solutions) {
       EXPECT_EQ(u.size(), problem.num_vars()) << name << " beta=" << beta;
-      EXPECT_TRUE(problem.polytope().contains(u, 1e-6)) << name << " beta=" << beta;
+      EXPECT_TRUE(is_feasible(problem.polytope(), u, 1e-6)) << name << " beta=" << beta;
     }
   }
 }
@@ -308,7 +311,7 @@ TEST(CrossSlotWarmStart, OffReproducesTheColdTrajectory) {
 
   std::vector<SlotObservation> slots;
   for (int t = 0; t < 5; ++t) slots.push_back(random_obs(config, rng));
-  PerSlotProblem problem(config, slots[0], p);
+  PerSlotProblem problem = observed_problem(config, slots[0], p);
   PerSlotScratch scratch;
   std::vector<double> u;
   for (const auto& obs : slots) {
@@ -331,13 +334,13 @@ TEST(CrossSlotWarmStart, OnMatchesTheColdObjective) {
 
   std::vector<SlotObservation> slots;
   for (int t = 0; t < 6; ++t) slots.push_back(random_obs(config, rng));
-  PerSlotProblem problem(config, slots[0], p);
+  PerSlotProblem problem = observed_problem(config, slots[0], p);
   PerSlotScratch scratch;
   std::vector<double> u;
   for (std::size_t t = 0; t < slots.size(); ++t) {
     problem.reset(slots[t]);
     solve_per_slot_into(problem, u, scratch);
-    EXPECT_TRUE(problem.polytope().contains(u, 1e-6)) << "slot " << t;
+    EXPECT_TRUE(is_feasible(problem.polytope(), u, 1e-6)) << "slot " << t;
     EXPECT_EQ(scratch.prev_valid, true);
     auto cold = solve_per_slot_pgd(problem);
     // Either start can stall marginally earlier; in practice the warm one
@@ -363,7 +366,7 @@ TEST(GreedySolver, IdleCompactSlotServesNoStaleDemands) {
   SlotObservation busy = random_obs(config, rng);
   busy.active_types_valid = true;
   busy.active_types = {0, 1};
-  PerSlotProblem problem(config, busy, p);
+  PerSlotProblem problem = observed_problem(config, busy, p);
   ASSERT_EQ(problem.num_columns(), 2u);
 
   PerSlotScratch scratch;
@@ -765,7 +768,7 @@ TEST_P(GreedyOptimalityTest, MatchesBruteForce) {
   obs.dc_queue(0, 0) = 3.0;
   obs.dc_queue(0, 1) = 1.5;
 
-  PerSlotProblem problem(c, obs, params(V, 0.0));
+  PerSlotProblem problem = observed_problem(c, obs, params(V, 0.0));
   auto greedy = solve_per_slot_greedy(problem);
   auto brute = minimize_brute_force(
       [&](const std::vector<double>& x) { return problem.value(x); },

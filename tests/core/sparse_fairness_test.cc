@@ -15,6 +15,7 @@
 #include "obs/counters.h"
 #include "obs/trace_scope.h"
 #include "scenario/paper_scenario.h"
+#include "support/fixtures.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -294,11 +295,11 @@ TEST(SparseFairness, SameSizeColumnListRebuildsColumnArrays) {
     GreFarParams params;
     params.V = 1.0;
     params.beta = beta;
-    PerSlotProblem listed(config, first, params);
+    PerSlotProblem listed = observed_problem(config, first, params);
     ASSERT_EQ(listed.num_columns(), 3u);
     listed.reset(second);
     ASSERT_EQ(listed.columns(), second.active_types);
-    PerSlotProblem full(config, all_types, params);
+    PerSlotProblem full = observed_problem(config, all_types, params);
     ASSERT_EQ(full.num_columns(), J);
     std::vector<double> u_listed;
     std::vector<double> u_full;
@@ -337,7 +338,7 @@ TEST(SparseFairness, DriftPenaltyRejectsOutOfRangeAccount) {
   obs.availability(0, 0) = 4;
   obs.central_queue = {0.0};
   obs.dc_queue = MatrixD(1, 1);
-  EXPECT_THROW(PerSlotProblem(c, obs, GreFarParams{}), ContractViolation);
+  EXPECT_THROW(observed_problem(c, obs, GreFarParams{}), ContractViolation);
 }
 
 }  // namespace

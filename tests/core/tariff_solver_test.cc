@@ -4,12 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.h"
+#include "check/brute_force.h"
 #include "check/per_slot_oracles.h"
 #include "core/grefar.h"
 #include "core/per_slot_solvers.h"
 #include "price/price_model.h"
 #include "sim/engine.h"
-#include "solver/brute_force.h"
+#include "support/fixtures.h"
 #include "util/rng.h"
 #include "workload/arrival_process.h"
 
@@ -81,7 +82,7 @@ TEST(TariffGreedy, SingleDcMatchesBruteForce) {
   obs.dc_queue(0, 0) = 1.8;
   obs.dc_queue(0, 1) = 1.2;
 
-  PerSlotProblem problem(c, obs, params(1.5));
+  PerSlotProblem problem = observed_problem(c, obs, params(1.5));
   auto greedy = solve_per_slot_greedy(problem);
   // j0 (value 1.8) profitable on both tiers up to its queue (1.8 work);
   // j1 (value 0.6) profitable on neither (0.6 < 0.75).
@@ -121,7 +122,7 @@ TEST(TariffGreedy, TierBoundaryChangesTheDecision) {
   auto p = params(1.5);
   p.h_max = 5.0;
   p.clamp_to_queue = false;
-  PerSlotProblem problem(c, obs, p);
+  PerSlotProblem problem = observed_problem(c, obs, p);
   auto u = solve_per_slot_greedy(problem);
   EXPECT_NEAR(u[0], 2.0, 1e-9);  // stops exactly at the tier boundary
 }
@@ -131,9 +132,9 @@ TEST(TariffGreedy, RandomInstancesBeatBruteForceGrid) {
   Rng rng(31);
   for (int trial = 0; trial < 15; ++trial) {
     auto obs = obs_for(c, rng);
-    PerSlotProblem problem(c, obs, params(rng.uniform(0.5, 4.0)));
+    PerSlotProblem problem = observed_problem(c, obs, params(rng.uniform(0.5, 4.0)));
     auto greedy = solve_per_slot_greedy(problem);
-    EXPECT_TRUE(problem.polytope().contains(greedy, 1e-9));
+    EXPECT_TRUE(is_feasible(problem.polytope(), greedy, 1e-9));
     // Exact objective (kinked tariff, kinked curve).
     const double* qv = problem.view().queue_value;  // all J columns
     auto exact = [&](const std::vector<double>& u) {
@@ -159,7 +160,7 @@ TEST(TariffConvexSolvers, AgreeWithGreedyOnSmoothedObjective) {
   Rng rng(33);
   for (int trial = 0; trial < 10; ++trial) {
     auto obs = obs_for(c, rng);
-    PerSlotProblem problem(c, obs, params(rng.uniform(0.5, 4.0)));
+    PerSlotProblem problem = observed_problem(c, obs, params(rng.uniform(0.5, 4.0)));
     auto greedy = solve_per_slot_greedy(problem);
     auto pgd = solve_per_slot_pgd(problem);
     double scale = std::max(1.0, std::abs(problem.value(greedy)));
@@ -172,7 +173,7 @@ TEST(TariffLp, IsRejected) {
   auto c = tariffed_config();
   Rng rng(35);
   auto obs = obs_for(c, rng);
-  PerSlotProblem problem(c, obs, params(1.0));
+  PerSlotProblem problem = observed_problem(c, obs, params(1.0));
   EXPECT_THROW(build_per_slot_lp(problem), ContractViolation);
 }
 

@@ -33,7 +33,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "core/grefar.h"
 #include "scenario/paper_scenario.h"
@@ -302,24 +305,47 @@ INSTANTIATE_TEST_SUITE_P(Benches, GoldenBenchTrace,
                            return std::string(trace_cases()[param.param].binary);
                          });
 
-// A snapshot window past the end of the run is a usage error that names
-// the options, not a ContractViolation from indexing past the series.
-TEST(BenchUsage, Fig5RejectsSnapshotPastHorizon) {
-  const std::string command =
-      bench_command({"fig5_snapshot", "--horizon 300 --jobs 1"}) + " 2>&1 >/dev/null";
+/// Runs `c` with stdout discarded; returns its exit status and stderr.
+std::pair<int, std::string> run_for_stderr(const BenchCase& c) {
+  const std::string command = bench_command(c) + " 2>&1 >/dev/null";
   FILE* pipe = popen(command.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
+  if (pipe == nullptr) return {-1, "popen failed: " + command};
   std::string err;
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) err.append(buf, n);
-  const int status = pclose(pipe);
+  return {pclose(pipe), err};
+}
+
+// A snapshot window past the end of the run is a usage error that names
+// the options, not a ContractViolation from indexing past the series.
+TEST(BenchUsage, Fig5RejectsSnapshotPastHorizon) {
+  const auto [status, err] = run_for_stderr({"fig5_snapshot", "--horizon 300 --jobs 1"});
   EXPECT_NE(status, 0);
   EXPECT_NE(err.find("error: "), std::string::npos) << err;
   for (const char* option : {"--day-start", "--window", "--horizon"}) {
     EXPECT_NE(err.find(option), std::string::npos) << option << " not named in:\n" << err;
   }
   EXPECT_EQ(err.find("ContractViolation"), std::string::npos) << err;
+}
+
+// A size below 1 is a usage error that names the option, rejected before
+// any cast to an unsigned size or allocation: not a ContractViolation from
+// inside the run, nor a -1 wrapped to SIZE_MAX.
+TEST(BenchUsage, ServeLatencyRejectsNonPositiveSizes) {
+  for (const char* option : {"--horizon", "--dcs", "--types", "--queue-depth"}) {
+    for (const char* value : {"0", "-1"}) {
+      SCOPED_TRACE(std::string(option) + " " + value);
+      // Small valid sizes first; the option under test overrides its own.
+      const std::string flags = "--horizon 2 --dcs 1 --types 1 --slot-log off "
+                                "--trace-dir '" + ::testing::TempDir() + "' " +
+                                option + " " + value;
+      const auto [status, err] = run_for_stderr({"serve_latency", flags.c_str()});
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << "status " << status;
+      EXPECT_NE(err.find(std::string("error: ") + option), std::string::npos) << err;
+      EXPECT_EQ(err.find("ContractViolation"), std::string::npos) << err;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "baselines/baselines.h"
 #include "core/grefar.h"
 #include "scenario/paper_scenario.h"
+#include "support/fixtures.h"
 
 namespace grefar {
 namespace {

@@ -300,17 +300,5 @@ TEST(FairLookahead, FrameCostsBitIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial.average_cost, parallel.average_cost);
 }
 
-TEST(Lookahead, FrameLpShapes) {
-  auto config = two_dc_config();
-  auto p = lookahead_params(3, 1);
-  TablePriceModel prices(std::vector<std::vector<double>>{{0.5}, {0.4}});
-  FullAvailability avail(config.data_centers);
-  ConstantArrivals arrivals({2});
-  auto lp = build_frame_lp(config, prices, avail, arrivals, 0, p);
-  // Variables: r (2*1*3) + u (2*1*3) + w (2*1*3) = 18.
-  EXPECT_EQ(lp.num_vars(), 18u);
-  EXPECT_GT(lp.num_constraints(), 0u);
-}
-
 }  // namespace
 }  // namespace grefar

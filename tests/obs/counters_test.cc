@@ -21,7 +21,7 @@ TEST(CounterRegistry, CountsAndGauges) {
   EXPECT_EQ(reg.counter("a"), 5u);
   EXPECT_EQ(reg.counter("b"), 2u);
   EXPECT_EQ(reg.counter("missing"), 0u);
-  EXPECT_DOUBLE_EQ(reg.gauge("g"), 1.5);
+  EXPECT_DOUBLE_EQ(reg.gauges().at("g"), 1.5);
   EXPECT_FALSE(reg.empty());
 }
 
@@ -37,7 +37,7 @@ TEST(CounterRegistry, MergeSumsCountersAndMaxesGauges) {
   EXPECT_EQ(a.counter("shared"), 7u);
   EXPECT_EQ(a.counter("only_a"), 1u);
   EXPECT_EQ(a.counter("only_b"), 7u);
-  EXPECT_DOUBLE_EQ(a.gauge("g"), 5.0);
+  EXPECT_DOUBLE_EQ(a.gauges().at("g"), 5.0);
 }
 
 TEST(CounterRegistry, DumpShape) {
@@ -104,7 +104,7 @@ TEST(Counters, SimRunnerTotalsAreJobCountInvariant) {
   EXPECT_EQ(serial.gauges(), pooled.gauges());
   EXPECT_EQ(serial.counter("task.runs"), 8u);
   EXPECT_EQ(serial.counter("task.work"), 28u);
-  EXPECT_DOUBLE_EQ(serial.gauge("task.max"), 7.0);
+  EXPECT_DOUBLE_EQ(serial.gauges().at("task.max"), 7.0);
 }
 
 }  // namespace

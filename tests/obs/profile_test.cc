@@ -32,15 +32,6 @@ TEST(ProfileRegistry, SummaryTableListsPhases) {
   EXPECT_LT(table.find("decide"), table.find("serve"));
 }
 
-TEST(ProfileRegistry, DumpShape) {
-  obs::ProfileRegistry reg;
-  reg.record("phase", 2e6, 4);
-  const JsonValue d = reg.dump();
-  ASSERT_TRUE(d.is_object());
-  EXPECT_DOUBLE_EQ(d.find("phase")->find("calls")->as_number(), 4.0);
-  EXPECT_DOUBLE_EQ(d.find("phase")->find("total_ms")->as_number(), 2.0);
-}
-
 TEST(ScopedTimer, NoOpWithoutActiveRegistry) {
   ASSERT_EQ(obs::active_profile(), nullptr);
   { obs::ScopedTimer timer("unobserved"); }

@@ -22,6 +22,7 @@
 #include "parallel/sim_runner.h"
 #include "scenario/admission_scenario.h"
 #include "scenario/paper_scenario.h"
+#include "support/fixtures.h"
 #include "util/check.h"
 #include "util/json.h"
 

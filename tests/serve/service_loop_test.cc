@@ -18,6 +18,7 @@
 #include "obs/tracing_inspector.h"
 #include "scenario/paper_scenario.h"
 #include "scenario/serve_scenario.h"
+#include "support/trace_text.h"
 #include "trace/job_trace.h"
 #include "trace/price_trace.h"
 #include "util/check.h"
@@ -120,9 +121,9 @@ struct BatchRun {
 BatchRun run_batch(const Fixture& f) {
   BatchRun out;
   auto arrivals = std::make_shared<TableArrivals>(
-      job_trace_from_csv(f.jobs_csv, f.config->num_job_types()).value());
+      drain_jobs(f.jobs_csv, f.config->num_job_types(), kWholeDocument).value());
   auto prices = std::make_shared<TablePriceModel>(
-      price_trace_from_csv(f.prices_csv, f.config->num_data_centers()).value());
+      drain_prices(f.prices_csv, f.config->num_data_centers(), kWholeDocument).value());
   out.engine = std::make_unique<SimulationEngine>(
       f.config, prices, f.scenario.availability, arrivals, f.make_scheduler());
   out.recorder = std::make_shared<RecordingInspector>();
@@ -241,12 +242,12 @@ struct ValuedFixture {
     // 6-decimal format rounds annotations, so the in-memory table would
     // differ from the file in the last ulp).
     auto arrivals = std::make_shared<ValuedTableArrivals>(
-        valued_job_trace_from_csv(jobs_csv, config->num_job_types())
+        drain_batches(jobs_csv, config->num_job_types(), kWholeDocument)
             .value()
             .slots,
         config->num_job_types());
     auto prices = std::make_shared<TablePriceModel>(
-        price_trace_from_csv(prices_csv, config->num_data_centers()).value());
+        drain_prices(prices_csv, config->num_data_centers(), kWholeDocument).value());
     auto engine = std::make_unique<SimulationEngine>(
         config, prices, scenario.availability, arrivals, make_scheduler());
     if (admission != nullptr) engine->set_admission_policy(admission);
@@ -489,7 +490,8 @@ TEST(ServiceLoop, IngestErrorSurfacesAtTheSlotThatNeedsTheRow) {
       clean_jobs.find('\n', clean_jobs.find(first_row) + 1) + 1;
   std::string bad_jobs = clean_jobs;
   bad_jobs.insert(row_end, std::to_string(kBad) + ",1,x\n");
-  const auto batch_error = job_trace_from_csv(bad_jobs, f.config->num_job_types());
+  const auto batch_error =
+      drain_jobs(bad_jobs, f.config->num_job_types(), kWholeDocument);
   ASSERT_FALSE(batch_error.ok());
   std::string gap_prices = f.prices_csv;
   const std::string gap_row = "\n" + std::to_string(kBad) + ",1,";
@@ -499,7 +501,8 @@ TEST(ServiceLoop, IngestErrorSurfacesAtTheSlotThatNeedsTheRow) {
   std::string nan_prices = f.prices_csv;
   const std::size_t nan_field = nan_prices.find(gap_row) + gap_row.size();
   nan_prices.replace(nan_field, nan_prices.find('\n', nan_field) - nan_field, "nan");
-  const auto nan_error = price_trace_from_csv(nan_prices, f.config->num_data_centers());
+  const auto nan_error =
+      drain_prices(nan_prices, f.config->num_data_centers(), kWholeDocument);
   ASSERT_FALSE(nan_error.ok());
 
   struct Case {

@@ -53,30 +53,6 @@ TEST(AccountTree, AncestorChainIsConsistent) {
   }
 }
 
-TEST(AccountTree, AggregateToLevelSumsSubtrees) {
-  AccountTree t = AccountTree::balanced({2, 3, 4}, 5);
-  std::vector<double> leaf_values(t.num_leaves());
-  for (std::size_t i = 0; i < leaf_values.size(); ++i) {
-    leaf_values[i] = static_cast<double>(i + 1);
-  }
-  std::vector<double> by_team;
-  t.aggregate_to_level(leaf_values, 1, by_team);
-  ASSERT_EQ(by_team.size(), t.num_nodes(1));
-  double from_teams = std::accumulate(by_team.begin(), by_team.end(), 0.0);
-  double from_leaves = std::accumulate(leaf_values.begin(), leaf_values.end(), 0.0);
-  EXPECT_DOUBLE_EQ(from_teams, from_leaves);
-
-  std::vector<double> by_org;
-  t.aggregate_to_level(leaf_values, 0, by_org);
-  ASSERT_EQ(by_org.size(), 2u);
-  // Spot-check one subtree by brute force.
-  double org0 = 0.0;
-  for (std::size_t leaf = 0; leaf < t.num_leaves(); ++leaf) {
-    if (t.ancestor_of_leaf(leaf, 0) == 0) org0 += leaf_values[leaf];
-  }
-  EXPECT_DOUBLE_EQ(by_org[0], org0);
-}
-
 TEST(AccountTree, AggregatedGammasRefineUpward) {
   // The level-l shares aggregated to level l-1 must reproduce the
   // level-(l-1) shares: that is what makes solving fairness at any level
@@ -84,9 +60,11 @@ TEST(AccountTree, AggregatedGammasRefineUpward) {
   AccountTree t = AccountTree::balanced({4, 5, 6}, 99, 3.0);
   for (std::size_t level = t.num_levels() - 1; level > 0; --level) {
     std::vector<double> fine = t.gamma_at_level(t.num_levels() - 1);
-    std::vector<double> folded;
-    t.aggregate_to_level(fine, level - 1, folded);
     std::vector<double> coarse = t.gamma_at_level(level - 1);
+    std::vector<double> folded(coarse.size(), 0.0);
+    for (std::size_t leaf = 0; leaf < fine.size(); ++leaf) {
+      folded[t.ancestor_of_leaf(leaf, level - 1)] += fine[leaf];
+    }
     ASSERT_EQ(folded.size(), coarse.size());
     for (std::size_t i = 0; i < coarse.size(); ++i) {
       EXPECT_NEAR(folded[i], coarse[i], 1e-12);

@@ -55,44 +55,26 @@ TEST(EnergyCurve, IsConvexAndIncreasing) {
 
 TEST(EnergyCurve, MarginalMatchesSegmentSlopes) {
   EnergyCostCurve curve(table_one_types(), {10, 10, 10});
-  EXPECT_NEAR(curve.marginal_energy(0.0), 0.8, 1e-12);    // gen-b segment
-  EXPECT_NEAR(curve.marginal_energy(7.4), 0.8, 1e-12);
-  EXPECT_NEAR(curve.marginal_energy(7.6), 1.0, 1e-12);    // gen-a segment
-  EXPECT_NEAR(curve.marginal_energy(18.0), 1.2 / 1.15, 1e-12);  // gen-c
-  EXPECT_NEAR(curve.marginal_energy(1000.0), 1.2 / 1.15, 1e-12);  // clamped
-}
-
-TEST(EnergyCurve, BusyServersAchieveTheWork) {
-  auto types = table_one_types();
-  EnergyCostCurve curve(types, {10, 10, 10});
-  double work = 12.0;
-  auto b = curve.busy_servers(work);
-  ASSERT_EQ(b.size(), 3u);
-  double served = 0.0, energy = 0.0;
-  for (std::size_t k = 0; k < 3; ++k) {
-    EXPECT_GE(b[k], 0.0);
-    EXPECT_LE(b[k], 10.0 + 1e-9);
-    served += b[k] * types[k].speed;
-    energy += b[k] * types[k].busy_power;
-  }
-  EXPECT_NEAR(served, work, 1e-9);
-  EXPECT_NEAR(energy, curve.energy_for_work(work), 1e-9);
+  EXPECT_NEAR(curve.smoothed_marginal(0.0, 0.0), 0.8, 1e-12);    // gen-b segment
+  EXPECT_NEAR(curve.smoothed_marginal(7.4, 0.0), 0.8, 1e-12);
+  EXPECT_NEAR(curve.smoothed_marginal(7.6, 0.0), 1.0, 1e-12);    // gen-a segment
+  EXPECT_NEAR(curve.smoothed_marginal(18.0, 0.0), 1.2 / 1.15, 1e-12);  // gen-c
+  EXPECT_NEAR(curve.smoothed_marginal(1000.0, 0.0), 1.2 / 1.15, 1e-12);  // clamped
 }
 
 TEST(EnergyCurve, UnavailableTypesAreSkipped) {
   EnergyCostCurve curve(table_one_types(), {0, 10, 0});
   EXPECT_DOUBLE_EQ(curve.capacity(), 7.5);
-  auto b = curve.busy_servers(3.0);
-  EXPECT_DOUBLE_EQ(b[0], 0.0);
-  EXPECT_DOUBLE_EQ(b[2], 0.0);
-  EXPECT_NEAR(b[1] * 0.75, 3.0, 1e-9);
+  ASSERT_EQ(curve.segments().size(), 1u);
+  EXPECT_EQ(curve.segments()[0].type, 1u);
+  EXPECT_NEAR(curve.energy_for_work(3.0), 3.0 * 0.8, 1e-9);
 }
 
 TEST(EnergyCurve, EmptyFleetHasZeroCapacity) {
   EnergyCostCurve curve(table_one_types(), {0, 0, 0});
   EXPECT_DOUBLE_EQ(curve.capacity(), 0.0);
   EXPECT_DOUBLE_EQ(curve.energy_for_work(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(curve.marginal_energy(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(curve.smoothed_marginal(1.0, 0.0), 0.0);
 }
 
 TEST(EnergyCurve, RejectsBadInputs) {
@@ -101,7 +83,7 @@ TEST(EnergyCurve, RejectsBadInputs) {
   EXPECT_THROW(EnergyCostCurve(table_one_types(), {-1, 0, 0}), ContractViolation);
   EnergyCostCurve curve(table_one_types(), {1, 1, 1});
   EXPECT_THROW(curve.energy_for_work(-1.0), ContractViolation);
-  EXPECT_THROW(curve.marginal_energy(-1.0), ContractViolation);
+  EXPECT_THROW(curve.smoothed_marginal(-1.0, 0.0), ContractViolation);
 }
 
 TEST(EnergyCurve, SegmentsSortedByEnergyPerWork) {
@@ -123,7 +105,7 @@ TEST(EnergyCurve, TableOneCostPerUnitWork) {
     std::vector<std::int64_t> avail(3, 0);
     avail[dc] = 100;
     EnergyCostCurve curve(types, avail);
-    double cost_per_work = prices[dc] * curve.marginal_energy(0.0);
+    double cost_per_work = prices[dc] * curve.smoothed_marginal(0.0, 0.0);
     EXPECT_NEAR(cost_per_work, expected[dc], 5e-4) << "DC " << dc + 1;
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "util/check.h"
 
 namespace grefar {
@@ -18,6 +21,16 @@ Job make_job(std::uint64_t id, double remaining, std::int64_t arrival = 0,
   return j;
 }
 
+void push(FifoJobQueue& q, const Job& job) { q.push_copies(job, 1); }
+
+std::vector<Completion> serve(FifoJobQueue& q, double work, std::int64_t slot,
+                              double* consumed,
+                              double cap = std::numeric_limits<double>::infinity()) {
+  std::vector<Completion> done;
+  q.serve_into(work, slot, consumed, done, cap);
+  return done;
+}
+
 TEST(FifoJobQueue, StartsEmpty) {
   FifoJobQueue q(2.0);
   EXPECT_TRUE(q.empty());
@@ -28,11 +41,11 @@ TEST(FifoJobQueue, StartsEmpty) {
 
 TEST(FifoJobQueue, LengthTracksFractionalJobs) {
   FifoJobQueue q(2.0);
-  q.push(make_job(1, 2.0));
-  q.push(make_job(2, 2.0));
+  push(q, make_job(1, 2.0));
+  push(q, make_job(2, 2.0));
   EXPECT_DOUBLE_EQ(q.length_jobs(), 2.0);
   double consumed = 0.0;
-  q.serve(1.0, 0, &consumed);  // half a job
+  serve(q, 1.0, 0, &consumed);  // half a job
   EXPECT_DOUBLE_EQ(consumed, 1.0);
   EXPECT_DOUBLE_EQ(q.length_jobs(), 1.5);
   EXPECT_EQ(q.job_count(), 2u);  // partially-served head still present
@@ -40,11 +53,11 @@ TEST(FifoJobQueue, LengthTracksFractionalJobs) {
 
 TEST(FifoJobQueue, ServeCompletesInFifoOrder) {
   FifoJobQueue q(1.0);
-  q.push(make_job(1, 1.0));
-  q.push(make_job(2, 1.0));
-  q.push(make_job(3, 1.0));
+  push(q, make_job(1, 1.0));
+  push(q, make_job(2, 1.0));
+  push(q, make_job(3, 1.0));
   double consumed = 0.0;
-  auto completions = q.serve(2.0, 5, &consumed);
+  auto completions = serve(q, 2.0, 5, &consumed);
   ASSERT_EQ(completions.size(), 2u);
   EXPECT_EQ(completions[0].job.id, 1u);
   EXPECT_EQ(completions[1].job.id, 2u);
@@ -55,10 +68,10 @@ TEST(FifoJobQueue, ServeCompletesInFifoOrder) {
 
 TEST(FifoJobQueue, PartialServiceAccumulatesAcrossSlots) {
   FifoJobQueue q(3.0);
-  q.push(make_job(1, 3.0, /*arrival=*/2, /*dc_entry=*/3));
-  EXPECT_TRUE(q.serve(1.0, 4, nullptr).empty());
-  EXPECT_TRUE(q.serve(1.0, 5, nullptr).empty());
-  auto completions = q.serve(1.0, 6, nullptr);
+  push(q, make_job(1, 3.0, /*arrival=*/2, /*dc_entry=*/3));
+  EXPECT_TRUE(serve(q, 1.0, 4, nullptr).empty());
+  EXPECT_TRUE(serve(q, 1.0, 5, nullptr).empty());
+  auto completions = serve(q, 1.0, 6, nullptr);
   ASSERT_EQ(completions.size(), 1u);
   EXPECT_EQ(completions[0].total_delay(), 4);  // 6 - 2
   EXPECT_EQ(completions[0].dc_delay(), 3);     // 6 - 3
@@ -66,9 +79,9 @@ TEST(FifoJobQueue, PartialServiceAccumulatesAcrossSlots) {
 
 TEST(FifoJobQueue, ServeMoreThanQueueDrainsEverything) {
   FifoJobQueue q(1.0);
-  q.push(make_job(1, 1.0));
+  push(q, make_job(1, 1.0));
   double consumed = 0.0;
-  auto completions = q.serve(100.0, 0, &consumed);
+  auto completions = serve(q, 100.0, 0, &consumed);
   EXPECT_EQ(completions.size(), 1u);
   EXPECT_DOUBLE_EQ(consumed, 1.0);
   EXPECT_TRUE(q.empty());
@@ -77,32 +90,17 @@ TEST(FifoJobQueue, ServeMoreThanQueueDrainsEverything) {
 
 TEST(FifoJobQueue, ZeroServiceIsNoOp) {
   FifoJobQueue q(1.0);
-  q.push(make_job(1, 1.0));
-  EXPECT_TRUE(q.serve(0.0, 0, nullptr).empty());
+  push(q, make_job(1, 1.0));
+  EXPECT_TRUE(serve(q, 0.0, 0, nullptr).empty());
   EXPECT_DOUBLE_EQ(q.length_jobs(), 1.0);
-}
-
-TEST(FifoJobQueue, PopFrontReturnsWholeJob) {
-  FifoJobQueue q(2.0);
-  q.push(make_job(7, 2.0));
-  q.push(make_job(8, 2.0));
-  Job j = q.pop_front();
-  EXPECT_EQ(j.id, 7u);
-  EXPECT_DOUBLE_EQ(j.remaining, 2.0);
-  EXPECT_DOUBLE_EQ(q.remaining_work(), 2.0);
-}
-
-TEST(FifoJobQueue, PopFrontOnEmptyIsContractViolation) {
-  FifoJobQueue q(1.0);
-  EXPECT_THROW(q.pop_front(), ContractViolation);
 }
 
 TEST(FifoJobQueue, RejectsBadInputs) {
   EXPECT_THROW(FifoJobQueue(0.0), ContractViolation);
   EXPECT_THROW(FifoJobQueue(-1.0), ContractViolation);
   FifoJobQueue q(1.0);
-  EXPECT_THROW(q.push(make_job(1, 0.0)), ContractViolation);
-  EXPECT_THROW(q.serve(-1.0, 0, nullptr), ContractViolation);
+  EXPECT_THROW(push(q, make_job(1, 0.0)), ContractViolation);
+  EXPECT_THROW(serve(q, -1.0, 0, nullptr), ContractViolation);
 }
 
 TEST(FifoJobQueue, ClampedDynamicsMatchScalarUpdate) {
@@ -113,20 +111,20 @@ TEST(FifoJobQueue, ClampedDynamicsMatchScalarUpdate) {
   const double arrivals[] = {3, 0, 2, 5, 0, 0, 1};
   const double service[] = {1, 1, 4, 2, 2, 2, 2};
   for (int t = 0; t < 7; ++t) {
-    for (int n = 0; n < arrivals[t]; ++n) q.push(make_job(next_id++, 1.0, t, t));
+    for (int n = 0; n < arrivals[t]; ++n) push(q, make_job(next_id++, 1.0, t, t));
     scalar_q = std::max(scalar_q + arrivals[t] - service[t], 0.0);
-    q.serve(service[t], t, nullptr);
+    serve(q, service[t], t, nullptr);
     EXPECT_NEAR(q.length_jobs(), scalar_q, 1e-9) << "slot " << t;
   }
 }
 
 TEST(FifoJobQueue, PerJobCapLimitsEachJob) {
   FifoJobQueue q(4.0);
-  q.push(make_job(1, 4.0));
-  q.push(make_job(2, 4.0));
+  push(q, make_job(1, 4.0));
+  push(q, make_job(2, 4.0));
   double consumed = 0.0;
   // Budget 6 but each job can take at most 1 this slot.
-  auto completions = q.serve(6.0, 0, &consumed, /*per_job_cap=*/1.0);
+  auto completions = serve(q, 6.0, 0, &consumed, /*per_job_cap=*/1.0);
   EXPECT_TRUE(completions.empty());
   EXPECT_DOUBLE_EQ(consumed, 2.0);  // 1 to each job
   EXPECT_DOUBLE_EQ(q.remaining_work(), 6.0);
@@ -134,9 +132,9 @@ TEST(FifoJobQueue, PerJobCapLimitsEachJob) {
 
 TEST(FifoJobQueue, CapLetsSmallLaterJobsFinishFirst) {
   FifoJobQueue q(1.0);
-  q.push(make_job(1, 10.0));  // big head
-  q.push(make_job(2, 0.5));   // small follower
-  auto completions = q.serve(5.0, 3, nullptr, /*per_job_cap=*/2.0);
+  push(q, make_job(1, 10.0));  // big head
+  push(q, make_job(2, 0.5));   // small follower
+  auto completions = serve(q, 5.0, 3, nullptr, /*per_job_cap=*/2.0);
   ASSERT_EQ(completions.size(), 1u);
   EXPECT_EQ(completions[0].job.id, 2u);
   EXPECT_EQ(q.job_count(), 1u);
@@ -146,12 +144,12 @@ TEST(FifoJobQueue, CapLetsSmallLaterJobsFinishFirst) {
 TEST(FifoJobQueue, InfiniteCapMatchesUncappedBehaviour) {
   FifoJobQueue a(1.0), b(1.0);
   for (int n = 0; n < 5; ++n) {
-    a.push(make_job(n + 1, 1.0));
-    b.push(make_job(n + 1, 1.0));
+    push(a, make_job(n + 1, 1.0));
+    push(b, make_job(n + 1, 1.0));
   }
   double used_a = 0.0, used_b = 0.0;
-  auto ca = a.serve(3.5, 0, &used_a);
-  auto cb = b.serve(3.5, 0, &used_b,
+  auto ca = serve(a, 3.5, 0, &used_a);
+  auto cb = serve(b, 3.5, 0, &used_b,
                     std::numeric_limits<double>::infinity());
   EXPECT_EQ(ca.size(), cb.size());
   EXPECT_DOUBLE_EQ(used_a, used_b);
@@ -160,18 +158,18 @@ TEST(FifoJobQueue, InfiniteCapMatchesUncappedBehaviour) {
 
 TEST(FifoJobQueue, RejectsNonPositiveCap) {
   FifoJobQueue q(1.0);
-  q.push(make_job(1, 1.0));
-  EXPECT_THROW(q.serve(1.0, 0, nullptr, 0.0), ContractViolation);
+  push(q, make_job(1, 1.0));
+  EXPECT_THROW(serve(q, 1.0, 0, nullptr, 0.0), ContractViolation);
 }
 
 TEST(FifoJobQueue, CappedJobTakesMultipleSlots) {
   // One job of work 4 with cap 1: completes at slot 3 (slots 0..3).
   FifoJobQueue q(4.0);
-  q.push(make_job(1, 4.0, /*arrival=*/0, /*dc_entry=*/0));
+  push(q, make_job(1, 4.0, /*arrival=*/0, /*dc_entry=*/0));
   for (int t = 0; t < 3; ++t) {
-    EXPECT_TRUE(q.serve(10.0, t, nullptr, 1.0).empty());
+    EXPECT_TRUE(serve(q, 10.0, t, nullptr, 1.0).empty());
   }
-  auto completions = q.serve(10.0, 3, nullptr, 1.0);
+  auto completions = serve(q, 10.0, 3, nullptr, 1.0);
   ASSERT_EQ(completions.size(), 1u);
   EXPECT_EQ(completions[0].total_delay(), 3);
 }
@@ -180,10 +178,10 @@ TEST(FifoJobQueue, DelayAccountingForBatchArrival) {
   // Three unit jobs arrive at slot 0; serve one per slot from slot 1:
   // delays 1, 2, 3.
   FifoJobQueue q(1.0);
-  for (int n = 0; n < 3; ++n) q.push(make_job(n + 1, 1.0, 0, 0));
+  for (int n = 0; n < 3; ++n) push(q, make_job(n + 1, 1.0, 0, 0));
   double total_delay = 0.0;
   for (int t = 1; t <= 3; ++t) {
-    auto completions = q.serve(1.0, t, nullptr);
+    auto completions = serve(q, 1.0, t, nullptr);
     for (const auto& c : completions) total_delay += static_cast<double>(c.total_delay());
   }
   EXPECT_DOUBLE_EQ(total_delay, 6.0);

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "check/brute_force.h"
 #include "check/lp_tableau.h"
-#include "solver/brute_force.h"
 #include "solver/capped_box.h"
 #include "util/check.h"
 #include "util/rng.h"

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "solver/brute_force.h"
+#include "check/brute_force.h"
 #include "util/rng.h"
 
 namespace grefar {
@@ -78,19 +78,33 @@ class MixedObjective final : public ConvexObjective {
   double quad_;
 };
 
+/// One solve from `x0` into a fresh buffer and workspace.
+struct Solved {
+  std::vector<double> x;
+  PgdStats stats;
+};
+Solved solve(const ConvexObjective& objective, const CappedBoxPolytope& polytope,
+             const std::vector<double>& x0 = {}, const PgdOptions& options = {}) {
+  Solved solved;
+  PgdWorkspace ws;
+  solved.stats =
+      minimize_projected_gradient(objective, polytope, x0, solved.x, ws, options);
+  return solved;
+}
+
 TEST(Pgd, UnconstrainedInteriorMinimum) {
   CappedBoxPolytope p({10.0, 10.0});
   QuadraticObjective obj({2.0, 3.0});
-  auto result = minimize_projected_gradient(obj, p);
+  auto result = solve(obj, p);
   EXPECT_NEAR(result.x[0], 2.0, 1e-4);
   EXPECT_NEAR(result.x[1], 3.0, 1e-4);
-  EXPECT_NEAR(result.objective, 0.0, 1e-7);
+  EXPECT_NEAR(result.stats.objective, 0.0, 1e-7);
 }
 
 TEST(Pgd, BoxActiveAtOptimum) {
   CappedBoxPolytope p({1.0, 1.0});
   QuadraticObjective obj({5.0, 0.5});
-  auto result = minimize_projected_gradient(obj, p);
+  auto result = solve(obj, p);
   EXPECT_NEAR(result.x[0], 1.0, 1e-5);
   EXPECT_NEAR(result.x[1], 0.5, 1e-5);
 }
@@ -99,7 +113,7 @@ TEST(Pgd, CapActiveAtOptimum) {
   CappedBoxPolytope p({5.0, 5.0});
   p.add_group({0, 1}, 2.0);
   QuadraticObjective obj({3.0, 3.0});
-  auto result = minimize_projected_gradient(obj, p);
+  auto result = solve(obj, p);
   EXPECT_NEAR(result.x[0], 1.0, 1e-5);
   EXPECT_NEAR(result.x[1], 1.0, 1e-5);
 }
@@ -108,9 +122,9 @@ TEST(Pgd, StartingPointDoesNotChangeOptimum) {
   CappedBoxPolytope p({4.0, 4.0});
   p.add_group({0, 1}, 5.0);
   QuadraticObjective obj({1.0, 2.0});
-  auto a = minimize_projected_gradient(obj, p, {0.0, 0.0});
-  auto b = minimize_projected_gradient(obj, p, {4.0, 1.0});
-  EXPECT_NEAR(a.objective, b.objective, 1e-6);
+  auto a = solve(obj, p, {0.0, 0.0});
+  auto b = solve(obj, p, {4.0, 1.0});
+  EXPECT_NEAR(a.stats.objective, b.stats.objective, 1e-6);
 }
 
 TEST(Pgd, MatchesBruteForceOnMixedObjective) {
@@ -122,19 +136,19 @@ TEST(Pgd, MatchesBruteForceOnMixedObjective) {
     CappedBoxPolytope p({1.0, 1.5, 2.0});
     p.add_group({0, 1, 2}, rng.uniform(1.0, 3.5));
 
-    auto pgd = minimize_projected_gradient(obj, p);
+    auto pgd = solve(obj, p);
     auto brute = minimize_brute_force(
         [&](const std::vector<double>& x) { return obj.value(x); }, p, 21);
-    EXPECT_LE(pgd.objective, brute.objective + 1e-3) << "trial " << trial;
+    EXPECT_LE(pgd.stats.objective, brute.objective + 1e-3) << "trial " << trial;
   }
 }
 
 TEST(Pgd, ReportsIterationsAndConvergence) {
   CappedBoxPolytope p({1.0});
   QuadraticObjective obj({0.5});
-  auto result = minimize_projected_gradient(obj, p);
-  EXPECT_GT(result.iterations, 0);
-  EXPECT_TRUE(result.converged);
+  auto result = solve(obj, p);
+  EXPECT_GT(result.stats.iterations, 0);
+  EXPECT_TRUE(result.stats.converged);
 }
 
 TEST(Pgd, ZeroIterationBudgetReturnsProjectedStart) {
@@ -142,7 +156,7 @@ TEST(Pgd, ZeroIterationBudgetReturnsProjectedStart) {
   QuadraticObjective obj({0.5});
   PgdOptions options;
   options.max_iterations = 0;
-  auto result = minimize_projected_gradient(obj, p, {5.0}, options);
+  auto result = solve(obj, p, {5.0}, options);
   EXPECT_NEAR(result.x[0], 1.0, 1e-12);  // projected start
 }
 

@@ -3,9 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/check.h"
-#include "util/rng.h"
-
 namespace grefar {
 namespace {
 
@@ -54,72 +51,6 @@ TEST(RunningStats, NumericallyStableForLargeOffset) {
   for (double x : {offset + 1.0, offset + 2.0, offset + 3.0}) s.add(x);
   EXPECT_NEAR(s.mean(), offset + 2.0, 1e-3);
   EXPECT_NEAR(s.variance(), 1.0, 1e-6);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng(42);
-  RunningStats all, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    double x = rng.normal(3.0, 2.0);
-    all.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStats a_copy = a;
-  a.merge(b);  // no-op
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_DOUBLE_EQ(a.mean(), a_copy.mean());
-  b.merge(a);  // adopt
-  EXPECT_EQ(b.count(), 2);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
-TEST(Ewma, FirstSampleInitializes) {
-  Ewma e(0.5);
-  EXPECT_FALSE(e.initialized());
-  EXPECT_DOUBLE_EQ(e.value(), 0.0);
-  e.add(10.0);
-  EXPECT_TRUE(e.initialized());
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(Ewma, SmoothsTowardNewValues) {
-  Ewma e(0.5);
-  e.add(0.0);
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 7.5);
-}
-
-TEST(Ewma, AlphaOneTracksExactly) {
-  Ewma e(1.0);
-  e.add(3.0);
-  e.add(-1.0);
-  EXPECT_DOUBLE_EQ(e.value(), -1.0);
-}
-
-TEST(Ewma, RejectsBadAlpha) {
-  EXPECT_THROW(Ewma(0.0), ContractViolation);
-  EXPECT_THROW(Ewma(1.5), ContractViolation);
-  EXPECT_THROW(Ewma(-0.1), ContractViolation);
-}
-
-TEST(Ewma, ConvergesToConstantInput) {
-  Ewma e(0.2);
-  for (int i = 0; i < 200; ++i) e.add(7.0);
-  EXPECT_NEAR(e.value(), 7.0, 1e-9);
 }
 
 }  // namespace

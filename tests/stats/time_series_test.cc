@@ -19,7 +19,6 @@ TEST(TimeSeries, EmptyDefaults) {
   EXPECT_EQ(ts.size(), 0u);
   EXPECT_DOUBLE_EQ(ts.mean(), 0.0);
   EXPECT_DOUBLE_EQ(ts.sum(), 0.0);
-  EXPECT_DOUBLE_EQ(ts.tail_mean(10), 0.0);
 }
 
 TEST(TimeSeries, AddAndAccess) {
@@ -47,22 +46,6 @@ TEST(TimeSeries, PrefixAverageMatchesPaperDefinition) {
 
 TEST(TimeSeries, PrefixAverageOfEmpty) {
   EXPECT_TRUE(TimeSeries("x").prefix_average().empty());
-}
-
-TEST(TimeSeries, TailMean) {
-  auto ts = make_series({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(ts.tail_mean(2), 3.5);
-  EXPECT_DOUBLE_EQ(ts.tail_mean(100), 2.5);  // all
-}
-
-TEST(TimeSeries, Downsample) {
-  auto ts = make_series({0.0, 1.0, 2.0, 3.0, 4.0, 5.0});
-  auto ds = ts.downsample(2);
-  ASSERT_EQ(ds.size(), 3u);
-  EXPECT_DOUBLE_EQ(ds.at(0), 0.0);
-  EXPECT_DOUBLE_EQ(ds.at(1), 2.0);
-  EXPECT_DOUBLE_EQ(ds.at(2), 4.0);
-  EXPECT_THROW(ts.downsample(0), ContractViolation);
 }
 
 TEST(TimeSeries, PrefixRatioComputesRunningAverageDelay) {

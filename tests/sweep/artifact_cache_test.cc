@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/counters.h"
 #include "scenario/paper_scenario.h"
 #include "sweep/artifact_cache.h"
 #include "workload/arrival_process.h"
@@ -98,6 +99,8 @@ TEST(ArtifactCacheTest, ValuedArrivalsKeepBatchAnnotations) {
 }
 
 TEST(ArtifactCacheTest, HashConsReturnsSameInstanceAndBuildsOnce) {
+  obs::CounterRegistry counters;
+  obs::CountersScope scope(&counters);
   ArtifactCache cache;
   int builds = 0;
   auto builder = [&builds] {
@@ -114,11 +117,8 @@ TEST(ArtifactCacheTest, HashConsReturnsSameInstanceAndBuildsOnce) {
   });
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(builds, 2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(counters.counter("sweep.artifact_hits"), 1u);
+  EXPECT_EQ(counters.counter("sweep.artifact_misses"), 2u);
 }
 
 TEST(ArtifactCacheTest, EngineRunOnArtifactsMatchesLazyScenarioBitwise) {

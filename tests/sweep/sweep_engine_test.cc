@@ -141,9 +141,14 @@ TEST(SweepEngineTest, SteadyStateRunOnSameEngineIsBitwiseStable) {
     };
   };
   std::vector<LegDigest> first, second;
-  engine.run(spec, collect_into(first));
-  engine.run(spec, collect_into(second));
-  EXPECT_EQ(engine.artifacts().size(), 2u) << "two unique scenario keys";
+  obs::CounterRegistry counters;
+  {
+    obs::CountersScope scope(&counters);
+    engine.run(spec, collect_into(first));
+    engine.run(spec, collect_into(second));
+  }
+  EXPECT_EQ(counters.counter("sweep.artifact_misses"), 2u)
+      << "two unique scenario keys, each built once";
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t leg = 0; leg < first.size(); ++leg) {
     EXPECT_TRUE(first[leg] == second[leg]) << "leg " << leg;

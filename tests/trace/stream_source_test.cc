@@ -14,15 +14,12 @@
 
 #include "scenario/serve_scenario.h"
 #include "trace/job_trace.h"
+#include "support/trace_text.h"
 #include "trace/price_trace.h"
 #include "util/check.h"
 
 namespace grefar {
 namespace {
-
-std::unique_ptr<std::istream> stream_of(const std::string& text) {
-  return std::make_unique<std::istringstream>(text);
-}
 
 /// Read sizes the equivalence sweeps run at: one byte, a prime that puts
 /// read boundaries at shifting offsets inside rows, quoted fields and CRLF
@@ -42,41 +39,6 @@ StreamSourceOptions wide_window(std::size_t chunk_bytes) {
   return options;
 }
 
-/// Drains a streaming job source; on success returns the emitted table.
-Result<std::vector<std::vector<std::int64_t>>> drain_jobs(
-    const std::string& csv, std::size_t num_types,
-    StreamSourceOptions options = {}) {
-  StreamingJobTraceSource source(stream_of(csv), num_types, options);
-  std::vector<std::vector<std::int64_t>> table;
-  std::vector<std::int64_t> counts;
-  while (true) {
-    auto more = source.next_slot_into(counts);
-    if (!more.ok()) return more.error();
-    if (!more.value()) return table;
-    table.push_back(counts);
-  }
-}
-
-Result<std::vector<std::vector<double>>> drain_prices(
-    const std::string& csv, std::size_t num_dcs,
-    StreamSourceOptions options = {}) {
-  StreamingPriceTraceSource source(stream_of(csv), num_dcs, options);
-  std::vector<std::vector<double>> by_slot;
-  std::vector<double> prices;
-  while (true) {
-    auto more = source.next_slot_into(prices);
-    if (!more.ok()) return more.error();
-    if (!more.value()) break;
-    by_slot.push_back(prices);
-  }
-  // Transpose to the materialized series[dc][t] layout for comparison.
-  std::vector<std::vector<double>> series(num_dcs);
-  for (std::size_t t = 0; t < by_slot.size(); ++t) {
-    for (std::size_t d = 0; d < num_dcs; ++d) series[d].push_back(by_slot[t][d]);
-  }
-  return series;
-}
-
 /// Densifies a parsed batch trace to the count-table layout next_slot_into
 /// emits (duplicate slot/type rows accumulate, absent slots go all-zero).
 std::vector<std::vector<std::int64_t>> densify(const ValuedJobTrace& trace,
@@ -89,17 +51,13 @@ std::vector<std::vector<std::int64_t>> densify(const ValuedJobTrace& trace,
   return table;
 }
 
-/// The golden-equivalence contract: streaming and materialized readers agree
-/// on success/failure, and bit-for-bit on the data when both succeed, at
-/// every read size; failures agree on the message, byte offset included.
-/// The streaming counts API accepts either schema version, so its
-/// materialized counterpart is the valued reader densified; the v1-only
-/// materializer must also agree except on v2 documents, which it rejects by
-/// design (it names the v1 header).
+/// The golden-equivalence contract: a drain at every read size agrees with
+/// the whole-document drain the batch readers run on success/failure,
+/// bit-for-bit on the data when both succeed, and on the message, byte
+/// offset included, when both fail. The counts API accepts either schema
+/// version, so its reference is the batch API densified.
 void expect_job_equivalence(const std::string& csv, std::size_t num_types) {
-  auto valued = valued_job_trace_from_csv(csv, num_types);
-  auto batch = job_trace_from_csv(csv, num_types);
-  const bool v2 = StreamingJobTraceSource(stream_of(csv), num_types).valued();
+  auto valued = drain_batches(csv, num_types, kWholeDocument);
   for (std::size_t chunk : read_sizes()) {
     SCOPED_TRACE("chunk_bytes " + std::to_string(chunk));
     auto streamed = drain_jobs(csv, num_types, wide_window(chunk));
@@ -109,32 +67,6 @@ void expect_job_equivalence(const std::string& csv, std::size_t num_types) {
     } else {
       EXPECT_EQ(streamed.error().message, valued.error().message) << csv;
     }
-    if (v2) {
-      EXPECT_FALSE(batch.ok()) << csv;
-    } else {
-      ASSERT_EQ(batch.ok(), streamed.ok()) << csv;
-      if (batch.ok()) {
-        EXPECT_EQ(streamed.value(), batch.value()) << csv;
-      } else {
-        EXPECT_EQ(streamed.error().message, batch.error().message) << csv;
-      }
-    }
-  }
-}
-
-/// Drains a streaming job source through the batch API; on success returns
-/// the per-slot batches (the ValuedJobTrace::slots layout).
-Result<std::vector<std::vector<ArrivalBatch>>> drain_batches(
-    const std::string& csv, std::size_t num_types,
-    StreamSourceOptions options = {}) {
-  StreamingJobTraceSource source(stream_of(csv), num_types, options);
-  std::vector<std::vector<ArrivalBatch>> slots;
-  std::vector<ArrivalBatch> batches;
-  while (true) {
-    auto more = source.next_slot_batches_into(batches);
-    if (!more.ok()) return more.error();
-    if (!more.value()) return slots;
-    slots.push_back(batches);
   }
 }
 
@@ -157,28 +89,28 @@ void expect_batches_eq(const std::vector<std::vector<ArrivalBatch>>& a,
   }
 }
 
-/// The valued golden-equivalence contract: the streaming batch API and the
-/// materializing valued reader agree on success/failure and, when both
-/// succeed, on every batch annotation — for either schema version.
+/// The valued golden-equivalence contract: drains of the batch API at every
+/// read size and over the whole document agree on success/failure and, when
+/// both succeed, on every batch annotation — for either schema version.
 void expect_valued_equivalence(const std::string& csv, std::size_t num_types) {
-  auto batch = valued_job_trace_from_csv(csv, num_types);
+  auto batch = drain_batches(csv, num_types, kWholeDocument);
   for (std::size_t chunk : read_sizes()) {
     SCOPED_TRACE("chunk_bytes " + std::to_string(chunk));
     auto streamed = drain_batches(csv, num_types, wide_window(chunk));
     ASSERT_EQ(streamed.ok(), batch.ok()) << csv;
     if (batch.ok()) {
-      expect_batches_eq(streamed.value(), batch.value().slots);
+      expect_batches_eq(streamed.value().slots, batch.value().slots);
     } else {
       EXPECT_EQ(streamed.error().message, batch.error().message) << csv;
     }
   }
 }
 
-/// The price golden-equivalence contract: the batch reader drains the
-/// streaming source, so the two agree on the data and on every failure
-/// message, gaps included, at every read size.
+/// The price golden-equivalence contract: a drain at every read size agrees
+/// with the whole-document drain on the data and on every failure message,
+/// gaps included.
 void expect_price_equivalence(const std::string& csv, std::size_t num_dcs) {
-  auto batch = price_trace_from_csv(csv, num_dcs);
+  auto batch = drain_prices(csv, num_dcs, kWholeDocument);
   for (std::size_t chunk : read_sizes()) {
     SCOPED_TRACE("chunk_bytes " + std::to_string(chunk));
     auto streamed = drain_prices(csv, num_dcs, wide_window(chunk));
@@ -212,7 +144,7 @@ TEST(StreamingJobSource, ReorderWithinWindowMatchesBatch) {
   options.reorder_window = 1;
   auto table = drain_jobs(csv, 2, options);
   ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table.value(), job_trace_from_csv(csv, 2).value());
+  EXPECT_EQ(table.value(), drain_jobs(csv, 2, kWholeDocument).value());
 }
 
 TEST(StreamingJobSource, RowBehindWindowFailsWithOffset) {
@@ -346,7 +278,7 @@ TEST(StreamSources, ErrorSurfacesAtTheFirstSlotThatNeedsTheRow) {
   const std::string good_row = std::to_string(kBad) + ",1,2\n";
   jobs.replace(jobs.find("\n" + good_row) + 1, good_row.size(),
                std::to_string(kBad) + ",1,x\n");
-  const auto batch_error = job_trace_from_csv(jobs, 2);
+  const auto batch_error = drain_jobs(jobs, 2, kWholeDocument);
   ASSERT_FALSE(batch_error.ok());
   std::string prices = thirty_slot_prices();
   const std::string gap_row = std::to_string(kBad) + ",1,0.25\n";
@@ -455,19 +387,20 @@ TEST(StreamingJobSource, SchemaDetectedAtConstruction) {
 }
 
 TEST(StreamingJobSource, ValuedBatchesCarryAnnotationsAndZeroFillGaps) {
-  auto slots = drain_batches(
+  auto trace = drain_batches(
       "slot,type,count,value,decay,deadline\n0,1,2,2.5,0.125,12\n2,0,1,0.5,0.0,-1\n",
       2);
-  ASSERT_TRUE(slots.ok());
-  ASSERT_EQ(slots.value().size(), 3u);
-  ASSERT_EQ(slots.value()[0].size(), 1u);
-  EXPECT_EQ(slots.value()[0][0].type, 1u);
-  EXPECT_EQ(slots.value()[0][0].count, 2);
-  EXPECT_EQ(slots.value()[0][0].value, 2.5);
-  EXPECT_EQ(slots.value()[0][0].decay_rate, 0.125);
-  EXPECT_EQ(slots.value()[0][0].deadline, 12);
-  EXPECT_TRUE(slots.value()[1].empty());  // absent slot -> no batches
-  EXPECT_EQ(slots.value()[2][0].deadline, kNoDeadline);  // -1 on disk
+  ASSERT_TRUE(trace.ok());
+  const auto& slots = trace.value().slots;
+  ASSERT_EQ(slots.size(), 3u);
+  ASSERT_EQ(slots[0].size(), 1u);
+  EXPECT_EQ(slots[0][0].type, 1u);
+  EXPECT_EQ(slots[0][0].count, 2);
+  EXPECT_EQ(slots[0][0].value, 2.5);
+  EXPECT_EQ(slots[0][0].decay_rate, 0.125);
+  EXPECT_EQ(slots[0][0].deadline, 12);
+  EXPECT_TRUE(slots[1].empty());  // absent slot -> no batches
+  EXPECT_EQ(slots[2][0].deadline, kNoDeadline);  // -1 on disk
 }
 
 TEST(StreamingJobSource, CountsApiOnValuedTraceDropsAnnotations) {
@@ -569,7 +502,7 @@ TEST(StreamingPriceSource, NonFinitePriceFailsLikeTheBatchReader) {
     SCOPED_TRACE(price);
     const std::string csv =
         std::string("slot,dc,price\n0,0,0.4\n0,1,0.5\n1,0,") + price + "\n1,1,0.5\n";
-    auto batch = price_trace_from_csv(csv, 2);
+    auto batch = drain_prices(csv, 2, kWholeDocument);
     ASSERT_FALSE(batch.ok());
     EXPECT_EQ(batch.error().message,
               "price trace row 3 at byte 30 (line 4, col 1) has non-finite price");
@@ -627,16 +560,16 @@ TEST(GoldenEquivalence, CuratedJobDocs) {
 TEST(GoldenEquivalence, SlowPathSpellingsDecodeLikePlainOnes) {
   // Padded, CRLF, mid-field '\r' and quoted spellings of one document
   // decode to its plain spelling's values; '+5' is refused as it was.
-  const auto plain = job_trace_from_csv("slot,type,count\n0,1,2\n1,2,3\n", 3);
+  const auto plain = drain_jobs("slot,type,count\n0,1,2\n1,2,3\n", 3, kWholeDocument);
   ASSERT_TRUE(plain.ok());
   for (const char* csv : {"slot,type,count\n 0, 1 ,2 \n1,\t2,3\n",
                           "slot,type,count\r\n0,1\r,2\r\n1,2,3\r\n",
                           "slot,type,count\n\"0\",\"1\",\"2\"\n1,\"2\",3\n"}) {
-    auto parsed = job_trace_from_csv(csv, 3);
+    auto parsed = drain_jobs(csv, 3, kWholeDocument);
     ASSERT_TRUE(parsed.ok()) << csv << parsed.error().message;
     EXPECT_EQ(parsed.value(), plain.value()) << csv;
   }
-  auto plus = job_trace_from_csv("slot,type,count\n0,1,+2\n", 3);
+  auto plus = drain_jobs("slot,type,count\n0,1,+2\n", 3, kWholeDocument);
   ASSERT_FALSE(plus.ok());
   EXPECT_EQ(plus.error().message, "job trace row 1 at byte 16 (line 2, col 1) is malformed");
 }

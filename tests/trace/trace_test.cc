@@ -10,6 +10,7 @@
 #include <string>
 
 #include "price/price_model.h"
+#include "support/trace_text.h"
 #include "trace/stream_source.h"
 #include "util/check.h"
 #include "util/csv.h"
@@ -28,7 +29,7 @@ TEST(JobTrace, MaterializeMatchesProcess) {
 TEST(JobTrace, CsvRoundTrip) {
   std::vector<std::vector<std::int64_t>> counts{{1, 0, 2}, {0, 0, 0}, {0, 5, 1}};
   auto csv = job_trace_to_csv(counts);
-  auto parsed = job_trace_from_csv(csv, 3);
+  auto parsed = drain_jobs(csv, 3, kWholeDocument);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value(), counts);
 }
@@ -40,15 +41,18 @@ TEST(JobTrace, SparseFormatOmitsZeros) {
 }
 
 TEST(JobTrace, RejectsMissingHeader) {
-  EXPECT_FALSE(job_trace_from_csv("0,0,1\n", 2).ok());
-  EXPECT_FALSE(job_trace_from_csv("", 2).ok());
+  EXPECT_FALSE(drain_jobs("0,0,1\n", 2, kWholeDocument).ok());
+  EXPECT_FALSE(drain_jobs("", 2, kWholeDocument).ok());
 }
 
 TEST(JobTrace, RejectsV2HeaderAtItsPosition) {
   // The counts reader takes v1 only. A dropped '\r' puts the header at
   // byte 1, and the refusal names that position.
-  auto parsed =
-      job_trace_from_csv("\rslot,type,count,value,decay,deadline\n0,0,1,1,0,-1\n", 2);
+  const std::string path = ::testing::TempDir() + "/grefar_v2_jobs.csv";
+  ASSERT_TRUE(
+      write_file(path, "\rslot,type,count,value,decay,deadline\n0,0,1,1,0,-1\n").ok());
+  auto parsed = read_job_trace(path, 2);
+  std::remove(path.c_str());
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.error().message,
             "job trace must start with header 'slot,type,count' at byte 1 "
@@ -63,27 +67,28 @@ TEST(JobTrace, MissingFileNamesThePath) {
 }
 
 TEST(JobTrace, RejectsMalformedRows) {
-  EXPECT_FALSE(job_trace_from_csv("slot,type,count\n0,0\n", 2).ok());
-  EXPECT_FALSE(job_trace_from_csv("slot,type,count\nx,0,1\n", 2).ok());
-  EXPECT_FALSE(job_trace_from_csv("slot,type,count\n0,9,1\n", 2).ok());
-  EXPECT_FALSE(job_trace_from_csv("slot,type,count\n-1,0,1\n", 2).ok());
-  EXPECT_FALSE(job_trace_from_csv("slot,type,count\n0,0,-2\n", 2).ok());
-  EXPECT_FALSE(job_trace_from_csv("slot,type,count\n", 2).ok());
+  EXPECT_FALSE(drain_jobs("slot,type,count\n0,0\n", 2, kWholeDocument).ok());
+  EXPECT_FALSE(drain_jobs("slot,type,count\nx,0,1\n", 2, kWholeDocument).ok());
+  EXPECT_FALSE(drain_jobs("slot,type,count\n0,9,1\n", 2, kWholeDocument).ok());
+  EXPECT_FALSE(drain_jobs("slot,type,count\n-1,0,1\n", 2, kWholeDocument).ok());
+  EXPECT_FALSE(drain_jobs("slot,type,count\n0,0,-2\n", 2, kWholeDocument).ok());
+  EXPECT_FALSE(drain_jobs("slot,type,count\n", 2, kWholeDocument).ok());
 }
 
 TEST(JobTrace, RejectsSlotBeyondLimit) {
   // One far-off row fails naming its row and byte, in both schema readers,
   // instead of making the drain zero-fill every slot before it.
   const std::string far = std::to_string(kMaxTraceSlots);
-  auto counts = job_trace_from_csv("slot,type,count\n0,0,1\n" + far + ",0,1\n", 1);
+  auto counts =
+      drain_jobs("slot,type,count\n0,0,1\n" + far + ",0,1\n", 1, kWholeDocument);
   ASSERT_FALSE(counts.ok());
   EXPECT_EQ(counts.error().message,
             "job trace row 2 at byte 22 (line 3, col 1) has slot beyond the "
             "trace limit (1048576 slots)");
-  auto valued = valued_job_trace_from_csv(
+  auto valued = drain_batches(
       "slot,type,count,value,decay,deadline\n0,0,1,1.0,0.0,-1\n" + far +
           ",0,1,1.0,0.0,-1\n",
-      1);
+      1, kWholeDocument);
   ASSERT_FALSE(valued.ok());
   EXPECT_EQ(valued.error().message,
             "job trace row 2 at byte 54 (line 3, col 1) has slot beyond the "
@@ -102,7 +107,7 @@ TEST(JobTrace, RejectsSlotBeyondLimit) {
 }
 
 TEST(JobTrace, AccumulatesDuplicateEntries) {
-  auto parsed = job_trace_from_csv("slot,type,count\n0,0,1\n0,0,2\n", 1);
+  auto parsed = drain_jobs("slot,type,count\n0,0,1\n0,0,2\n", 1, kWholeDocument);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value()[0][0], 3);
 }
@@ -111,7 +116,7 @@ TEST(JobTrace, RoundTripsThroughTableArrivals) {
   ConstantArrivals original({4, 1});
   auto table = materialize_arrivals(original, 8);
   auto csv = job_trace_to_csv(table);
-  TableArrivals replayed(job_trace_from_csv(csv, 2).value());
+  TableArrivals replayed(drain_jobs(csv, 2, kWholeDocument).value());
   for (std::int64_t t = 0; t < 8; ++t) {
     EXPECT_EQ(replayed.arrivals(t), original.arrivals(t));
   }
@@ -139,7 +144,7 @@ TEST(ValuedJobTrace, CsvRoundTrip) {
   const std::string csv = valued_job_trace_to_csv(slots);
   EXPECT_EQ(csv.substr(0, csv.find('\n')),
             "slot,type,count,value,decay,deadline");
-  auto parsed = valued_job_trace_from_csv(csv, 2);
+  auto parsed = drain_batches(csv, 2, kWholeDocument);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().schema, JobTraceSchema::kValued);
   ASSERT_EQ(parsed.value().slots.size(), 3u);
@@ -162,7 +167,7 @@ TEST(ValuedJobTrace, ReaderAcceptsV1WithDeferredAnnotations) {
   // A v1 document through the valued reader: batches keep the "defer to the
   // JobType" sentinels, so existing traces parse unchanged everywhere.
   auto parsed =
-      valued_job_trace_from_csv("slot,type,count\n0,0,2\n0,1,1\n", 2);
+      drain_batches("slot,type,count\n0,0,2\n0,1,1\n", 2, kWholeDocument);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().schema, JobTraceSchema::kCounts);
   ASSERT_EQ(parsed.value().slots.size(), 1u);
@@ -175,7 +180,7 @@ TEST(ValuedJobTrace, ReaderAcceptsV1WithDeferredAnnotations) {
 }
 
 TEST(ValuedJobTrace, RejectsUnknownHeaderNamingBothVersions) {
-  auto parsed = valued_job_trace_from_csv("slot,count\n0,1\n", 2);
+  auto parsed = drain_batches("slot,count\n0,1\n", 2, kWholeDocument);
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error().message.find("'slot,type,count' (v1)"),
             std::string::npos);
@@ -200,7 +205,7 @@ TEST(ValuedJobTrace, MalformedRowsFailWithByteOffsets) {
       {"-1,0,1,1.0,0.0,-1\n", "has negative value"},
   };
   for (const auto& c : cases) {
-    auto parsed = valued_job_trace_from_csv(header + c.row, 2);
+    auto parsed = drain_batches(header + c.row, 2, kWholeDocument);
     ASSERT_FALSE(parsed.ok()) << c.row;
     EXPECT_NE(parsed.error().message.find(c.needle), std::string::npos)
         << parsed.error().message;
@@ -246,7 +251,7 @@ TEST(PriceTrace, MaterializeAndRoundTrip) {
   ASSERT_EQ(series.size(), 2u);
   ASSERT_EQ(series[0].size(), 3u);
   auto csv = price_trace_to_csv(series);
-  auto parsed = price_trace_from_csv(csv, 2);
+  auto parsed = drain_prices(csv, 2, kWholeDocument);
   ASSERT_TRUE(parsed.ok());
   for (std::size_t dc = 0; dc < 2; ++dc) {
     for (std::size_t t = 0; t < 3; ++t) {
@@ -258,7 +263,7 @@ TEST(PriceTrace, MaterializeAndRoundTrip) {
 TEST(PriceTrace, RejectsGaps) {
   // dc 0 has slots 0 and 2 but not 1.
   EXPECT_FALSE(
-      price_trace_from_csv("slot,dc,price\n0,0,0.4\n2,0,0.5\n", 1).ok());
+      drain_prices("slot,dc,price\n0,0,0.4\n2,0,0.5\n", 1, kWholeDocument).ok());
 }
 
 TEST(PriceTrace, RejectsRaggedDcSeries) {
@@ -266,7 +271,7 @@ TEST(PriceTrace, RejectsRaggedDcSeries) {
   // dc 1's series and price slot 2 at slot 0's 0.5.
   const std::string csv =
       "slot,dc,price\n0,0,0.4\n0,1,0.5\n1,0,0.45\n1,1,0.7\n2,0,0.6\n";
-  auto parsed = price_trace_from_csv(csv, 2);
+  auto parsed = drain_prices(csv, 2, kWholeDocument);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.error().message, "price trace has a gap at slot 2 for dc 1");
 
@@ -279,8 +284,9 @@ TEST(PriceTrace, RejectsRaggedDcSeries) {
 }
 
 TEST(PriceTrace, RejectsSlotBeyondLimit) {
-  auto parsed = price_trace_from_csv(
-      "slot,dc,price\n0,0,0.5\n" + std::to_string(kMaxTraceSlots) + ",0,0.5\n", 1);
+  auto parsed = drain_prices(
+      "slot,dc,price\n0,0,0.5\n" + std::to_string(kMaxTraceSlots) + ",0,0.5\n", 1,
+      kWholeDocument);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.error().message,
             "price trace row 2 at byte 22 (line 3, col 1) has slot beyond the "
@@ -288,20 +294,20 @@ TEST(PriceTrace, RejectsSlotBeyondLimit) {
 }
 
 TEST(PriceTrace, RejectsMalformed) {
-  EXPECT_FALSE(price_trace_from_csv("", 1).ok());
-  EXPECT_FALSE(price_trace_from_csv("bad,header,x\n", 1).ok());
-  EXPECT_FALSE(price_trace_from_csv("slot,dc,price\n0,0\n", 1).ok());
-  EXPECT_FALSE(price_trace_from_csv("slot,dc,price\n0,5,0.4\n", 1).ok());
-  EXPECT_FALSE(price_trace_from_csv("slot,dc,price\n0,0,0\n", 1).ok());
-  EXPECT_FALSE(price_trace_from_csv("slot,dc,price\n0,0,-0.5\n", 1).ok());
-  EXPECT_FALSE(price_trace_from_csv("slot,dc,price\n", 1).ok());
+  EXPECT_FALSE(drain_prices("", 1, kWholeDocument).ok());
+  EXPECT_FALSE(drain_prices("bad,header,x\n", 1, kWholeDocument).ok());
+  EXPECT_FALSE(drain_prices("slot,dc,price\n0,0\n", 1, kWholeDocument).ok());
+  EXPECT_FALSE(drain_prices("slot,dc,price\n0,5,0.4\n", 1, kWholeDocument).ok());
+  EXPECT_FALSE(drain_prices("slot,dc,price\n0,0,0\n", 1, kWholeDocument).ok());
+  EXPECT_FALSE(drain_prices("slot,dc,price\n0,0,-0.5\n", 1, kWholeDocument).ok());
+  EXPECT_FALSE(drain_prices("slot,dc,price\n", 1, kWholeDocument).ok());
 }
 
 TEST(PriceTrace, RoundTripsThroughTablePriceModel) {
   auto m = make_paper_price_model(1);
   auto series = materialize_prices(*m, 48);
   auto csv = price_trace_to_csv(series);
-  TablePriceModel replayed(price_trace_from_csv(csv, 3).value());
+  TablePriceModel replayed(drain_prices(csv, 3, kWholeDocument).value());
   for (std::size_t dc = 0; dc < 3; ++dc) {
     for (std::int64_t t = 0; t < 48; ++t) {
       EXPECT_NEAR(replayed.price(dc, t), m->price(dc, t), 1e-6);

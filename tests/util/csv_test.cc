@@ -50,13 +50,6 @@ TEST(CsvWriter, QuotesNewlines) {
   EXPECT_EQ(write_rows({{"line1\nline2"}}), "\"line1\nline2\"\n");
 }
 
-TEST(CsvWriter, DoubleRow) {
-  std::ostringstream os;
-  CsvWriter writer(os);
-  writer.write_row(std::vector<double>{1.5, 2.0}, 2);
-  EXPECT_EQ(os.str(), "1.50,2.00\n");
-}
-
 TEST(CsvReader, ParsesSimpleDocument) {
   auto rows = read_rows("a,b\n1,2\n").value();
   ASSERT_EQ(rows.size(), 2u);

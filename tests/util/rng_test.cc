@@ -114,19 +114,6 @@ TEST(Rng, NormalRejectsNegativeSd) {
   EXPECT_THROW(rng.normal(0.0, -1.0), ContractViolation);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(9);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
-TEST(Rng, ExponentialIsPositive) {
-  Rng rng(10);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.exponential(0.1), 0.0);
-}
-
 TEST(Rng, PoissonSmallLambdaMean) {
   Rng rng(11);
   double sum = 0.0;
@@ -160,20 +147,6 @@ TEST(Rng, PoissonNeverNegative) {
   for (int i = 0; i < 10000; ++i) EXPECT_GE(rng.poisson(70.0), 0);
 }
 
-TEST(Rng, ParetoRespectsScale) {
-  Rng rng(15);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-}
-
-TEST(Rng, ParetoMeanMatchesTheory) {
-  // Mean of Pareto(x_m, alpha) = alpha x_m / (alpha - 1) for alpha > 1.
-  Rng rng(16);
-  double sum = 0.0;
-  const int n = 400000;
-  for (int i = 0; i < n; ++i) sum += rng.pareto(1.0, 3.0);
-  EXPECT_NEAR(sum / n, 1.5, 0.02);
-}
-
 TEST(Rng, BernoulliProbability) {
   Rng rng(17);
   int heads = 0;
@@ -188,30 +161,6 @@ TEST(Rng, BernoulliEdges) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
   }
-}
-
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(19);
-  std::vector<double> weights{1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.weighted_index(weights)];
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
-}
-
-TEST(Rng, WeightedIndexRejectsAllZero) {
-  Rng rng(20);
-  std::vector<double> weights{0.0, 0.0};
-  EXPECT_THROW(rng.weighted_index(weights), ContractViolation);
-}
-
-TEST(Rng, WeightedIndexRejectsNegative) {
-  Rng rng(20);
-  std::vector<double> weights{1.0, -0.5};
-  EXPECT_THROW(rng.weighted_index(weights), ContractViolation);
 }
 
 TEST(Rng, ForkedStreamsAreIndependentAndDeterministic) {

@@ -86,11 +86,5 @@ TEST(Pad, LeftAndRight) {
   EXPECT_EQ(pad_left("abcdef", 3), "abcdef");  // no truncation
 }
 
-TEST(Join, Basics) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
-}
-
 }  // namespace
 }  // namespace grefar

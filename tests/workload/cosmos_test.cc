@@ -41,8 +41,8 @@ TEST(CosmosLike, DiurnalShapeRaisesDaytimeRates) {
   for (std::int64_t d = 0; d < 50; ++d) {
     std::int64_t day_slot = d * 24 + 14;
     std::int64_t night_slot = d * 24 + 2;
-    day += a.rate(0, day_slot);
-    night += a.rate(0, night_slot);
+    day += static_cast<double>(a.arrivals(day_slot)[0]);
+    night += static_cast<double>(a.arrivals(night_slot)[0]);
     ++days;
   }
   EXPECT_GT(day / days, 1.5 * night / days);
@@ -58,10 +58,10 @@ TEST(CosmosLike, WeekendsAreQuieter) {
   for (std::int64_t t = 0; t < 24 * 7 * 30; ++t) {
     std::int64_t day = (t / 24) % 7;
     if (day >= 5) {
-      weekend += a.rate(0, t);
+      weekend += static_cast<double>(a.arrivals(t)[0]);
       ++we;
     } else {
-      weekday += a.rate(0, t);
+      weekday += static_cast<double>(a.arrivals(t)[0]);
       ++wd;
     }
   }
@@ -117,20 +117,6 @@ TEST(CosmosLike, RejectsInvalidParams) {
   bad.a_max = -1;
   EXPECT_THROW(CosmosLikeArrivals({bad}, 1), ContractViolation);
   EXPECT_THROW(CosmosLikeArrivals({}, 1), ContractViolation);
-}
-
-TEST(CosmosLike, RateAndCountsAreConsistent) {
-  // Empirical mean of counts should track the mean of the rate envelope.
-  auto p = default_params();
-  p.a_max = 500;
-  CosmosLikeArrivals a({p}, 17);
-  double count_sum = 0.0, rate_sum = 0.0;
-  const int n = 20000;
-  for (std::int64_t t = 0; t < n; ++t) {
-    count_sum += static_cast<double>(a.arrivals(t)[0]);
-    rate_sum += a.rate(0, t);
-  }
-  EXPECT_NEAR(count_sum / n, rate_sum / n, 0.15);
 }
 
 }  // namespace
