@@ -87,17 +87,27 @@ int main(int argc, char** argv) {
   print_header("Ablation: per-slot solver choice",
                "DESIGN.md section 5 (design-choice ablation)", seed, horizon);
 
-  // One leg per beta; each builds its own scenario and probe. Solve times
-  // are wall-clock — under --jobs > 1 legs contend for cores, so compare
-  // timings from a --jobs 1 run.
+  // One leg per beta, each with its own probe as the leg's scheduler. Solve
+  // times are wall-clock — under --jobs > 1 legs contend for cores, so
+  // compare timings from a --jobs 1 run.
   const std::vector<double> betas = {0.0, 100.0};
   std::vector<std::shared_ptr<PgdAccuracyProbe>> probes(betas.size());
-  auto sweep = run_sweep(betas.size(), horizon, jobs, [&](std::size_t leg) {
-    PaperScenario scenario = make_paper_scenario(seed);
-    probes[leg] = std::make_shared<PgdAccuracyProbe>(
-        scenario.config, paper_grefar_params(V, betas[leg]), /*all_solvers=*/true);
-    return make_scenario_engine(scenario, probes[leg], audit);
-  }, &obs);
+  sweep::SweepSpec spec;
+  spec.axes = {{.name = "beta", .values = betas}};
+  spec.horizon = horizon;
+  spec.scenario = [&](const sweep::SweepPoint&) { return make_paper_scenario(seed); };
+  spec.plan = [&](const sweep::SweepPoint& p) {
+    sweep::LegPlan plan;
+    plan.scenario_key = "paper/seed=" + std::to_string(seed);
+    plan.make_scheduler = [&probes, V, beta = p.value(0),
+                           leg = p.leg](const sweep::ScenarioArtifacts& art) {
+      probes[leg] = std::make_shared<PgdAccuracyProbe>(
+          *art.config, paper_grefar_params(V, beta), /*all_solvers=*/true);
+      return probes[leg];
+    };
+    return plan;
+  };
+  auto sweep_results = run_sweep_spec(spec, jobs, audit, &obs);
 
   const SolverColumn greedy{"greedy", [](const PgdAccuracySample& s) { return s.greedy.value; },
                             [](const PgdAccuracySample& s) { return s.greedy.micros; }};
@@ -118,7 +128,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> headers = {
       "solver", "mean f", "median |df|", "max |df|", "% slots <= 1e-6", "us/solve"};
   for (std::size_t leg = 0; leg < betas.size(); ++leg) {
-    const auto& m = sweep.engines[leg]->metrics();
+    const auto& m = sweep_results[leg].metrics;
     const bool fair = betas[leg] > 0.0;
     std::cout << "-- beta = " << format_fixed(betas[leg], 0)
               << (fair ? " (SPG in production; greedy and LP ignore fairness) --\n"

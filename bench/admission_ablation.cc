@@ -62,19 +62,29 @@ int main(int argc, char** argv) {
       {"randomized", AdmissionPolicyKind::kRandomized},
   };
 
-  auto sweep = run_sweep(legs.size(), horizon, jobs, [&](std::size_t leg) {
-    PaperScenario scenario = make_admission_scenario(seed, legs[leg].kind);
-    auto scheduler = std::make_shared<GreFarScheduler>(
-        scenario.config, paper_grefar_params(V, beta));
-    return make_scenario_engine(scenario, std::move(scheduler), audit);
-  }, &obs);
+  // The policy is part of the scenario, so each leg materializes its own.
+  sweep::SweepSpec spec;
+  spec.axes = {{.name = "policy"}};
+  for (const Leg& leg : legs) spec.axes[0].labels.push_back(leg.label);
+  spec.horizon = horizon;
+  spec.scenario = [&](const sweep::SweepPoint& p) {
+    return make_admission_scenario(seed, legs[p.leg].kind);
+  };
+  spec.plan = [&](const sweep::SweepPoint& p) {
+    sweep::LegPlan plan;
+    plan.scenario_key =
+        "admission/" + legs[p.leg].label + "/seed=" + std::to_string(seed);
+    plan.grefar = paper_grefar_params(V, beta);
+    return plan;
+  };
+  auto sweep_results = run_sweep_spec(spec, jobs, audit, &obs);
 
   SummaryTable table({"policy", "offered jobs", "admitted jobs",
                       "abandoned jobs", "realized value", "rejected value",
                       "abandoned value", "decay loss", "energy cost"});
   std::vector<double> realized(legs.size(), 0.0);
   for (std::size_t leg = 0; leg < legs.size(); ++leg) {
-    const SimMetrics& m = sweep.engines[leg]->metrics();
+    const SimMetrics& m = sweep_results[leg].metrics;
     realized[leg] = m.total_realized_value();
     table.add_row(legs[leg].label,
                   {m.offered_jobs.sum(), m.arrived_jobs.sum(),
@@ -84,7 +94,7 @@ int main(int argc, char** argv) {
   }
   std::cout << table.render() << "\n";
   for (std::size_t leg = 0; leg < legs.size(); ++leg) {
-    std::cerr << legs[leg].label << ": " << sweep.leg_ms[leg] << " ms\n";
+    std::cerr << legs[leg].label << ": " << sweep_results[leg].leg_ms << " ms\n";
   }
 
   bool pass = true;

@@ -7,8 +7,12 @@
 // This is the CI end-to-end correctness gate — a machine-checked version of
 // "all the figures still mean what they claim". Run it Debug for the extra
 // libstdc++ assertions; the auditor itself works in any build type.
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "baselines/baselines.h"
 #include "check/invariant_auditor.h"
@@ -44,66 +48,99 @@ int main(int argc, char** argv) {
   print_header("Invariant audit: all schedulers, paper scenario",
                "correctness gate (not a paper figure)", seed, horizon);
 
+  // GreFar legs ride the sweep engine's scheduler arena; every other
+  // scheduler is built per leg from the shared materialized scenario, so
+  // MPC forecasts from its tables.
   struct Leg {
     std::string label;
-    std::function<std::shared_ptr<Scheduler>(const PaperScenario&)> make;
+    std::optional<GreFarParams> grefar;
+    std::function<std::shared_ptr<Scheduler>(const sweep::ScenarioArtifacts&)> make;
   };
   std::vector<Leg> legs;
   // GreFar runs the greedy at beta = 0 and SPG above.
-  auto add_grefar = [&](const std::string& label, double b) {
-    legs.push_back({label, [=](const PaperScenario& s) -> std::shared_ptr<Scheduler> {
-                      return std::make_shared<GreFarScheduler>(s.config,
-                                                               paper_grefar_params(V, b));
-                    }});
-  };
-  add_grefar("GreFar greedy", 0.0);
-  add_grefar("GreFar PGD", beta);
-  legs.push_back({"Always", [](const PaperScenario& s) -> std::shared_ptr<Scheduler> {
-                    return std::make_shared<AlwaysScheduler>(s.config);
+  legs.push_back({"GreFar greedy", paper_grefar_params(V, 0.0), nullptr});
+  legs.push_back({"GreFar PGD", paper_grefar_params(V, beta), nullptr});
+  legs.push_back({"Always", std::nullopt,
+                  [](const sweep::ScenarioArtifacts& a) -> std::shared_ptr<Scheduler> {
+                    return std::make_shared<AlwaysScheduler>(*a.config);
                   }});
-  legs.push_back(
-      {"CheapestFirst", [](const PaperScenario& s) -> std::shared_ptr<Scheduler> {
-         return std::make_shared<CheapestFirstScheduler>(s.config);
-       }});
-  legs.push_back({"Random", [seed](const PaperScenario& s) -> std::shared_ptr<Scheduler> {
-                    return std::make_shared<RandomScheduler>(s.config, seed ^ 0xF00DULL);
+  legs.push_back({"CheapestFirst", std::nullopt,
+                  [](const sweep::ScenarioArtifacts& a) -> std::shared_ptr<Scheduler> {
+                    return std::make_shared<CheapestFirstScheduler>(*a.config);
                   }});
-  legs.push_back({"LocalOnly", [](const PaperScenario& s) -> std::shared_ptr<Scheduler> {
-                    return std::make_shared<LocalOnlyScheduler>(s.config);
+  legs.push_back({"Random", std::nullopt,
+                  [seed](const sweep::ScenarioArtifacts& a) -> std::shared_ptr<Scheduler> {
+                    return std::make_shared<RandomScheduler>(*a.config, seed ^ 0xF00DULL);
                   }});
-  legs.push_back(
-      {"PriceThreshold", [](const PaperScenario& s) -> std::shared_ptr<Scheduler> {
-         return std::make_shared<PriceThresholdScheduler>(s.config, 0.45);
-       }});
-  legs.push_back(
-      {"MPC", [mpc_window](const PaperScenario& s) -> std::shared_ptr<Scheduler> {
-         MpcParams p;
-         p.window = mpc_window;
-         return std::make_shared<MpcScheduler>(s.config, s.prices, s.availability,
-                                               s.arrivals, p);
-       }});
+  legs.push_back({"LocalOnly", std::nullopt,
+                  [](const sweep::ScenarioArtifacts& a) -> std::shared_ptr<Scheduler> {
+                    return std::make_shared<LocalOnlyScheduler>(*a.config);
+                  }});
+  legs.push_back({"PriceThreshold", std::nullopt,
+                  [](const sweep::ScenarioArtifacts& a) -> std::shared_ptr<Scheduler> {
+                    return std::make_shared<PriceThresholdScheduler>(*a.config, 0.45);
+                  }});
+  legs.push_back({"MPC", std::nullopt,
+                  [mpc_window](const sweep::ScenarioArtifacts& a)
+                      -> std::shared_ptr<Scheduler> {
+                    MpcParams p;
+                    p.window = mpc_window;
+                    return std::make_shared<MpcScheduler>(*a.config, a.prices,
+                                                          a.availability, a.arrivals, p);
+                  }});
 
-  auto sweep = run_sweep(legs.size(), horizon, jobs, [&](std::size_t leg) {
-    PaperScenario scenario = make_paper_scenario(seed);
-    return make_scenario_engine(scenario, legs[leg].make(scenario), audit);
-  }, &obs);
+  sweep::SweepSpec spec;
+  spec.axes = {{.name = "scheduler"}};
+  for (const Leg& leg : legs) spec.axes[0].labels.push_back(leg.label);
+  spec.horizon = horizon;
+  spec.scenario = [&](const sweep::SweepPoint&) { return make_paper_scenario(seed); };
+  spec.plan = [&](const sweep::SweepPoint& p) {
+    sweep::LegPlan plan;
+    plan.scenario_key = "paper/seed=" + std::to_string(seed);
+    plan.grefar = legs[p.leg].grefar;
+    plan.make_scheduler = legs[p.leg].make;
+    return plan;
+  };
+
+  // The collector reads each leg's auditor before its engine moves on.
+  struct LegAudit {
+    bool attached = false;
+    bool ok = true;
+    double slots = 0.0;
+    double violations = 0.0;
+    std::string report;
+  };
+  std::vector<LegAudit> audits(legs.size());
+  sweep::SweepOptions options;
+  options.jobs = jobs;
+  options.audit = audit;
+  sweep::SweepEngine engine(options);
+  const sweep::SweepRunStats stats = engine.run(
+      spec,
+      [&audits](std::size_t leg, SimulationEngine& e) {
+        const auto* auditor = dynamic_cast<const InvariantAuditor*>(e.inspector());
+        if (auditor == nullptr) return;
+        audits[leg] = {true, auditor->ok(),
+                       static_cast<double>(auditor->slots_audited()),
+                       static_cast<double>(auditor->total_violations()),
+                       auditor->ok() ? std::string() : auditor->report()};
+      },
+      [&obs](std::size_t leg, SimulationEngine& e) {
+        if (leg == 0) obs.attach_tracer(e);
+      });
 
   SummaryTable table({"scheduler", "slots audited", "violations", "leg ms"});
   bool clean = true;
   for (std::size_t leg = 0; leg < legs.size(); ++leg) {
-    const auto* auditor =
-        dynamic_cast<const InvariantAuditor*>(sweep.engines[leg]->inspector());
-    if (auditor == nullptr) {
+    if (!audits[leg].attached) {
       std::cerr << "error: no auditor attached to leg " << legs[leg].label << "\n";
       return 2;
     }
     table.add_row(legs[leg].label,
-                  {static_cast<double>(auditor->slots_audited()),
-                   static_cast<double>(auditor->total_violations()),
-                   sweep.leg_ms[leg]});
-    if (!auditor->ok()) {
+                  {audits[leg].slots, audits[leg].violations, stats.leg_ms[leg]});
+    if (!audits[leg].ok) {
       clean = false;
-      std::cout << "-- " << legs[leg].label << " --\n" << auditor->report() << "\n";
+      std::cout << "-- " << legs[leg].label << " --\n" << audits[leg].report << "\n";
     }
   }
   std::cout << table.render() << "\n";

@@ -1,13 +1,11 @@
 #include "common/experiment.h"
 
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <utility>
 
 #include "obs/tracing_inspector.h"
-#include "parallel/sim_runner.h"
 #include "util/ascii_chart.h"
 #include "util/csv.h"
 #include "util/svg_chart.h"
@@ -21,7 +19,7 @@ void add_common_options(CliParser& cli, const std::string& default_horizon) {
   cli.add_option("svg-dir", "", "directory to drop SVG renderings into");
   cli.add_option("chart-width", "72", "ASCII chart width in columns");
   cli.add_option("jobs", "0",
-                 "parallel simulation runs (0 = all hardware threads, 1 = serial)");
+                 "parallel simulation runs (0 = all usable CPUs, 1 = serial)");
   cli.add_option("audit", "auto",
                  "per-slot invariant auditing: auto|off|throw|record "
                  "(auto = throw in Debug builds, off in Release)");
@@ -94,8 +92,7 @@ void ObsSession::finish() {
 }
 
 std::size_t jobs_from_cli(const CliParser& cli) {
-  int jobs = cli.get_int("jobs");
-  return jobs <= 0 ? 0 : static_cast<std::size_t>(jobs);
+  return static_cast<std::size_t>(int_at_least(cli, "jobs", 0));
 }
 
 AuditMode audit_from_cli(const CliParser& cli) {
@@ -105,31 +102,6 @@ AuditMode audit_from_cli(const CliParser& cli) {
   if (mode == "throw") return AuditMode::kThrow;
   if (mode == "record") return AuditMode::kRecord;
   exit_usage(cli, "--audit must be auto|off|throw|record, got '" + mode + "'");
-}
-
-SweepResult run_sweep(
-    std::size_t count, std::int64_t horizon, std::size_t jobs,
-    const std::function<std::unique_ptr<SimulationEngine>(std::size_t)>& make_engine,
-    const ObsSession* obs) {
-  SweepResult result;
-  result.engines.resize(count);
-  result.leg_ms.resize(count, 0.0);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(count);
-  for (std::size_t leg = 0; leg < count; ++leg) {
-    tasks.push_back([&result, &make_engine, obs, horizon, leg] {
-      auto start = std::chrono::steady_clock::now();
-      result.engines[leg] = make_engine(leg);
-      if (leg == 0 && obs != nullptr) obs->attach_tracer(*result.engines[leg]);
-      result.engines[leg]->run(horizon);
-      result.leg_ms[leg] = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    });
-  }
-  SimRunner runner(jobs);
-  runner.run(tasks);
-  return result;
 }
 
 std::vector<sweep::SweepLegResult> run_sweep_spec(const sweep::SweepSpec& spec,

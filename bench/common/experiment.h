@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,7 +24,7 @@
 namespace grefar::bench {
 
 /// Registers the options shared by all experiment binaries (including
-/// --jobs for the sweep binaries; see run_sweep, and the observability
+/// --jobs for the sweep binaries; see run_sweep_spec, and the observability
 /// flags --trace/--counters/--profile; see ObsSession).
 void add_common_options(CliParser& cli, const std::string& default_horizon = "2000");
 
@@ -40,8 +39,9 @@ void add_common_options(CliParser& cli, const std::string& default_horizon = "20
 ///                   table at exit.
 ///
 /// Constructing the session installs the counter/profile registries on the
-/// calling thread (the parallel runner forwards them to worker threads and
-/// merges at join, so counter totals are identical at any --jobs value).
+/// calling thread (the parallel loop gives worker threads private ones and
+/// merges them at the join, so counter totals are identical at any --jobs
+/// value).
 /// With none of the flags given every member stays null and the run is
 /// untouched. finish() prints the requested reports and throws
 /// ContractViolation if the --trace file cannot be written; the destructor
@@ -79,8 +79,9 @@ class ObsSession {
   bool finished_ = false;
 };
 
-/// Parses --jobs: 0 (the default) means all hardware threads, 1 forces the
-/// serial path, N caps the worker count at N.
+/// Parses --jobs, the worker count of a sweep: 0 (the default) means all
+/// usable CPUs, 1 runs every leg inline in leg order, N caps the workers at
+/// N. A negative value exits through exit_usage naming --jobs.
 std::size_t jobs_from_cli(const CliParser& cli);
 
 /// Parses --audit into the scenario AuditMode ("auto" | "off" | "throw" |
@@ -88,34 +89,6 @@ std::size_t jobs_from_cli(const CliParser& cli);
 /// build-type default: every-slot invariant auditing in Debug, none in
 /// Release (see AuditMode in scenario/paper_scenario.h).
 AuditMode audit_from_cli(const CliParser& cli);
-
-/// What run_sweep hands back: one engine (metrics inside) and one wall-clock
-/// measurement per leg, both in leg order.
-struct SweepResult {
-  std::vector<std::unique_ptr<SimulationEngine>> engines;
-  std::vector<double> leg_ms;  // build + run wall-clock per leg
-};
-
-/// Runs `count` independent simulation legs for `horizon` slots each,
-/// fanned across `jobs` worker threads (`jobs` == 1 runs inline, serially,
-/// in leg order — the historical behaviour, bit-for-bit).
-///
-/// `make_engine(leg)` is called on a worker thread and must build the leg's
-/// *entire* stack — scenario, scheduler, engine. Legs must not share model
-/// instances: the stochastic models (prices, availability, arrivals) carry
-/// lazily extended mutable caches, so a shared instance is a data race.
-/// Rebuilding a scenario from the same seed per leg is deterministic and
-/// costs microseconds, and it makes the sweep output independent of the
-/// worker count: results land in per-leg slots and are aggregated in leg
-/// order after every leg finished.
-///
-/// When `obs` is given and tracing is on, leg 0 gets the TracingInspector
-/// attached before it runs (one traced reference leg keeps trace files a
-/// bounded size regardless of sweep width).
-SweepResult run_sweep(
-    std::size_t count, std::int64_t horizon, std::size_t jobs,
-    const std::function<std::unique_ptr<SimulationEngine>(std::size_t)>& make_engine,
-    const ObsSession* obs = nullptr);
 
 /// Runs a declarative SweepSpec on the shared-artifact sweep engine
 /// (src/sweep/): scenarios materialize once per unique key, each worker

@@ -38,20 +38,25 @@ int main(int argc, char** argv) {
   print_header("Fig. 3: impact of the energy-fairness parameter beta",
                "Ren, He, Xu (ICDCS'12), Fig. 3(a)-(c)", seed, horizon);
 
-  // One leg per beta; each builds its own scenario (same seed => same traces).
-  auto sweep = run_sweep(betas.size(), horizon, jobs, [&](std::size_t leg) {
-    PaperScenario scenario = make_paper_scenario(seed);
-    auto scheduler = std::make_shared<GreFarScheduler>(
-        scenario.config, paper_grefar_params(V, betas[leg]));
-    return make_scenario_engine(scenario, std::move(scheduler), audit);
-  }, &obs);
+  // One leg per beta, all on the one materialized paper scenario.
+  sweep::SweepSpec spec;
+  spec.axes = {{.name = "beta", .values = betas}};
+  spec.horizon = horizon;
+  spec.scenario = [&](const sweep::SweepPoint&) { return make_paper_scenario(seed); };
+  spec.plan = [&](const sweep::SweepPoint& p) {
+    sweep::LegPlan plan;
+    plan.scenario_key = "paper/seed=" + std::to_string(seed);
+    plan.grefar = paper_grefar_params(V, p.value(0));
+    return plan;
+  };
+  auto sweep_results = run_sweep_spec(spec, jobs, audit, &obs);
 
   std::vector<TimeSeries> energy, fairness, delay_dc1;
   SummaryTable summary(
       {"beta", "avg energy cost", "avg fairness", "avg delay DC1", "overall delay"});
 
   for (std::size_t leg = 0; leg < betas.size(); ++leg) {
-    const auto& m = sweep.engines[leg]->metrics();
+    const auto& m = sweep_results[leg].metrics;
     std::string label = "beta=" + format_fixed(betas[leg], 0);
     energy.push_back(named(m.average_energy_cost(), label));
     fairness.push_back(named(m.average_fairness(), label));

@@ -37,25 +37,31 @@ int main(int argc, char** argv) {
   print_header("Fig. 4: GreFar versus Always",
                "Ren, He, Xu (ICDCS'12), Fig. 4(a)-(c)", seed, horizon);
 
-  // Leg 0 = GreFar, leg 1 = Always; each leg builds its own scenario.
-  auto sweep = run_sweep(2, horizon, jobs, [&](std::size_t leg) {
-    PaperScenario scenario = make_paper_scenario(seed);
-    std::shared_ptr<Scheduler> scheduler;
-    if (leg == 0) {
-      scheduler = std::make_shared<GreFarScheduler>(scenario.config,
-                                                    paper_grefar_params(V, beta));
+  // Leg 0 = GreFar, leg 1 = Always, both on one materialized scenario.
+  sweep::SweepSpec spec;
+  spec.axes = {{.name = "scheduler", .labels = {"GreFar", "Always"}}};
+  spec.horizon = horizon;
+  spec.scenario = [&](const sweep::SweepPoint&) { return make_paper_scenario(seed); };
+  spec.plan = [&](const sweep::SweepPoint& p) {
+    sweep::LegPlan plan;
+    plan.scenario_key = "paper/seed=" + std::to_string(seed);
+    if (p.leg == 0) {
+      plan.grefar = paper_grefar_params(V, beta);
     } else {
-      scheduler = std::make_shared<AlwaysScheduler>(scenario.config);
+      plan.make_scheduler = [](const sweep::ScenarioArtifacts& art) {
+        return std::make_shared<AlwaysScheduler>(*art.config);
+      };
     }
-    return make_scenario_engine(scenario, std::move(scheduler), audit);
-  }, &obs);
+    return plan;
+  };
+  auto sweep_results = run_sweep_spec(spec, jobs, audit, &obs);
 
   std::vector<TimeSeries> energy, fairness, delay_dc1;
   SummaryTable summary({"scheduler", "avg energy cost", "avg fairness",
                         "avg delay DC1", "overall delay"});
-  for (const auto& engine : sweep.engines) {
-    const auto& m = engine->metrics();
-    std::string name = engine->scheduler().name();
+  for (const auto& leg : sweep_results) {
+    const auto& m = leg.metrics;
+    const std::string& name = leg.scheduler_name;
     std::string label = name == "Always" ? "Always" : "GreFar";
     energy.push_back(named(m.average_energy_cost(), label));
     fairness.push_back(named(m.average_fairness(), label));

@@ -2,8 +2,9 @@
 //
 // Runs the same seeds x V cross product (GreFar, beta = 0) two ways:
 //
-//   A  the historical run_sweep path — every leg rebuilds its scenario,
-//      scheduler and engine from scratch;
+//   A  the rebuild-per-leg reference, serial on the calling thread — every
+//      leg rebuilds its scenario (lazy stochastic models), scheduler and
+//      engine from scratch;
 //   B  the SweepEngine path — scenarios materialize once per seed and are
 //      shared read-only, each worker reuses one persistent engine/scheduler
 //      arena, legs are chunk-scheduled (DESIGN.md §16).
@@ -167,7 +168,9 @@ int main(int argc, char** argv) {
     return plan;
   };
 
-  // -- pass A: the historical rebuild-per-leg path ---------------------------
+  // -- pass A: the serial rebuild-per-leg reference --------------------------
+  // Its lazy models are the reference the sweep engine's table replay must
+  // match bit for bit (the equality gate below).
   // Both passes repeat `reps` times and record two walls: the FIRST rep
   // (cold — fresh allocator/page state, which is what a real bench
   // invocation pays, since every sweep binary is a fresh process that runs
@@ -183,14 +186,13 @@ int main(int argc, char** argv) {
   double rebuild_ms = std::numeric_limits<double>::infinity();
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const double t0 = now_ms();
-    auto result = run_sweep(num_legs, horizon, jobs, [&](std::size_t leg) {
+    for (std::size_t leg = 0; leg < num_legs; ++leg) {
       PaperScenario scenario = make_paper_scenario(leg_seed(leg));
       auto scheduler = std::make_shared<GreFarScheduler>(
           scenario.config, paper_grefar_params(leg_v(leg), 0.0));
-      return make_scenario_engine(scenario, std::move(scheduler), audit);
-    });
-    for (std::size_t leg = 0; leg < num_legs; ++leg) {
-      fp_rebuild[leg] = fingerprint(result.engines[leg]->metrics());
+      auto leg_engine = make_scenario_engine(scenario, std::move(scheduler), audit);
+      leg_engine->run(horizon);
+      fp_rebuild[leg] = fingerprint(leg_engine->metrics());
     }
     const double wall = now_ms() - t0;
     if (rep == 0) rebuild_cold_ms = wall;

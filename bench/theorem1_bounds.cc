@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
   const auto horizon = cli.get_int("horizon");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const auto T = cli.get_int("T");
-  const auto jobs = jobs_from_cli(cli);
 
   ObsSession obs(cli);
 
@@ -104,7 +103,6 @@ int main(int argc, char** argv) {
   lp.R = horizon / T;
   lp.r_max = 50.0;
   lp.h_max = 50.0;
-  lp.jobs = jobs;  // frame LPs fan out; costs are bit-identical at any value
   double optimal = solve_lookahead(config, *prices, avail_la, arrivals_la, lp).average_cost;
   std::cout << "optimal T-step lookahead average cost (T=" << T
             << "): " << format_fixed(optimal, 4) << "\n\n";

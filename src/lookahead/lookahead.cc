@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 
-#include "parallel/sim_runner.h"
 #include "sim/fairness.h"
 #include "util/check.h"
 
@@ -13,10 +11,8 @@ namespace grefar {
 
 namespace {
 
-/// One frame's worth of model data, pre-materialized serially so frame
-/// solves can run on worker threads without touching the price /
-/// availability / arrival models (whose implementations carry lazily
-/// extended mutable caches and are not safe to share across threads).
+/// One frame's worth of model data, read from the models right before the
+/// frame is solved.
 struct FrameData {
   std::int64_t frame_start = 0;
   std::vector<std::vector<double>> prices;           // [t][i]
@@ -144,31 +140,18 @@ LookaheadResult solve_lookahead(const ClusterConfig& config, const PriceModel& p
   GREFAR_CHECK_MSG(!config.has_nonlinear_billing(),
                    "the lookahead frame LP models linear billing only");
   const auto R = static_cast<std::size_t>(params.R);
-  // Serial prefetch of every frame's model data (see FrameData), then the
-  // independent frame LPs fan out over the pool. Each worker performs the
-  // exact same floating-point work regardless of job count and results land
-  // in per-frame slots, so the reduction is bit-identical at any --jobs.
-  std::vector<FrameData> frames;
-  frames.reserve(R);
-  for (std::size_t r = 0; r < R; ++r) {
-    frames.push_back(gather_frame(config, prices, availability, arrivals,
-                                  static_cast<std::int64_t>(r) * params.T,
-                                  params.T));
-  }
   LookaheadResult result;
   result.frame_costs.assign(R, 0.0);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(R);
   for (std::size_t r = 0; r < R; ++r) {
-    tasks.push_back([&config, &params, &frames, &result, r] {
-      LinearProgram lp = build_frame_lp_from_data(config, frames[r], params);
-      LpSolution sol = solve_lp(lp);
-      GREFAR_CHECK_MSG(sol.optimal(), "frame " << r << " LP " << to_string(sol.status)
-                                               << " — slackness (20)-(22) violated?");
-      result.frame_costs[r] = sol.objective / static_cast<double>(params.T);
-    });
+    const FrameData data =
+        gather_frame(config, prices, availability, arrivals,
+                     static_cast<std::int64_t>(r) * params.T, params.T);
+    LinearProgram lp = build_frame_lp_from_data(config, data, params);
+    LpSolution sol = solve_lp(lp);
+    GREFAR_CHECK_MSG(sol.optimal(), "frame " << r << " LP " << to_string(sol.status)
+                                             << " — slackness (20)-(22) violated?");
+    result.frame_costs[r] = sol.objective / static_cast<double>(params.T);
   }
-  SimRunner(params.jobs).run(tasks);
   double sum = 0.0;
   for (double c : result.frame_costs) sum += c;
   result.average_cost = sum / static_cast<double>(params.R);
@@ -178,8 +161,7 @@ LookaheadResult solve_lookahead(const ClusterConfig& config, const PriceModel& p
 namespace {
 
 /// Objective pieces for the fairness-aware frame problem, in the variable
-/// layout of build_frame_lp_from_data. Reads only pre-materialized frame data (total
-/// slot resource), so it is safe to evaluate on a worker thread.
+/// layout of build_frame_lp_from_data.
 struct FrameObjective {
   const ClusterConfig* config;
   std::size_t T;
@@ -255,90 +237,79 @@ LookaheadResult solve_lookahead_fair(const ClusterConfig& config,
 
   const auto R = static_cast<std::size_t>(params.base.R);
   const auto F = static_cast<std::size_t>(params.base.T);
-  std::vector<FrameData> frames;
-  frames.reserve(R);
-  for (std::size_t r = 0; r < R; ++r) {
-    frames.push_back(gather_frame(config, prices, availability, arrivals,
-                                  static_cast<std::int64_t>(r) * params.base.T,
-                                  params.base.T));
-  }
-
   LookaheadResult result;
   result.frame_costs.assign(R, 0.0);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(R);
   for (std::size_t r = 0; r < R; ++r) {
-    tasks.push_back([&config, &params, &frames, &result, F, r] {
-      const FrameData& data = frames[r];
-      LinearProgram lp = build_frame_lp_from_data(config, data, params.base);
+    const FrameData data =
+        gather_frame(config, prices, availability, arrivals,
+                     static_cast<std::int64_t>(r) * params.base.T, params.base.T);
+    LinearProgram lp = build_frame_lp_from_data(config, data, params.base);
 
-      FrameObjective objective{&config,
-                               F,
-                               params.beta,
-                               lp.objective(),  // energy coefficients
-                               std::vector<double>(F, 0.0),
-                               FairnessFunction(config.gammas())};
-      for (std::size_t t = 0; t < F; ++t) {
-        double total = 0.0;
-        for (std::size_t i = 0; i < config.num_data_centers(); ++i) {
-          for (std::size_t k = 0; k < config.num_server_types(); ++k) {
-            total += static_cast<double>(data.avail[t](i, k)) *
-                     config.server_types[k].speed;
-          }
+    FrameObjective objective{&config,
+                             F,
+                             params.beta,
+                             lp.objective(),  // energy coefficients
+                             std::vector<double>(F, 0.0),
+                             FairnessFunction(config.gammas())};
+    for (std::size_t t = 0; t < F; ++t) {
+      double total = 0.0;
+      for (std::size_t i = 0; i < config.num_data_centers(); ++i) {
+        for (std::size_t k = 0; k < config.num_server_types(); ++k) {
+          total += static_cast<double>(data.avail[t](i, k)) *
+                   config.server_types[k].speed;
         }
-        objective.resource[t] = total;
       }
+      objective.resource[t] = total;
+    }
 
-      // Start from the energy-only optimum (also a feasibility certificate).
-      LpSolution start = solve_lp(lp);
-      GREFAR_CHECK_MSG(start.optimal(), "frame " << r << " LP "
-                                                 << to_string(start.status)
-                                                 << " — slackness violated?");
-      std::vector<double> x = std::move(start.x);
-      SimplexBasis basis = std::move(start.basis);
+    // Start from the energy-only optimum (also a feasibility certificate).
+    LpSolution start = solve_lp(lp);
+    GREFAR_CHECK_MSG(start.optimal(), "frame " << r << " LP "
+                                               << to_string(start.status)
+                                               << " — slackness violated?");
+    std::vector<double> x = std::move(start.x);
+    SimplexBasis basis = std::move(start.basis);
 
-      // Frank-Wolfe with the frame LP as the LMO. The polytope is fixed
-      // within the frame: only the objective changes per iteration, so the
-      // previous vertex's basis stays primal feasible and every LMO call
-      // re-enters phase 2 warm instead of re-solving from scratch.
-      for (int iter = 0; iter < params.fw_iterations; ++iter) {
-        auto grad = objective.gradient(x);
-        for (std::size_t v = 0; v < grad.size(); ++v) lp.set_objective(v, grad[v]);
-        LpSolution vertex = solve_lp(lp, basis);
-        GREFAR_CHECK_MSG(vertex.optimal(), "frame LMO " << to_string(vertex.status));
-        basis = std::move(vertex.basis);
+    // Frank-Wolfe with the frame LP as the LMO. The polytope is fixed
+    // within the frame: only the objective changes per iteration, so the
+    // previous vertex's basis stays primal feasible and every LMO call
+    // re-enters phase 2 warm instead of re-solving from scratch.
+    for (int iter = 0; iter < params.fw_iterations; ++iter) {
+      auto grad = objective.gradient(x);
+      for (std::size_t v = 0; v < grad.size(); ++v) lp.set_objective(v, grad[v]);
+      LpSolution vertex = solve_lp(lp, basis);
+      GREFAR_CHECK_MSG(vertex.optimal(), "frame LMO " << to_string(vertex.status));
+      basis = std::move(vertex.basis);
 
-        double gap = 0.0;
-        for (std::size_t v = 0; v < grad.size(); ++v) {
-          gap += grad[v] * (x[v] - vertex.x[v]);
-        }
-        if (gap <= 1e-7) break;
+      double gap = 0.0;
+      for (std::size_t v = 0; v < grad.size(); ++v) {
+        gap += grad[v] * (x[v] - vertex.x[v]);
+      }
+      if (gap <= 1e-7) break;
 
-        // Ternary line search along the segment (objective convex).
-        auto value_at = [&](double step) {
-          std::vector<double> trial(x.size());
-          for (std::size_t v = 0; v < x.size(); ++v) {
-            trial[v] = x[v] + step * (vertex.x[v] - x[v]);
-          }
-          return objective.value(trial);
-        };
-        double lo = 0.0, hi = 1.0;
-        for (int ls = 0; ls < 40; ++ls) {
-          double m1 = lo + (hi - lo) / 3.0;
-          double m2 = hi - (hi - lo) / 3.0;
-          if (value_at(m1) <= value_at(m2)) hi = m2;
-          else lo = m1;
-        }
-        double step = 0.5 * (lo + hi);
-        if (step < 1e-12) step = 2.0 / (iter + 2.0);
+      // Ternary line search along the segment (objective convex).
+      auto value_at = [&](double step) {
+        std::vector<double> trial(x.size());
         for (std::size_t v = 0; v < x.size(); ++v) {
-          x[v] += step * (vertex.x[v] - x[v]);
+          trial[v] = x[v] + step * (vertex.x[v] - x[v]);
         }
+        return objective.value(trial);
+      };
+      double lo = 0.0, hi = 1.0;
+      for (int ls = 0; ls < 40; ++ls) {
+        double m1 = lo + (hi - lo) / 3.0;
+        double m2 = hi - (hi - lo) / 3.0;
+        if (value_at(m1) <= value_at(m2)) hi = m2;
+        else lo = m1;
       }
-      result.frame_costs[r] = objective.value(x) / static_cast<double>(F);
-    });
+      double step = 0.5 * (lo + hi);
+      if (step < 1e-12) step = 2.0 / (iter + 2.0);
+      for (std::size_t v = 0; v < x.size(); ++v) {
+        x[v] += step * (vertex.x[v] - x[v]);
+      }
+    }
+    result.frame_costs[r] = objective.value(x) / static_cast<double>(F);
   }
-  SimRunner(params.base.jobs).run(tasks);
   double sum = 0.0;
   for (double c : result.frame_costs) sum += c;
   result.average_cost = sum / static_cast<double>(params.base.R);

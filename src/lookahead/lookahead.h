@@ -35,10 +35,6 @@ struct LookaheadParams {
   std::int64_t R = 8;   // number of frames; horizon = R*T
   double r_max = 1e6;   // eq. (4) bound
   double h_max = 1e6;   // eq. (5) bound
-  /// Worker threads for the R independent frame solves (0 = all hardware
-  /// threads, 1 = serial). All model data is pre-materialized serially, so
-  /// frame_costs are bit-identical for every jobs value.
-  std::size_t jobs = 1;
 };
 
 struct LookaheadResult {
@@ -48,11 +44,8 @@ struct LookaheadResult {
 
 /// Solves every frame LP over the horizon [0, R*T). Throws ContractViolation
 /// if any frame is infeasible (the slackness conditions (20)-(22) guarantee
-/// feasibility on well-posed instances). The R frames are independent and
-/// fan out over a SimRunner thread pool (params.jobs); each worker only
-/// touches pre-materialized per-frame data, never the (lazily caching)
-/// price/availability/arrival models, and results reduce in frame order —
-/// the output is bit-identical at any job count.
+/// feasibility on well-posed instances). Frames are solved one after
+/// another, each from model data read right before its solve.
 LookaheadResult solve_lookahead(const ClusterConfig& config, const PriceModel& prices,
                                 const AvailabilityModel& availability,
                                 const ArrivalProcess& arrivals,
@@ -64,11 +57,9 @@ LookaheadResult solve_lookahead(const ClusterConfig& config, const PriceModel& p
 /// linearized objective) as the linear minimization oracle — the FW gap
 /// certifies near-optimality of every frame. The polytope never changes
 /// within a frame, so every LMO call after the first warm-starts from the
-/// previous vertex's simplex basis (phase-2 re-entry). Frames fan out over
-/// params.base.jobs workers with the same bit-identical guarantee as
-/// solve_lookahead. With beta = 0 this agrees with solve_lookahead (and
-/// costs more time); use it to empirically check Theorem 1 in the fairness
-/// regime.
+/// previous vertex's simplex basis (phase-2 re-entry). With beta = 0 this
+/// agrees with solve_lookahead (and costs more time); use it to empirically
+/// check Theorem 1 in the fairness regime.
 struct FairLookaheadParams {
   LookaheadParams base;
   double beta = 0.0;

@@ -9,7 +9,7 @@
 // Release hot paths.
 //
 // Determinism contract: counters are sums and gauges are maxes, both
-// order-insensitive, and the parallel runner (src/parallel/sim_runner.cc)
+// order-insensitive, and the parallel loop (src/parallel/thread_pool.cc)
 // gives every task its own registry and merges them into the parent at join
 // in task order. Counter totals are therefore bit-identical at any --jobs
 // value — the same discipline the sweep metrics follow.

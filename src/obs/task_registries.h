@@ -1,7 +1,7 @@
 // TaskRegistries: per-task counter/profile registries with an ordered merge.
 //
-// The parallel runners (SimRunner, and anything else that fans closures over
-// a pool) must not let worker threads touch the caller's registries: the
+// The parallel loop (for_each_index_tasked) and the serve loop's flush
+// thread must not let worker threads touch the caller's registries: the
 // active-registry pointers are thread-local, and counters promise
 // bit-identical totals at any --jobs value. The discipline — snapshot the
 // parent's active registries, give every task a private pair, and merge them
@@ -10,16 +10,15 @@
 // is exactly what the grefar-counter-discipline check (DESIGN.md §13) bans
 // outside src/obs, so the whole pattern lives here as one helper instead.
 //
-// Usage (see parallel/sim_runner.cc):
+// Usage (see parallel/thread_pool.cc):
 //
-//   obs::TaskRegistries regs(workers);
-//   pool.submit_batch(count, chunk, [&](std::size_t task, std::size_t begin,
-//                                       std::size_t end) {
-//     obs::CountersScope counters(regs.counters(task));
-//     obs::ProfileScope profile(regs.profile(task));
-//     for (std::size_t i = begin; i < end; ++i) fn(task, i);
-//   });
-//   regs.merge_ordered();  // caller thread, after every task finished
+//   obs::TaskRegistries regs(num_tasks);
+//   // on task t's thread:
+//   obs::CountersScope counters(regs.counters(t));
+//   obs::ProfileScope profile(regs.profile(t));
+//   ... run the task's indices ...
+//   // on the caller thread, after every task's thread joined:
+//   regs.merge_ordered();
 //
 // When the calling thread has no registry of a kind active, the matching
 // accessors return nullptr and the merge skips that kind — tasks then run

@@ -2,88 +2,78 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
+#include <exception>
+#include <thread>
+#include <vector>
 
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
+#include "obs/counters.h"
+#include "obs/profile.h"
+#include "obs/task_registries.h"
 #include "util/check.h"
 
 namespace grefar {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  num_threads = std::max<std::size_t>(num_threads, 1);
-  workers_.reserve(num_threads);
-  for (std::size_t t = 0; t < num_threads; ++t) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  // Workers only exit once the queue is empty (see worker_loop), so every
-  // task submitted before destruction still runs.
-  task_ready_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  GREFAR_CHECK(task != nullptr);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    GREFAR_CHECK_MSG(!stopping_, "submit() on a stopping ThreadPool");
-    queue_.push_back(std::move(task));
-  }
-  task_ready_.notify_one();
-}
-
-std::size_t ThreadPool::submit_batch(
-    std::size_t count, std::size_t chunk,
-    const std::function<void(std::size_t task, std::size_t begin,
-                             std::size_t end)>& body) {
-  GREFAR_CHECK(body != nullptr);
-  if (count == 0) return 0;
+void for_each_index_tasked(
+    std::size_t count, std::size_t jobs, std::size_t chunk,
+    const std::function<void(std::size_t task, std::size_t index)>& fn) {
+  GREFAR_CHECK(fn != nullptr);
+  GREFAR_CHECK(jobs >= 1);
+  if (count == 0) return;
   chunk = std::max<std::size_t>(chunk, 1);
   const std::size_t num_ranges = (count + chunk - 1) / chunk;
-  const std::size_t num_tasks = std::min(num_threads(), num_ranges);
-
-  // Shared batch state lives on the heap so loop tasks stay valid even if the
-  // caller's frame unwinds (it can't here — we block below — but the pool
-  // queue owns copies of the closures either way).
-  struct BatchState {
-    std::atomic<std::size_t> ticket{0};
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining;
+  const std::size_t num_tasks = std::min(jobs, num_ranges);
+  std::vector<std::exception_ptr> errors(count);
+  const auto run_index = [&fn, &errors](std::size_t task, std::size_t i) {
+    try {
+      fn(task, i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
   };
-  auto state = std::make_shared<BatchState>();
-  state->remaining = num_tasks;
 
-  for (std::size_t t = 0; t < num_tasks; ++t) {
-    submit([state, count, chunk, num_ranges, t, &body] {
+  if (num_tasks <= 1) {
+    // Serial path: inline, in order, on the calling thread, whose obs
+    // registries stay active.
+    for (std::size_t i = 0; i < count; ++i) run_index(0, i);
+  } else {
+    // Worker threads never see the caller's registries (they are
+    // thread-local): each task gets a private pair, merged in task order
+    // after the join. Counters are uint64 sums and gauges maxes, so the
+    // totals equal the serial path's whichever task claimed which range.
+    obs::TaskRegistries regs(num_tasks);
+    std::atomic<std::size_t> ticket{0};
+    const auto task_body = [&](std::size_t task) {
+      obs::CountersScope counters(regs.counters(task));
+      obs::ProfileScope profile(regs.profile(task));
       for (;;) {
-        const std::size_t range =
-            state->ticket.fetch_add(1, std::memory_order_relaxed);
+        const std::size_t range = ticket.fetch_add(1, std::memory_order_relaxed);
         if (range >= num_ranges) break;
-        const std::size_t begin = range * chunk;
-        const std::size_t end = std::min(begin + chunk, count);
-        body(t, begin, end);
+        const std::size_t end = std::min((range + 1) * chunk, count);
+        for (std::size_t i = range * chunk; i < end; ++i) run_index(task, i);
       }
-      {
-        std::unique_lock<std::mutex> lock(state->mutex);
-        --state->remaining;
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(num_tasks);
+    try {
+      for (std::size_t task = 0; task < num_tasks; ++task) {
+        threads.emplace_back(task_body, task);
       }
-      state->done.notify_one();
-    });
+    } catch (...) {
+      // A thread that failed to start leaves its ranges to the started
+      // ones; join them before the error leaves the call.
+      for (std::thread& thread : threads) thread.join();
+      throw;
+    }
+    for (std::thread& thread : threads) thread.join();
+    regs.merge_ordered();
   }
-
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->done.wait(lock, [&] { return state->remaining == 0; });
-  return num_tasks;
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 std::size_t ThreadPool::default_concurrency() {
@@ -99,20 +89,6 @@ std::size_t ThreadPool::default_concurrency() {
   }
 #endif
   return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and fully drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
 }
 
 }  // namespace grefar

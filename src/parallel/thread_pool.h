@@ -1,77 +1,54 @@
-// ThreadPool: a fixed-size worker pool for embarrassingly parallel sweeps.
+// The one parallel loop of the repo: a chunked, deterministic fan-out of
+// indices over threads started and joined inside the call.
 //
-// Deliberately work-stealing-free: tasks are pulled from a single FIFO queue
-// under one mutex, which is ample for the coarse-grained jobs this repo fans
-// out (whole simulation runs taking milliseconds to seconds each) and keeps
-// the execution model easy to reason about. Determinism is achieved one
-// level up — submitters write results into pre-assigned slots and aggregate
-// in submission order — so the pool itself never has to order anything.
-//
-// Lifecycle guarantees:
-//   * every submitted task runs exactly once (none lost, none duplicated);
-//   * the destructor drains the queue — it blocks until all tasks, including
-//     ones still queued, have finished, then joins the workers.
+// Determinism is handled by the callers' data layout, not by the loop:
+// every index writes only its own result slot and reads only immutable
+// shared state (SweepEngine's materialized artifacts), so results
+// aggregated in index order are bit-identical no matter how many threads
+// ran them. `jobs = 1` runs inline on the calling thread, in index order,
+// with no thread at all.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
+
+#include "util/annotations.h"
 
 namespace grefar {
 
-class ThreadPool {
- public:
-  /// Spawns `num_threads` workers (clamped to >= 1).
-  explicit ThreadPool(std::size_t num_threads);
+/// Runs fn(task, index) for every index in [0, count).
+///
+/// [0, count) is split into fixed ranges of `chunk` consecutive indices —
+/// range k is [k*chunk, min((k+1)*chunk, count)), a pure function of
+/// (count, chunk). min(jobs, num_ranges) loop tasks claim ranges through a
+/// shared atomic ticket counter, each on its own std::thread. A claimed
+/// range runs front to back, so indices within a range ascend on one
+/// thread; which task runs a range is scheduling-dependent, which is why
+/// `fn` receives its loop-task id (0 .. tasks-1) for task-local arenas.
+///
+/// `jobs` must be >= 1 (callers resolve "all CPUs" through
+/// ThreadPool::default_concurrency()). With one task (jobs == 1, or a
+/// single range) every index runs inline on the calling thread, in order
+/// 0..count-1, with task id 0. Otherwise each task runs under a
+/// private counter/profile registry, merged into the caller's in task order
+/// after the join (obs/task_registries.h), so counter totals do not depend
+/// on `jobs` or `chunk`.
+///
+/// An index that throws poisons only itself: every other index still runs,
+/// and the first failure in index order is rethrown after the join.
+GREFAR_DETERMINISTIC
+void for_each_index_tasked(
+    std::size_t count, std::size_t jobs, std::size_t chunk,
+    const std::function<void(std::size_t task, std::size_t index)>& fn);
 
-  /// Drains all remaining tasks, then joins the workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; runs on some worker in FIFO pop order.
-  void submit(std::function<void()> task);
-
-  /// Chunked dynamic scheduling (DESIGN.md §16): partitions [0, count) into
-  /// fixed ranges of `chunk` consecutive indices — range k is
-  /// [k*chunk, min((k+1)*chunk, count)), a pure function of (count, chunk) —
-  /// and spawns min(num_threads(), num_ranges) loop tasks that claim ranges
-  /// through a shared atomic ticket counter. Each claimed range is executed
-  /// front to back, so indices within a range always run in ascending order
-  /// on one thread; which *thread* runs a range is scheduling-dependent,
-  /// which is why `body` receives its loop-task id (0 .. tasks-1) for
-  /// worker-local arenas rather than a range id.
-  ///
-  /// Blocks until every range ran (other concurrently submitted work may
-  /// still be in flight). `body` must not throw;
-  /// callers capture per-index failures themselves (see SimRunner). Returns
-  /// the number of loop tasks spawned.
-  std::size_t submit_batch(
-      std::size_t count, std::size_t chunk,
-      const std::function<void(std::size_t task, std::size_t begin,
-                               std::size_t end)>& body);
-
-  std::size_t num_threads() const { return workers_.size(); }
-
-  /// Usable CPUs: the sched_getaffinity CPU count where available (so cgroup
-  /// / taskset limits in containerized CI are honored instead of
+/// Scope of the usable-CPU count that `--jobs 0` resolves to; the loop
+/// above starts its own threads, so nothing here is ever constructed.
+struct ThreadPool {
+  /// Usable CPUs: the sched_getaffinity CPU count where available (so
+  /// cgroup / taskset limits in containerized CI are honored instead of
   /// oversubscribing the host), falling back to
   /// std::thread::hardware_concurrency(); always >= 1.
   static std::size_t default_concurrency();
-
- private:
-  void worker_loop();
-
-  std::mutex mutex_;
-  std::condition_variable task_ready_;  // signals workers
-  std::deque<std::function<void()>> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace grefar

@@ -7,7 +7,6 @@
 
 #include "check/invariant_auditor.h"
 #include "obs/counters.h"
-#include "parallel/sim_runner.h"
 #include "parallel/thread_pool.h"
 #include "util/check.h"
 
@@ -74,7 +73,7 @@ SweepRunStats SweepEngine::run(
   const std::size_t chunk = std::max<std::size_t>(options_.chunk_size, 1);
   const std::size_t num_ranges = (num_legs + chunk - 1) / chunk;
   const std::size_t workers = std::max<std::size_t>(
-      1, std::min(jobs, num_ranges));  // mirrors SimRunner's task count
+      1, std::min(jobs, num_ranges));  // for_each_index_tasked's task count
   if (arenas_.size() != workers) {
     arenas_.clear();
     arenas_.resize(workers);
@@ -82,9 +81,8 @@ SweepRunStats SweepEngine::run(
   const AuditMode audit = resolve_audit(options_.audit);
 
   std::vector<double> leg_ms(num_legs, 0.0);
-  SimRunner runner(jobs);
-  runner.for_each_index_tasked(
-      num_legs,
+  for_each_index_tasked(
+      num_legs, jobs, chunk,
       [&](std::size_t task, std::size_t leg) {
         WorkerArena& arena = arenas_[task];
         const LegPlan& plan = plans[leg];
@@ -142,8 +140,7 @@ SweepRunStats SweepEngine::run(
                           std::chrono::steady_clock::now() - t0)
                           .count();
         collect(leg, engine);
-      },
-      chunk);
+      });
 
   stats_ = SweepRunStats{};
   stats_.legs = num_legs;

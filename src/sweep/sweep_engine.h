@@ -7,7 +7,7 @@
 //     materialized up front in first-reference order, so materialization
 //     (the only RNG-consuming step) never races and never depends on --jobs.
 //   * Legs are handed to workers in fixed consecutive ranges of `chunk`
-//     (ThreadPool::submit_batch). Each leg writes only its own result slot,
+//     (for_each_index_tasked). Each leg writes only its own result slot,
 //     reads only immutable shared artifacts, and runs on exactly one
 //     thread; with reuse, the per-worker arena state entering a leg is made
 //     equivalent to a fresh engine/scheduler by reset()/begin_run(), so the

@@ -348,6 +348,13 @@ TEST(BenchUsage, ServeLatencyRejectsNonPositiveSizes) {
   }
 }
 
+// A negative worker count is a usage error, not "all usable CPUs".
+TEST(BenchUsage, SweepBenchRejectsNegativeJobs) {
+  const auto [status, err] = run_for_stderr({"fig3_fairness", "--horizon 2 --jobs -1"});
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << "status " << status;
+  EXPECT_NE(err.find("error: --jobs"), std::string::npos) << err;
+}
+
 }  // namespace
 }  // namespace grefar
 

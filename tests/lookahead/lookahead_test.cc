@@ -248,57 +248,5 @@ TEST(FairLookahead, RejectsBadParams) {
                ContractViolation);
 }
 
-TEST(Lookahead, FrameCostsBitIdenticalAcrossJobCounts) {
-  // Frames are solved by independent workers but reduced in frame order, so
-  // the result must be *bit-identical* at any job count, not merely close.
-  auto config = two_dc_config();
-  TablePriceModel prices(std::vector<std::vector<double>>{
-      {0.9, 0.3, 0.5, 0.7}, {0.4, 0.6, 0.2, 0.8}});
-  FullAvailability avail(config.data_centers);
-  ConstantArrivals arrivals({3});
-  auto serial_params = lookahead_params(2, 6);
-  serial_params.jobs = 1;
-  auto parallel_params = serial_params;
-  parallel_params.jobs = 8;
-  auto serial = solve_lookahead(config, prices, avail, arrivals, serial_params);
-  auto parallel = solve_lookahead(config, prices, avail, arrivals, parallel_params);
-  ASSERT_EQ(serial.frame_costs.size(), parallel.frame_costs.size());
-  for (std::size_t r = 0; r < serial.frame_costs.size(); ++r) {
-    EXPECT_EQ(serial.frame_costs[r], parallel.frame_costs[r]) << "frame " << r;
-  }
-  EXPECT_EQ(serial.average_cost, parallel.average_cost);
-
-  auto hw_params = serial_params;
-  hw_params.jobs = 0;  // all hardware threads
-  auto hw = solve_lookahead(config, prices, avail, arrivals, hw_params);
-  EXPECT_EQ(serial.average_cost, hw.average_cost);
-}
-
-TEST(FairLookahead, FrameCostsBitIdenticalAcrossJobCounts) {
-  // Same guarantee for the FW path, whose warm-started LMO chains state
-  // *within* a frame (never across frames or workers).
-  ClusterConfig config;
-  config.server_types = {{"std", 1.0, 1.0}};
-  config.data_centers = {{"dc1", {10}}, {"dc2", {10}}};
-  config.accounts = {{"a", 0.5}, {"b", 0.5}};
-  config.job_types = {{"ja", 1.0, {0, 1}, 0}, {"jb", 1.0, {0, 1}, 1}};
-  TablePriceModel prices(std::vector<std::vector<double>>{
-      {0.8, 0.3, 0.6, 0.2}, {0.5, 0.5, 0.4, 0.7}});
-  FullAvailability avail(config.data_centers);
-  ConstantArrivals arrivals({3, 2});
-  auto serial_params = fair_params(2, 6, 25.0);
-  serial_params.base.jobs = 1;
-  auto parallel_params = serial_params;
-  parallel_params.base.jobs = 8;
-  auto serial = solve_lookahead_fair(config, prices, avail, arrivals, serial_params);
-  auto parallel =
-      solve_lookahead_fair(config, prices, avail, arrivals, parallel_params);
-  ASSERT_EQ(serial.frame_costs.size(), parallel.frame_costs.size());
-  for (std::size_t r = 0; r < serial.frame_costs.size(); ++r) {
-    EXPECT_EQ(serial.frame_costs[r], parallel.frame_costs[r]) << "frame " << r;
-  }
-  EXPECT_EQ(serial.average_cost, parallel.average_cost);
-}
-
 }  // namespace
 }  // namespace grefar

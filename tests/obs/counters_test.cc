@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <vector>
-
-#include "parallel/sim_runner.h"
+#include "parallel/thread_pool.h"
 
 namespace grefar {
 namespace {
@@ -81,21 +78,17 @@ TEST(Counters, ScopeInstallsAndRestores) {
   EXPECT_EQ(inner.counter("seen"), 1u);
 }
 
-// The determinism contract: SimRunner merges per-task registries in task
-// order, so totals cannot depend on the worker count.
+// The determinism contract: the parallel loop merges per-task registries
+// in task order, so totals cannot depend on the worker count.
 TEST(Counters, SimRunnerTotalsAreJobCountInvariant) {
   auto run_with = [](std::size_t jobs) {
     obs::CounterRegistry reg;
     obs::CountersScope scope(&reg);
-    std::vector<std::function<void()>> tasks;
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      tasks.push_back([i] {
-        obs::count("task.runs");
-        obs::count("task.work", i);
-        obs::gauge_max("task.max", static_cast<double>(i));
-      });
-    }
-    SimRunner(jobs).run(tasks);
+    for_each_index_tasked(8, jobs, 1, [](std::size_t, std::size_t i) {
+      obs::count("task.runs");
+      obs::count("task.work", i);
+      obs::gauge_max("task.max", static_cast<double>(i));
+    });
     return reg;
   };
   const obs::CounterRegistry serial = run_with(1);
